@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -252,6 +253,10 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
 # security
 
 
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
 def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
     if spec_text == "none":
         return None
@@ -261,8 +266,8 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
         path = spec_text[len("file:"):]
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                rows = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                rows = json.load(fh, parse_constant=_reject_constant)
+        except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read attack matrix file {path!r}: {exc}") from exc
         try:
             matrix = np.array(
@@ -273,7 +278,10 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
                 f"malformed attack matrix in {path!r}: expected 4 rows of 4 "
                 f"[re, im] pairs ({exc})"
             ) from exc
-        return security.EveAttack(matrix)
+        try:
+            return security.EveAttack(matrix)
+        except ValueError as exc:
+            raise ValueError(f"invalid attack matrix in {path!r}: {exc}") from exc
     raise ValueError(
         f"unknown attack {spec_text!r}: use none, "
         f"{', '.join(sorted(security.ATTACK_PRESETS))}, or file:PATH"
@@ -442,7 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(flag: str, value: float, low: float, high: float = math.inf) -> None:
+    if not (math.isfinite(value) and low <= value <= high):
+        span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
+        raise ValueError(f"{flag} must be a finite number {span}, got {value!r}")
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
+    _check_finite("--tolerance", args.tolerance, 0.0)
+    if args.command == "security":
+        _check_finite("--threshold", args.threshold, 0.0, 1.0)
+        _check_finite("--cert-tolerance", args.cert_tolerance, 0.0)
     return RunConfig(
         command=args.command,
         seed=args.seed if args.seed is not None else _default_seed(),

@@ -32,6 +32,8 @@ class DensityOperator:
         dim = 2**self.n_qubits
         if m.shape != (dim, dim):
             raise ValueError(f"expected a {dim}x{dim} matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has non-finite entries")
         if np.max(np.abs(m - m.conj().T)) > DEFAULT_TOLERANCE:
             raise ValueError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > DEFAULT_TOLERANCE:

@@ -41,6 +41,7 @@ from .statevec import (
 SUPPORT_CUTOFF = 1e-10
 CERT_TOLERANCE = 1e-6
 UNITARY_TOLERANCE = 1e-9
+MAX_ROUNDS = 2**63 - 1  # the sampler's counts are int64
 
 
 class ParityClass(Enum):
@@ -96,6 +97,29 @@ class RoundRecord:
     consistent: bool
 
 
+def round_consistent(basis: CheckBasis, outcome: int | np.ndarray, n: int) -> bool | np.ndarray:
+    """Whether measured outcome(s) of the n protocol qubits pass the check.
+
+    ``outcome`` packs the bits with qubit 1 as the high bit and the
+    receiver's qubit as bit 0; it may be an int or an integer array, and the
+    result is a bool or a bool array of the same shape.  The computational
+    check wants the senders all-0 with the receiver 0, or all-1 with the
+    receiver 1; the Hadamard check wants the senders' |-> count to have the
+    receiver's parity.
+    """
+    outcome = np.asarray(outcome)
+    bob = outcome & 1
+    alice = outcome >> 1
+    if basis is CheckBasis.COMPUTATIONAL:
+        ok = ((alice == 0) & (bob == 0)) | ((alice == 2 ** (n - 1) - 1) & (bob == 1))
+    else:
+        alice_parity = np.zeros_like(alice)
+        for shift in range(n - 1):
+            alice_parity ^= (alice >> shift) & 1
+        ok = alice_parity == bob
+    return ok[()]
+
+
 def security_round(
     state: StateVector,
     basis: CheckBasis,
@@ -113,21 +137,9 @@ def security_round(
     if not 2 <= n <= state.n_qubits:
         raise ValueError(f"protocol size {n} invalid for {state.n_qubits} qubits")
     prepped = state if basis is CheckBasis.COMPUTATIONAL else hadamard_on(state, range(1, n + 1))
-    return _measure_round(prepped, basis, rng, n)
-
-
-def _measure_round(
-    prepped: StateVector, basis: CheckBasis, rng: np.random.Generator, n: int
-) -> RoundRecord:
-    """Measure an already basis-rotated state and score consistency."""
     outcome, _ = measure_qubits(prepped, range(1, n + 1), rng)
-    bob = outcome & 1
-    alice = outcome >> 1
-    if basis is CheckBasis.COMPUTATIONAL:
-        consistent = (alice == 0 and bob == 0) or (alice == 2 ** (n - 1) - 1 and bob == 1)
-    else:
-        consistent = (int(alice).bit_count() % 2) == bob
-    return RoundRecord(basis, bob, alice, consistent)
+    consistent = bool(round_consistent(basis, outcome, n))
+    return RoundRecord(basis, outcome & 1, outcome >> 1, consistent)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +162,10 @@ class EveAttack:
         m = np.asarray(self.unitary, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError(f"attack must be a 4x4 matrix, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("attack matrix has non-finite entries")
         residual = unitarity_residual(m)
-        if residual > UNITARY_TOLERANCE:
+        if not residual <= UNITARY_TOLERANCE:
             raise ValueError(f"attack matrix is not unitary (U^t U residual {residual:.3e})")
         m = m.copy()
         m.flags.writeable = False
@@ -290,31 +304,34 @@ def security_simulation(
 ) -> SimulationReport:
     """Run independent check rounds with a uniformly random basis each.
 
-    Per-round generators are spawned deterministically from ``rng``, so a
-    fixed master seed gives bit-identical statistics regardless of execution
-    order.  The default threshold 0 aborts on any inconsistency: the model
-    is noiseless, so a clean channel never produces a false positive.
+    All rounds are sampled at once: one binomial draw from ``rng`` splits
+    them between the bases, then one multinomial draw per basis (computational
+    first) spreads that basis's rounds over the exact 2**n outcome marginal.
+    Time and memory are O(2**n) whatever ``rounds`` is, and a fixed seed
+    gives identical statistics.  The default threshold 0 aborts on any
+    inconsistency: the model is noiseless, so a clean channel never produces
+    a false positive.
     """
-    if rounds < 1:
-        raise ValueError(f"need at least one round, got {rounds}")
+    if not 1 <= rounds <= MAX_ROUNDS:
+        raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
     if n < 2:
         raise ValueError(f"protocol needs at least 2 qubits, got {n}")
     state = ghz_state(n)
     if attack is not None:
         state = apply_eve(state, attack)
-    # The basis rotation is deterministic, so hoist it out of the loop.
-    prepped = {
-        CheckBasis.COMPUTATIONAL: state,
-        CheckBasis.HADAMARD: hadamard_on(state, range(1, n + 1)),
-    }
-    tallies = {CheckBasis.COMPUTATIONAL: [0, 0], CheckBasis.HADAMARD: [0, 0]}
-    for child in rng.spawn(rounds):
-        basis = CheckBasis.COMPUTATIONAL if child.integers(2) == 0 else CheckBasis.HADAMARD
-        record = _measure_round(prepped[basis], basis, child, n)
-        tallies[basis][0] += 1
-        tallies[basis][1] += int(record.consistent)
-    c_rounds, c_ok = tallies[CheckBasis.COMPUTATIONAL]
-    h_rounds, h_ok = tallies[CheckBasis.HADAMARD]
+    measured = range(1, n + 1)
+    outcomes = np.arange(2**n)
+    c_rounds = int(rng.binomial(rounds, 0.5))
+    tallies = []
+    for basis, count in (
+        (CheckBasis.COMPUTATIONAL, c_rounds),
+        (CheckBasis.HADAMARD, rounds - c_rounds),
+    ):
+        prepped = state if basis is CheckBasis.COMPUTATIONAL else hadamard_on(state, measured)
+        marginal = _marginal_probabilities(prepped, measured)
+        counts = rng.multinomial(count, marginal / marginal.sum())
+        tallies.append((count, int(counts[round_consistent(basis, outcomes, n)].sum())))
+    (c_rounds, c_ok), (h_rounds, h_ok) = tallies
     detections = (c_rounds - c_ok) + (h_rounds - h_ok)
     rate = detections / rounds
     return SimulationReport(

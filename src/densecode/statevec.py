@@ -45,7 +45,7 @@ class StateVector:
                 f"{self.n_qubits} qubits, got {amps.size}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOLERANCE:
+        if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         amps = amps.copy()
         amps.flags.writeable = False

@@ -199,6 +199,48 @@ def test_security_rejects_non_unitary_file(tmp_path, capsys):
     assert "residual" in err
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_security_rejects_non_finite_file(tmp_path, capsys, entry):
+    rows = [[[1 if r == c else 0, 0] for c in range(4)] for r in range(4)]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(rows).replace("[1, 0]", f"[{entry}, 0]", 1))
+    code, out, err = run(
+        ["security", "--n", "3", "--attack", f"file:{path}", "--rounds", "10"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert str(path) in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["security", "--n", "3", "--threshold", "-1", "--rounds", "100"], "--threshold"),
+        (["security", "--n", "3", "--threshold", "1.5"], "--threshold"),
+        (["security", "--n", "3", "--threshold", "nan"], "--threshold"),
+        (["security", "--n", "3", "--cert-tolerance", "-0.5"], "--cert-tolerance"),
+        (["security", "--n", "3", "--cert-tolerance", "inf"], "--cert-tolerance"),
+        (["security", "--n", "3", "--tolerance", "nan"], "--tolerance"),
+        (["audit", "--ghz", "3", "--tolerance", "-1"], "--tolerance"),
+        (["audit", "--ghz", "3", "--tolerance", "inf"], "--tolerance"),
+    ],
+)
+def test_rejects_out_of_range_flags(capsys, argv, flag):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_threshold_bounds_are_inclusive(capsys):
+    code, report = run_json(
+        ["security", "--n", "3", "--attack", "swap0", "--threshold", "1", "--rounds", "200"],
+        capsys,
+    )
+    assert code == 0
+    assert report["verdict"] == "pass"
+
+
 def test_security_rejects_unknown_preset(capsys):
     code, _, err = run(["security", "--n", "3", "--attack", "mystery"], capsys)
     assert code == 2

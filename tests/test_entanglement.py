@@ -114,6 +114,14 @@ def test_density_operator_validation():
         DensityOperator(1, np.diag([1.5, -0.5]))  # negative eigenvalue
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_operator_rejects_non_finite(bad):
+    m = np.eye(2, dtype=complex) / 2
+    m[0, 0] = bad
+    with pytest.raises(ValueError):
+        DensityOperator(1, m)
+
+
 def test_partial_trace_of_density_operator():
     state = tensor_product(ghz_state(2), basis_ket(1, 1))
     rho = DensityOperator(3, np.outer(state.amplitudes, state.amplitudes.conj()))

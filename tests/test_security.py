@@ -1,4 +1,6 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
@@ -25,8 +27,15 @@ from densecode import (
     tensor_product,
     undetectable_certificate,
 )
+from densecode.security import round_consistent
 
 SQ2 = 1.0 / np.sqrt(2.0)
+
+
+def hoeffding(rounds, delta=1e-9):
+    """Half-width within which the rate of ``rounds`` Bernoulli draws lies
+    around its mean, except with probability ``delta``."""
+    return math.sqrt(math.log(2 / delta) / (2 * rounds))
 
 
 def haar_unitary(dim, rng):
@@ -140,6 +149,21 @@ def test_cnot_attack_round_statistics():
     assert abs(had_bad / trials - 0.5) <= 3 * sigma
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("basis", [CheckBasis.COMPUTATIONAL, CheckBasis.HADAMARD])
+def test_round_consistent_array_matches_scalar_rule(n, basis):
+    # Reference: the rule written out per outcome with Python ints.
+    expected = []
+    for outcome in range(2**n):
+        bob, alice = outcome & 1, outcome >> 1
+        if basis is CheckBasis.COMPUTATIONAL:
+            expected.append((alice, bob) in ((0, 0), (2 ** (n - 1) - 1, 1)))
+        else:
+            expected.append(bin(alice).count("1") % 2 == bob)
+    assert round_consistent(basis, np.arange(2**n), n).tolist() == expected
+    assert [bool(round_consistent(basis, o, n)) for o in range(2**n)] == expected
+
+
 def test_round_outcome_fields():
     record = security_round(ghz_state(3), CheckBasis.COMPUTATIONAL, np.random.default_rng(1))
     assert record.bob_outcome in (0, 1)
@@ -175,6 +199,14 @@ def test_attack_must_be_unitary():
         EveAttack(np.ones((4, 4)))
     with pytest.raises(ValueError):
         EveAttack(np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_attack_rejects_non_finite_entry(bad):
+    m = np.eye(4, dtype=complex)
+    m[2, 3] = bad
+    with pytest.raises(ValueError):
+        EveAttack(m)
 
 
 def test_branch_vectors_of_cnot():
@@ -339,3 +371,44 @@ def test_simulation_threshold_knob():
 def test_simulation_rejects_zero_rounds():
     with pytest.raises(ValueError):
         security_simulation(3, None, 0, np.random.default_rng(0))
+
+
+def test_simulation_cost_does_not_grow_with_rounds():
+    rounds = 10**8
+    t0 = time.perf_counter()
+    report = security_simulation(5, EveAttack.cnot(), rounds, np.random.default_rng(5))
+    assert time.perf_counter() - t0 < 2.0
+    assert report.rounds == rounds
+    assert abs(report.detection_rate - 0.25) <= hoeffding(rounds)
+
+
+def test_simulation_rejects_rounds_beyond_int64():
+    with pytest.raises(ValueError):
+        security_simulation(3, None, 2**63, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_simulation_clean_channel_never_detects(n):
+    report = security_simulation(n, None, 10**6, np.random.default_rng(100 + n))
+    assert report.detections == 0
+    assert report.computational_consistent == report.computational_rounds
+    assert report.hadamard_consistent == report.hadamard_rounds
+
+
+@pytest.mark.parametrize("seed", range(51))
+def test_sampled_rates_match_exact_detection(seed):
+    # Sampler (round_consistent over multinomial counts) against the exact
+    # enumeration in detection_report, which scores outcomes on its own.
+    n = (2, 3, 5)[seed % 3]
+    rng = np.random.default_rng(3000 + seed)
+    atk = EveAttack(haar_unitary(4, rng))
+    exact = detection_report(apply_eve(ghz_state(n), atk), n_protocol=n)
+    report = security_simulation(n, atk, 20_000, rng)
+    for rounds, consistent, want in (
+        (report.computational_rounds, report.computational_consistent,
+         exact.computational_inconsistency),
+        (report.hadamard_rounds, report.hadamard_consistent,
+         exact.hadamard_inconsistency),
+    ):
+        assert abs((rounds - consistent) / rounds - want) <= hoeffding(rounds)
+    assert abs(report.computational_rounds / report.rounds - 0.5) <= hoeffding(report.rounds)

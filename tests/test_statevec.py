@@ -70,6 +70,12 @@ def test_statevector_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_statevector_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(1, [bad, 0])
+
+
 def test_statevector_amplitudes_are_read_only():
     s = ghz_state(2)
     with pytest.raises(ValueError):
