@@ -31,6 +31,7 @@ from .entanglement import (
     DensityOperator,
     OptimalityReport,
     capacity,
+    entanglement_verdicts,
     holevo_bound,
     is_ame,
     is_gme_pure,

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -23,7 +23,6 @@ from . import coding, entanglement, security, statevec
 
 ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # every-bipartition checks stay desk-scale up to here
-MAX_GRAM_BITS = 10
 
 
 @dataclass
@@ -149,13 +148,18 @@ def _audit_common(state: statevec.StateVector, alice: list[int], tol: float) -> 
     return results, residuals
 
 
-def _gram_entry(report: coding.GramReport) -> dict:
-    return {
-        "n_bits": report.n_bits,
-        "dimension": report.dimension,
-        "max_off_diagonal": report.max_off_diagonal,
-        "max_diagonal_deviation": report.max_diagonal_deviation,
-    }
+def _audit_entanglement(state: statevec.StateVector, tol: float,
+                        results: dict, residuals: dict) -> None:
+    ame, gme = entanglement.entanglement_verdicts(state, tol=tol)
+    results["ame"] = ame.is_ame
+    results["gme"] = gme
+    residuals["ame_max_residual"] = ame.max_residual
+
+
+def _audit_gram(basis: coding.CodeBasis, results: dict, residuals: dict) -> None:
+    gram = basis.gram_report()
+    results["orthonormality"] = asdict(gram)
+    residuals["gram_residual"] = gram.residual()
 
 
 def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
@@ -170,14 +174,9 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
             raise ValueError(f"--ghz supports 2..{MAX_AUDIT_QUBITS} qubits, got {n}")
         state = statevec.ghz_state(n)
         results, residuals = _audit_common(state, list(range(1, n)), tol)
-        ame = entanglement.is_ame(state, tol=tol)
-        results["ame"] = ame.is_ame
-        results["gme"] = entanglement.is_gme_pure(state, tol=tol)
-        residuals["ame_max_residual"] = ame.max_residual
-        if n <= MAX_GRAM_BITS:
-            gram = coding.verify_code_orthonormality(n)
-            results["orthonormality"] = _gram_entry(gram)
-            residuals["gram_residual"] = gram.residual()
+        _audit_entanglement(state, tol, results, residuals)
+        if n <= coding.MAX_BASIS_BITS:
+            _audit_gram(coding.ghz_code_basis(n), results, residuals)
         else:
             results["orthonormality"] = None
         params = {"ghz": n, "tolerance": tol}
@@ -194,26 +193,12 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
         alice_residual = float(np.max(np.abs(rho_a.matrix - np.eye(dim) / dim)))
         residuals["alice_marginal_residual"] = alice_residual
         if 2 * pairs <= MAX_AUDIT_QUBITS:
-            ame = entanglement.is_ame(state, tol=tol)
-            results["ame"] = ame.is_ame
-            results["gme"] = entanglement.is_gme_pure(state, tol=tol)
-            residuals["ame_max_residual"] = ame.max_residual
+            _audit_entanglement(state, tol, results, residuals)
         else:
             results["ame"] = None
             results["gme"] = None
-        if pairs <= MAX_GRAM_BITS // 2:
-            gram = coding.bell_code_basis(pairs).gram()
-            off = gram - np.diag(np.diag(gram))
-            results["orthonormality"] = {
-                "n_bits": 2 * pairs,
-                "dimension": 4**pairs,
-                "max_off_diagonal": float(np.max(np.abs(off))),
-                "max_diagonal_deviation": float(np.max(np.abs(np.diag(gram) - 1.0))),
-            }
-            residuals["gram_residual"] = max(
-                results["orthonormality"]["max_off_diagonal"],
-                results["orthonormality"]["max_diagonal_deviation"],
-            )
+        if 2 * pairs <= coding.MAX_BASIS_BITS:
+            _audit_gram(coding.bell_code_basis(pairs), results, residuals)
         else:
             results["orthonormality"] = None
         params = {"bell": pairs, "tolerance": tol}

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .statevec import (
     PauliLabel,
     PauliString,
     StateVector,
+    _mask_parity,
     apply_pauli_string,
     compose_labels,
     ghz_state,
@@ -152,6 +153,17 @@ def pauli_equivalent(a: PauliString, b: PauliString, n: int) -> bool:
 # Code bases and brute-force decoding
 
 
+@dataclass(frozen=True)
+class GramReport:
+    n_bits: int
+    dimension: int
+    max_off_diagonal: float
+    max_diagonal_deviation: float
+
+    def residual(self) -> float:
+        return max(self.max_off_diagonal, self.max_diagonal_deviation)
+
+
 @dataclass(frozen=True, eq=False)
 class CodeBasis:
     """All 2**n encoded states of a protocol, row-stacked for fast overlaps."""
@@ -159,7 +171,7 @@ class CodeBasis:
     n_qubits: int
     messages: tuple[Message, ...]
     strings: tuple[tuple[PauliString, ...], ...]
-    states: np.ndarray  # shape (2**n, 2**n), row i = state for messages[i]
+    states: np.ndarray  # real, shape (2**n, 2**n), row i = state for messages[i]
 
     def state_for(self, msg: MessageLike) -> StateVector:
         m = as_message(msg)
@@ -170,13 +182,19 @@ class CodeBasis:
         return self.strings[int(str(as_message(msg)), 2)]
 
     def gram(self) -> np.ndarray:
-        return self.states @ self.states.conj().T
+        return self.states @ self.states.T
 
-
-def _stack(states: list[StateVector]) -> np.ndarray:
-    mat = np.vstack([s.amplitudes for s in states])
-    mat.flags.writeable = False
-    return mat
+    def gram_report(self) -> GramReport:
+        """The Gram matrix of the code words against the identity."""
+        gram = self.gram()
+        deviation = float(np.max(np.abs(np.diag(gram) - 1.0)))
+        np.fill_diagonal(gram, 0.0)
+        return GramReport(
+            n_bits=self.n_qubits,
+            dimension=2**self.n_qubits,
+            max_off_diagonal=float(np.max(np.abs(gram))),
+            max_diagonal_deviation=deviation,
+        )
 
 
 MAX_BASIS_BITS = 10  # a full code basis is a 2**n x 2**n dense matrix
@@ -190,22 +208,47 @@ def _check_basis_size(n: int) -> None:
         )
 
 
+def _code_basis(
+    resource: StateVector, encode: Callable[[Message], Iterable[PauliString]]
+) -> CodeBasis:
+    """Every code word of ``resource`` at once, by index arithmetic.
+
+    The strings of one message act on distinct qubits, so together they are
+    Z**z X**x for an X-mask x and a Z-mask z (iY = ZX, and labels on distinct
+    qubits commute).  The code word's amplitude at index c is therefore
+    (-1)**popcount(c & z) * psi[c ^ x].
+    """
+    n = resource.n_qubits
+    msgs = all_messages(n)
+    strings = tuple(tuple(encode(m)) for m in msgs)
+    xmask, zmask = [], []
+    for per_message in strings:
+        x = z = 0
+        for ps in per_message:
+            for label, q in zip(ps.labels, ps.targets):
+                lx, lz = label.bits
+                x |= lx << (n - q)
+                z |= lz << (n - q)
+        xmask.append(x)
+        zmask.append(z)
+    cols = np.arange(2**n)
+    sign = 1.0 - 2.0 * _mask_parity(n)
+    psi = resource.amplitudes.real  # every protocol state is real
+    states = sign[cols & np.array(zmask)[:, None]] * psi[cols ^ np.array(xmask)[:, None]]
+    states.flags.writeable = False
+    return CodeBasis(n, tuple(msgs), strings, states)
+
+
 @functools.lru_cache(maxsize=6)
 def ghz_code_basis(n: int) -> CodeBasis:
     _check_basis_size(n)
-    msgs = all_messages(n)
-    strings = tuple((encode_ghz(m),) for m in msgs)
-    states = [encoded_state(m) for m in msgs]
-    return CodeBasis(n, tuple(msgs), strings, _stack(states))
+    return _code_basis(ghz_state(n), lambda m: (encode_ghz(m),))
 
 
 @functools.lru_cache(maxsize=6)
 def bell_code_basis(n_pairs: int) -> CodeBasis:
     _check_basis_size(2 * n_pairs)
-    msgs = all_messages(2 * n_pairs)
-    strings = tuple(tuple(encode_bell(m)) for m in msgs)
-    states = [encoded_bell_state(m) for m in msgs]
-    return CodeBasis(2 * n_pairs, tuple(msgs), strings, _stack(states))
+    return _code_basis(bell_pairs_state(n_pairs), encode_bell)
 
 
 def _overlap_decode(basis: CodeBasis, state: StateVector) -> Message:
@@ -213,7 +256,8 @@ def _overlap_decode(basis: CodeBasis, state: StateVector) -> Message:
         raise ValueError(
             f"state has {state.n_qubits} qubits, code basis {basis.n_qubits}"
         )
-    overlaps = np.abs(basis.states.conj() @ state.amplitudes)
+    amps = state.amplitudes  # code words are real: <s|psi> = s.re + i s.im
+    overlaps = np.hypot(basis.states @ amps.real, basis.states @ amps.imag)
     best = int(np.argmax(overlaps))
     if overlaps[best] < OVERLAP_THRESHOLD:
         raise NoMatchError(
@@ -469,10 +513,7 @@ def dnk_encoded_state(msg: MessageLike, spec: DnkSpec) -> StateVector:
 def dnk_code_basis(n_bits: int, n_senders: int) -> CodeBasis:
     _check_basis_size(n_bits)
     spec = dnk_spec(n_bits, n_senders)
-    msgs = all_messages(n_bits)
-    strings = tuple(tuple(dnk_encode(m, spec).values()) for m in msgs)
-    states = [dnk_encoded_state(m, spec) for m in msgs]
-    return CodeBasis(n_bits, tuple(msgs), strings, _stack(states))
+    return _code_basis(dnk_state(spec), lambda m: dnk_encode(m, spec).values())
 
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
@@ -495,26 +536,6 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
 # Orthonormality certification
 
 
-@dataclass(frozen=True)
-class GramReport:
-    n_bits: int
-    dimension: int
-    max_off_diagonal: float
-    max_diagonal_deviation: float
-
-    def residual(self) -> float:
-        return max(self.max_off_diagonal, self.max_diagonal_deviation)
-
-
 def verify_code_orthonormality(n: int) -> GramReport:
     """Gram matrix of all 2**n GHZ code states against the identity."""
-    if not 2 <= n <= 10:
-        raise ValueError(f"supported message lengths are 2..10, got {n}")
-    gram = ghz_code_basis(n).gram()
-    off = gram - np.diag(np.diag(gram))
-    return GramReport(
-        n_bits=n,
-        dimension=2**n,
-        max_off_diagonal=float(np.max(np.abs(off))),
-        max_diagonal_deviation=float(np.max(np.abs(np.diag(gram) - 1.0))),
-    )
+    return ghz_code_basis(n).gram_report()

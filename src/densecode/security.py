@@ -19,7 +19,6 @@ a local ancilla map, so it gains nothing.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -36,6 +35,7 @@ from .statevec import (
     measure_qubits,
     tensor_product,
     _marginal_probabilities,
+    _mask_parity,
 )
 
 SUPPORT_CUTOFF = 1e-10
@@ -53,15 +53,6 @@ class ParityClass(Enum):
 class CheckBasis(Enum):
     COMPUTATIONAL = "computational"
     HADAMARD = "hadamard"
-
-
-@functools.lru_cache(maxsize=24)
-def _mask_parity(n: int) -> np.ndarray:
-    idx = np.arange(2**n)
-    par = np.zeros(2**n, dtype=np.int64)
-    for shift in range(n):
-        par ^= (idx >> shift) & 1
-    return par
 
 
 def pm_support(state: StateVector, cutoff: float = SUPPORT_CUTOFF) -> list[tuple[int, complex]]:

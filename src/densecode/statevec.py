@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -135,6 +136,17 @@ class PauliString:
 
     def __str__(self) -> str:
         return "⊗".join(lab.value for lab in self.labels)
+
+
+@functools.lru_cache(maxsize=24)
+def _mask_parity(n: int) -> np.ndarray:
+    """Parity of every n-bit index: entry i is popcount(i) mod 2 (read-only)."""
+    idx = np.arange(2**n)
+    par = np.zeros(2**n, dtype=np.int64)
+    for shift in range(n):
+        par ^= (idx >> shift) & 1
+    par.flags.writeable = False
+    return par
 
 
 def basis_ket(n: int, index: int) -> StateVector:

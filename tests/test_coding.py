@@ -8,11 +8,14 @@ from densecode import (
     NoMatchError,
     PauliLabel,
     PauliString,
+    StateVector,
+    all_messages,
     apply_pauli_string,
     bell_code_basis,
     bell_pairs_state,
     decode_bell,
     decode_ghz,
+    dnk_code_basis,
     dnk_decode,
     dnk_encode,
     dnk_encoded_state,
@@ -294,6 +297,56 @@ def test_bell_roundtrip_exhaustive(method):
 
 def test_bell_code_basis_gram():
     assert np.max(np.abs(bell_code_basis(2).gram() - np.eye(16))) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ghz_code_basis_rows_are_the_encoded_states(n):
+    basis = ghz_code_basis(n)
+    assert basis.states.dtype == np.float64
+    assert not basis.states.flags.writeable
+    for i, msg in enumerate(all_messages(n)):
+        amps = encoded_state(msg).amplitudes
+        assert basis.messages[i] == msg
+        assert not amps.imag.any()
+        assert np.array_equal(basis.states[i], amps.real), str(msg)
+
+
+@pytest.mark.parametrize("pairs", range(1, 5))
+def test_bell_code_basis_rows_are_the_encoded_states(pairs):
+    basis = bell_code_basis(pairs)
+    assert basis.states.dtype == np.float64
+    for i, msg in enumerate(all_messages(2 * pairs)):
+        amps = encoded_bell_state(msg).amplitudes
+        assert not amps.imag.any()
+        assert np.array_equal(basis.states[i], amps.real), str(msg)
+
+
+def test_code_basis_state_for_is_a_validated_state():
+    basis = ghz_code_basis(4)
+    state = basis.state_for("1011")
+    assert isinstance(state, StateVector)
+    assert state.amplitudes.dtype == complex
+    assert not state.amplitudes.flags.writeable
+    assert np.array_equal(state.amplitudes, encoded_state("1011").amplitudes)
+    assert basis.strings_for("1011") == (encode_ghz("1011"),)
+
+
+def test_gram_report_is_shared_by_every_basis():
+    for basis in (ghz_code_basis(4), bell_code_basis(2), dnk_code_basis(6, 3)):
+        report = basis.gram_report()
+        assert (report.n_bits, report.dimension) == (basis.n_qubits, 2**basis.n_qubits)
+        assert report.residual() < 1e-12
+    assert verify_code_orthonormality(5) == ghz_code_basis(5).gram_report()
+
+
+@pytest.mark.parametrize("phase", [1j, -1j, np.exp(0.7j)])
+def test_overlap_decode_accepts_complex_states(phase):
+    """Code words are stored real; a complex global phase still decodes."""
+    for msg in ("1011", "0110"):
+        state = StateVector(4, phase * encoded_state(msg).amplitudes)
+        assert decode_ghz(state, method="overlap") == Message.from_string(msg)
+        bell = StateVector(4, phase * encoded_bell_state(msg).amplitudes)
+        assert decode_bell(bell, method="overlap") == Message.from_string(msg)
 
 
 # ---------------------------------------------------------------------------

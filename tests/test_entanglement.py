@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from densecode import (
     StateVector,
     basis_ket,
     capacity,
+    entanglement_verdicts,
     ghz_state,
     holevo_bound,
     is_ame,
@@ -19,6 +22,7 @@ from densecode import (
     tensor_product,
     von_neumann_entropy,
 )
+from densecode.entanglement import _density_spectra
 
 
 def random_state(n, rng):
@@ -112,6 +116,33 @@ def test_density_operator_validation():
         DensityOperator(1, np.eye(2))  # trace 2
     with pytest.raises(ValueError):
         DensityOperator(1, np.diag([1.5, -0.5]))  # negative eigenvalue
+
+
+def test_density_operator_keeps_its_spectrum():
+    m = reduced_density(random_state(4, np.random.default_rng(3)), {1, 3}).matrix
+    rho = DensityOperator(2, m)
+    assert rho.eigenvalues() is rho.eigenvalues()
+    assert np.array_equal(rho.eigenvalues(), np.linalg.eigvalsh((m + m.conj().T) / 2))
+    assert not rho.eigenvalues().flags.writeable
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.array([[0.5, 1.0], [0.0, 0.5]]), "not Hermitian"),
+        (np.eye(2), "trace is"),
+        (np.diag([1.5, -0.5]), "negative eigenvalue"),
+        (np.array([[np.nan, 0.0], [0.0, 0.5]]), "non-finite"),
+    ],
+)
+def test_stacked_density_checks_match_density_operator(bad, message):
+    """A stack fails on one bad matrix with DensityOperator's own message."""
+    with pytest.raises(ValueError, match=message) as single:
+        DensityOperator(1, bad)
+    good = np.eye(2, dtype=complex) / 2
+    with pytest.raises(ValueError, match=message) as stacked:
+        _density_spectra(np.stack([good, bad.astype(complex), good]))
+    assert str(stacked.value) == str(single.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -257,6 +288,73 @@ def test_ame_implies_gme_on_fixtures():
             assert is_gme_pure(state)
 
 
+def per_side_reference(state, tol=1e-9):
+    """AME and GME verdicts one side at a time, with an eigensolve of its own
+    per reduced state: (is_ame, max_residual, failing, entropies, gme)."""
+    n = state.n_qubits
+    entropies, worst, failing = {}, 0.0, None
+    for m in range(1, n // 2 + 1):
+        for side in itertools.combinations(range(1, n + 1), m):
+            rho = reduced_density(state, side).matrix
+            eigs = np.linalg.eigvalsh(rho)
+            eigs = eigs[eigs > 1e-12]
+            entropies[side] = float(-np.sum(eigs * np.log2(eigs)))
+            residual = float(np.max(np.abs(rho - np.eye(2**m) / 2**m)))
+            worst = max(worst, residual)
+            if residual > tol and failing is None:
+                failing = side
+    gme = all(s > tol for s in entropies.values())
+    return failing is None, worst, failing, entropies, gme
+
+
+_VERDICT_CASES = (
+    [("haar", n) for n in range(2, 9)]
+    + [("ghz", n) for n in range(2, 9)]
+    + [("bell-product", 4), ("product", 3)]
+)
+
+
+@pytest.mark.parametrize("kind, n", _VERDICT_CASES)
+def test_batched_verdicts_match_per_side_reference(kind, n):
+    if kind == "haar":
+        state = random_state(n, np.random.default_rng(100 + n))
+    elif kind == "ghz":
+        state = ghz_state(n)
+    elif kind == "bell-product":
+        state = tensor_product(ghz_state(2), ghz_state(2))
+    else:
+        state = basis_ket(n, 5)
+    ref_ame, ref_residual, ref_failing, ref_entropies, ref_gme = per_side_reference(state)
+    ame, gme = entanglement_verdicts(state)
+    assert ame.is_ame == ref_ame == is_ame(state).is_ame
+    assert ame.failing == ref_failing
+    assert gme == ref_gme == is_gme_pure(state)
+    assert abs(ame.max_residual - ref_residual) <= 1e-15
+    assert list(ame.entropies) == list(ref_entropies)
+    for side, entropy in ref_entropies.items():
+        assert abs(ame.entropies[side] - entropy) <= 1e-12, side
+
+
+def test_batched_verdicts_over_several_batches(monkeypatch):
+    """Sides split across batches keep their order and verdicts."""
+    import densecode.entanglement as ent
+
+    state = random_state(6, np.random.default_rng(7))
+    whole, whole_gme = entanglement_verdicts(state, tol=0.3)
+    monkeypatch.setattr(ent, "_STACK_BYTES", 3 * 16 * 2**6)  # three sides a batch
+    split, split_gme = entanglement_verdicts(state, tol=0.3)
+    assert split.entropies == whole.entropies
+    assert (split.is_ame, split.failing, split.max_residual, split_gme) == (
+        whole.is_ame, whole.failing, whole.max_residual, whole_gme
+    )
+
+
+def test_bell_product_verdicts_name_the_first_failing_side():
+    ame, gme = entanglement_verdicts(tensor_product(ghz_state(2), ghz_state(2)))
+    assert not ame.is_ame and not gme
+    assert ame.failing == (1, 2)  # one whole Bell pair: a pure marginal
+
+
 # ---------------------------------------------------------------------------
 # capacity and optimality
 
@@ -334,6 +432,13 @@ def test_optimality_report_bell():
     rep = optimality_report(ghz_state(2), [1])
     assert rep.optimal
     assert rep.capacity == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_optimality_report_capacity_equals_capacity(seed):
+    state = random_state(5, np.random.default_rng(seed))
+    for alice in ([1, 2, 3], [2, 4], [1, 3, 4, 5]):
+        assert optimality_report(state, alice).capacity == capacity(state, alice)
 
 
 def test_capacity_rejects_bad_sender_set():
