@@ -93,31 +93,37 @@ def _report(command: str, params: dict, results: dict, residuals: dict,
 # encode
 
 
+def _layout_entry(spec: coding.DnkSpec) -> dict[str, Any]:
+    return {
+        "ghz_size": spec.ghz_size,
+        "bell_pairs": spec.bell_pairs,
+        "bob_qubits": list(spec.bob_qubits),
+    }
+
+
+def _share_entry(share: coding.PartyShare) -> dict[str, Any]:
+    return {"qubits": list(share.qubits), "bits": list(share.bits)}
+
+
 def cmd_encode(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.message is None:
         raise ValueError("encode requires --message")
     msg = coding.Message.from_string(cfg.message)
     n = len(msg)
-    results: dict[str, Any] = {"message": str(msg), "n_bits": n}
-    if cfg.senders is None:
-        operator = coding.encode_ghz(msg)
-        state = coding.encoded_state(msg)
-        results["operator"] = _operator_entry(operator)
-        results["parties"] = None
-    else:
-        spec = coding.dnk_spec(n, cfg.senders)
+    spec = coding.dnk_spec(n, n - 1 if cfg.senders is None else cfg.senders)
+    state = coding.dnk_encoded_state(msg, spec)
+    results: dict[str, Any] = {
+        "message": str(msg),
+        "n_bits": n,
+        "operator": _operator_entry(coding.dnk_combined_string(msg, spec)),
+        "parties": None,
+    }
+    if cfg.senders is not None:
         per_party = coding.dnk_encode(msg, spec)
-        state = coding.dnk_encoded_state(msg, spec)
-        results["operator"] = _operator_entry(coding.dnk_combined_string(msg, spec))
-        results["layout"] = {
-            "ghz_size": spec.ghz_size,
-            "bell_pairs": spec.bell_pairs,
-            "bob_qubits": list(spec.bob_qubits),
-        }
+        results["layout"] = _layout_entry(spec)
         results["parties"] = {
             str(share.party): {
-                "qubits": list(share.qubits),
-                "bits": list(share.bits),
+                **_share_entry(share),
                 "operator": _operator_entry(per_party[share.party]),
             }
             for share in spec.shares
@@ -148,20 +154,6 @@ def _audit_common(state: statevec.StateVector, alice: list[int], tol: float) -> 
     return results, residuals
 
 
-def _audit_entanglement(state: statevec.StateVector, tol: float,
-                        results: dict, residuals: dict) -> None:
-    ame, gme = entanglement.entanglement_verdicts(state, tol=tol)
-    results["ame"] = ame.is_ame
-    results["gme"] = gme
-    residuals["ame_max_residual"] = ame.max_residual
-
-
-def _audit_gram(basis: coding.CodeBasis, results: dict, residuals: dict) -> None:
-    gram = basis.gram_report()
-    results["orthonormality"] = asdict(gram)
-    residuals["gram_residual"] = gram.residual()
-
-
 def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
     tol = cfg.tolerance
     chosen = [x for x in (cfg.ghz, cfg.bell, cfg.dnk) if x is not None]
@@ -172,52 +164,42 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
         n = cfg.ghz
         if not 2 <= n <= MAX_AUDIT_QUBITS:
             raise ValueError(f"--ghz supports 2..{MAX_AUDIT_QUBITS} qubits, got {n}")
-        state = statevec.ghz_state(n)
-        results, residuals = _audit_common(state, list(range(1, n)), tol)
-        _audit_entanglement(state, tol, results, residuals)
-        if n <= coding.MAX_BASIS_BITS:
-            _audit_gram(coding.ghz_code_basis(n), results, residuals)
-        else:
-            results["orthonormality"] = None
-        params = {"ghz": n, "tolerance": tol}
-
+        spec, params = coding.dnk_spec(n, n - 1), {"ghz": n}
     elif cfg.bell is not None:
         pairs = cfg.bell
         if not 1 <= pairs <= 10:
             raise ValueError(f"--bell supports 1..10 pairs, got {pairs}")
-        state = coding.bell_pairs_state(pairs)
-        alice = [2 * p + 1 for p in range(pairs)]
-        results, residuals = _audit_common(state, alice, tol)
-        rho_a = entanglement.reduced_density(state, alice)
-        dim = 2**pairs
-        alice_residual = float(np.max(np.abs(rho_a.matrix - np.eye(dim) / dim)))
-        residuals["alice_marginal_residual"] = alice_residual
-        if 2 * pairs <= MAX_AUDIT_QUBITS:
-            _audit_entanglement(state, tol, results, residuals)
-        else:
-            results["ame"] = None
-            results["gme"] = None
-        if 2 * pairs <= coding.MAX_BASIS_BITS:
-            _audit_gram(coding.bell_code_basis(pairs), results, residuals)
-        else:
-            results["orthonormality"] = None
-        params = {"bell": pairs, "tolerance": tol}
-
+        spec, params = coding.dnk_spec(2 * pairs, 1), {"bell": pairs}
     else:
         n, k = cfg.dnk
         if not 2 <= n <= MAX_AUDIT_QUBITS:
             raise ValueError(f"--dnk supports 2..{MAX_AUDIT_QUBITS} bits, got {n}")
-        spec = coding.dnk_spec(n, k)
-        state = coding.dnk_state(spec)
-        results, residuals = _audit_common(state, list(spec.alice_qubits), tol)
-        results["layout"] = {
-            "ghz_size": spec.ghz_size,
-            "bell_pairs": spec.bell_pairs,
-            "bob_qubits": list(spec.bob_qubits),
-            "parties": {
-                str(s.party): {"qubits": list(s.qubits), "bits": list(s.bits)}
-                for s in spec.shares
-            },
+        spec, params = coding.dnk_spec(n, k), {"dnk": [n, k]}
+    params["tolerance"] = tol
+
+    n = spec.n_qubits
+    state = coding.dnk_state(spec)
+    alice = list(spec.alice_qubits)
+    results, residuals = _audit_common(state, alice, tol)
+    if cfg.bell is not None:
+        rho_a = entanglement.reduced_density(state, alice)
+        dim = 2 ** len(alice)
+        alice_residual = float(np.max(np.abs(rho_a.matrix - np.eye(dim) / dim)))
+        residuals["alice_marginal_residual"] = alice_residual
+    if cfg.dnk is None:
+        results["ame"] = results["gme"] = results["orthonormality"] = None
+        if n <= MAX_AUDIT_QUBITS:
+            ame, gme = entanglement.entanglement_verdicts(state, tol=tol)
+            results["ame"], results["gme"] = ame.is_ame, gme
+            residuals["ame_max_residual"] = ame.max_residual
+        if n <= coding.MAX_BASIS_BITS:
+            gram = coding.dnk_code_basis(spec.n_bits, spec.n_senders).gram_report()
+            results["orthonormality"] = asdict(gram)
+            residuals["gram_residual"] = gram.residual()
+    else:
+        results["layout"] = _layout_entry(spec)
+        results["layout"]["parties"] = {
+            str(share.party): _share_entry(share) for share in spec.shares
         }
         rng = np.random.default_rng(cfg.seed)
         sample = min(2**n, 64)
@@ -228,7 +210,6 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
             if coding.dnk_decode(coding.dnk_encoded_state(msg, spec), spec) != msg:
                 failures += 1
         results["roundtrip"] = {"messages_checked": sample, "failures": failures}
-        params = {"dnk": [n, k], "tolerance": tol}
 
     verdict = "optimal" if results.get("optimal") else "suboptimal"
     return _report("audit", params, results, residuals, verdict, cfg.seed), 0
@@ -352,16 +333,16 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
     elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-        rows.append((prefix, json.dumps(value, sort_keys=True)))
+        rows.append((prefix, json.dumps(value, sort_keys=True, allow_nan=False)))
     elif isinstance(value, list):
         rows.append((prefix, ";".join(str(v) for v in value)))
     else:
-        rows.append((prefix, json.dumps(value)))
+        rows.append((prefix, json.dumps(value, allow_nan=False)))
 
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     rows: list[tuple[str, str]] = []
     _flatten("", report, rows)
     if fmt == "csv":

@@ -1,19 +1,17 @@
 """Encoding and decoding for the dense-coding protocols.
 
-Three schemes share one register convention (qubit 1 = most significant bit,
-receiver qubits interleaved as described below):
+All three protocols are one block layout, the distributed scheme D(N, k): N
+message bits on N qubits, one GHZ block followed by Bell pairs, each block
+laid out (sender qubits..., receiver qubit), qubit 1 = most significant bit.
+GHZ coding is D(N, N-1), one GHZ block, and Bell-pair coding is D(2P, 1),
+P two-qubit blocks; their names here are thin wrappers that build that
+layout.  Each step has one implementation, in the ``dnk_*`` functions.
 
-* GHZ coding: an N-bit message is encoded on the first N-1 qubits of an
-  N-qubit GHZ state.  The first qubit's label comes from bits (b1, b2) via
-  00->I, 01->X, 10->Z, 11->iY; every later sender qubit i carries bit b_{i+1}
-  via 0->I, 1->X.  These canonical representatives make message -> state a
-  function; the remaining operator freedom is exactly multiplication by an
-  even number of Z factors (see ``pauli_equivalent``).
-* Bell-pair coding: a message of even length 2P is encoded pairwise on P
-  Bell pairs laid out as (sender half, receiver half) per pair, using the
-  same 2-bit label map on each sender half.
-* Distributed coding D(N, k): N message bits split across k senders, using
-  one GHZ block tensored with Bell pairs.  ``dnk_spec`` fixes the layout.
+The bit rule is the same for every block: its first qubit q carries
+Z^b_q X^b_(q+1) (00->I, 01->X, 10->Z, 11->iY) and every later sender qubit q
+carries X^b_(q+1).  These canonical representatives make message -> state a
+function; on a GHZ block the remaining operator freedom is exactly
+multiplication by an even number of Z factors (see ``pauli_equivalent``).
 
 Decoding is implemented two ways that must agree: a brute-force overlap
 against the full code basis, and a fast disentangling circuit (CNOT fan-out
@@ -27,7 +25,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -45,7 +43,8 @@ from .statevec import (
 #: decode rejects states whose best code-basis overlap magnitude is below this
 OVERLAP_THRESHOLD = 1.0 - 1e-6
 
-_FIRST_QUBIT_LABEL = {
+#: the label Z**z X**x for bits (z, x)
+_ZX_LABEL = {
     (0, 0): PauliLabel.I,
     (0, 1): PauliLabel.X,
     (1, 0): PauliLabel.Z,
@@ -109,48 +108,137 @@ def all_messages(n: int) -> list[Message]:
 
 
 # ---------------------------------------------------------------------------
-# GHZ coding
+# The layout D(N, k)
 
 
-def encode_ghz(msg: MessageLike) -> PauliString:
-    """Canonical encoding operator on qubits 1..N-1 for an N-bit message."""
-    m = as_message(msg)
-    n = len(m)
-    labels = [_FIRST_QUBIT_LABEL[(m.bits[0], m.bits[1])]]
-    labels += [PauliLabel.X if m.bits[i + 1] else PauliLabel.I for i in range(1, n - 1)]
-    return PauliString(tuple(labels), tuple(range(1, n)))
+@dataclass(frozen=True)
+class PartyShare:
+    """One sender's qubits and the message-bit positions they carry."""
+
+    party: int
+    qubits: tuple[int, ...]
+    bits: tuple[int, ...]
 
 
-def encoded_state(msg: MessageLike) -> StateVector:
-    """The code-basis state carrying ``msg`` (GHZ protocol)."""
-    m = as_message(msg)
-    return apply_pauli_string(ghz_state(len(m)), encode_ghz(m))
+def _blocks(ghz_size: int, n_qubits: int) -> tuple[tuple[int, ...], ...]:
+    return (tuple(range(1, ghz_size + 1)),) + tuple(
+        (q, q + 1) for q in range(ghz_size + 1, n_qubits, 2)
+    )
 
 
-def pauli_equivalent(a: PauliString, b: PauliString, n: int) -> bool:
-    """Whether two encoding strings act identically on the n-qubit GHZ state
-    up to global phase.
+@dataclass(frozen=True)
+class DnkSpec:
+    """Layout of the distributed scheme for ``n_bits`` bits and ``n_senders``
+    senders: one GHZ block followed by Bell pairs, receiver qubits at the end
+    of each block."""
 
-    That holds exactly when the per-qubit product of the two strings reduces
-    to a tensor of {I, Z} with an even number of Z factors: even-weight Z
-    strings on the sender qubits stabilize the GHZ state, while any X or iY
-    component moves its support and a lone Z flips the relative sign.
+    n_bits: int
+    n_senders: int
+    ghz_size: int
+    bell_pairs: int
+    shares: tuple[PartyShare, ...]
+    bob_qubits: tuple[int, ...]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_bits
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The GHZ block, then each Bell pair, as 1-based qubit tuples."""
+        return _blocks(self.ghz_size, self.n_bits)
+
+    @property
+    def alice_qubits(self) -> tuple[int, ...]:
+        return tuple(q for share in self.shares for q in share.qubits)
+
+
+def dnk_spec(n_bits: int, n_senders: int) -> DnkSpec:
+    """Build the D(N, k) layout.
+
+    The GHZ block has size max(2, 2(k+1)-N) for even N and max(3, 2(k+1)-N)
+    for odd N; the remaining bits ride on (N - ghz_size)/2 Bell pairs.
+    Senders receive contiguous runs of whole sender qubits, sized as evenly
+    as possible, and with them the message bits those qubits carry under the
+    bit rule of ``dnk_combined_string``.
     """
-    for ps in (a, b):
-        if any(q >= n for q in ps.targets):
-            raise ValueError(f"encoding strings act on qubits 1..{n - 1}")
-    z_count = 0
-    for q in range(1, n):
-        prod = compose_labels(a.label_on(q), b.label_on(q))
-        if prod in (PauliLabel.X, PauliLabel.IY):
-            return False
-        if prod is PauliLabel.Z:
-            z_count += 1
-    return z_count % 2 == 0
+    if n_bits < 2:
+        raise ValueError(f"need at least 2 message bits, got {n_bits}")
+    if not 1 <= n_senders <= n_bits - 1:
+        raise ValueError(
+            f"sender count must be in 1..{n_bits - 1}, got {n_senders}"
+        )
+    floor_size = 2 if n_bits % 2 == 0 else 3
+    g = max(floor_size, 2 * (n_senders + 1) - n_bits)
+    blocks = _blocks(g, n_bits)
+    leads = {block[0] for block in blocks}
+    sender_qubits = [q for block in blocks for q in block[:-1]]
+
+    base, extra = divmod(len(sender_qubits), n_senders)
+    shares = []
+    cursor = 0
+    for party in range(1, n_senders + 1):
+        size = base + (1 if party <= extra else 0)
+        qubits = tuple(sender_qubits[cursor : cursor + size])
+        cursor += size
+        bits = tuple(b for q in qubits for b in ((q, q + 1) if q in leads else (q + 1,)))
+        shares.append(PartyShare(party, qubits, bits))
+
+    bob = tuple(block[-1] for block in blocks)
+    return DnkSpec(n_bits, n_senders, g, len(blocks) - 1, tuple(shares), bob)
 
 
 # ---------------------------------------------------------------------------
-# Code bases and brute-force decoding
+# Encoding
+
+
+def dnk_combined_string(msg: MessageLike, spec: DnkSpec) -> PauliString:
+    """The encoding operator over all sender qubits, before the party split.
+
+    The one bit rule: a block's first qubit q carries Z^b_q X^b_(q+1), and
+    every later sender qubit q carries X^b_(q+1), where b_q is message bit q
+    (1-based).
+    """
+    m = as_message(msg)
+    if len(m) != spec.n_bits:
+        raise ValueError(
+            f"message has {len(m)} bits, layout expects {spec.n_bits}"
+        )
+    b = (0,) + m.bits
+    leads = {block[0] for block in spec.blocks}
+    labels = tuple(
+        _ZX_LABEL[(b[q] if q in leads else 0, b[q + 1])] for q in spec.alice_qubits
+    )
+    return PauliString(labels, spec.alice_qubits)
+
+
+def dnk_encode(msg: MessageLike, spec: DnkSpec) -> dict[int, PauliString]:
+    """Per-party encoding operators, each strictly local to that party."""
+    full = dnk_combined_string(msg, spec)
+    return {share.party: full.restricted_to(share.qubits) for share in spec.shares}
+
+
+def dnk_state(spec: DnkSpec) -> StateVector:
+    """The shared resource: one GHZ state per block, in register order."""
+    first, *rest = spec.blocks
+    state = ghz_state(len(first))
+    for block in rest:
+        state = tensor_product(state, ghz_state(len(block)))
+    return state
+
+
+def dnk_encoded_state(msg: MessageLike, spec: DnkSpec) -> StateVector:
+    """Resource state after every sender applied its local operator.
+
+    The parties' strings act on disjoint qubits, so applying their product,
+    the combined string, in one pass gives the same amplitudes.
+    """
+    combined = dnk_combined_string(msg, spec)
+    return apply_pauli_string(dnk_state(spec), combined)
+
+
+# ---------------------------------------------------------------------------
+# Code bases
 
 
 @dataclass(frozen=True)
@@ -166,12 +254,19 @@ class GramReport:
 
 @dataclass(frozen=True, eq=False)
 class CodeBasis:
-    """All 2**n encoded states of a protocol, row-stacked for fast overlaps."""
+    """All 2**n code words of a layout, row-stacked for fast overlaps."""
 
-    n_qubits: int
-    messages: tuple[Message, ...]
-    strings: tuple[tuple[PauliString, ...], ...]
-    states: np.ndarray  # real, shape (2**n, 2**n), row i = state for messages[i]
+    spec: DnkSpec
+    states: np.ndarray  # real, shape (2**n, 2**n), row i = word of message i
+
+    @property
+    def n_qubits(self) -> int:
+        return self.spec.n_qubits
+
+    @property
+    def messages(self) -> tuple[Message, ...]:
+        """The message of each row, in integer order."""
+        return tuple(all_messages(self.n_qubits))
 
     def state_for(self, msg: MessageLike) -> StateVector:
         m = as_message(msg)
@@ -179,7 +274,7 @@ class CodeBasis:
         return StateVector(self.n_qubits, self.states[idx])
 
     def strings_for(self, msg: MessageLike) -> tuple[PauliString, ...]:
-        return self.strings[int(str(as_message(msg)), 2)]
+        return (dnk_combined_string(msg, self.spec),)
 
     def gram(self) -> np.ndarray:
         return self.states @ self.states.T
@@ -208,54 +303,44 @@ def _check_basis_size(n: int) -> None:
         )
 
 
-def _code_basis(
-    resource: StateVector, encode: Callable[[Message], Iterable[PauliString]]
-) -> CodeBasis:
-    """Every code word of ``resource`` at once, by index arithmetic.
+def _word_masks(spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """X- and Z-masks of every message's combined string, in closed form.
 
-    The strings of one message act on distinct qubits, so together they are
-    Z**z X**x for an X-mask x and a Z-mask z (iY = ZX, and labels on distinct
-    qubits commute).  The code word's amplitude at index c is therefore
-    (-1)**popcount(c & z) * psi[c ^ x].
+    Bit b_q of message i sits at index bit n - q, like qubit q.  The bit rule
+    puts X^b_(q+1) on every sender qubit q and Z^b_q on every block's first
+    qubit, so message i has X-mask (i << 1) & senders and Z-mask i & leads.
     """
-    n = resource.n_qubits
-    msgs = all_messages(n)
-    strings = tuple(tuple(encode(m)) for m in msgs)
-    xmask, zmask = [], []
-    for per_message in strings:
-        x = z = 0
-        for ps in per_message:
-            for label, q in zip(ps.labels, ps.targets):
-                lx, lz = label.bits
-                x |= lx << (n - q)
-                z |= lz << (n - q)
-        xmask.append(x)
-        zmask.append(z)
-    cols = np.arange(2**n)
-    sign = 1.0 - 2.0 * _mask_parity(n)
-    psi = resource.amplitudes.real  # every protocol state is real
-    states = sign[cols & np.array(zmask)[:, None]] * psi[cols ^ np.array(xmask)[:, None]]
+    n = spec.n_qubits
+    senders = sum(1 << (n - q) for q in spec.alice_qubits)
+    leads = sum(1 << (n - block[0]) for block in spec.blocks)
+    msgs = np.arange(2**n)
+    return (msgs << 1) & senders, msgs & leads
+
+
+@functools.lru_cache(maxsize=8)
+def dnk_code_basis(n_bits: int, n_senders: int) -> CodeBasis:
+    """Every code word of D(n_bits, n_senders) at once, by index arithmetic.
+
+    A combined string is Z**z X**x for an X-mask x and a Z-mask z (iY = ZX,
+    and labels on distinct qubits commute), so the code word's amplitude at
+    index c is (-1)**popcount(c & z) * psi[c ^ x].
+    """
+    _check_basis_size(n_bits)
+    spec = dnk_spec(n_bits, n_senders)
+    xmask, zmask = _word_masks(spec)
+    cols = np.arange(2**n_bits)
+    sign = 1.0 - 2.0 * _mask_parity(n_bits)
+    psi = dnk_state(spec).amplitudes.real  # every protocol state is real
+    states = sign[cols & zmask[:, None]] * psi[cols ^ xmask[:, None]]
     states.flags.writeable = False
-    return CodeBasis(n, tuple(msgs), strings, states)
+    return CodeBasis(spec, states)
 
 
-@functools.lru_cache(maxsize=6)
-def ghz_code_basis(n: int) -> CodeBasis:
-    _check_basis_size(n)
-    return _code_basis(ghz_state(n), lambda m: (encode_ghz(m),))
-
-
-@functools.lru_cache(maxsize=6)
-def bell_code_basis(n_pairs: int) -> CodeBasis:
-    _check_basis_size(2 * n_pairs)
-    return _code_basis(bell_pairs_state(n_pairs), encode_bell)
+# ---------------------------------------------------------------------------
+# Decoding
 
 
 def _overlap_decode(basis: CodeBasis, state: StateVector) -> Message:
-    if state.n_qubits != basis.n_qubits:
-        raise ValueError(
-            f"state has {state.n_qubits} qubits, code basis {basis.n_qubits}"
-        )
     amps = state.amplitudes  # code words are real: <s|psi> = s.re + i s.im
     overlaps = np.hypot(basis.states @ amps.real, basis.states @ amps.imag)
     best = int(np.argmax(overlaps))
@@ -264,11 +349,7 @@ def _overlap_decode(basis: CodeBasis, state: StateVector) -> Message:
             f"state matches no code word (best overlap {overlaps[best]:.6f})",
             float(overlaps[best]),
         )
-    return basis.messages[best]
-
-
-# ---------------------------------------------------------------------------
-# Fast-circuit decoding
+    return Message.from_string(format(best, f"0{basis.n_qubits}b"))
 
 
 def _disentangle_block(t: np.ndarray, n: int, block: Sequence[int]) -> np.ndarray:
@@ -292,13 +373,13 @@ def _invert_block_bits(z: Sequence[int]) -> list[int]:
     return [z[0], z[-1]] + [z[j] ^ z[-1] for j in range(1, g - 1)]
 
 
-def _circuit_decode(
-    state: StateVector, blocks: Sequence[tuple[int, ...]], block_names: Sequence[str]
-) -> list[list[int]]:
+def _circuit_decode(state: StateVector, blocks: Sequence[tuple[int, ...]]) -> list[list[int]]:
     """Disentangle every block, read the surviving ket, invert per block.
 
     Returns the per-block message bits; raises ``NoMatchError`` naming the
-    blocks whose outcome is not sharp when the state is off the code basis.
+    blocks whose outcome is not sharp when the state is off the code basis
+    ("ghz" for a block of 3 or more qubits, "pair1", "pair2", ... for the
+    2-qubit blocks in order).
     """
     n = state.n_qubits
     t = state.tensor().copy()
@@ -309,8 +390,10 @@ def _circuit_decode(
     overlap = float(np.abs(flat[idx]))
     if overlap < OVERLAP_THRESHOLD:
         probs = np.abs(t) ** 2
+        pair_number = itertools.count(1)
         suspects = []
-        for block, name in zip(blocks, block_names):
+        for block in blocks:
+            name = "ghz" if len(block) > 2 else f"pair{next(pair_number)}"
             other = tuple(ax for ax in range(n) if ax + 1 not in block)
             marginal = probs.sum(axis=other) if other else probs
             if float(marginal.max()) < OVERLAP_THRESHOLD**2:
@@ -325,199 +408,8 @@ def _circuit_decode(
     return [_invert_block_bits([z[q - 1] for q in block]) for block in blocks]
 
 
-def decode_ghz(state: StateVector, method: str = "circuit") -> Message:
-    """Recover the message carried by a GHZ-protocol code state."""
-    n = state.n_qubits
-    if method == "overlap":
-        return _overlap_decode(ghz_code_basis(n), state)
-    if method != "circuit":
-        raise ValueError(f"unknown decode method {method!r}")
-    bits = _circuit_decode(state, [tuple(range(1, n + 1))], ["ghz"])
-    return Message(tuple(bits[0]))
-
-
-# ---------------------------------------------------------------------------
-# Bell-pair coding (even-length messages)
-
-
-def encode_bell(msg: MessageLike) -> list[PauliString]:
-    """Per-pair encoding operators; pair p acts on its sender half 2p-1."""
-    m = as_message(msg)
-    if len(m) % 2:
-        raise ValueError(f"Bell-pair coding needs an even message length, got {len(m)}")
-    out = []
-    for p in range(len(m) // 2):
-        label = _FIRST_QUBIT_LABEL[(m.bits[2 * p], m.bits[2 * p + 1])]
-        out.append(PauliString((label,), (2 * p + 1,)))
-    return out
-
-
-def bell_pairs_state(n_pairs: int) -> StateVector:
-    """Product of Bell pairs, each laid out (sender half, receiver half)."""
-    if n_pairs < 1:
-        raise ValueError("need at least one Bell pair")
-    state = ghz_state(2)
-    for _ in range(n_pairs - 1):
-        state = tensor_product(state, ghz_state(2))
-    return state
-
-
-def encoded_bell_state(msg: MessageLike) -> StateVector:
-    m = as_message(msg)
-    state = bell_pairs_state(len(m) // 2)
-    for ps in encode_bell(m):
-        state = apply_pauli_string(state, ps)
-    return state
-
-
-def decode_bell(state: StateVector, method: str = "circuit") -> Message:
-    """Recover the message from a product of encoded Bell pairs."""
-    n = state.n_qubits
-    if n % 2:
-        raise ValueError(f"Bell-pair register must have even size, got {n}")
-    if method == "overlap":
-        return _overlap_decode(bell_code_basis(n // 2), state)
-    if method != "circuit":
-        raise ValueError(f"unknown decode method {method!r}")
-    blocks = [(2 * p + 1, 2 * p + 2) for p in range(n // 2)]
-    names = [f"pair{p + 1}" for p in range(n // 2)]
-    bits = _circuit_decode(state, blocks, names)
-    return Message(tuple(itertools.chain.from_iterable(bits)))
-
-
-# ---------------------------------------------------------------------------
-# Distributed coding D(N, k)
-
-
-@dataclass(frozen=True)
-class PartyShare:
-    """One sender's qubits and the message-bit positions they carry."""
-
-    party: int
-    qubits: tuple[int, ...]
-    bits: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class DnkSpec:
-    """Layout of the distributed scheme for ``n_bits`` bits and ``n_senders``
-    senders: one GHZ block followed by Bell pairs, receiver qubits at the end
-    of each block."""
-
-    n_bits: int
-    n_senders: int
-    ghz_size: int
-    bell_pairs: int
-    shares: tuple[PartyShare, ...]
-    bob_qubits: tuple[int, ...]
-
-    @property
-    def n_qubits(self) -> int:
-        return self.n_bits
-
-    @property
-    def ghz_block(self) -> tuple[int, ...]:
-        return tuple(range(1, self.ghz_size + 1))
-
-    @property
-    def pair_blocks(self) -> tuple[tuple[int, int], ...]:
-        g = self.ghz_size
-        return tuple((g + 2 * i + 1, g + 2 * i + 2) for i in range(self.bell_pairs))
-
-    @property
-    def alice_qubits(self) -> tuple[int, ...]:
-        return tuple(q for share in self.shares for q in share.qubits)
-
-
-def dnk_spec(n_bits: int, n_senders: int) -> DnkSpec:
-    """Build the D(N, k) layout.
-
-    The GHZ block has size max(2, 2(k+1)-N) for even N and max(3, 2(k+1)-N)
-    for odd N; the remaining bits ride on (N - ghz_size)/2 Bell pairs.  Bit
-    positions are assigned left to right (GHZ first qubit takes 2 bits, other
-    GHZ sender qubits 1 bit, each pair's sender half 2 bits) and senders
-    receive contiguous runs of whole qubits, sized as evenly as possible.
-    """
-    if n_bits < 2:
-        raise ValueError(f"need at least 2 message bits, got {n_bits}")
-    if not 1 <= n_senders <= n_bits - 1:
-        raise ValueError(
-            f"sender count must be in 1..{n_bits - 1}, got {n_senders}"
-        )
-    floor_size = 2 if n_bits % 2 == 0 else 3
-    g = max(floor_size, 2 * (n_senders + 1) - n_bits)
-    pairs = (n_bits - g) // 2
-
-    sender_qubits = list(range(1, g)) + [g + 2 * i + 1 for i in range(pairs)]
-    qubit_bits: dict[int, tuple[int, ...]] = {1: (1, 2)}
-    for j in range(2, g):
-        qubit_bits[j] = (j + 1,)
-    for i in range(pairs):
-        qubit_bits[g + 2 * i + 1] = (g + 2 * i + 1, g + 2 * i + 2)
-
-    base, extra = divmod(len(sender_qubits), n_senders)
-    shares = []
-    cursor = 0
-    for party in range(1, n_senders + 1):
-        size = base + (1 if party <= extra else 0)
-        qubits = tuple(sender_qubits[cursor : cursor + size])
-        cursor += size
-        bits = tuple(b for q in qubits for b in qubit_bits[q])
-        shares.append(PartyShare(party, qubits, bits))
-
-    bob = (g,) + tuple(g + 2 * i + 2 for i in range(pairs))
-    return DnkSpec(n_bits, n_senders, g, pairs, tuple(shares), bob)
-
-
-def dnk_state(spec: DnkSpec) -> StateVector:
-    """The shared resource: GHZ block tensored with the Bell pairs."""
-    state = ghz_state(spec.ghz_size)
-    for _ in range(spec.bell_pairs):
-        state = tensor_product(state, ghz_state(2))
-    return state
-
-
-def dnk_combined_string(msg: MessageLike, spec: DnkSpec) -> PauliString:
-    """The encoding operator over all sender qubits, before the party split."""
-    m = as_message(msg)
-    if len(m) != spec.n_bits:
-        raise ValueError(
-            f"message has {len(m)} bits, layout expects {spec.n_bits}"
-        )
-    g = spec.ghz_size
-    ghz_part = encode_ghz(Message(m.bits[:g]))
-    labels = list(ghz_part.labels)
-    targets = list(ghz_part.targets)
-    for i in range(spec.bell_pairs):
-        b1, b2 = m.bits[g + 2 * i], m.bits[g + 2 * i + 1]
-        labels.append(_FIRST_QUBIT_LABEL[(b1, b2)])
-        targets.append(g + 2 * i + 1)
-    return PauliString(tuple(labels), tuple(targets))
-
-
-def dnk_encode(msg: MessageLike, spec: DnkSpec) -> dict[int, PauliString]:
-    """Per-party encoding operators, each strictly local to that party."""
-    full = dnk_combined_string(msg, spec)
-    return {share.party: full.restricted_to(share.qubits) for share in spec.shares}
-
-
-def dnk_encoded_state(msg: MessageLike, spec: DnkSpec) -> StateVector:
-    """Resource state after every sender applied its local operator."""
-    state = dnk_state(spec)
-    for ps in dnk_encode(msg, spec).values():
-        state = apply_pauli_string(state, ps)
-    return state
-
-
-@functools.lru_cache(maxsize=4)
-def dnk_code_basis(n_bits: int, n_senders: int) -> CodeBasis:
-    _check_basis_size(n_bits)
-    spec = dnk_spec(n_bits, n_senders)
-    return _code_basis(dnk_state(spec), lambda m: dnk_encode(m, spec).values())
-
-
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
-    """Joint decode: GHZ block and each Bell pair, concatenated in bit order."""
+    """Joint decode: every block of the layout, concatenated in bit order."""
     if state.n_qubits != spec.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, layout expects {spec.n_qubits}"
@@ -526,16 +418,101 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
         return _overlap_decode(dnk_code_basis(spec.n_bits, spec.n_senders), state)
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
-    blocks = [spec.ghz_block, *spec.pair_blocks]
-    names = ["ghz"] + [f"pair{i + 1}" for i in range(spec.bell_pairs)]
-    per_block = _circuit_decode(state, blocks, names)
+    per_block = _circuit_decode(state, spec.blocks)
     return Message(tuple(itertools.chain.from_iterable(per_block)))
 
 
 # ---------------------------------------------------------------------------
-# Orthonormality certification
+# GHZ coding, D(N, N-1)
+
+
+def _ghz_layout(msg: MessageLike) -> tuple[Message, DnkSpec]:
+    m = as_message(msg)
+    return m, dnk_spec(len(m), len(m) - 1)
+
+
+def encode_ghz(msg: MessageLike) -> PauliString:
+    """Canonical encoding operator on qubits 1..N-1 for an N-bit message."""
+    return dnk_combined_string(*_ghz_layout(msg))
+
+
+def encoded_state(msg: MessageLike) -> StateVector:
+    """The code-basis state carrying ``msg`` (GHZ protocol)."""
+    return dnk_encoded_state(*_ghz_layout(msg))
+
+
+def decode_ghz(state: StateVector, method: str = "circuit") -> Message:
+    """Recover the message carried by a GHZ-protocol code state."""
+    n = state.n_qubits
+    return dnk_decode(state, dnk_spec(n, n - 1), method)
+
+
+def ghz_code_basis(n: int) -> CodeBasis:
+    return dnk_code_basis(n, n - 1)
+
+
+def pauli_equivalent(a: PauliString, b: PauliString, n: int) -> bool:
+    """Whether two encoding strings act identically on the n-qubit GHZ state
+    up to global phase.
+
+    That holds exactly when the per-qubit product of the two strings reduces
+    to a tensor of {I, Z} with an even number of Z factors: even-weight Z
+    strings on the sender qubits stabilize the GHZ state, while any X or iY
+    component moves its support and a lone Z flips the relative sign.
+    """
+    for ps in (a, b):
+        if any(q >= n for q in ps.targets):
+            raise ValueError(f"encoding strings act on qubits 1..{n - 1}")
+    z_count = 0
+    for q in range(1, n):
+        prod = compose_labels(a.label_on(q), b.label_on(q))
+        if prod in (PauliLabel.X, PauliLabel.IY):
+            return False
+        if prod is PauliLabel.Z:
+            z_count += 1
+    return z_count % 2 == 0
 
 
 def verify_code_orthonormality(n: int) -> GramReport:
     """Gram matrix of all 2**n GHZ code states against the identity."""
     return ghz_code_basis(n).gram_report()
+
+
+# ---------------------------------------------------------------------------
+# Bell-pair coding, D(2P, 1)
+
+
+def _bell_layout(msg: MessageLike) -> tuple[Message, DnkSpec]:
+    m = as_message(msg)
+    if len(m) % 2:
+        raise ValueError(f"Bell-pair coding needs an even message length, got {len(m)}")
+    return m, dnk_spec(len(m), 1)
+
+
+def encode_bell(msg: MessageLike) -> list[PauliString]:
+    """Per-pair encoding operators; pair p acts on its sender half 2p-1."""
+    full = dnk_combined_string(*_bell_layout(msg))
+    return [full.restricted_to((q,)) for q in full.targets]
+
+
+def bell_pairs_state(n_pairs: int) -> StateVector:
+    """Product of Bell pairs, each laid out (sender half, receiver half)."""
+    if n_pairs < 1:
+        raise ValueError("need at least one Bell pair")
+    return dnk_state(dnk_spec(2 * n_pairs, 1))
+
+
+def encoded_bell_state(msg: MessageLike) -> StateVector:
+    return dnk_encoded_state(*_bell_layout(msg))
+
+
+def decode_bell(state: StateVector, method: str = "circuit") -> Message:
+    """Recover the message from a product of encoded Bell pairs."""
+    n = state.n_qubits
+    if n % 2:
+        raise ValueError(f"Bell-pair register must have even size, got {n}")
+    return dnk_decode(state, dnk_spec(n, 1), method)
+
+
+def bell_code_basis(n_pairs: int) -> CodeBasis:
+    return dnk_code_basis(2 * n_pairs, 1)

@@ -321,3 +321,22 @@ def test_seed_flag_overrides_environment(capsys, monkeypatch):
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         render_report({"a": 1}, "yaml")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_render_rejects_non_finite_values(fmt):
+    report = {"command": "audit", "residuals": {"gram_residual": float("nan")}}
+    with pytest.raises(ValueError):
+        render_report(report, fmt)
+
+
+def test_non_finite_report_exits_with_code_2(capsys, monkeypatch):
+    from densecode import cli
+
+    def nan_report(cfg):
+        return {"command": "encode", "results": {"x": float("inf")}}, 0
+
+    monkeypatch.setitem(cli._COMMANDS, "encode", nan_report)
+    code, out, err = run(["encode", "--message", "01"], capsys)
+    assert (code, out) == (2, "")
+    assert "not JSON compliant" in err

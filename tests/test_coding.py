@@ -16,6 +16,7 @@ from densecode import (
     decode_bell,
     decode_ghz,
     dnk_code_basis,
+    dnk_combined_string,
     dnk_decode,
     dnk_encode,
     dnk_encoded_state,
@@ -33,6 +34,7 @@ from densecode import (
     tensor_product,
     verify_code_orthonormality,
 )
+from densecode.coding import _word_masks
 from densecode.entanglement import reduced_density, capacity
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -501,3 +503,78 @@ def test_dnk_capacity_and_bob_marginal(n):
         rho = reduced_density(state, spec.bob_qubits)
         dim = 2 ** len(spec.bob_qubits)
         assert np.max(np.abs(rho.matrix - np.eye(dim) / dim)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one layout core: GHZ = D(N, N-1), Bell = D(2P, 1)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_party_strings_applied_one_at_a_time_give_the_encoded_state(n):
+    """Each sender applying its own operator in turn gives, bit for bit, the
+    state built by applying the combined string once."""
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        for msg in all_bitstrings(n):
+            state = dnk_state(spec)
+            for string in dnk_encode(msg, spec).values():
+                state = apply_pauli_string(state, string)
+            assert np.array_equal(
+                state.amplitudes, dnk_encoded_state(msg, spec).amplitudes
+            ), (n, k, str(msg))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_closed_form_masks_match_the_encoding_strings(n):
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        xmask, zmask = _word_masks(spec)
+        for i, msg in enumerate(all_messages(n)):
+            x = z = 0
+            for string in dnk_encode(msg, spec).values():
+                for label, q in zip(string.labels, string.targets):
+                    lx, lz = label.bits
+                    x |= lx << (n - q)
+                    z |= lz << (n - q)
+            assert (xmask[i], zmask[i]) == (x, z), (n, k, str(msg))
+
+
+@pytest.mark.parametrize("pairs", range(1, 6))
+def test_bell_pairs_state_is_a_kron_of_bell_pairs(pairs):
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    expected = bell
+    for _ in range(pairs - 1):
+        expected = np.kron(expected, bell)
+    assert np.array_equal(bell_pairs_state(pairs).amplitudes, expected)
+
+
+def test_layout_blocks():
+    assert dnk_spec(7, 3).blocks == ((1, 2, 3), (4, 5), (6, 7))
+    assert dnk_spec(6, 4).blocks == ((1, 2, 3, 4), (5, 6))
+    assert dnk_spec(5, 4).blocks == ((1, 2, 3, 4, 5),)
+    assert dnk_spec(6, 1).blocks == ((1, 2), (3, 4), (5, 6))
+
+
+def test_no_match_names_two_qubit_blocks_as_pairs():
+    with pytest.raises(NoMatchError) as info:
+        decode_bell(hadamard_on(bell_pairs_state(2), [1]))
+    assert info.value.blocks == ("pair1",)
+    with pytest.raises(NoMatchError) as info:
+        decode_ghz(hadamard_on(ghz_state(2), [1]))
+    assert info.value.blocks == ("pair1",)
+    with pytest.raises(NoMatchError) as info:
+        dnk_decode(hadamard_on(dnk_state(dnk_spec(4, 1)), [3]), dnk_spec(4, 1))
+    assert info.value.blocks == ("pair2",)
+    spec = dnk_spec(6, 4)
+    with pytest.raises(NoMatchError) as info:
+        dnk_decode(hadamard_on(dnk_encoded_state("010011", spec), [2]), spec)
+    assert info.value.blocks == ("ghz",)
+
+
+def test_strings_for_is_the_combined_string_of_every_basis():
+    assert bell_code_basis(2).strings_for("0110") == (
+        dnk_combined_string("0110", dnk_spec(4, 1)),
+    )
+    assert dnk_code_basis(6, 4).strings_for("110100") == (
+        dnk_combined_string("110100", dnk_spec(6, 4)),
+    )
