@@ -202,14 +202,10 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
             str(share.party): _share_entry(share) for share in spec.shares
         }
         rng = np.random.default_rng(cfg.seed)
-        sample = min(2**n, 64)
-        picks = sorted(rng.choice(2**n, size=sample, replace=False).tolist())
-        failures = 0
-        for idx in picks:
-            msg = coding.Message(tuple((idx >> (n - 1 - i)) & 1 for i in range(n)))
-            if coding.dnk_decode(coding.dnk_encoded_state(msg, spec), spec) != msg:
-                failures += 1
-        results["roundtrip"] = {"messages_checked": sample, "failures": failures}
+        picks = sorted(rng.choice(2**n, size=min(2**n, 64), replace=False).tolist())
+        decoded = coding.dnk_decode_words(coding.dnk_code_words(picks, spec), spec)
+        failures = sum(int(str(m), 2) != p for m, p in zip(decoded, picks))
+        results["roundtrip"] = {"messages_checked": len(picks), "failures": failures}
 
     verdict = "optimal" if results.get("optimal") else "suboptimal"
     return _report("audit", params, results, residuals, verdict, cfg.seed), 0
@@ -358,25 +354,33 @@ def _write_output(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(output))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".densecode-")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp_path, output)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".densecode-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp_path, output)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write the report to {output!r}: {exc.strerror or exc}") from exc
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return 0
+def _seed(args: argparse.Namespace) -> int:
+    """``--seed``, else ``$DENSECODE_SEED``, else 0; an integer in [0, 2**63)."""
+    if args.seed is not None:
+        name, raw = "--seed", args.seed
+    else:
+        name, raw = ENV_SEED, os.environ.get(ENV_SEED, "0")
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
+        seed = int(raw)
+        if 0 <= seed < 2**63:
+            return seed
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be an integer in [0, 2**63), got {raw!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -387,7 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help=f"RNG seed (default ${ENV_SEED} or 0)")
+        p.add_argument("--seed", default=None,
+                       help=f"RNG seed in [0, 2**63) (default ${ENV_SEED} or 0)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", default=None, help="write the report to a file")
         p.add_argument("--tolerance", type=float, default=1e-9)
@@ -429,7 +434,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         _check_finite("--cert-tolerance", args.cert_tolerance, 0.0)
     return RunConfig(
         command=args.command,
-        seed=args.seed if args.seed is not None else _default_seed(),
+        seed=_seed(args),
         fmt=args.format,
         output=args.output,
         tolerance=args.tolerance,

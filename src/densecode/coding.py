@@ -13,43 +13,36 @@ carries X^b_(q+1).  These canonical representatives make message -> state a
 function; on a GHZ block the remaining operator freedom is exactly
 multiplication by an even number of Z factors (see ``pauli_equivalent``).
 
-Decoding is implemented two ways that must agree: a brute-force overlap
-against the full code basis, and a fast disentangling circuit (CNOT fan-out
-from the first qubit of each block, then Hadamard on it, then a bit-map
-inversion).  For a GHZ block the circuit turns the encoded state into the
-computational ket z with  b1 = z_1,  b2 = z_g,  b_{j+1} = z_j xor z_g.
+A code word is Z^z X^x on the resource, nonzero on 2^B indices for B blocks.
+Decoding is done two ways that must agree: overlap against the code basis,
+and a circuit (CNOT fan-out from each block's first qubit, Hadamard on it,
+bit-map inversion) on the coset of the largest amplitude, a 2^B-point
+Walsh-Hadamard transform; for a GHZ block it gives the ket z with  b1 = z_1,
+b2 = z_g,  b_{j+1} = z_j xor z_g.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .statevec import (
+    _BITS_LABEL,
+    _SQRT_HALF,
     PauliLabel,
     PauliString,
     StateVector,
-    _mask_parity,
-    apply_pauli_string,
+    _parity,
     compose_labels,
-    ghz_state,
-    tensor_product,
 )
 
 #: decode rejects states whose best code-basis overlap magnitude is below this
 OVERLAP_THRESHOLD = 1.0 - 1e-6
-
-#: the label Z**z X**x for bits (z, x)
-_ZX_LABEL = {
-    (0, 0): PauliLabel.I,
-    (0, 1): PauliLabel.X,
-    (1, 0): PauliLabel.Z,
-    (1, 1): PauliLabel.IY,
-}
 
 
 class NoMatchError(Exception):
@@ -68,21 +61,21 @@ class Message:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
+        bits = tuple(map(int, self.bits))
         object.__setattr__(self, "bits", bits)
         if len(bits) < 2:
             raise ValueError(f"messages need at least 2 bits, got {len(bits)}")
-        if any(b not in (0, 1) for b in bits):
+        if not {0, 1}.issuperset(bits):
             raise ValueError(f"message bits must be 0 or 1: {bits}")
 
     @classmethod
     def from_string(cls, text: str) -> "Message":
         if not set(text) <= {"0", "1"}:
             raise ValueError(f"message must contain only 0 and 1: {text!r}")
-        return cls(tuple(int(c) for c in text))
+        return cls(tuple(map(int, text)))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return "".join(map(str, self.bits))
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -143,16 +136,27 @@ class DnkSpec:
     def n_qubits(self) -> int:
         return self.n_bits
 
-    @property
+    @functools.cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The GHZ block, then each Bell pair, as 1-based qubit tuples."""
         return _blocks(self.ghz_size, self.n_bits)
 
-    @property
+    @functools.cached_property
+    def _masks(self) -> tuple[int, int, np.ndarray]:
+        """Sender and lead index masks, and the 2**B unions of whole blocks."""
+        n = self.n_qubits
+        sup = np.zeros(1, dtype=np.int64)
+        for block in self.blocks:
+            sup = (sup[:, None] | [0, sum(1 << (n - q) for q in block)]).ravel()
+        leads = sum(1 << (n - block[0]) for block in self.blocks)
+        return sum(1 << (n - q) for q in self.alice_qubits), leads, sup
+
+    @functools.cached_property
     def alice_qubits(self) -> tuple[int, ...]:
         return tuple(q for share in self.shares for q in share.qubits)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def dnk_spec(n_bits: int, n_senders: int) -> DnkSpec:
     """Build the D(N, k) layout.
 
@@ -192,6 +196,13 @@ def dnk_spec(n_bits: int, n_senders: int) -> DnkSpec:
 # Encoding
 
 
+def _layout_message(msg: MessageLike, spec: DnkSpec) -> Message:
+    m = as_message(msg)
+    if len(m) != spec.n_bits:
+        raise ValueError(f"message has {len(m)} bits, layout expects {spec.n_bits}")
+    return m
+
+
 def dnk_combined_string(msg: MessageLike, spec: DnkSpec) -> PauliString:
     """The encoding operator over all sender qubits, before the party split.
 
@@ -199,15 +210,10 @@ def dnk_combined_string(msg: MessageLike, spec: DnkSpec) -> PauliString:
     every later sender qubit q carries X^b_(q+1), where b_q is message bit q
     (1-based).
     """
-    m = as_message(msg)
-    if len(m) != spec.n_bits:
-        raise ValueError(
-            f"message has {len(m)} bits, layout expects {spec.n_bits}"
-        )
-    b = (0,) + m.bits
+    b = (0,) + _layout_message(msg, spec).bits
     leads = {block[0] for block in spec.blocks}
     labels = tuple(
-        _ZX_LABEL[(b[q] if q in leads else 0, b[q + 1])] for q in spec.alice_qubits
+        _BITS_LABEL[(b[q + 1], b[q] if q in leads else 0)] for q in spec.alice_qubits
     )
     return PauliString(labels, spec.alice_qubits)
 
@@ -220,21 +226,13 @@ def dnk_encode(msg: MessageLike, spec: DnkSpec) -> dict[int, PauliString]:
 
 def dnk_state(spec: DnkSpec) -> StateVector:
     """The shared resource: one GHZ state per block, in register order."""
-    first, *rest = spec.blocks
-    state = ghz_state(len(first))
-    for block in rest:
-        state = tensor_product(state, ghz_state(len(block)))
-    return state
+    return StateVector(spec.n_qubits, dnk_code_words([0], spec)[0])
 
 
 def dnk_encoded_state(msg: MessageLike, spec: DnkSpec) -> StateVector:
-    """Resource state after every sender applied its local operator.
-
-    The parties' strings act on disjoint qubits, so applying their product,
-    the combined string, in one pass gives the same amplitudes.
-    """
-    combined = dnk_combined_string(msg, spec)
-    return apply_pauli_string(dnk_state(spec), combined)
+    """Resource state after every sender applied its local operator."""
+    idx = int(str(_layout_message(msg, spec)), 2)
+    return StateVector(spec.n_qubits, dnk_code_words([idx], spec)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +267,7 @@ class CodeBasis:
         return tuple(all_messages(self.n_qubits))
 
     def state_for(self, msg: MessageLike) -> StateVector:
-        m = as_message(msg)
-        idx = int(str(m), 2)
+        idx = int(str(_layout_message(msg, self.spec)), 2)
         return StateVector(self.n_qubits, self.states[idx])
 
     def strings_for(self, msg: MessageLike) -> tuple[PauliString, ...]:
@@ -295,43 +292,37 @@ class CodeBasis:
 MAX_BASIS_BITS = 10  # a full code basis is a 2**n x 2**n dense matrix
 
 
-def _check_basis_size(n: int) -> None:
-    if not 2 <= n <= MAX_BASIS_BITS:
-        raise ValueError(
-            f"full code bases are supported for 2..{MAX_BASIS_BITS} bits, got {n}; "
-            "use the circuit decode for larger registers"
-        )
-
-
-def _word_masks(spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
-    """X- and Z-masks of every message's combined string, in closed form.
+def _word_masks(spec: DnkSpec, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X- and Z-masks of each message's combined string, in closed form.
 
     Bit b_q of message i sits at index bit n - q, like qubit q.  The bit rule
     puts X^b_(q+1) on every sender qubit q and Z^b_q on every block's first
     qubit, so message i has X-mask (i << 1) & senders and Z-mask i & leads.
     """
-    n = spec.n_qubits
-    senders = sum(1 << (n - q) for q in spec.alice_qubits)
-    leads = sum(1 << (n - block[0]) for block in spec.blocks)
-    msgs = np.arange(2**n)
+    senders, leads, _ = spec._masks
     return (msgs << 1) & senders, msgs & leads
+
+
+def dnk_code_words(msgs: Sequence[int], spec: DnkSpec) -> np.ndarray:
+    """The code words of message indices ``msgs`` in [0, 2**n), one real row each:
+    for the combined string Z**z X**x (iY = ZX), word[c] = (-1)**popcount(c & z)
+    * psi[c ^ x], written for c = support ^ x with psi's chained 1/sqrt(2)."""
+    x, z = _word_masks(spec, np.asarray(msgs, dtype=np.int64))
+    cols = spec._masks[2] ^ x[:, None]
+    amp = math.prod([_SQRT_HALF] * len(spec.blocks))
+    words = np.zeros((len(cols), 2**spec.n_qubits))
+    words[np.arange(len(cols))[:, None], cols] = np.array([amp, -amp])[_parity(cols & z[:, None])]
+    return words
 
 
 @functools.lru_cache(maxsize=8)
 def dnk_code_basis(n_bits: int, n_senders: int) -> CodeBasis:
-    """Every code word of D(n_bits, n_senders) at once, by index arithmetic.
-
-    A combined string is Z**z X**x for an X-mask x and a Z-mask z (iY = ZX,
-    and labels on distinct qubits commute), so the code word's amplitude at
-    index c is (-1)**popcount(c & z) * psi[c ^ x].
-    """
-    _check_basis_size(n_bits)
+    """Every code word of D(n_bits, n_senders) at once, row i for message i."""
+    if not 2 <= n_bits <= MAX_BASIS_BITS:
+        raise ValueError(f"full code bases are supported for 2..{MAX_BASIS_BITS} bits, "
+                         f"got {n_bits}; use the circuit decode for larger registers")
     spec = dnk_spec(n_bits, n_senders)
-    xmask, zmask = _word_masks(spec)
-    cols = np.arange(2**n_bits)
-    sign = 1.0 - 2.0 * _mask_parity(n_bits)
-    psi = dnk_state(spec).amplitudes.real  # every protocol state is real
-    states = sign[cols & zmask[:, None]] * psi[cols ^ xmask[:, None]]
+    states = dnk_code_words(np.arange(2**n_bits), spec)
     states.flags.writeable = False
     return CodeBasis(spec, states)
 
@@ -352,47 +343,50 @@ def _overlap_decode(basis: CodeBasis, state: StateVector) -> Message:
     return Message.from_string(format(best, f"0{basis.n_qubits}b"))
 
 
-def _disentangle_block(t: np.ndarray, n: int, block: Sequence[int]) -> np.ndarray:
-    """CNOT fan-out from the block's first qubit, then Hadamard on it."""
-    control_ax = block[0] - 1
-    for q in block[1:]:
-        sl = [slice(None)] * n
-        sl[control_ax] = 1
-        target_ax = q - 1 - (1 if q - 1 > control_ax else 0)
-        t[tuple(sl)] = np.flip(t[tuple(sl)], axis=target_ax).copy()
-    lo = np.take(t, 0, axis=control_ax)
-    hi = np.take(t, 1, axis=control_ax)
-    return np.stack((lo + hi, lo - hi), axis=control_ax) / np.sqrt(2.0)
-
-
 def _invert_block_bits(z: Sequence[int]) -> list[int]:
     """Message bits of one block from its disentangled computational bits."""
-    g = len(z)
-    if g == 2:
-        return [z[0], z[1]]
-    return [z[0], z[-1]] + [z[j] ^ z[-1] for j in range(1, g - 1)]
+    return [z[0], z[-1]] + [z[j] ^ z[-1] for j in range(1, len(z) - 1)]
 
 
-def _circuit_decode(state: StateVector, blocks: Sequence[tuple[int, ...]]) -> list[list[int]]:
-    """Disentangle every block, read the surviving ket, invert per block.
+def _message_at(s: int, a: int, spec: DnkSpec) -> Message:
+    """The message at circuit output a of the coset of s: block j's fan-out adds
+    its lead to its other bits, its Hadamard puts a's bit j (from the top) on it."""
+    z = format(s, f"0{spec.n_qubits}b")  # z[q - 1] is qubit q
+    bits = []
+    for (lead, *rest), a_j in zip(spec.blocks, format(a, f"0{len(spec.blocks)}b")):
+        bits += _invert_block_bits([a_j == "1"] + [z[q - 1] != z[lead - 1] for q in rest])
+    return Message(tuple(bits))
 
-    Returns the per-block message bits; raises ``NoMatchError`` naming the
-    blocks whose outcome is not sharp when the state is off the code basis
-    ("ghz" for a block of 3 or more qubits, "pair1", "pair2", ... for the
-    2-qubit blocks in order).
-    """
-    n = state.n_qubits
-    t = state.tensor().copy()
-    for block in blocks:
-        t = _disentangle_block(t, n, block)
-    flat = t.reshape(-1)
-    idx = int(np.argmax(np.abs(flat)))
-    overlap = float(np.abs(flat[idx]))
+
+def _circuit_outputs(words: np.ndarray, reps: np.ndarray, spec: DnkSpec) -> np.ndarray:
+    """|circuit output| on the cosets r ^ support of ``reps`` (batch, R), output a
+    as ``_message_at`` reads it: the fan-outs fix a coset's non-lead bits, so the
+    lead Hadamards are a Walsh-Hadamard transform of its 2**B amplitudes.  From
+    any start in the coset |output| is bitwise equal: +, - and / are odd."""
+    sup = spec._masks[2]
+    t = words[np.arange(len(words))[:, None, None], reps[..., None] ^ sup]
+    plus_minus = np.array([[1], [-1]], dtype=t.dtype)  # a butterfly: lo + hi, lo - hi
+    for j in reversed(range(len(spec.blocks))):
+        v = t.reshape(-1, 2, 2**j)
+        t = (v[:, :1] + plus_minus * v[:, 1:]) / math.sqrt(2.0)
+    return np.abs(t.reshape(reps.shape + sup.shape))
+
+
+def _full_circuit_decode(amps: np.ndarray, spec: DnkSpec) -> Message:
+    """The circuit on the whole register; ``NoMatchError`` names the blocks not sharp
+    ("ghz" for a block of 3 or more qubits, "pair1", "pair2", ... for pairs in order)."""
+    n = spec.n_qubits
+    _, leads, sup = spec._masks
+    reps = np.flatnonzero((np.arange(2**n) & leads) == 0)
+    out = _circuit_outputs(amps[None], reps[None], spec)[0]
+    r, a = np.unravel_index(np.argmax(out), out.shape)
+    overlap = float(out[r, a])
     if overlap < OVERLAP_THRESHOLD:
-        probs = np.abs(t) ** 2
+        probs = np.empty((2,) * n)
+        probs.reshape(-1)[reps[:, None] | (sup & leads)] = out**2
         pair_number = itertools.count(1)
         suspects = []
-        for block in blocks:
+        for block in spec.blocks:
             name = "ghz" if len(block) > 2 else f"pair{next(pair_number)}"
             other = tuple(ax for ax in range(n) if ax + 1 not in block)
             marginal = probs.sum(axis=other) if other else probs
@@ -404,8 +398,19 @@ def _circuit_decode(state: StateVector, blocks: Sequence[tuple[int, ...]]) -> li
             overlap,
             tuple(suspects),
         )
-    z = [(idx >> (n - q)) & 1 for q in range(1, n + 1)]
-    return [_invert_block_bits([z[q - 1] for q in block]) for block in blocks]
+    return _message_at(int(reps[r]), int(a), spec)
+
+
+def dnk_decode_words(words: np.ndarray, spec: DnkSpec) -> list[Message]:
+    """Circuit decode of each row of ``words`` (batch, 2**n) on the coset of s = argmax
+    |psi|: an output >= OVERLAP_THRESHOLD there is the whole circuit's best, else all."""
+    if words.ndim != 2 or words.shape[1] != 2**spec.n_qubits:
+        raise ValueError(f"expected rows of 2**{spec.n_qubits} amplitudes, got {words.shape}")
+    s = np.abs(words).argmax(axis=1)
+    out = _circuit_outputs(words, s[:, None], spec)[:, 0]
+    cosets = zip(s.tolist(), out.argmax(axis=1).tolist(), out.max(axis=1).tolist(), words)
+    return [_message_at(r, a, spec) if value >= OVERLAP_THRESHOLD
+            else _full_circuit_decode(row, spec) for r, a, value, row in cosets]
 
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
@@ -418,8 +423,7 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
         return _overlap_decode(dnk_code_basis(spec.n_bits, spec.n_senders), state)
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
-    per_block = _circuit_decode(state, spec.blocks)
-    return Message(tuple(itertools.chain.from_iterable(per_block)))
+    return dnk_decode_words(state.amplitudes[None], spec)[0]
 
 
 # ---------------------------------------------------------------------------

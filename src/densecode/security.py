@@ -35,7 +35,7 @@ from .statevec import (
     measure_qubits,
     tensor_product,
     _marginal_probabilities,
-    _mask_parity,
+    _parity,
 )
 
 SUPPORT_CUTOFF = 1e-10
@@ -70,7 +70,7 @@ def parity_class(state: StateVector, tol: float = 1e-9) -> ParityClass:
     encodings produce them); only the moduli must be uniform."""
     n = state.n_qubits
     moduli = np.abs(hadamard_all(state).amplitudes)
-    parity = _mask_parity(n)
+    parity = _parity(np.arange(2**n))
     target = 1.0 / np.sqrt(2 ** (n - 1))
     for cls, live in ((ParityClass.EVEN_GHZ, 0), (ParityClass.ODD_GHZ, 1)):
         on = moduli[parity == live]
@@ -223,7 +223,7 @@ def detection_report(state: StateVector, n_protocol: Optional[int] = None) -> De
     p_comp = _marginal_probabilities(state, measured)
     inc_comp = float(p_comp[1:-1].sum())
     p_had = _marginal_probabilities(hadamard_on(state, measured), measured)
-    inc_had = float(p_had[_mask_parity(n) == 1].sum())
+    inc_had = float(p_had[_parity(np.arange(2**n)) == 1].sum())
     return DetectionReport(inc_comp, inc_had, (inc_comp + inc_had) / 2.0)
 
 

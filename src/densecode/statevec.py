@@ -16,7 +16,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -39,16 +38,15 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a private copy
         if amps.size != 2**self.n_qubits:
             raise ValueError(
                 f"expected {2**self.n_qubits} amplitudes for "
                 f"{self.n_qubits} qubits, got {amps.size}"
             )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        norm_sq = float((np.abs(amps) ** 2).sum())
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -138,15 +136,12 @@ class PauliString:
         return "⊗".join(lab.value for lab in self.labels)
 
 
-@functools.lru_cache(maxsize=24)
-def _mask_parity(n: int) -> np.ndarray:
-    """Parity of every n-bit index: entry i is popcount(i) mod 2 (read-only)."""
-    idx = np.arange(2**n)
-    par = np.zeros(2**n, dtype=np.int64)
-    for shift in range(n):
-        par ^= (idx >> shift) & 1
-    par.flags.writeable = False
-    return par
+def _parity(v: np.ndarray) -> np.ndarray:
+    """popcount(v) mod 2 for non-negative int64 v: each nibble's parity into
+    its low bit, then one wrapping product sums the nibbles into the top."""
+    v = v ^ (v >> 1)
+    v = v ^ (v >> 2)
+    return (((v & 0x1111111111111111) * 0x1111111111111111) >> 60) & 1
 
 
 def basis_ket(n: int, index: int) -> StateVector:

@@ -318,6 +318,49 @@ def test_seed_flag_overrides_environment(capsys, monkeypatch):
     assert report["seed"] == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["audit", "--ghz", "3", "--seed", "-1"],
+    ["audit", "--dnk", "6", "2", "--seed", "-1"],
+    ["security", "--n", "3", "--rounds", "100", "--seed", "-1"],
+    ["encode", "--message", "1010", "--seed", str(2**63)],
+    ["encode", "--message", "1010", "--seed", "1.5"],
+])
+def test_out_of_range_seed_exits_2_naming_the_flag(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("densecode: --seed must be an integer in [0, 2**63)")
+    assert len(err.splitlines()) == 1
+
+
+def test_largest_seed_is_accepted(capsys):
+    _, report = run_json(["audit", "--ghz", "2", "--seed", str(2**63 - 1)], capsys)
+    assert report["seed"] == 2**63 - 1
+
+
+@pytest.mark.parametrize("raw", ["-1", str(2**63), "seven"])
+def test_out_of_range_seed_variable_exits_2_naming_it(capsys, monkeypatch, raw):
+    monkeypatch.setenv("DENSECODE_SEED", raw)
+    code, out, err = run(["security", "--n", "3", "--rounds", "100"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"densecode: DENSECODE_SEED must be an integer in [0, 2**63), got {raw!r}\n"
+
+
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(["encode", "--message", "1010", "--output", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"densecode: cannot write the report to {str(target)!r}: No such file or directory\n"
+
+
+def test_failed_output_leaves_no_temporary_file(tmp_path, capsys):
+    target = tmp_path / "a_directory"
+    target.mkdir()
+    code, _, err = run(["audit", "--ghz", "2", "--output", str(target)], capsys)
+    assert code == 2
+    assert str(target) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+
+
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         render_report({"a": 1}, "yaml")

@@ -34,7 +34,12 @@ from densecode import (
     tensor_product,
     verify_code_orthonormality,
 )
-from densecode.coding import _word_masks
+from densecode.coding import (
+    _circuit_outputs,
+    _word_masks,
+    dnk_code_words,
+    dnk_decode_words,
+)
 from densecode.entanglement import reduced_density, capacity
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -333,6 +338,12 @@ def test_code_basis_state_for_is_a_validated_state():
     assert basis.strings_for("1011") == (encode_ghz("1011"),)
 
 
+@pytest.mark.parametrize("msg", ["10", "101", "10110", (1, 0)])
+def test_code_basis_state_for_rejects_another_length(msg):
+    with pytest.raises(ValueError, match=f"message has {len(msg)} bits, layout expects 4"):
+        ghz_code_basis(4).state_for(msg)
+
+
 def test_gram_report_is_shared_by_every_basis():
     for basis in (ghz_code_basis(4), bell_code_basis(2), dnk_code_basis(6, 3)):
         report = basis.gram_report()
@@ -528,7 +539,7 @@ def test_party_strings_applied_one_at_a_time_give_the_encoded_state(n):
 def test_closed_form_masks_match_the_encoding_strings(n):
     for k in range(1, n):
         spec = dnk_spec(n, k)
-        xmask, zmask = _word_masks(spec)
+        xmask, zmask = _word_masks(spec, np.arange(2**n))
         for i, msg in enumerate(all_messages(n)):
             x = z = 0
             for string in dnk_encode(msg, spec).values():
@@ -578,3 +589,109 @@ def test_strings_for_is_the_combined_string_of_every_basis():
     assert dnk_code_basis(6, 4).strings_for("110100") == (
         dnk_combined_string("110100", dnk_spec(6, 4)),
     )
+
+
+# ---------------------------------------------------------------------------
+# The support kernel
+
+
+def kron_of_blocks(spec):
+    """The resource as the Kronecker product of one GHZ state per block."""
+    first, *rest = spec.blocks
+    state = ghz_state(len(first))
+    for block in rest:
+        state = tensor_product(state, ghz_state(len(block)))
+    return state
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dnk_state_is_bitwise_the_kron_of_its_blocks(n):
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        got, want = dnk_state(spec).amplitudes, kron_of_blocks(spec).amplitudes
+        assert np.array_equal(got, want), (n, k)
+        assert np.count_nonzero(got) == 2 ** len(spec.blocks)
+
+
+@pytest.mark.parametrize("n,k", [(16, 3), (18, 17), (20, 9)])
+def test_large_encoded_states_are_bitwise_the_pauli_string_on_the_kron(n, k):
+    spec = dnk_spec(n, k)
+    msg = "".join(str((7 * i + n) % 3 % 2) for i in range(n))
+    want = apply_pauli_string(kron_of_blocks(spec), dnk_combined_string(msg, spec))
+    state = dnk_encoded_state(msg, spec)
+    assert np.array_equal(state.amplitudes, want.amplitudes)
+    assert str(dnk_decode(state, spec)) == msg
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (6, 1), (8, 3), (9, 8), (10, 4)])
+def test_circuit_outputs_are_bitwise_equal_from_every_member_of_a_coset(n, k):
+    spec = dnk_spec(n, k)
+    _, leads, support = spec._masks
+    reps = np.flatnonzero((np.arange(2**n) & leads) == 0)
+    rng = np.random.default_rng(n * 10 + k)
+    for _ in range(5):
+        amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        base = _circuit_outputs(amps[None], reps[None], spec)
+        for offset in support:
+            assert np.array_equal(_circuit_outputs(amps[None], (reps ^ offset)[None], spec), base)
+
+
+def test_batched_roundtrip_of_every_message():
+    for n, k in [(6, 1), (7, 3), (9, 8), (12, 5)]:
+        spec = dnk_spec(n, k)
+        words = dnk_code_words(np.arange(2**n), spec)
+        decoded = dnk_decode_words(words, spec)
+        assert [int(str(m), 2) for m in decoded] == list(range(2**n))
+
+
+def test_decode_words_checks_the_row_width():
+    spec = dnk_spec(4, 2)
+    with pytest.raises(ValueError, match=r"expected rows of 2\*\*4 amplitudes"):
+        dnk_decode_words(np.zeros((2, 8)), spec)
+    with pytest.raises(ValueError, match=r"expected rows of 2\*\*4 amplitudes"):
+        dnk_decode_words(np.zeros(16), spec)
+
+
+def reference_circuit(state, spec):
+    """The disentangling circuit on the whole register, one CNOT flip and one
+    Hadamard stack at a time: (best |amplitude|, its index, the suspect blocks)."""
+    n = state.n_qubits
+    t = state.tensor().copy()
+    for block in spec.blocks:
+        control = block[0] - 1
+        for q in block[1:]:
+            sl = [slice(None)] * n
+            sl[control] = 1
+            target = q - 1 - (1 if q - 1 > control else 0)
+            t[tuple(sl)] = np.flip(t[tuple(sl)], axis=target).copy()
+        lo, hi = np.take(t, 0, axis=control), np.take(t, 1, axis=control)
+        t = np.stack((lo + hi, lo - hi), axis=control) / np.sqrt(2.0)
+    flat = np.abs(t.reshape(-1))
+    probs = np.abs(t) ** 2
+    suspects, pairs = [], 0
+    for block in spec.blocks:
+        pairs += len(block) == 2
+        other = tuple(ax for ax in range(n) if ax + 1 not in block)
+        if float(probs.sum(axis=other).max()) < 0.999999**2:
+            suspects.append("ghz" if len(block) > 2 else f"pair{pairs}")
+    return float(flat.max()), int(flat.argmax()), tuple(suspects)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_decode_failures_match_the_reference_circuit_bitwise(n):
+    rng = np.random.default_rng(n)
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        for trial in range(6):
+            word = dnk_encoded_state(format(int(rng.integers(2**n)), f"0{n}b"), spec)
+            if trial % 2:
+                amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+                state = StateVector(n, amps / np.linalg.norm(amps))
+            else:
+                state = hadamard_on(word, [int(rng.integers(1, n + 1))])
+            best, _, suspects = reference_circuit(state, spec)
+            with pytest.raises(NoMatchError) as info:
+                dnk_decode(state, spec)
+            assert info.value.best_overlap == best
+            assert info.value.blocks == suspects
+            assert f"(best overlap {best:.6f}; " in str(info.value)

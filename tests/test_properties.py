@@ -1,31 +1,39 @@
 """Property tests over randomly drawn layouts, messages and attacks."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densecode import (
     EveAttack,
     Message,
+    NoMatchError,
+    StateVector,
     apply_eve,
+    apply_pauli_string,
     detection_report,
     dnk_code_basis,
+    dnk_combined_string,
     dnk_decode,
     dnk_encoded_state,
     dnk_spec,
+    dnk_state,
     ghz_state,
+    hadamard_on,
 )
+from densecode.coding import _full_circuit_decode, dnk_code_words, dnk_decode_words
 
 
 @st.composite
-def layouts(draw):
-    n = draw(st.integers(min_value=2, max_value=10))
+def layouts(draw, max_n=10):
+    n = draw(st.integers(min_value=2, max_value=max_n))
     return n, draw(st.integers(min_value=1, max_value=n - 1))
 
 
 @st.composite
-def layouts_and_messages(draw):
-    n, k = draw(layouts())
+def layouts_and_messages(draw, max_n=10):
+    n, k = draw(layouts(max_n))
     bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     return n, k, Message(tuple(bits))
 
@@ -45,6 +53,62 @@ def test_dnk_basis_row_is_the_encoded_state_and_decodes(case):
 @given(layouts())
 def test_dnk_code_basis_is_orthonormal(layout):
     assert dnk_code_basis(*layout).gram_report().residual() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(layouts_and_messages())
+def test_support_encode_is_bitwise_the_pauli_string_on_the_resource(case):
+    n, k, msg = case
+    spec = dnk_spec(n, k)
+    want = apply_pauli_string(dnk_state(spec), dnk_combined_string(msg, spec))
+    assert np.array_equal(dnk_encoded_state(msg, spec).amplitudes, want.amplitudes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts(), st.data())
+def test_batched_decode_equals_decoding_each_state(layout, data):
+    n, k = layout
+    spec = dnk_spec(n, k)
+    idx = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=8))
+    phases = data.draw(st.lists(st.floats(0, 2 * np.pi), min_size=len(idx), max_size=len(idx)))
+    words = dnk_code_words(idx, spec) * np.exp(1j * np.array(phases))[:, None]
+    each = [dnk_decode(StateVector(n, w), spec) for w in words]
+    assert dnk_decode_words(words, spec) == each
+    assert [int(str(m), 2) for m in each] == idx
+
+
+@settings(max_examples=40, deadline=None)
+@given(layouts_and_messages(), st.sampled_from([1j, -1j, None]), st.floats(0, 2 * np.pi))
+def test_phase_multiples_of_a_word_decode_to_its_message(case, phase, theta):
+    n, k, msg = case
+    spec = dnk_spec(n, k)
+    factor = np.exp(1j * theta) if phase is None else phase
+    state = StateVector(n, factor * dnk_encoded_state(msg, spec).amplitudes)
+    assert dnk_decode(state, spec) == msg
+
+
+@settings(max_examples=80, deadline=None)
+@given(layouts_and_messages(max_n=8), st.data())
+def test_hadamard_corruption_fails_circuit_and_overlap_decode_alike(case, data):
+    n, k, msg = case
+    spec = dnk_spec(n, k)
+    qubit = data.draw(st.integers(1, n))
+    state = hadamard_on(dnk_encoded_state(msg, spec), [qubit])
+    try:
+        dnk_decode(state, spec, method="overlap")
+        overlap_fails = False
+    except NoMatchError:
+        overlap_fails = True
+    if not overlap_fails:
+        assert dnk_decode(state, spec) == dnk_decode(state, spec, method="overlap")
+        return
+    with pytest.raises(NoMatchError) as kernel:
+        dnk_decode(state, spec)
+    with pytest.raises(NoMatchError) as full:
+        _full_circuit_decode(state.amplitudes, spec)
+    assert str(kernel.value) == str(full.value)
+    assert (kernel.value.best_overlap, kernel.value.blocks) == (
+        full.value.best_overlap, full.value.blocks)
 
 
 def haar_unitary(dim, rng):
