@@ -183,9 +183,9 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
     results, residuals = _audit_common(state, alice, tol)
     if cfg.bell is not None:
         rho_a = entanglement.reduced_density(state, alice)
-        dim = 2 ** len(alice)
-        alice_residual = float(np.max(np.abs(rho_a.matrix - np.eye(dim) / dim)))
-        residuals["alice_marginal_residual"] = alice_residual
+        residuals["alice_marginal_residual"] = float(
+            entanglement._mixedness_residual(rho_a.matrix)
+        )
     if cfg.dnk is None:
         results["ame"] = results["gme"] = results["orthonormality"] = None
         if n <= MAX_AUDIT_QUBITS:
@@ -400,21 +400,21 @@ def build_parser() -> argparse.ArgumentParser:
     enc = sub.add_parser("encode", help="encode a classical message")
     common(enc)
     enc.add_argument("--message", required=True, help="bit string, length >= 2")
-    enc.add_argument("--senders", type=int, default=None,
+    enc.add_argument("--senders", default=None,
                      help="split across this many senders (distributed layout)")
 
     aud = sub.add_parser("audit", help="verify code and entanglement properties")
     common(aud)
-    aud.add_argument("--ghz", type=int, default=None, metavar="N")
-    aud.add_argument("--bell", type=int, default=None, metavar="PAIRS")
-    aud.add_argument("--dnk", type=int, nargs=2, default=None, metavar=("N", "K"))
+    aud.add_argument("--ghz", default=None, metavar="N")
+    aud.add_argument("--bell", default=None, metavar="PAIRS")
+    aud.add_argument("--dnk", nargs=2, default=None, metavar=("N", "K"))
 
     sec = sub.add_parser("security", help="simulate the eavesdropping check")
     common(sec)
-    sec.add_argument("--n", type=int, required=True, help="protocol qubits")
+    sec.add_argument("--n", required=True, help="protocol qubits")
     sec.add_argument("--attack", default="none",
                      help="none, identity, cnot, swap0, or file:PATH")
-    sec.add_argument("--rounds", type=int, default=10000)
+    sec.add_argument("--rounds", default=10000)
     sec.add_argument("--threshold", type=float, default=0.0,
                      help="abort when the detection rate exceeds this")
     sec.add_argument("--cert-tolerance", type=float, default=security.CERT_TOLERANCE)
@@ -425,6 +425,18 @@ def _check_finite(flag: str, value: float, low: float, high: float = math.inf) -
     if not (math.isfinite(value) and low <= value <= high):
         span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
         raise ValueError(f"{flag} must be a finite number {span}, got {value!r}")
+
+
+def _integer(flag: str, raw: Any) -> Optional[int]:
+    """An integer flag's value, None when it is not given.  Integer flags are
+    parsed as text, so a bad value gives one line naming the flag, not
+    argparse's usage block."""
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{flag} must be an integer, got {raw!r}") from None
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -440,13 +452,14 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         tolerance=args.tolerance,
         cert_tolerance=getattr(args, "cert_tolerance", security.CERT_TOLERANCE),
         message=getattr(args, "message", None),
-        senders=getattr(args, "senders", None),
-        ghz=getattr(args, "ghz", None),
-        bell=getattr(args, "bell", None),
-        dnk=tuple(args.dnk) if getattr(args, "dnk", None) else None,
-        n=getattr(args, "n", None),
+        senders=_integer("--senders", getattr(args, "senders", None)),
+        ghz=_integer("--ghz", getattr(args, "ghz", None)),
+        bell=_integer("--bell", getattr(args, "bell", None)),
+        dnk=tuple(_integer("--dnk", raw) for raw in args.dnk)
+        if getattr(args, "dnk", None) else None,
+        n=_integer("--n", getattr(args, "n", None)),
         attack=getattr(args, "attack", "none"),
-        rounds=getattr(args, "rounds", 1),
+        rounds=_integer("--rounds", getattr(args, "rounds", 1)),
         threshold=getattr(args, "threshold", 0.0),
     )
 

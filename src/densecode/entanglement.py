@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ def _density_spectra(m: np.ndarray) -> np.ndarray:
     """
     if not np.isfinite(m).all():
         raise ValueError("density matrix has non-finite entries")
-    m_h = np.conj(np.swapaxes(m, -1, -2))
+    m_h = np.swapaxes(m, -1, -2).conj()  # a view when m is real
     if np.max(np.abs(m - m_h)) > DEFAULT_TOLERANCE:
         raise ValueError("density matrix is not Hermitian")
     traces = np.ravel(np.trace(m, axis1=-2, axis2=-1))
@@ -101,14 +101,6 @@ class Bipartition:
         return len(self.alice) + len(self.bob)
 
 
-def _kept_rows(t: np.ndarray, kept: Sequence[int]) -> np.ndarray:
-    """An amplitude tensor as a matrix whose rows index the ``kept`` qubits
-    (1-based, ascending) and whose columns index the rest."""
-    traced = [q for q in range(1, t.ndim + 1) if q not in kept]
-    perm = [q - 1 for q in kept] + [q - 1 for q in traced]
-    return t.transpose(perm).reshape(2 ** len(kept), -1)
-
-
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityOperator:
     """Partial trace onto ``keep`` (1-based indices, ascending in the result)."""
     kept = sorted(set(keep))
@@ -119,7 +111,9 @@ def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityOperator:
         raise ValueError(f"keep set {kept} outside register 1..{n}")
     if len(kept) == n:
         raise ValueError("keep set must be a proper subset; nothing to trace out")
-    a = _kept_rows(state.tensor(), kept)
+    traced = [q for q in range(1, n + 1) if q not in kept]
+    perm = [q - 1 for q in kept] + [q - 1 for q in traced]
+    a = state.tensor().transpose(perm).reshape(2 ** len(kept), -1)
     return DensityOperator(len(kept), a @ a.conj().T)
 
 
@@ -158,7 +152,7 @@ def schmidt_spectrum(state: StateVector, bp: Bipartition) -> np.ndarray:
         raise ValueError(
             f"bipartition covers {bp.n_qubits} qubits, state has {state.n_qubits}"
         )
-    eigs = reduced_density(state, bp.bob).eigenvalues()
+    eigs = _receiver_marginal(state, bp.alice)[0].eigenvalues()
     return np.clip(eigs, 0.0, None)[::-1]
 
 
@@ -175,15 +169,31 @@ class AmeReport:
         return self.is_ame
 
 
-#: amplitude bytes stacked per batch of sides.  Larger batches were no faster,
-#: and with 16 MiB batches a 12-qubit pass peaked at 110 MiB RSS, not 37 MiB.
+#: bytes of the compact amplitude stack per batch of sides.  Larger batches
+#: were no faster, and with 16 MiB batches a Haar-random 12-qubit pass peaked
+#: at 211 MiB RSS, not 48 MiB.
 _STACK_BYTES = 2**20
 
 
-def _mixedness_residual(rho: np.ndarray) -> np.ndarray:
-    """Largest entry of |rho - I/dim| for a matrix or each matrix of a stack."""
-    dim = rho.shape[-1]
-    return np.abs(rho - np.eye(dim) / dim).max(axis=(-2, -1))
+def _mixedness_residual(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
+    """Largest entry of |rho - I/dim| for a matrix or each matrix of a stack;
+    ``dim`` defaults to the matrix size."""
+    size = rho.shape[-1]
+    return np.abs(rho - np.eye(size) / (dim or size)).max(axis=(-2, -1))
+
+
+def _distinct_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every row of ``keys`` among that row's distinct values, from one
+    sort of all rows; also return the number of distinct values per row."""
+    rows = np.arange(len(keys))[:, None]
+    order = keys.argsort(axis=1)
+    ordered = keys[rows, order]
+    steps = np.zeros(keys.shape, np.int64)
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
+    dense = steps.cumsum(axis=1)
+    ranks = np.empty_like(dense)
+    ranks[rows, order] = dense
+    return ranks, dense[:, -1] + 1
 
 
 def entanglement_verdicts(
@@ -192,28 +202,54 @@ def entanglement_verdicts(
     """The AME report and the pure-state GME verdict from one pass over the
     smaller side of every bipartition.
 
-    The reductions onto the sides of one size are stacked (at most
-    ``_STACK_BYTES`` of amplitudes a batch), validated like a
-    ``DensityOperator`` and diagonalized by one batched ``eigvalsh``; the AME
-    residuals read the stack and the entropies read the spectra.  Sides come
-    in size order, then in ``itertools.combinations`` order.
+    Only the K nonzero amplitudes (an exact zero test) enter.  On a side of
+    m qubits an amplitude index splits into a row key (its bits on the side)
+    and a column key (the rest); the distinct keys, ranked by one sort per
+    batch, index a compact R x C amplitude matrix with R = min(K, 2**m) and
+    C = min(K, 2**(n-m)).  Its Gram matrix is the reduced state with its
+    all-zero rows and columns dropped, in the same row order, so the spectra
+    carry the same nonzero eigenvalues.  The arithmetic is real when no
+    amplitude has an imaginary part.  The AME residual is the compact
+    block's largest |rho - I/2**m|, raised to 1/2**m when the side reaches
+    fewer than 2**m rows (a dropped diagonal entry): the dense residual,
+    entry for entry.
+
+    The compact matrices of one side size are stacked (at most
+    ``_STACK_BYTES`` a batch), validated like a ``DensityOperator`` and
+    diagonalized by one batched ``eigvalsh``; the residuals read the stack
+    and the entropies read the spectra.  Sides come in size order, then in
+    ``itertools.combinations`` order.
     """
     n = state.n_qubits
     if n < 2:
         raise ValueError("entanglement verdicts need at least 2 qubits")
-    t = state.tensor()
-    per_batch = max(1, _STACK_BYTES // t.nbytes)
+    amps = state.amplitudes
+    support = np.flatnonzero(amps)
+    values = amps[support]
+    if not values.imag.any():
+        values = values.real
+    k = support.size
     sides: list[tuple[int, ...]] = []
     residuals, entropies = [], []
     for m in range(1, n // 2 + 1):
         size_sides = list(itertools.combinations(range(1, n + 1), m))
+        masks = (1 << (n - np.array(size_sides, dtype=np.int64))).sum(axis=1)
+        rows, cols = min(k, 2**m), min(k, 2 ** (n - m))
+        per_batch = max(1, _STACK_BYTES // (rows * cols * values.itemsize))
         for start in range(0, len(size_sides), per_batch):
-            batch = size_sides[start : start + per_batch]
-            a = np.stack([_kept_rows(t, side) for side in batch])
+            batch = masks[start : start + per_batch, None]
+            keys = np.concatenate([support & batch, support & ~batch])
+            ranks, counts = _distinct_ranks(keys)
+            count = len(batch)
+            a = np.zeros((count, rows, cols), values.dtype)
+            a[np.arange(count)[:, None], ranks[:count], ranks[count:]] = values
+            # np.conj copies even a real stack: a product of two buffers
+            # rounds like the dense pass did, a @ a.T of one buffer does not
             rhos = a @ np.conj(a).transpose(0, 2, 1)
             entropies.append(_entropies(_density_spectra(rhos)))
-            residuals.append(_mixedness_residual(rhos))
-            sides += batch
+            dropped = (counts[:count] < 2**m) / 2**m  # a zero diagonal entry
+            residuals.append(np.maximum(_mixedness_residual(rhos, 2**m), dropped))
+        sides += size_sides
     residual = np.concatenate(residuals)
     entropy = np.concatenate(entropies)
     over = np.flatnonzero(residual > tol)
@@ -250,31 +286,31 @@ def holevo_bound(n: int) -> int:
     return n
 
 
+def _receiver_marginal(
+    state_or_rho: Union[StateVector, DensityOperator], alice: Iterable[int]
+) -> tuple[DensityOperator, float]:
+    """The reduced state rho_B on the receiver side of the sender set A, a
+    non-empty proper subset of the register, and the capacity
+    log2(d_A) + S(rho_B) - S(rho_AB); a StateVector is pure, S(rho_AB) = 0."""
+    alice_set = sorted(set(alice))
+    n = state_or_rho.n_qubits
+    if not alice_set or len(alice_set) >= n:
+        raise ValueError("sender set must be a non-empty proper subset")
+    if any(q < 1 or q > n for q in alice_set):
+        raise ValueError(f"sender set {alice_set} outside register 1..{n}")
+    bob = [q for q in range(1, n + 1) if q not in alice_set]
+    if isinstance(state_or_rho, StateVector):
+        rho_b, s_ab = reduced_density(state_or_rho, bob), 0.0
+    else:
+        rho_b, s_ab = partial_trace(state_or_rho, bob), von_neumann_entropy(state_or_rho)
+    return rho_b, len(alice_set) + von_neumann_entropy(rho_b) - s_ab
+
+
 def capacity(
     state_or_rho: Union[StateVector, DensityOperator], alice: Iterable[int]
 ) -> float:
     """Dense-coding capacity log2(d_A) + S(rho_B) - S(rho_AB) in bits."""
-    alice_set = sorted(set(alice))
-    if isinstance(state_or_rho, StateVector):
-        n = state_or_rho.n_qubits
-        _validate_alice(alice_set, n)
-        bob = [q for q in range(1, n + 1) if q not in alice_set]
-        s_b = von_neumann_entropy(reduced_density(state_or_rho, bob))
-        s_ab = 0.0  # pure by construction
-    else:
-        n = state_or_rho.n_qubits
-        _validate_alice(alice_set, n)
-        bob = [q for q in range(1, n + 1) if q not in alice_set]
-        s_b = von_neumann_entropy(partial_trace(state_or_rho, bob))
-        s_ab = von_neumann_entropy(state_or_rho)
-    return len(alice_set) + s_b - s_ab
-
-
-def _validate_alice(alice: list[int], n: int) -> None:
-    if not alice or len(alice) >= n:
-        raise ValueError("sender set must be a non-empty proper subset")
-    if any(q < 1 or q > n for q in alice):
-        raise ValueError(f"sender set {alice} outside register 1..{n}")
+    return _receiver_marginal(state_or_rho, alice)[1]
 
 
 @dataclass(frozen=True)
@@ -291,18 +327,14 @@ def optimality_report(
     state: StateVector, alice: Iterable[int], tol: float = DEFAULT_TOLERANCE
 ) -> OptimalityReport:
     """Checks whether the given sender split achieves the Holevo bound."""
-    alice_set = sorted(set(alice))
-    n = state.n_qubits
-    _validate_alice(alice_set, n)
-    bob = [q for q in range(1, n + 1) if q not in alice_set]
-    rho_b = reduced_density(state, bob)
+    rho_b, cap = _receiver_marginal(state, alice)
     residual = float(_mixedness_residual(rho_b.matrix))
-    cap = len(alice_set) + von_neumann_entropy(rho_b)  # as capacity(state, alice)
+    n = state.n_qubits
     bound = holevo_bound(n)
     return OptimalityReport(
         capacity=cap,
         holevo_bound=bound,
-        alice_size_sufficient=len(alice_set) >= n / 2,
+        alice_size_sufficient=rho_b.n_qubits <= n / 2,  # |A| >= n/2
         bob_marginal_maximally_mixed=residual <= tol,
         bob_marginal_residual=residual,
         optimal=abs(cap - bound) <= tol,

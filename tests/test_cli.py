@@ -101,6 +101,15 @@ def test_audit_ghz12_skips_gram(capsys):
     assert report["results"]["capacity"] == pytest.approx(12.0)
 
 
+def test_audit_largest_registers_verdicts(capsys):
+    _, ghz = run_json(["audit", "--ghz", "12"], capsys)
+    assert (ghz["results"]["gme"], ghz["results"]["ame"]) == (True, False)
+    assert ghz["verdict"] == "optimal"
+    _, bell = run_json(["audit", "--bell", "6"], capsys)
+    assert (bell["results"]["gme"], bell["results"]["ame"]) == (False, False)
+    assert bell["verdict"] == "optimal"
+
+
 def test_audit_bell_pairs(capsys):
     _, report = run_json(["audit", "--bell", "2"], capsys)
     assert report["results"]["capacity"] == pytest.approx(4.0)
@@ -383,3 +392,20 @@ def test_non_finite_report_exits_with_code_2(capsys, monkeypatch):
     code, out, err = run(["encode", "--message", "01"], capsys)
     assert (code, out) == (2, "")
     assert "not JSON compliant" in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["audit", "--ghz", "abc"], "--ghz"),
+        (["audit", "--bell", "2.0"], "--bell"),
+        (["audit", "--dnk", "6", "four"], "--dnk"),
+        (["encode", "--message", "1010", "--senders", "two"], "--senders"),
+        (["security", "--n", "3x"], "--n"),
+        (["security", "--n", "3", "--rounds", "1e3"], "--rounds"),
+    ],
+)
+def test_non_integer_flag_exits_2_naming_it(capsys, argv, flag):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"densecode: {flag} must be an integer, got {argv[-1]!r}\n"

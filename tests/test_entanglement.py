@@ -9,6 +9,8 @@ from densecode import (
     StateVector,
     basis_ket,
     capacity,
+    dnk_spec,
+    dnk_state,
     entanglement_verdicts,
     ghz_state,
     holevo_bound,
@@ -347,6 +349,70 @@ def test_batched_verdicts_over_several_batches(monkeypatch):
     assert (split.is_ame, split.failing, split.max_residual, split_gme) == (
         whole.is_ame, whole.failing, whole.max_residual, whole_gme
     )
+
+
+def _sparse_state(n, rng):
+    """Three random complex amplitudes at random indices: a support that is
+    not a subgroup of the index group."""
+    v = np.zeros(2**n, dtype=complex)
+    v[rng.choice(2**n, size=3, replace=False)] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    return StateVector(n, v / np.linalg.norm(v))
+
+
+def _tiny_amplitude_state():
+    """|000> plus a 1e-200 amplitude on |011>, whose square underflows."""
+    v = np.zeros(8)
+    v[0], v[0b011] = 1.0, 1e-200
+    return StateVector(3, v)
+
+
+def _three_equal_state():
+    """Equal weights on |0000>, |0101>, |1010>: on side (1, 2) the reduction
+    is diag(1/3, 1/3, 1/3, 0), whose residual 1/4 sits on the zero row."""
+    v = np.zeros(16)
+    v[[0b0000, 0b0101, 0b1010]] = 1.0 / np.sqrt(3.0)
+    return StateVector(4, v)
+
+
+_COMPACT_CASES = [("sparse", n) for n in range(2, 9)] + [
+    ("tiny", 3),
+    ("ghz3-plus", 4),
+    ("three-equal", 4),
+]
+
+
+@pytest.mark.parametrize("kind, n", _COMPACT_CASES)
+def test_compact_pass_matches_reference_off_subgroup_supports(kind, n):
+    if kind == "sparse":
+        state = _sparse_state(n, np.random.default_rng(300 + n))
+    elif kind == "tiny":
+        state = _tiny_amplitude_state()
+    elif kind == "ghz3-plus":
+        state = tensor_product(ghz_state(3), StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2)))
+    else:
+        state = _three_equal_state()
+    ref_ame, ref_residual, ref_failing, ref_entropies, ref_gme = per_side_reference(state)
+    ame, gme = entanglement_verdicts(state)
+    assert (ame.is_ame, ame.failing, gme) == (ref_ame, ref_failing, ref_gme)
+    assert abs(ame.max_residual - ref_residual) <= 1e-15
+    assert list(ame.entropies) == list(ref_entropies)
+    for side, entropy in ref_entropies.items():
+        assert abs(ame.entropies[side] - entropy) <= 1e-12, side
+    # the first side over a tolerance shows residuals that the maximum hides
+    for tol in (0.05, 0.1, 0.2, 0.3, 0.4):
+        assert entanglement_verdicts(state, tol)[0].failing == per_side_reference(state, tol)[2]
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 11) for k in range(1, n)])
+def test_layout_entropies_count_the_blocks_a_side_cuts(n, k):
+    """Stabilizer oracle (Fattal et al., quant-ph/0406168): S_A = |A| - dim G_A,
+    which for a product of GHZ blocks is the number of blocks that A cuts."""
+    spec = dnk_spec(n, k)
+    ame, gme = entanglement_verdicts(dnk_state(spec))
+    for side, entropy in ame.entropies.items():
+        cut = sum(0 < len(set(block) & set(side)) < len(block) for block in spec.blocks)
+        assert abs(entropy - cut) <= 1e-12, side
+    assert gme == (len(spec.blocks) == 1)
 
 
 def test_bell_product_verdicts_name_the_first_failing_side():

@@ -1,0 +1,145 @@
+"""Paired benchmark runs of a parent checkout and this one, saved as two
+``BENCH_<label>_parent.json`` / ``BENCH_<label>_change.json`` files.
+
+    python3 tools/bench_pairs.py --parent ../parent --label NAME \\
+        --seeds audit=1401-1410 roundtrip=1501-1510 security=1601-1610 \\
+        --ops "audit --ghz 11" "audit --ghz 12"
+
+Run it from the root of the checkout under test; ``--parent`` is a checkout
+of the parent commit (``git archive`` or ``git clone``).  For every seed it
+runs ``python3 clibench/run.py --workload W --seed S --seconds 20 --trace 0``
+in both trees, one after the other, the first side alternating from seed to
+seed.  Each run keeps the last JSON line, the seed and the host slowdown the
+run printed; each workload gets the median and quartiles of every end-to-end
+metric.  Every ``--ops`` command is then timed in both trees as a single CLI
+call in a fresh interpreter with one BLAS thread: the best of 5 wall times,
+with the package's caches cleared before each call.  Both files are
+rewritten after every run, so an interrupted series keeps what it measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+
+import numpy as np
+
+COMMAND = "python3 clibench/run.py --workload W --seed S --seconds 20 --trace 0"
+SLOWDOWN = re.compile(r"host ran ([0-9.]+)x slower")
+SINGLE_OP = r"""
+import contextlib, io, sys, time
+sys.path.insert(0, "src")
+import densecode.cli as cli, densecode.coding as coding
+argv = sys.argv[1:]
+best = float("inf")
+for _ in range(5):
+    coding.dnk_spec.cache_clear()
+    coding.dnk_code_basis.cache_clear()
+    t = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    best = min(best, time.perf_counter() - t)
+    assert code == 0, code
+print(best * 1e3)
+"""
+
+
+def one_thread_env() -> dict:
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def seed_range(text: str) -> tuple[str, list[int]]:
+    workload, _, span = text.partition("=")
+    first, _, last = span.partition("-")
+    return workload, list(range(int(first), int(last or first) + 1))
+
+
+def bench_run(tree: str, workload: str, seed: int) -> dict:
+    argv = [sys.executable, "clibench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", "20", "--trace", "0"]
+    out = subprocess.run(argv, cwd=tree, check=True, capture_output=True, text=True).stdout
+    return {"host_slowdown": float(SLOWDOWN.search(out).group(1)),
+            "last_line": json.loads(out.strip().splitlines()[-1]), "seed": seed}
+
+
+def single_op_ms(tree: str, op: str) -> float:
+    done = subprocess.run([sys.executable, "-c", SINGLE_OP, *op.split()], cwd=tree, check=True,
+                          capture_output=True, text=True, env=one_thread_env())
+    return float(done.stdout)
+
+
+def summary(runs: list[dict]) -> dict:
+    out = {}
+    for name, metric in runs[0]["last_line"]["metrics"].items():
+        values = [run["last_line"]["metrics"][name]["value"] for run in runs]
+        q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+        out[name] = {"median": median, "q1": q1, "q3": q3, "unit": metric["unit"]}
+    return out
+
+
+def save(path: str, label: str, tree: str, workloads: dict, ops: dict) -> None:
+    doc = {
+        "blas_threads": 1,
+        "command": COMMAND,
+        "cores": os.cpu_count(),
+        "label": label,
+        "numpy": np.__version__,
+        "pairing": "parent and change runs alternate, the first side swapping each seed",
+        "python": platform.python_version(),
+        "single_ops_ms": ops,
+        "single_ops_method": "one CLI call in-process, wall time, best of 5, one BLAS thread",
+        "tree": tree,
+        "workloads": {w: {"runs": runs, "summary": summary(runs)}
+                      for w, runs in workloads.items() if runs},
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--label", required=True, help="file name part, as in BENCH_<label>_*.json")
+    ap.add_argument("--tree", default="", help="how the two trees are named in the files")
+    ap.add_argument("--seeds", nargs="+", type=seed_range, required=True,
+                    help="WORKLOAD=FIRST-LAST, one per workload")
+    ap.add_argument("--ops", nargs="*", default=[], help="CLI commands timed as single ops")
+    args = ap.parse_args()
+    sides = {"parent": os.path.abspath(args.parent), "change": os.getcwd()}
+    runs = {side: {w: [] for w, _ in args.seeds} for side in sides}
+    ops = {side: {} for side in sides}
+
+    def save_all() -> None:
+        for side in sides:
+            save(f"BENCH_{args.label}_{side}.json", side, f"{args.tree} {side}".strip(),
+                 runs[side], ops[side])
+
+    for workload, seeds in args.seeds:
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side][workload].append(bench_run(sides[side], workload, seed))
+                save_all()
+            print(workload, seed, {s: round(runs[s][workload][-1]["last_line"]["metrics"]
+                                            ["ops_per_s"]["value"], 1) for s in sides},
+                  flush=True)
+    for op in args.ops:
+        for side, tree in sides.items():
+            ops[side][op] = single_op_ms(tree, op)
+        save_all()
+        print(op, {side: round(ops[side][op], 2) for side in sides}, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
