@@ -75,14 +75,12 @@ from .security import (
     DetectionReport,
     EveAttack,
     ParityClass,
-    RoundRecord,
     SimulationReport,
     apply_eve,
     detection_probability,
     detection_report,
     parity_class,
     pm_support,
-    security_round,
     security_simulation,
     undetectable_certificate,
     unitarity_residual,

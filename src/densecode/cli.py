@@ -23,6 +23,7 @@ from . import coding, entanglement, security, statevec
 
 ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # every-bipartition checks stay desk-scale up to here
+MAX_ENCODE_BITS = 24  # the encoded state holds 2^n amplitudes: 256 MiB at 24
 
 
 @dataclass
@@ -110,6 +111,8 @@ def cmd_encode(cfg: RunConfig) -> tuple[dict, int]:
         raise ValueError("encode requires --message")
     msg = coding.Message.from_string(cfg.message)
     n = len(msg)
+    if n > MAX_ENCODE_BITS:
+        raise ValueError(f"--message supports at most {MAX_ENCODE_BITS} bits, got {n}")
     spec = coding.dnk_spec(n, n - 1 if cfg.senders is None else cfg.senders)
     state = coding.dnk_encoded_state(msg, spec)
     results: dict[str, Any] = {
@@ -255,14 +258,9 @@ def cmd_security(cfg: RunConfig) -> tuple[dict, int]:
         raise ValueError("security requires --n")
     if not 2 <= cfg.n <= MAX_AUDIT_QUBITS:
         raise ValueError(f"--n supports 2..{MAX_AUDIT_QUBITS} qubits, got {cfg.n}")
-    if cfg.rounds < 1:
-        raise ValueError(f"--rounds must be at least 1, got {cfg.rounds}")
+    if not 1 <= cfg.rounds <= security.MAX_ROUNDS:
+        raise ValueError(f"--rounds must be in 1..{security.MAX_ROUNDS}, got {cfg.rounds}")
     attack = _load_attack(cfg.attack)
-
-    state = statevec.ghz_state(cfg.n)
-    if attack is not None:
-        state = security.apply_eve(state, attack)
-    exact = security.detection_report(state, n_protocol=cfg.n)
 
     rng = np.random.default_rng(cfg.seed)
     sim = security.security_simulation(
@@ -273,9 +271,9 @@ def cmd_security(cfg: RunConfig) -> tuple[dict, int]:
         "n": cfg.n,
         "attack": cfg.attack,
         "exact": {
-            "computational_inconsistency": exact.computational_inconsistency,
-            "hadamard_inconsistency": exact.hadamard_inconsistency,
-            "detection_probability": exact.probability,
+            "computational_inconsistency": sim.exact.computational_inconsistency,
+            "hadamard_inconsistency": sim.exact.hadamard_inconsistency,
+            "detection_probability": sim.exact.probability,
         },
         "empirical": {
             "rounds": sim.rounds,
@@ -291,17 +289,11 @@ def cmd_security(cfg: RunConfig) -> tuple[dict, int]:
         "threshold": cfg.threshold,
     }
     residuals: dict[str, Any] = {
-        "empirical_vs_exact": abs(sim.detection_rate - exact.probability),
+        "empirical_vs_exact": abs(sim.detection_rate - sim.exact.probability),
     }
     if attack is not None:
         cert = security.undetectable_certificate(attack, tol=cfg.cert_tolerance)
-        results["certificate"] = {
-            "flip_01": cert.flip_01,
-            "flip_10": cert.flip_10,
-            "branch_mismatch_min_phase": cert.branch_mismatch_min_phase,
-            "branch_mismatch": cert.branch_mismatch,
-            "undetectable": cert.undetectable,
-        }
+        results["certificate"] = asdict(cert)
         residuals["certificate_max"] = max(
             cert.flip_01, cert.flip_10, cert.branch_mismatch
         )

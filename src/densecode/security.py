@@ -7,6 +7,13 @@ his qubit either in the computational basis (then the senders' outcome must
 be all-0 or all-1, matching his bit) or in the Hadamard basis (then the
 total number of |-> outcomes across all protocol qubits must be even).
 
+Both the exact and the sampled statistics come from one object: the outcome
+marginals of the protocol qubits in the two check bases (``_check_marginals``).
+A simulation builds the attacked state once, takes the two marginals once,
+scores them exactly (``detection_report``'s masks) and draws its rounds from
+them (``round_consistent``), so the two scoring rules check each other on the
+same distribution.
+
 The attack model is a unitary on (receiver qubit x one ancilla qubit), the
 ancilla starting in |0>.  Writing  U |b>|0> = |0>|v_b0> + |1>|v_b1>,  the
 four "branch" vectors v determine everything: the computational check is
@@ -32,7 +39,6 @@ from .statevec import (
     ghz_state,
     hadamard_all,
     hadamard_on,
-    measure_qubits,
     tensor_product,
     _marginal_probabilities,
     _parity,
@@ -80,14 +86,6 @@ def parity_class(state: StateVector, tol: float = 1e-9) -> ParityClass:
     return ParityClass.NEITHER
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    basis: CheckBasis
-    bob_outcome: int  # 0/1; in the Hadamard basis 0 means +, 1 means -
-    alice_outcome: int  # sender bits packed with qubit 1 as the high bit
-    consistent: bool
-
-
 def round_consistent(basis: CheckBasis, outcome: int | np.ndarray, n: int) -> bool | np.ndarray:
     """Whether measured outcome(s) of the n protocol qubits pass the check.
 
@@ -109,28 +107,6 @@ def round_consistent(basis: CheckBasis, outcome: int | np.ndarray, n: int) -> bo
             alice_parity ^= (alice >> shift) & 1
         ok = alice_parity == bob
     return ok[()]
-
-
-def security_round(
-    state: StateVector,
-    basis: CheckBasis,
-    rng: np.random.Generator,
-    n_protocol: Optional[int] = None,
-) -> RoundRecord:
-    """One sampled check round.
-
-    The protocol register is qubits 1..n_protocol with the receiver's qubit
-    last; anything beyond (an eavesdropper ancilla) is left unmeasured and
-    enters only through the measurement marginals.  ``n_protocol`` defaults
-    to the full register.
-    """
-    n = n_protocol if n_protocol is not None else state.n_qubits
-    if not 2 <= n <= state.n_qubits:
-        raise ValueError(f"protocol size {n} invalid for {state.n_qubits} qubits")
-    prepped = state if basis is CheckBasis.COMPUTATIONAL else hadamard_on(state, range(1, n + 1))
-    outcome, _ = measure_qubits(prepped, range(1, n + 1), rng)
-    consistent = bool(round_consistent(basis, outcome, n))
-    return RoundRecord(basis, outcome & 1, outcome >> 1, consistent)
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +182,26 @@ class DetectionReport:
     probability: float  # with the basis drawn uniformly
 
 
+def _check_marginals(state: StateVector, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome distributions of protocol qubits 1..n, packed like the outcomes
+    of ``round_consistent``, in the computational and in the Hadamard check
+    basis.  Qubits past n (an eavesdropper ancilla) are traced out."""
+    if not 2 <= n <= state.n_qubits:
+        raise ValueError(f"protocol size {n} invalid for {state.n_qubits} qubits")
+    measured = list(range(1, n + 1))
+    p_comp = _marginal_probabilities(state, measured)
+    p_had = _marginal_probabilities(hadamard_on(state, measured), measured)
+    return p_comp, p_had
+
+
+def _score_marginals(p_comp: np.ndarray, p_had: np.ndarray) -> DetectionReport:
+    # Sum the inconsistent mass directly: outcomes a clean state never
+    # produces have exactly zero amplitude, so no 1-x cancellation noise.
+    inc_comp = float(p_comp[1:-1].sum())
+    inc_had = float(p_had[_parity(np.arange(p_had.size)) == 1].sum())
+    return DetectionReport(inc_comp, inc_had, (inc_comp + inc_had) / 2.0)
+
+
 def detection_report(state: StateVector, n_protocol: Optional[int] = None) -> DetectionReport:
     """Exact inconsistency probability of each check, by enumerating every
     joint outcome; no sampling.
@@ -215,16 +211,7 @@ def detection_report(state: StateVector, n_protocol: Optional[int] = None) -> De
     for a bare protocol state.
     """
     n = n_protocol if n_protocol is not None else state.n_qubits - 1
-    if not 2 <= n <= state.n_qubits:
-        raise ValueError(f"protocol size {n} invalid for {state.n_qubits} qubits")
-    measured = list(range(1, n + 1))
-    # Sum the inconsistent mass directly: outcomes a clean state never
-    # produces have exactly zero amplitude, so no 1-x cancellation noise.
-    p_comp = _marginal_probabilities(state, measured)
-    inc_comp = float(p_comp[1:-1].sum())
-    p_had = _marginal_probabilities(hadamard_on(state, measured), measured)
-    inc_had = float(p_had[_parity(np.arange(2**n)) == 1].sum())
-    return DetectionReport(inc_comp, inc_had, (inc_comp + inc_had) / 2.0)
+    return _score_marginals(*_check_marginals(state, n))
 
 
 def detection_probability(state: StateVector, n_protocol: Optional[int] = None) -> float:
@@ -284,6 +271,7 @@ class SimulationReport:
     computational_rate: Optional[float]
     hadamard_rate: Optional[float]
     aborted: bool
+    exact: DetectionReport  # exact scores of the marginals the rounds were drawn from
 
 
 def security_simulation(
@@ -295,13 +283,15 @@ def security_simulation(
 ) -> SimulationReport:
     """Run independent check rounds with a uniformly random basis each.
 
-    All rounds are sampled at once: one binomial draw from ``rng`` splits
-    them between the bases, then one multinomial draw per basis (computational
-    first) spreads that basis's rounds over the exact 2**n outcome marginal.
-    Time and memory are O(2**n) whatever ``rounds`` is, and a fixed seed
-    gives identical statistics.  The default threshold 0 aborts on any
-    inconsistency: the model is noiseless, so a clean channel never produces
-    a false positive.
+    The attacked state is built once and its two check marginals are taken
+    once; ``exact`` scores them with ``detection_report``'s masks.  All
+    rounds are sampled from the same marginals at once: one binomial draw
+    from ``rng`` splits them between the bases, then one multinomial draw
+    per basis (computational first) spreads that basis's rounds over its
+    2**n outcomes, which ``round_consistent`` scores.  Time and memory are
+    O(2**n) whatever ``rounds`` is, and a fixed seed gives identical
+    statistics.  The default threshold 0 aborts on any inconsistency: the
+    model is noiseless, so a clean channel never produces a false positive.
     """
     if not 1 <= rounds <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
@@ -310,16 +300,14 @@ def security_simulation(
     state = ghz_state(n)
     if attack is not None:
         state = apply_eve(state, attack)
-    measured = range(1, n + 1)
+    p_comp, p_had = _check_marginals(state, n)
     outcomes = np.arange(2**n)
     c_rounds = int(rng.binomial(rounds, 0.5))
     tallies = []
-    for basis, count in (
-        (CheckBasis.COMPUTATIONAL, c_rounds),
-        (CheckBasis.HADAMARD, rounds - c_rounds),
+    for basis, count, marginal in (
+        (CheckBasis.COMPUTATIONAL, c_rounds, p_comp),
+        (CheckBasis.HADAMARD, rounds - c_rounds, p_had),
     ):
-        prepped = state if basis is CheckBasis.COMPUTATIONAL else hadamard_on(state, measured)
-        marginal = _marginal_probabilities(prepped, measured)
         counts = rng.multinomial(count, marginal / marginal.sum())
         tallies.append((count, int(counts[round_consistent(basis, outcomes, n)].sum())))
     (c_rounds, c_ok), (h_rounds, h_ok) = tallies
@@ -337,4 +325,5 @@ def security_simulation(
         computational_rate=c_ok / c_rounds if c_rounds else None,
         hadamard_rate=h_ok / h_rounds if h_rounds else None,
         aborted=rate > threshold,
+        exact=_score_marginals(p_comp, p_had),
     )

@@ -68,6 +68,12 @@ def test_encode_rejects_short_message(capsys):
     assert "at least 2 bits" in err
 
 
+def test_encode_rejects_message_beyond_cap(capsys):
+    code, out, err = run(["encode", "--message", "1" * 25], capsys)
+    assert (code, out) == (2, "")
+    assert err == "densecode: --message supports at most 24 bits, got 25\n"
+
+
 def test_encode_rejects_bad_sender_count(capsys):
     code, _, err = run(["encode", "--message", "101", "--senders", "3"], capsys)
     assert code == 2
@@ -232,6 +238,8 @@ def test_security_rejects_non_finite_file(tmp_path, capsys, entry):
         (["security", "--n", "3", "--tolerance", "nan"], "--tolerance"),
         (["audit", "--ghz", "3", "--tolerance", "-1"], "--tolerance"),
         (["audit", "--ghz", "3", "--tolerance", "inf"], "--tolerance"),
+        (["security", "--n", "3", "--rounds", "0"], "--rounds"),
+        (["security", "--n", "3", "--rounds", "9223372036854775808"], "--rounds"),
     ],
 )
 def test_rejects_out_of_range_flags(capsys, argv, flag):

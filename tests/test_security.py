@@ -22,11 +22,12 @@ from densecode import (
     parity_class,
     pm_support,
     reduced_density,
-    security_round,
     security_simulation,
     tensor_product,
     undetectable_certificate,
 )
+from densecode import security
+from densecode.cli import main
 from densecode.security import round_consistent
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -128,27 +129,6 @@ def test_parity_class_of_codewords_tracks_first_bit(n):
 # check rounds
 
 
-@pytest.mark.parametrize("basis", [CheckBasis.COMPUTATIONAL, CheckBasis.HADAMARD])
-def test_clean_rounds_always_consistent(basis):
-    state = ghz_state(5)
-    for seed in range(300):
-        record = security_round(state, basis, np.random.default_rng(seed))
-        assert record.consistent
-
-
-def test_cnot_attack_round_statistics():
-    state = apply_eve(ghz_state(5), EveAttack.cnot())
-    comp_bad = had_bad = 0
-    trials = 2000
-    for seed in range(trials):
-        rng = np.random.default_rng(seed)
-        comp_bad += not security_round(state, CheckBasis.COMPUTATIONAL, rng, n_protocol=5).consistent
-        had_bad += not security_round(state, CheckBasis.HADAMARD, rng, n_protocol=5).consistent
-    assert comp_bad == 0
-    sigma = np.sqrt(0.5 * 0.5 / trials)
-    assert abs(had_bad / trials - 0.5) <= 3 * sigma
-
-
 @pytest.mark.parametrize("n", range(2, 8))
 @pytest.mark.parametrize("basis", [CheckBasis.COMPUTATIONAL, CheckBasis.HADAMARD])
 def test_round_consistent_array_matches_scalar_rule(n, basis):
@@ -162,12 +142,6 @@ def test_round_consistent_array_matches_scalar_rule(n, basis):
             expected.append(bin(alice).count("1") % 2 == bob)
     assert round_consistent(basis, np.arange(2**n), n).tolist() == expected
     assert [bool(round_consistent(basis, o, n)) for o in range(2**n)] == expected
-
-
-def test_round_outcome_fields():
-    record = security_round(ghz_state(3), CheckBasis.COMPUTATIONAL, np.random.default_rng(1))
-    assert record.bob_outcome in (0, 1)
-    assert record.alice_outcome in (0b00, 0b11)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +320,11 @@ def test_simulation_cnot_matches_exact_rate():
     sigma = np.sqrt(0.25 * 0.75 / rounds)
     assert abs(report.detection_rate - 0.25) <= 3 * sigma
     assert report.aborted
+    # cnot copies the receiver's bit: only the Hadamard check fires, half the time
+    assert report.computational_consistent == report.computational_rounds
+    h_rounds = report.hadamard_rounds
+    h_sigma = np.sqrt(0.5 * 0.5 / h_rounds)
+    assert abs((h_rounds - report.hadamard_consistent) / h_rounds - 0.5) <= 3 * h_sigma
 
 
 def test_simulation_swap_matches_exact_rate():
@@ -412,3 +391,35 @@ def test_sampled_rates_match_exact_detection(seed):
     ):
         assert abs((rounds - consistent) / rounds - want) <= hoeffding(rounds)
     assert abs(report.computational_rounds / report.rounds - 0.5) <= hoeffding(report.rounds)
+
+
+def _exact_cases():
+    """No attack, every preset, and five Haar-random attacks."""
+    rng = np.random.default_rng(4100)
+    haar = [EveAttack(haar_unitary(4, rng)) for _ in range(5)]
+    return [None, *(make() for make in security.ATTACK_PRESETS.values()), *haar]
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("atk", _exact_cases())
+def test_simulation_exact_is_detection_report(n, atk):
+    # The report the rounds were drawn from is the exact enumeration of the
+    # same attacked state, bit for bit.
+    sim = security_simulation(n, atk, 100, np.random.default_rng(n))
+    state = ghz_state(n) if atk is None else apply_eve(ghz_state(n), atk)
+    assert sim.exact == detection_report(state, n_protocol=n)
+
+
+def test_security_op_builds_one_attacked_state(capsys, monkeypatch):
+    calls = []
+    original = security.apply_eve
+
+    def counting(state, atk):
+        calls.append(state.n_qubits)
+        return original(state, atk)
+
+    monkeypatch.setattr(security, "apply_eve", counting)
+    code = main(["security", "--n", "4", "--attack", "cnot", "--rounds", "200", "--seed", "5"])
+    capsys.readouterr()
+    assert code == 4
+    assert calls == [4]
