@@ -58,6 +58,7 @@ from .coding import (
     dnk_decode,
     dnk_encode,
     dnk_encoded_state,
+    dnk_gram_report,
     dnk_spec,
     dnk_state,
     encode_bell,

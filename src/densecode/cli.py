@@ -23,7 +23,7 @@ from . import coding, entanglement, security, statevec
 
 ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # every-bipartition checks stay desk-scale up to here
-MAX_ENCODE_BITS = 24  # the encoded state holds 2^n amplitudes: 256 MiB at 24
+MAX_ENCODE_BITS = 24  # a receiver's dense state holds 2^n amplitudes: 256 MiB at 24
 
 
 @dataclass
@@ -58,14 +58,6 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, (np.integer, int)):
         return int(value)
     return value
-
-
-def _sparse_amplitudes(state: statevec.StateVector) -> list[list[float]]:
-    out = []
-    for idx in np.nonzero(np.abs(state.amplitudes) > 1e-12)[0]:
-        a = state.amplitudes[idx]
-        out.append([int(idx), float(a.real) + 0.0, float(a.imag) + 0.0])
-    return out
 
 
 def _operator_entry(ps: statevec.PauliString) -> dict[str, Any]:
@@ -114,7 +106,7 @@ def cmd_encode(cfg: RunConfig) -> tuple[dict, int]:
     if n > MAX_ENCODE_BITS:
         raise ValueError(f"--message supports at most {MAX_ENCODE_BITS} bits, got {n}")
     spec = coding.dnk_spec(n, n - 1 if cfg.senders is None else cfg.senders)
-    state = coding.dnk_encoded_state(msg, spec)
+    (cols,), (vals,) = coding._word_support([int(str(msg), 2)], spec)
     results: dict[str, Any] = {
         "message": str(msg),
         "n_bits": n,
@@ -131,8 +123,8 @@ def cmd_encode(cfg: RunConfig) -> tuple[dict, int]:
             }
             for share in spec.shares
         }
-    results["amplitudes"] = _sparse_amplitudes(state)
-    norm_dev = abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0)
+    results["amplitudes"] = [[c, v, 0.0] for c, v in zip(cols.tolist(), vals.tolist())]
+    norm_dev = abs(float(np.sum(vals**2)) - 1.0)
     params = {"message": cfg.message, "senders": cfg.senders}
     return _report("encode", params, results, {"norm_deviation": norm_dev}, "ok", cfg.seed), 0
 
@@ -196,7 +188,7 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
             results["ame"], results["gme"] = ame.is_ame, gme
             residuals["ame_max_residual"] = ame.max_residual
         if n <= coding.MAX_BASIS_BITS:
-            gram = coding.dnk_code_basis(spec.n_bits, spec.n_senders).gram_report()
+            gram = coding.dnk_gram_report(spec.n_bits, spec.n_senders)
             results["orthonormality"] = asdict(gram)
             residuals["gram_residual"] = gram.residual()
     else:

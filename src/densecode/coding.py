@@ -13,7 +13,8 @@ carries X^b_(q+1).  These canonical representatives make message -> state a
 function; on a GHZ block the remaining operator freedom is exactly
 multiplication by an even number of Z factors (see ``pauli_equivalent``).
 
-A code word is Z^z X^x on the resource, nonzero on 2^B indices for B blocks.
+A code word is Z^z X^x on the resource, nonzero on one coset support ^ x of
+2^B indices for B blocks: ``encode`` reports it, the Gram check works per coset.
 Decoding is done two ways that must agree: overlap against the code basis,
 and a circuit (CNOT fan-out from each block's first qubit, Hadamard on it,
 bit-map inversion) on the coset of the largest amplitude, a 2^B-point
@@ -226,13 +227,13 @@ def dnk_encode(msg: MessageLike, spec: DnkSpec) -> dict[int, PauliString]:
 
 def dnk_state(spec: DnkSpec) -> StateVector:
     """The shared resource: one GHZ state per block, in register order."""
-    return StateVector(spec.n_qubits, dnk_code_words([0], spec)[0])
+    return StateVector._trusted(spec.n_qubits, dnk_code_words([0], spec)[0])
 
 
 def dnk_encoded_state(msg: MessageLike, spec: DnkSpec) -> StateVector:
     """Resource state after every sender applied its local operator."""
     idx = int(str(_layout_message(msg, spec)), 2)
-    return StateVector(spec.n_qubits, dnk_code_words([idx], spec)[0])
+    return StateVector._trusted(spec.n_qubits, dnk_code_words([idx], spec)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -277,19 +278,17 @@ class CodeBasis:
         return self.states @ self.states.T
 
     def gram_report(self) -> GramReport:
-        """The Gram matrix of the code words against the identity."""
-        gram = self.gram()
-        deviation = float(np.max(np.abs(np.diag(gram) - 1.0)))
-        np.fill_diagonal(gram, 0.0)
-        return GramReport(
-            n_bits=self.n_qubits,
-            dimension=2**self.n_qubits,
-            max_off_diagonal=float(np.max(np.abs(gram))),
-            max_diagonal_deviation=deviation,
-        )
+        return dnk_gram_report(self.spec.n_bits, self.spec.n_senders)
 
 
 MAX_BASIS_BITS = 10  # a full code basis is a 2**n x 2**n dense matrix
+
+
+def _basis_spec(n_bits: int, n_senders: int) -> DnkSpec:
+    if not 2 <= n_bits <= MAX_BASIS_BITS:
+        raise ValueError(f"full code bases are supported for 2..{MAX_BASIS_BITS} bits, "
+                         f"got {n_bits}; use the circuit decode for larger registers")
+    return dnk_spec(n_bits, n_senders)
 
 
 def _word_masks(spec: DnkSpec, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,28 +302,48 @@ def _word_masks(spec: DnkSpec, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (msgs << 1) & senders, msgs & leads
 
 
-def dnk_code_words(msgs: Sequence[int], spec: DnkSpec) -> np.ndarray:
-    """The code words of message indices ``msgs`` in [0, 2**n), one real row each:
-    for the combined string Z**z X**x (iY = ZX), word[c] = (-1)**popcount(c & z)
-    * psi[c ^ x], written for c = support ^ x with psi's chained 1/sqrt(2)."""
+def _word_support(msgs: Sequence[int], spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending columns c = support ^ x of the words of messages ``msgs``, and their
+    values (-1)**popcount(c & z) * psi[c ^ x] for Z**z X**x (iY = ZX) on resource psi."""
     x, z = _word_masks(spec, np.asarray(msgs, dtype=np.int64))
-    cols = spec._masks[2] ^ x[:, None]
+    cols = np.sort(spec._masks[2] ^ x[:, None], axis=1)
     amp = math.prod([_SQRT_HALF] * len(spec.blocks))
+    return cols, np.array([amp, -amp])[_parity(cols & z[:, None])]
+
+
+def dnk_code_words(msgs: Sequence[int], spec: DnkSpec) -> np.ndarray:
+    """The code words of message indices ``msgs``, one dense real row each."""
+    cols, vals = _word_support(msgs, spec)
     words = np.zeros((len(cols), 2**spec.n_qubits))
-    words[np.arange(len(cols))[:, None], cols] = np.array([amp, -amp])[_parity(cols & z[:, None])]
+    words[np.arange(len(cols))[:, None], cols] = vals
     return words
 
 
 @functools.lru_cache(maxsize=8)
 def dnk_code_basis(n_bits: int, n_senders: int) -> CodeBasis:
     """Every code word of D(n_bits, n_senders) at once, row i for message i."""
-    if not 2 <= n_bits <= MAX_BASIS_BITS:
-        raise ValueError(f"full code bases are supported for 2..{MAX_BASIS_BITS} bits, "
-                         f"got {n_bits}; use the circuit decode for larger registers")
-    spec = dnk_spec(n_bits, n_senders)
+    spec = _basis_spec(n_bits, n_senders)
     states = dnk_code_words(np.arange(2**n_bits), spec)
     states.flags.writeable = False
     return CodeBasis(spec, states)
+
+
+def dnk_gram_report(n_bits: int, n_senders: int) -> GramReport:
+    """Every code word's Gram matrix against the identity, one block per coset of the
+    support (named by its smallest column; words on two cosets have a product of exactly
+    0), padded to the fullest coset so that an encoder repeating a word still shows."""
+    cols, vals = _word_support(np.arange(2**n_bits), _basis_spec(n_bits, n_senders))
+    order = np.argsort(cols[:, 0], kind="stable")
+    key = cols[order, 0]
+    rank = np.arange(len(key)) - np.searchsorted(key, key)  # place within the coset
+    coset, size = np.cumsum(rank == 0) - 1, rank.max() + 1
+    blocks = np.zeros((coset[-1] + 1, size, vals.shape[1]))
+    blocks[coset, rank] = vals[order]
+    gram = blocks @ blocks.transpose(0, 2, 1)
+    off = np.max(np.abs(gram), where=~np.eye(size, dtype=bool), initial=0.0)
+    filled = np.arange(size) < np.bincount(coset)[:, None]  # padding rows have a 0 diagonal
+    deviation = np.max(np.abs(np.diagonal(gram, 0, 1, 2) - filled))
+    return GramReport(n_bits, 2**n_bits, float(off), float(deviation))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +498,7 @@ def pauli_equivalent(a: PauliString, b: PauliString, n: int) -> bool:
 
 def verify_code_orthonormality(n: int) -> GramReport:
     """Gram matrix of all 2**n GHZ code states against the identity."""
-    return ghz_code_basis(n).gram_report()
+    return dnk_gram_report(n, n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from densecode import coding
 from densecode.cli import main, render_report
+from densecode.coding import dnk_encoded_state, dnk_spec
 
 
 def run(argv, capsys):
@@ -417,3 +419,52 @@ def test_non_integer_flag_exits_2_naming_it(capsys, argv, flag):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"densecode: {flag} must be an integer, got {argv[-1]!r}\n"
+
+
+# ---------------------------------------------------------------------------
+# encode and the Gram check read the code words on their support
+
+
+class Forbidden:
+    """Stands in for a function or class that a command must not use."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} was called")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self.name}.{attr} was used")
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_encode_amplitudes_are_bitwise_the_encoded_state(capsys, n):
+    rng = np.random.default_rng(900 + n)
+    for senders in (None, int(rng.integers(1, n)), n - 1):
+        msg = "".join(map(str, rng.integers(0, 2, n)))
+        flags = [] if senders is None else ["--senders", str(senders)]
+        _, report = run_json(["encode", "--message", msg, *flags], capsys)
+        amps = dnk_encoded_state(msg, dnk_spec(n, n - 1 if senders is None else senders)).amplitudes
+        nonzero = np.flatnonzero(amps)
+        got = report["results"]["amplitudes"]
+        assert [idx for idx, _, _ in got] == nonzero.tolist()
+        assert [re for _, re, _ in got] == amps[nonzero].real.tolist()
+        assert [im for _, _, im in got] == amps[nonzero].imag.tolist()
+
+
+def test_encode_builds_no_dense_state(capsys, monkeypatch):
+    monkeypatch.setattr(coding, "dnk_code_words", Forbidden("dnk_code_words"))
+    monkeypatch.setattr(coding, "StateVector", Forbidden("StateVector"))
+    _, report = run_json(["encode", "--message", "10110100101101001011", "--senders", "9"],
+                         capsys)
+    assert len(report["results"]["amplitudes"]) == 1024
+    assert report["residuals"]["norm_deviation"] < 1e-12
+
+
+def test_audit_gram_check_builds_no_code_basis(capsys, monkeypatch):
+    monkeypatch.setattr(coding, "dnk_code_basis", Forbidden("dnk_code_basis"))
+    monkeypatch.setattr(coding.CodeBasis, "gram", Forbidden("CodeBasis.gram"))
+    _, report = run_json(["audit", "--ghz", "10"], capsys)
+    assert report["results"]["orthonormality"]["dimension"] == 1024
+    assert report["residuals"]["gram_residual"] < 1e-12

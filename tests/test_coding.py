@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from densecode import coding
 from densecode import (
     Message,
     NoMatchError,
@@ -20,6 +21,7 @@ from densecode import (
     dnk_decode,
     dnk_encode,
     dnk_encoded_state,
+    dnk_gram_report,
     dnk_spec,
     dnk_state,
     encode_bell,
@@ -695,3 +697,69 @@ def test_decode_failures_match_the_reference_circuit_bitwise(n):
             assert info.value.best_overlap == best
             assert info.value.blocks == suspects
             assert f"(best overlap {best:.6f}; " in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# the Gram check on coset blocks, against the dense product
+
+
+def dense_gram_residuals(words):
+    """(max off-diagonal, max diagonal deviation) of the dense Gram product."""
+    gram = words @ words.T
+    deviation = float(np.max(np.abs(np.diag(gram) - 1.0)))
+    np.fill_diagonal(gram, 0.0)
+    return float(np.max(np.abs(gram))), deviation
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_coset_block_gram_report_matches_the_dense_product(n):
+    for k in range(1, n):
+        report = dnk_gram_report(n, k)
+        off, deviation = dense_gram_residuals(dnk_code_basis(n, k).states)
+        assert (report.n_bits, report.dimension) == (n, 2**n)
+        assert abs(report.max_off_diagonal - off) <= 1e-15, (n, k)
+        assert abs(report.max_diagonal_deviation - deviation) <= 1e-15, (n, k)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (6, 1), (8, 3), (10, 9), (10, 1)])
+@pytest.mark.parametrize("repeated", [1, -1])
+def test_gram_report_sees_an_encoder_that_repeats_a_word(monkeypatch, n, k, repeated):
+    """Message 1 (or the last message) gets message 0's masks: one coset then
+    holds 2**B + 1 words, the repeat first after message 0 (or last of all)."""
+    masks = coding._word_masks
+    repeated %= 2**n
+    monkeypatch.setattr(coding, "_word_masks",
+                        lambda spec, msgs: masks(spec, np.where(msgs == repeated, 0, msgs)))
+    spec = dnk_spec(n, k)
+    words = dnk_code_words(np.arange(2**n), spec)
+    smallest = np.array([np.flatnonzero(row)[0] for row in words])
+    counts = np.unique(smallest, return_counts=True)[1]
+    assert (counts.min(), counts.max()) == (2 ** len(spec.blocks) - 1, 2 ** len(spec.blocks) + 1)
+    report = dnk_gram_report(n, k)
+    off, deviation = dense_gram_residuals(words)
+    assert abs(report.max_off_diagonal - 1.0) <= 1e-12
+    assert abs(report.max_off_diagonal - off) <= 1e-15
+    assert abs(report.max_diagonal_deviation - deviation) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 11])
+def test_gram_report_keeps_the_basis_range(n):
+    message = rf"full code bases are supported for 2\.\.10 bits, got {n}"
+    with pytest.raises(ValueError, match=message):
+        dnk_gram_report(n, 1)
+    with pytest.raises(ValueError, match=message):
+        verify_code_orthonormality(n)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 14])
+def test_kernel_states_are_bitwise_the_validated_construction(n):
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        idx = (5 * n + 3 * k) % 2**n
+        for state, row in ((dnk_state(spec), 0),
+                           (dnk_encoded_state(format(idx, f"0{n}b"), spec), idx)):
+            want = StateVector(n, dnk_code_words([row], spec)[0])
+            assert state.n_qubits == n
+            assert state.amplitudes.dtype == want.amplitudes.dtype
+            assert np.array_equal(state.amplitudes, want.amplitudes)
+            assert not state.amplitudes.flags.writeable
