@@ -198,8 +198,8 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
         }
         rng = np.random.default_rng(cfg.seed)
         picks = sorted(rng.choice(2**n, size=min(2**n, 64), replace=False).tolist())
-        decoded = coding.dnk_decode_words(coding.dnk_code_words(picks, spec), spec)
-        failures = sum(int(str(m), 2) != p for m, p in zip(decoded, picks))
+        decoded = coding._decode_indices(coding.dnk_code_words(picks, spec), spec)
+        failures = int(np.count_nonzero(decoded != picks))
         results["roundtrip"] = {"messages_checked": len(picks), "failures": failures}
 
     verdict = "optimal" if results.get("optimal") else "suboptimal"
@@ -449,11 +449,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 _COMMANDS = {"encode": cmd_encode, "audit": cmd_audit, "security": cmd_security}
+_PARSER = build_parser()  # holds no per-run state: parse_args makes a new Namespace
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         cfg = config_from_args(args)
         report, code = _COMMANDS[cfg.command](cfg)

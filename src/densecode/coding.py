@@ -362,24 +362,23 @@ def _overlap_decode(basis: CodeBasis, state: StateVector) -> Message:
     return Message.from_string(format(best, f"0{basis.n_qubits}b"))
 
 
-def _invert_block_bits(z: Sequence[int]) -> list[int]:
-    """Message bits of one block from its disentangled computational bits."""
-    return [z[0], z[-1]] + [z[j] ^ z[-1] for j in range(1, len(z) - 1)]
-
-
-def _message_at(s: int, a: int, spec: DnkSpec) -> Message:
-    """The message at circuit output a of the coset of s: block j's fan-out adds
-    its lead to its other bits, its Hadamard puts a's bit j (from the top) on it."""
-    z = format(s, f"0{spec.n_qubits}b")  # z[q - 1] is qubit q
-    bits = []
-    for (lead, *rest), a_j in zip(spec.blocks, format(a, f"0{len(spec.blocks)}b")):
-        bits += _invert_block_bits([a_j == "1"] + [z[q - 1] != z[lead - 1] for q in rest])
-    return Message(tuple(bits))
+def _message_indices(s: np.ndarray, a: np.ndarray, spec: DnkSpec) -> np.ndarray:
+    """Message index at circuit output ``a`` of the coset of ``s``, elementwise.  Block
+    j's Hadamard puts a's bit j (from the top) on its lead; its fan-out leaves y, s with
+    the lead's bit added to the whole block.  The block's second message bit is y_last,
+    each later bit q is y_(q-1) ^ y_last (for GHZ, b_(j+1) = z_j xor z_g)."""
+    n = spec.n_qubits
+    _, leads, sup = spec._masks
+    lead_at, last_at = (np.array([n - block[i] for block in spec.blocks]) for i in (0, -1))
+    whole = np.array([sum(1 << (n - q) for q in block) for block in spec.blocks])
+    y = s ^ (((s[:, None] >> lead_at) & 1) * whole).sum(axis=1)
+    last = (((y[:, None] >> last_at) & 1) * (whole & ~leads)).sum(axis=1)
+    return (sup[a] & leads) | ((y >> 1) & ~leads & (2**n - 1)) ^ last
 
 
 def _circuit_outputs(words: np.ndarray, reps: np.ndarray, spec: DnkSpec) -> np.ndarray:
     """|circuit output| on the cosets r ^ support of ``reps`` (batch, R), output a
-    as ``_message_at`` reads it: the fan-outs fix a coset's non-lead bits, so the
+    as ``_message_indices`` reads it: the fan-outs fix a coset's non-lead bits, so the
     lead Hadamards are a Walsh-Hadamard transform of its 2**B amplitudes.  From
     any start in the coset |output| is bitwise equal: +, - and / are odd."""
     sup = spec._masks[2]
@@ -391,7 +390,7 @@ def _circuit_outputs(words: np.ndarray, reps: np.ndarray, spec: DnkSpec) -> np.n
     return np.abs(t.reshape(reps.shape + sup.shape))
 
 
-def _full_circuit_decode(amps: np.ndarray, spec: DnkSpec) -> Message:
+def _full_circuit_decode(amps: np.ndarray, spec: DnkSpec) -> int:
     """The circuit on the whole register; ``NoMatchError`` names the blocks not sharp
     ("ghz" for a block of 3 or more qubits, "pair1", "pair2", ... for pairs in order)."""
     n = spec.n_qubits
@@ -417,19 +416,27 @@ def _full_circuit_decode(amps: np.ndarray, spec: DnkSpec) -> Message:
             overlap,
             tuple(suspects),
         )
-    return _message_at(int(reps[r]), int(a), spec)
+    return int(_message_indices(reps[[r]], np.array([a]), spec)[0])
 
 
-def dnk_decode_words(words: np.ndarray, spec: DnkSpec) -> list[Message]:
-    """Circuit decode of each row of ``words`` (batch, 2**n) on the coset of s = argmax
-    |psi|: an output >= OVERLAP_THRESHOLD there is the whole circuit's best, else all."""
+def _decode_indices(words: np.ndarray, spec: DnkSpec) -> np.ndarray:
+    """Circuit decode of each row of ``words`` (batch, 2**n) to its message index, on the
+    coset of s = argmax |psi|: an output >= OVERLAP_THRESHOLD there is the whole circuit's
+    best, else all."""
     if words.ndim != 2 or words.shape[1] != 2**spec.n_qubits:
         raise ValueError(f"expected rows of 2**{spec.n_qubits} amplitudes, got {words.shape}")
     s = np.abs(words).argmax(axis=1)
     out = _circuit_outputs(words, s[:, None], spec)[:, 0]
-    cosets = zip(s.tolist(), out.argmax(axis=1).tolist(), out.max(axis=1).tolist(), words)
-    return [_message_at(r, a, spec) if value >= OVERLAP_THRESHOLD
-            else _full_circuit_decode(row, spec) for r, a, value, row in cosets]
+    msgs = _message_indices(s, out.argmax(axis=1), spec)
+    for i in np.flatnonzero(~(out.max(axis=1) >= OVERLAP_THRESHOLD)):
+        msgs[i] = _full_circuit_decode(words[i], spec)
+    return msgs
+
+
+def dnk_decode_words(words: np.ndarray, spec: DnkSpec) -> list[Message]:
+    """``_decode_indices`` of each row, as messages."""
+    width = f"0{spec.n_qubits}b"
+    return [Message.from_string(format(i, width)) for i in _decode_indices(words, spec).tolist()]
 
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:

@@ -202,20 +202,18 @@ def _score_marginals(p_comp: np.ndarray, p_had: np.ndarray) -> DetectionReport:
     return DetectionReport(inc_comp, inc_had, (inc_comp + inc_had) / 2.0)
 
 
-def detection_report(state: StateVector, n_protocol: Optional[int] = None) -> DetectionReport:
-    """Exact inconsistency probability of each check, by enumerating every
-    joint outcome; no sampling.
-
-    ``n_protocol`` defaults to ``n_qubits - 1``: the expected input is a
-    post-attack state with a single trailing ancilla.  Pass it explicitly
-    for a bare protocol state.
-    """
-    n = n_protocol if n_protocol is not None else state.n_qubits - 1
-    return _score_marginals(*_check_marginals(state, n))
+def detection_report(state: StateVector, n_protocol: int) -> DetectionReport:
+    """Exact inconsistency probability of each check on protocol qubits
+    1..``n_protocol``, by enumerating every joint outcome; no sampling.  Qubits
+    past ``n_protocol`` (an eavesdropper ancilla) are traced out."""
+    return _score_marginals(*_check_marginals(state, n_protocol))
 
 
 def detection_probability(state: StateVector, n_protocol: Optional[int] = None) -> float:
-    return detection_report(state, n_protocol).probability
+    """``detection_report``'s probability; ``n_protocol`` defaults to the layout
+    of ``apply_eve``'s output, the protocol qubits then one ancilla."""
+    n = state.n_qubits - 1 if n_protocol is None else n_protocol
+    return detection_report(state, n).probability
 
 
 # ---------------------------------------------------------------------------

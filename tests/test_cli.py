@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from densecode import coding
+from densecode import cli, coding
 from densecode.cli import main, render_report
 from densecode.coding import dnk_encoded_state, dnk_spec
 
@@ -468,3 +468,73 @@ def test_audit_gram_check_builds_no_code_basis(capsys, monkeypatch):
     _, report = run_json(["audit", "--ghz", "10"], capsys)
     assert report["results"]["orthonormality"]["dimension"] == 1024
     assert report["residuals"]["gram_residual"] < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_ops_build_no_parser(capsys, monkeypatch):
+    calls = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+    for argv in (["encode", "--message", "1101001011010010"], ["audit", "--ghz", "6"],
+                 ["security", "--n", "4", "--rounds", "400", "--attack", "cnot"]):
+        assert main(argv) in (0, 4)
+    capsys.readouterr()
+    assert calls == []
+
+
+def test_a_repeated_sequence_of_calls_is_byte_identical(tmp_path, capsys):
+    cnot = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    path = tmp_path / "cnot.json"
+    path.write_text(json.dumps([[[x, 0] for x in row] for row in cnot]))
+    sequence = [
+        ["audit", "--dnk", "10", "4", "--seed", "3"],
+        ["security", "--n", "3", "--attack", f"file:{path}", "--rounds", "300", "--seed", "2"],
+        ["audit", "--ghz", "3", "--bogus"],
+        ["audit", "--ghz", "abc"],
+        ["encode", "--message", "110100", "--senders", "4"],
+    ]
+
+    def one_pass():
+        runs = []
+        for argv in sequence:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err))
+        return runs
+
+    first = one_pass()
+    assert [code for code, _, _ in first] == [0, 4, ("SystemExit", 2), 2, 0]
+    assert one_pass() == first
+
+
+def test_seed_variable_set_after_import_is_read_by_each_call(capsys, monkeypatch):
+    for seed in (17, 18):
+        monkeypatch.setenv("DENSECODE_SEED", str(seed))
+        _, report = run_json(["security", "--n", "3", "--rounds", "10"], capsys)
+        assert report["seed"] == seed
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["encode", "--help"], 0),
+    (["audit", "--help"], 0),
+    (["security", "--help"], 0),
+    (["audit", "--ghz", "3", "--bogus"], 2),
+    (["encode"], 2),
+    ([], 2),
+])
+def test_parser_exits_print_what_a_fresh_parser_prints(capsys, argv, code):
+    with pytest.raises(SystemExit) as shared:
+        main(argv)
+    printed = capsys.readouterr()
+    with pytest.raises(SystemExit) as fresh:
+        cli.build_parser().parse_args(argv)
+    assert shared.value.code == fresh.value.code == code
+    assert (printed.out, printed.err) == tuple(capsys.readouterr())
+    assert (printed.out or printed.err).startswith("usage: densecode")

@@ -38,6 +38,8 @@ from densecode import (
 )
 from densecode.coding import (
     _circuit_outputs,
+    _decode_indices,
+    _message_indices,
     _word_masks,
     dnk_code_words,
     dnk_decode_words,
@@ -652,6 +654,46 @@ def test_decode_words_checks_the_row_width():
         dnk_decode_words(np.zeros((2, 8)), spec)
     with pytest.raises(ValueError, match=r"expected rows of 2\*\*4 amplitudes"):
         dnk_decode_words(np.zeros(16), spec)
+
+
+def invert_block_bits(z):
+    """Message bits of one block from its disentangled computational bits."""
+    return [z[0], z[-1]] + [z[j] ^ z[-1] for j in range(1, len(z) - 1)]
+
+
+def reference_message_at(s, a, spec):
+    """The message at circuit output a of the coset of s, one bit at a time: block j's
+    fan-out adds its lead to its other bits, its Hadamard puts a's bit j (from the top)
+    on it."""
+    z = format(s, f"0{spec.n_qubits}b")  # z[q - 1] is qubit q
+    bits = []
+    for (lead, *rest), a_j in zip(spec.blocks, format(a, f"0{len(spec.blocks)}b")):
+        bits += invert_block_bits([a_j == "1"] + [z[q - 1] != z[lead - 1] for q in rest])
+    return Message(tuple(bits))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_message_indices_match_the_bit_by_bit_reference_on_every_output(n):
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        s, a = (g.ravel() for g in np.meshgrid(
+            np.arange(2**n), np.arange(2 ** len(spec.blocks)), indexing="ij"))
+        want = [int(str(reference_message_at(si, ai, spec)), 2)
+                for si, ai in zip(s.tolist(), a.tolist())]
+        assert _message_indices(s, a, spec).tolist() == want
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_decode_of_every_message_matches_the_reference(n):
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        words = dnk_code_words(np.arange(2**n), spec)
+        s = np.abs(words).argmax(axis=1)
+        a = _circuit_outputs(words, s[:, None], spec)[:, 0].argmax(axis=1)
+        want = [reference_message_at(si, ai, spec) for si, ai in zip(s.tolist(), a.tolist())]
+        assert [int(str(m), 2) for m in want] == list(range(2**n))
+        assert dnk_decode_words(words, spec) == want
+        assert _decode_indices(words, spec).tolist() == list(range(2**n))
 
 
 def reference_circuit(state, spec):

@@ -204,7 +204,7 @@ def test_clean_state_never_detected(n):
 @pytest.mark.parametrize("n", [3, 5])
 def test_cnot_detection_quarter(n):
     state = apply_eve(ghz_state(n), EveAttack.cnot())
-    report = detection_report(state)
+    report = detection_report(state, n_protocol=n)
     assert report.computational_inconsistency == pytest.approx(0.0, abs=1e-12)
     assert report.hadamard_inconsistency == pytest.approx(0.5, abs=1e-12)
     assert report.probability == pytest.approx(0.25, abs=1e-12)
@@ -216,7 +216,7 @@ def test_swap_attack_detection_half(n):
     # Both checks fire half the time: the receiver always reads the ancilla's
     # 0 while the senders stay correlated with the stolen qubit.
     state = apply_eve(ghz_state(n), EveAttack.swap_with_zero())
-    report = detection_report(state)
+    report = detection_report(state, n_protocol=n)
     assert report.computational_inconsistency == pytest.approx(0.5, abs=1e-12)
     assert report.hadamard_inconsistency == pytest.approx(0.5, abs=1e-12)
     assert report.probability == pytest.approx(0.5, abs=1e-12)

@@ -45,7 +45,7 @@ for _ in range(5):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     best = min(best, time.perf_counter() - t)
-    assert code == 0, code
+    assert code in (0, 4), code  # 4 is the security-abort verdict of a detecting attack
 print(best * 1e3)
 """
 
