@@ -20,9 +20,6 @@ from .statevec import (
     ghz_state,
     hadamard_all,
     hadamard_on,
-    inner_product,
-    measure_qubits,
-    permute_qubits,
     tensor_product,
 )
 from .entanglement import (

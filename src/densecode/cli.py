@@ -94,6 +94,13 @@ def _layout_entry(spec: coding.DnkSpec) -> dict[str, Any]:
     }
 
 
+def _layout(flag: str, n: int, k: int) -> coding.DnkSpec:
+    """D(n, k), with the sender count checked against the flag that gave it."""
+    if not 1 <= k <= n - 1:
+        raise ValueError(f"{flag} must be in 1..{n - 1}, got {k}")
+    return coding.dnk_spec(n, k)
+
+
 def _share_entry(share: coding.PartyShare) -> dict[str, Any]:
     return {"qubits": list(share.qubits), "bits": list(share.bits)}
 
@@ -105,7 +112,7 @@ def cmd_encode(cfg: RunConfig) -> tuple[dict, int]:
     n = len(msg)
     if n > MAX_ENCODE_BITS:
         raise ValueError(f"--message supports at most {MAX_ENCODE_BITS} bits, got {n}")
-    spec = coding.dnk_spec(n, n - 1 if cfg.senders is None else cfg.senders)
+    spec = _layout("--senders", n, n - 1 if cfg.senders is None else cfg.senders)
     (cols,), (vals,) = coding._word_support([int(str(msg), 2)], spec)
     results: dict[str, Any] = {
         "message": str(msg),
@@ -169,7 +176,7 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
         n, k = cfg.dnk
         if not 2 <= n <= MAX_AUDIT_QUBITS:
             raise ValueError(f"--dnk supports 2..{MAX_AUDIT_QUBITS} bits, got {n}")
-        spec, params = coding.dnk_spec(n, k), {"dnk": [n, k]}
+        spec, params = _layout("--dnk K", n, k), {"dnk": [n, k]}
     params["tolerance"] = tol
 
     n = spec.n_qubits

@@ -114,47 +114,69 @@ class PartyShare:
     bits: tuple[int, ...]
 
 
-def _blocks(ghz_size: int, n_qubits: int) -> tuple[tuple[int, ...], ...]:
-    return (tuple(range(1, ghz_size + 1)),) + tuple(
-        (q, q + 1) for q in range(ghz_size + 1, n_qubits, 2)
-    )
-
-
 @dataclass(frozen=True)
 class DnkSpec:
     """Layout of the distributed scheme for ``n_bits`` bits and ``n_senders``
     senders: one GHZ block followed by Bell pairs, receiver qubits at the end
-    of each block."""
+    of each block.  Everything else about the layout is derived here, once; the
+    index constants put qubit q at index bit n - q."""
 
     n_bits: int
     n_senders: int
-    ghz_size: int
-    bell_pairs: int
+    blocks: tuple[tuple[int, ...], ...]  # the GHZ block, then each Bell pair, 1-based
     shares: tuple[PartyShare, ...]
-    bob_qubits: tuple[int, ...]
 
     @property
     def n_qubits(self) -> int:
         return self.n_bits
 
-    @functools.cached_property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The GHZ block, then each Bell pair, as 1-based qubit tuples."""
-        return _blocks(self.ghz_size, self.n_bits)
+    @property
+    def ghz_size(self) -> int:
+        return len(self.blocks[0])
 
-    @functools.cached_property
-    def _masks(self) -> tuple[int, int, np.ndarray]:
-        """Sender and lead index masks, and the 2**B unions of whole blocks."""
-        n = self.n_qubits
-        sup = np.zeros(1, dtype=np.int64)
-        for block in self.blocks:
-            sup = (sup[:, None] | [0, sum(1 << (n - q) for q in block)]).ravel()
-        leads = sum(1 << (n - block[0]) for block in self.blocks)
-        return sum(1 << (n - q) for q in self.alice_qubits), leads, sup
+    @property
+    def bell_pairs(self) -> int:
+        return len(self.blocks) - 1
+
+    @property
+    def bob_qubits(self) -> tuple[int, ...]:
+        return tuple(block[-1] for block in self.blocks)
 
     @functools.cached_property
     def alice_qubits(self) -> tuple[int, ...]:
         return tuple(q for share in self.shares for q in share.qubits)
+
+    @functools.cached_property
+    def sender_mask(self) -> int:
+        return sum(1 << (self.n_bits - q) for q in self.alice_qubits)
+
+    @functools.cached_property
+    def lead_mask(self) -> int:
+        return sum(1 << (self.n_bits - block[0]) for block in self.blocks)
+
+    @functools.cached_property
+    def block_masks(self) -> np.ndarray:
+        return np.array([sum(1 << (self.n_bits - q) for q in block) for block in self.blocks])
+
+    @functools.cached_property
+    def last_bits(self) -> np.ndarray:
+        return np.array([self.n_bits - block[-1] for block in self.blocks])
+
+    @functools.cached_property
+    def support(self) -> np.ndarray:
+        """The 2**B unions of whole blocks, ascending: the resource's nonzero indices."""
+        b = len(self.blocks)  # bit j of a, from the top, selects block j
+        return ((np.arange(2**b)[:, None] >> np.arange(b - 1, -1, -1)) & 1) @ self.block_masks
+
+    @functools.cached_property
+    def lead_support(self) -> np.ndarray:
+        """The lead bits of each support index: circuit output a sets lead_support[a]."""
+        return self.support & self.lead_mask
+
+    @functools.cached_property
+    def coset_reps(self) -> np.ndarray:
+        """The indices with every lead bit 0, one per coset of the support."""
+        return np.flatnonzero((np.arange(2**self.n_bits) & self.lead_mask) == 0)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
@@ -170,27 +192,22 @@ def dnk_spec(n_bits: int, n_senders: int) -> DnkSpec:
     if n_bits < 2:
         raise ValueError(f"need at least 2 message bits, got {n_bits}")
     if not 1 <= n_senders <= n_bits - 1:
-        raise ValueError(
-            f"sender count must be in 1..{n_bits - 1}, got {n_senders}"
-        )
+        raise ValueError(f"sender count must be in 1..{n_bits - 1}, got {n_senders}")
     floor_size = 2 if n_bits % 2 == 0 else 3
     g = max(floor_size, 2 * (n_senders + 1) - n_bits)
-    blocks = _blocks(g, n_bits)
-    leads = {block[0] for block in blocks}
-    sender_qubits = [q for block in blocks for q in block[:-1]]
+    blocks = (tuple(range(1, g + 1)),) + tuple((q, q + 1) for q in range(g + 1, n_bits, 2))
+    # each sender qubit with the message bits it carries: a lead q carries q and q + 1
+    senders = [(q, (q, q + 1) if q == block[0] else (q + 1,))
+               for block in blocks for q in block[:-1]]
 
-    base, extra = divmod(len(sender_qubits), n_senders)
-    shares = []
-    cursor = 0
+    base, extra = divmod(len(senders), n_senders)
+    shares, cursor = [], 0
     for party in range(1, n_senders + 1):
-        size = base + (1 if party <= extra else 0)
-        qubits = tuple(sender_qubits[cursor : cursor + size])
-        cursor += size
-        bits = tuple(b for q in qubits for b in ((q, q + 1) if q in leads else (q + 1,)))
-        shares.append(PartyShare(party, qubits, bits))
-
-    bob = tuple(block[-1] for block in blocks)
-    return DnkSpec(n_bits, n_senders, g, len(blocks) - 1, tuple(shares), bob)
+        run = senders[cursor : cursor + base + (1 if party <= extra else 0)]
+        cursor += len(run)
+        shares.append(PartyShare(party, tuple(q for q, _ in run),
+                                 tuple(b for _, bits in run for b in bits)))
+    return DnkSpec(n_bits, n_senders, blocks, tuple(shares))
 
 
 # ---------------------------------------------------------------------------
@@ -212,10 +229,8 @@ def dnk_combined_string(msg: MessageLike, spec: DnkSpec) -> PauliString:
     (1-based).
     """
     b = (0,) + _layout_message(msg, spec).bits
-    leads = {block[0] for block in spec.blocks}
-    labels = tuple(
-        _BITS_LABEL[(b[q + 1], b[q] if q in leads else 0)] for q in spec.alice_qubits
-    )
+    labels = tuple(_BITS_LABEL[(b[q + 1], b[q] if q == block[0] else 0)]
+                   for block in spec.blocks for q in block[:-1])
     return PauliString(labels, spec.alice_qubits)
 
 
@@ -271,9 +286,6 @@ class CodeBasis:
         idx = int(str(_layout_message(msg, self.spec)), 2)
         return StateVector(self.n_qubits, self.states[idx])
 
-    def strings_for(self, msg: MessageLike) -> tuple[PauliString, ...]:
-        return (dnk_combined_string(msg, self.spec),)
-
     def gram(self) -> np.ndarray:
         return self.states @ self.states.T
 
@@ -296,17 +308,16 @@ def _word_masks(spec: DnkSpec, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
     Bit b_q of message i sits at index bit n - q, like qubit q.  The bit rule
     puts X^b_(q+1) on every sender qubit q and Z^b_q on every block's first
-    qubit, so message i has X-mask (i << 1) & senders and Z-mask i & leads.
+    qubit, so message i has X-mask (i << 1) & sender_mask and Z-mask i & lead_mask.
     """
-    senders, leads, _ = spec._masks
-    return (msgs << 1) & senders, msgs & leads
+    return (msgs << 1) & spec.sender_mask, msgs & spec.lead_mask
 
 
 def _word_support(msgs: Sequence[int], spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
     """Ascending columns c = support ^ x of the words of messages ``msgs``, and their
     values (-1)**popcount(c & z) * psi[c ^ x] for Z**z X**x (iY = ZX) on resource psi."""
     x, z = _word_masks(spec, np.asarray(msgs, dtype=np.int64))
-    cols = np.sort(spec._masks[2] ^ x[:, None], axis=1)
+    cols = np.sort(spec.support ^ x[:, None], axis=1)
     amp = math.prod([_SQRT_HALF] * len(spec.blocks))
     return cols, np.array([amp, -amp])[_parity(cols & z[:, None])]
 
@@ -366,14 +377,10 @@ def _message_indices(s: np.ndarray, a: np.ndarray, spec: DnkSpec) -> np.ndarray:
     """Message index at circuit output ``a`` of the coset of ``s``, elementwise.  Block
     j's Hadamard puts a's bit j (from the top) on its lead; its fan-out leaves y, s with
     the lead's bit added to the whole block.  The block's second message bit is y_last,
-    each later bit q is y_(q-1) ^ y_last (for GHZ, b_(j+1) = z_j xor z_g)."""
-    n = spec.n_qubits
-    _, leads, sup = spec._masks
-    lead_at, last_at = (np.array([n - block[i] for block in spec.blocks]) for i in (0, -1))
-    whole = np.array([sum(1 << (n - q) for q in block) for block in spec.blocks])
-    y = s ^ (((s[:, None] >> lead_at) & 1) * whole).sum(axis=1)
-    last = (((y[:, None] >> last_at) & 1) * (whole & ~leads)).sum(axis=1)
-    return (sup[a] & leads) | ((y >> 1) & ~leads & (2**n - 1)) ^ last
+    each later bit q is y_(q-1) ^ y_last (for GHZ, b_(j+1) = z_j xor z_g).  The lead's
+    bit cancels in both, so each bit q after a lead is s_(q-1) ^ s_last of its block."""
+    last = ((s[:, None] >> spec.last_bits) & 1) @ spec.block_masks  # s_last on its block
+    return spec.lead_support[a] | (((s >> 1) ^ last) & ~spec.lead_mask)
 
 
 def _circuit_outputs(words: np.ndarray, reps: np.ndarray, spec: DnkSpec) -> np.ndarray:
@@ -381,33 +388,29 @@ def _circuit_outputs(words: np.ndarray, reps: np.ndarray, spec: DnkSpec) -> np.n
     as ``_message_indices`` reads it: the fan-outs fix a coset's non-lead bits, so the
     lead Hadamards are a Walsh-Hadamard transform of its 2**B amplitudes.  From
     any start in the coset |output| is bitwise equal: +, - and / are odd."""
-    sup = spec._masks[2]
-    t = words[np.arange(len(words))[:, None, None], reps[..., None] ^ sup]
+    t = words[np.arange(len(words))[:, None, None], reps[..., None] ^ spec.support]
     plus_minus = np.array([[1], [-1]], dtype=t.dtype)  # a butterfly: lo + hi, lo - hi
     for j in reversed(range(len(spec.blocks))):
         v = t.reshape(-1, 2, 2**j)
         t = (v[:, :1] + plus_minus * v[:, 1:]) / math.sqrt(2.0)
-    return np.abs(t.reshape(reps.shape + sup.shape))
+    return np.abs(t.reshape(reps.shape + spec.support.shape))
 
 
 def _full_circuit_decode(amps: np.ndarray, spec: DnkSpec) -> int:
     """The circuit on the whole register; ``NoMatchError`` names the blocks not sharp
     ("ghz" for a block of 3 or more qubits, "pair1", "pair2", ... for pairs in order)."""
-    n = spec.n_qubits
-    _, leads, sup = spec._masks
-    reps = np.flatnonzero((np.arange(2**n) & leads) == 0)
+    n, reps = spec.n_qubits, spec.coset_reps
     out = _circuit_outputs(amps[None], reps[None], spec)[0]
     r, a = np.unravel_index(np.argmax(out), out.shape)
     overlap = float(out[r, a])
     if overlap < OVERLAP_THRESHOLD:
         probs = np.empty((2,) * n)
-        probs.reshape(-1)[reps[:, None] | (sup & leads)] = out**2
+        probs.reshape(-1)[reps[:, None] | spec.lead_support] = out**2
         pair_number = itertools.count(1)
         suspects = []
         for block in spec.blocks:
             name = "ghz" if len(block) > 2 else f"pair{next(pair_number)}"
-            other = tuple(ax for ax in range(n) if ax + 1 not in block)
-            marginal = probs.sum(axis=other) if other else probs
+            marginal = probs.sum(axis=tuple(ax for ax in range(n) if ax + 1 not in block))
             if float(marginal.max()) < OVERLAP_THRESHOLD**2:
                 suspects.append(name)
         raise NoMatchError(
@@ -490,17 +493,11 @@ def pauli_equivalent(a: PauliString, b: PauliString, n: int) -> bool:
     strings on the sender qubits stabilize the GHZ state, while any X or iY
     component moves its support and a lone Z flips the relative sign.
     """
-    for ps in (a, b):
-        if any(q >= n for q in ps.targets):
-            raise ValueError(f"encoding strings act on qubits 1..{n - 1}")
-    z_count = 0
-    for q in range(1, n):
-        prod = compose_labels(a.label_on(q), b.label_on(q))
-        if prod in (PauliLabel.X, PauliLabel.IY):
-            return False
-        if prod is PauliLabel.Z:
-            z_count += 1
-    return z_count % 2 == 0
+    if any(q >= n for ps in (a, b) for q in ps.targets):
+        raise ValueError(f"encoding strings act on qubits 1..{n - 1}")
+    prods = [compose_labels(a.label_on(q), b.label_on(q)) for q in range(1, n)]
+    moves = PauliLabel.X in prods or PauliLabel.IY in prods
+    return not moves and prods.count(PauliLabel.Z) % 2 == 0
 
 
 def verify_code_orthonormality(n: int) -> GramReport:

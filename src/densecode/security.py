@@ -96,17 +96,15 @@ def round_consistent(basis: CheckBasis, outcome: int | np.ndarray, n: int) -> bo
     receiver 1; the Hadamard check wants the senders' |-> count to have the
     receiver's parity.
     """
-    outcome = np.asarray(outcome)
+    shape = np.shape(outcome)
+    outcome = np.asarray(outcome).reshape(-1)  # _parity's wrapping product warns on scalars
     bob = outcome & 1
     alice = outcome >> 1
     if basis is CheckBasis.COMPUTATIONAL:
         ok = ((alice == 0) & (bob == 0)) | ((alice == 2 ** (n - 1) - 1) & (bob == 1))
     else:
-        alice_parity = np.zeros_like(alice)
-        for shift in range(n - 1):
-            alice_parity ^= (alice >> shift) & 1
-        ok = alice_parity == bob
-    return ok[()]
+        ok = _parity(alice) == bob
+    return ok.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------

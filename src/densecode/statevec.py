@@ -206,15 +206,6 @@ def apply_pauli_string(state: StateVector, ps: PauliString) -> StateVector:
     return StateVector(state.n_qubits, t.reshape(-1))
 
 
-def inner_product(a: StateVector, b: StateVector) -> complex:
-    """<a|b>, conjugate-linear in ``a``."""
-    if a.n_qubits != b.n_qubits:
-        raise ValueError(
-            f"dimension mismatch: {a.n_qubits} vs {b.n_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
-
 def hadamard_on(state: StateVector, qubits: Iterable[int]) -> StateVector:
     """Hadamard applied to the given qubits."""
     qs = sorted(set(qubits))
@@ -261,50 +252,6 @@ def _marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.nda
     perm = [q - 1 for q in qubits] + [q - 1 for q in others]
     marginal = probs.transpose(perm).reshape(2 ** len(qubits), -1).sum(axis=1)
     return marginal
-
-
-def measure_qubits(
-    state: StateVector, qubits: Iterable[int], rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Projective measurement of a qubit subset in the computational basis.
-
-    Returns ``(outcome, collapsed)``.  The outcome packs the measured bits in
-    ascending qubit order (lowest qubit index = most significant bit).  The
-    collapsed state keeps the full register, with the measured qubits frozen
-    at their outcome values, and is renormalized.
-    """
-    qs = sorted(set(qubits))
-    if not qs:
-        raise ValueError("measurement needs a non-empty qubit set")
-    _check_targets(state.n_qubits, qs)
-    marginal = _marginal_probabilities(state, qs)
-    total = marginal.sum()
-    outcome = int(rng.choice(marginal.size, p=marginal / total))
-    t = state.tensor().copy()
-    for pos, q in enumerate(qs):
-        bit = (outcome >> (len(qs) - 1 - pos)) & 1
-        sl = [slice(None)] * state.n_qubits
-        sl[q - 1] = 1 - bit
-        t[tuple(sl)] = 0.0
-    flat = t.reshape(-1)
-    norm = np.linalg.norm(flat)
-    if norm < 1e-12:
-        raise RuntimeError(
-            f"measurement outcome {outcome} has no probability mass; "
-            "state and marginals are inconsistent"
-        )
-    return outcome, StateVector(state.n_qubits, flat / norm)
-
-
-def permute_qubits(state: StateVector, perm: Sequence[int]) -> StateVector:
-    """Reorder qubits; ``perm[i]`` is the new position of qubit i+1."""
-    n = state.n_qubits
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
-    axes = [0] * n
-    for src, dst in enumerate(perm):
-        axes[dst - 1] = src
-    return StateVector(n, state.tensor().transpose(axes).reshape(-1))
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = PHASE_TOLERANCE) -> bool:

@@ -242,6 +242,9 @@ def test_security_rejects_non_finite_file(tmp_path, capsys, entry):
         (["audit", "--ghz", "3", "--tolerance", "inf"], "--tolerance"),
         (["security", "--n", "3", "--rounds", "0"], "--rounds"),
         (["security", "--n", "3", "--rounds", "9223372036854775808"], "--rounds"),
+        (["audit", "--dnk", "12", "0"], "--dnk"),
+        (["audit", "--dnk", "12", "12"], "--dnk"),
+        (["encode", "--message", "1010", "--senders", "0"], "--senders"),
     ],
 )
 def test_rejects_out_of_range_flags(capsys, argv, flag):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from densecode import coding
 from densecode import (
+    DnkSpec,
     Message,
     NoMatchError,
     PauliLabel,
@@ -339,7 +341,7 @@ def test_code_basis_state_for_is_a_validated_state():
     assert state.amplitudes.dtype == complex
     assert not state.amplitudes.flags.writeable
     assert np.array_equal(state.amplitudes, encoded_state("1011").amplitudes)
-    assert basis.strings_for("1011") == (encode_ghz("1011"),)
+    assert dnk_combined_string("1011", basis.spec) == encode_ghz("1011")
 
 
 @pytest.mark.parametrize("msg", ["10", "101", "10110", (1, 0)])
@@ -418,6 +420,36 @@ def test_dnk_spec_invariants(n):
         assert len(spec.bob_qubits) == expected_bob
         # sender and receiver qubits partition the register
         assert sorted(spec.alice_qubits + spec.bob_qubits) == list(range(1, n + 1))
+
+
+def test_dnk_spec_stores_its_blocks_and_derives_the_rest():
+    assert [f.name for f in dataclasses.fields(DnkSpec)] == ["n_bits", "n_senders", "blocks", "shares"]
+    spec = dnk_spec(7, 3)
+    assert repr(spec).startswith("DnkSpec(n_bits=7, n_senders=3, blocks=((1, 2, 3), (4, 5), (6, 7)), ")
+    for name in ("ghz_size", "bell_pairs", "bob_qubits", "alice_qubits", "n_qubits", "support"):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, 0)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dnk_spec_index_constants_read_off_the_blocks(n):
+    """Each constant from the qubit strings: index bit n - q is character q - 1."""
+    def mask(qubits):
+        return int("".join("1" if q in qubits else "0" for q in range(1, n + 1)), 2)
+
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        leads = [block[0] for block in spec.blocks]
+        unions = sorted(mask([q for block, on in zip(spec.blocks, pick) if on for q in block])
+                        for pick in itertools.product((0, 1), repeat=len(spec.blocks)))
+        assert spec.sender_mask == mask(spec.alice_qubits)
+        assert spec.lead_mask == mask(leads)
+        assert spec.block_masks.tolist() == [mask(block) for block in spec.blocks]
+        assert spec.last_bits.tolist() == [n - block[-1] for block in spec.blocks]
+        assert spec.support.tolist() == unions
+        assert spec.lead_support.tolist() == [u & mask(leads) for u in unions]
+        assert spec.coset_reps.tolist() == [
+            i for i in range(2**n) if all(format(i, f"0{n}b")[q - 1] == "0" for q in leads)]
 
 
 def test_dnk_state_reductions():
@@ -586,15 +618,6 @@ def test_no_match_names_two_qubit_blocks_as_pairs():
     assert info.value.blocks == ("ghz",)
 
 
-def test_strings_for_is_the_combined_string_of_every_basis():
-    assert bell_code_basis(2).strings_for("0110") == (
-        dnk_combined_string("0110", dnk_spec(4, 1)),
-    )
-    assert dnk_code_basis(6, 4).strings_for("110100") == (
-        dnk_combined_string("110100", dnk_spec(6, 4)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # The support kernel
 
@@ -630,8 +653,7 @@ def test_large_encoded_states_are_bitwise_the_pauli_string_on_the_kron(n, k):
 @pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (6, 1), (8, 3), (9, 8), (10, 4)])
 def test_circuit_outputs_are_bitwise_equal_from_every_member_of_a_coset(n, k):
     spec = dnk_spec(n, k)
-    _, leads, support = spec._masks
-    reps = np.flatnonzero((np.arange(2**n) & leads) == 0)
+    reps, support = spec.coset_reps, spec.support
     rng = np.random.default_rng(n * 10 + k)
     for _ in range(5):
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)

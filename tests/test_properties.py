@@ -1,4 +1,7 @@
-"""Property tests over randomly drawn layouts, messages and attacks."""
+"""Property tests over randomly drawn layouts, messages, attacks and argv."""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from densecode import (
     ghz_state,
     hadamard_on,
 )
+from densecode.cli import main
 from densecode.coding import _full_circuit_decode, dnk_code_words, dnk_decode_words
 
 
@@ -135,3 +139,69 @@ def test_detection_matches_the_closed_form_on_haar_attacks(n, seed):
     assert abs(report.computational_inconsistency - p_comp) < 1e-12
     assert abs(report.hadamard_inconsistency - p_had) < 1e-12
     assert abs(report.probability - (p_comp + p_had) / 2) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Generated argv: every integer flag and --message get in-range values (kept
+# small), out-of-range values (20 digits or more included) and non-integers.
+# Float flags are left out: argparse rejects those itself, with its usage block.
+
+NOT_AN_INTEGER = st.one_of(st.text(alphabet="abxyz.+_ e", max_size=8),
+                           st.sampled_from(["1.5", "1e3", "0x10", "nan", "inf", "1/2"]))
+
+
+def outside(low, high):
+    """Integers outside [low, high]."""
+    return st.one_of(st.integers(max_value=low - 1), st.integers(min_value=high + 1),
+                     st.integers(min_value=10**19, max_value=10**40),
+                     st.integers(min_value=-(10**40), max_value=-(10**19)))
+
+
+def flag(inside, low, high):
+    """The text of an integer flag whose valid range is [low, high]."""
+    return st.one_of(inside.map(str), outside(low, high).map(str), NOT_AN_INTEGER)
+
+
+def bit_strings(min_size, max_size):
+    return st.text(alphabet="01", min_size=min_size, max_size=max_size)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["encode", "audit", "security"]))
+    if command == "encode":
+        m, k = draw(layouts(max_n=16))
+        message = draw(st.one_of(bit_strings(m, m), bit_strings(0, 1), bit_strings(25, 32),
+                                 NOT_AN_INTEGER))
+        argv = ["encode", "--message", message]
+        if draw(st.booleans()):
+            argv += ["--senders", draw(flag(st.just(k), 1, m - 1))]
+    elif command == "audit":
+        n, k = draw(layouts())
+        argv = ["audit"] + draw(st.sampled_from([
+            ["--ghz", draw(flag(st.just(n), 2, 12))],
+            ["--bell", draw(flag(st.integers(1, 4), 1, 10))],
+            ["--dnk", draw(flag(st.just(n), 2, 12)), draw(flag(st.just(k), 1, n - 1))],
+        ]))
+    else:
+        argv = ["security", "--n", draw(flag(st.integers(2, 10), 2, 12))]
+        if draw(st.booleans()):
+            argv += ["--rounds", draw(flag(st.integers(1, 1000), 1, 2**63 - 1))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(flag(st.integers(0, 2**63 - 1), 0, 2**63 - 1))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_generated_argv_exits_with_a_known_code_and_one_stderr_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own rejections
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    if code not in (0, 4):
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("densecode: "), (argv, lines)

@@ -11,11 +11,9 @@ from densecode import (
     equal_up_to_global_phase,
     ghz_state,
     hadamard_all,
-    inner_product,
-    measure_qubits,
-    permute_qubits,
     tensor_product,
 )
+from densecode.statevec import _marginal_probabilities
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -23,6 +21,43 @@ SQ2 = 1.0 / np.sqrt(2.0)
 def random_state(n, rng):
     v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
     return StateVector(n, v / np.linalg.norm(v))
+
+
+# Local references for operations the package does not export: <a|b>, a qubit
+# permutation, and a projective measurement drawn from the package's own
+# ``_marginal_probabilities`` (the distribution the security sampler uses).
+
+
+def inner_product(a, b):
+    """<a|b>, conjugate-linear in ``a``."""
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"dimension mismatch: {a.n_qubits} vs {b.n_qubits} qubits")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
+def permute_qubits(state, perm):
+    """Reorder qubits; ``perm[i]`` is the new position of qubit i+1."""
+    n = state.n_qubits
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"{perm!r} is not a permutation of 1..{n}")
+    return StateVector(n, state.tensor().transpose(np.argsort(perm)).reshape(-1))
+
+
+def measure_qubits(state, qubits, rng):
+    """(outcome, collapsed state): the outcome packs the measured bits with the lowest
+    qubit as the high bit; the collapsed state keeps the register, renormalized."""
+    qs = sorted(set(qubits))
+    if not qs:
+        raise ValueError("measurement needs a non-empty qubit set")
+    marginal = _marginal_probabilities(state, qs)
+    outcome = int(rng.choice(marginal.size, p=marginal / marginal.sum()))
+    t = state.tensor().copy()
+    for pos, q in enumerate(qs):
+        sl = [slice(None)] * state.n_qubits
+        sl[q - 1] = 1 - ((outcome >> (len(qs) - 1 - pos)) & 1)
+        t[tuple(sl)] = 0.0
+    flat = t.reshape(-1)
+    return outcome, StateVector(state.n_qubits, flat / np.linalg.norm(flat))
 
 
 # ---------------------------------------------------------------------------

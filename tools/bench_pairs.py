@@ -3,7 +3,8 @@
 
     python3 tools/bench_pairs.py --parent ../parent --label NAME \\
         --seeds audit=1401-1410 roundtrip=1501-1510 security=1601-1610 \\
-        --ops "audit --ghz 11" "audit --ghz 12"
+        --ops "audit --ghz 11" "audit --ghz 12" \\
+        --calls "spec = dnk_spec(4, 3); state = dnk_state(spec) ;; dnk_decode(state, spec)"
 
 Run it from the root of the checkout under test; ``--parent`` is a checkout
 of the parent commit (``git archive`` or ``git clone``).  For every seed it
@@ -13,8 +14,14 @@ seed.  Each run keeps the last JSON line, the seed and the host slowdown the
 run printed; each workload gets the median and quartiles of every end-to-end
 metric.  Every ``--ops`` command is then timed in both trees as a single CLI
 call in a fresh interpreter with one BLAS thread: the best of 5 wall times,
-with the package's caches cleared before each call.  Both files are
-rewritten after every run, so an interrupted series keeps what it measured.
+with the package's caches cleared before each call.  Every ``--calls``
+statement is timed in both trees, alternating, in CALL_PAIRS pairs of fresh
+interpreters with one BLAS thread: ``timeit`` picks a loop count, and each run
+keeps the best of 5 loops, in microseconds per statement.  Setup code, run once
+and untimed, goes before `` ;; `` in the statement; both run after
+``import numpy as np; from densecode import *; from densecode import coding``.
+Both files are rewritten after every run, so an interrupted series keeps what
+it measured.
 """
 
 from __future__ import annotations
@@ -48,6 +55,17 @@ for _ in range(5):
     assert code in (0, 4), code  # 4 is the security-abort verdict of a detecting attack
 print(best * 1e3)
 """
+CALL_PAIRS = 7
+CALL = r"""
+import sys, timeit
+sys.path.insert(0, "src")
+setup, _, stmt = sys.argv[1].rpartition(" ;; ")
+names = {}
+exec("import numpy as np\nfrom densecode import *\nfrom densecode import coding\n" + setup, names)
+timer = timeit.Timer(stmt, globals=names)
+number = timer.autorange()[0]
+print(min(timer.repeat(5, number)) / number * 1e6)
+"""
 
 
 def one_thread_env() -> dict:
@@ -77,6 +95,12 @@ def single_op_ms(tree: str, op: str) -> float:
     return float(done.stdout)
 
 
+def call_us(tree: str, stmt: str) -> float:
+    done = subprocess.run([sys.executable, "-c", CALL, stmt], cwd=tree, check=True,
+                          capture_output=True, text=True, env=one_thread_env())
+    return float(done.stdout.split()[-1])
+
+
 def summary(runs: list[dict]) -> dict:
     out = {}
     for name, metric in runs[0]["last_line"]["metrics"].items():
@@ -86,9 +110,13 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
-def save(path: str, label: str, tree: str, workloads: dict, ops: dict) -> None:
+def save(path: str, label: str, tree: str, workloads: dict, ops: dict, calls: dict) -> None:
     doc = {
         "blas_threads": 1,
+        "calls_method": f"{CALL_PAIRS} alternating pairs of fresh interpreters, each the best "
+                        "of 5 timeit loops, one BLAS thread; microseconds per statement",
+        "calls_us": {stmt: {"median": statistics.median(runs), "runs": runs}
+                     for stmt, runs in calls.items()},
         "command": COMMAND,
         "cores": os.cpu_count(),
         "label": label,
@@ -111,18 +139,21 @@ def main() -> int:
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
     ap.add_argument("--label", required=True, help="file name part, as in BENCH_<label>_*.json")
     ap.add_argument("--tree", default="", help="how the two trees are named in the files")
-    ap.add_argument("--seeds", nargs="+", type=seed_range, required=True,
+    ap.add_argument("--seeds", nargs="*", type=seed_range, default=[],
                     help="WORKLOAD=FIRST-LAST, one per workload")
     ap.add_argument("--ops", nargs="*", default=[], help="CLI commands timed as single ops")
+    ap.add_argument("--calls", nargs="*", default=[], metavar="STMT",
+                    help="Python statements timed in both trees, [SETUP ;; ]STMT")
     args = ap.parse_args()
     sides = {"parent": os.path.abspath(args.parent), "change": os.getcwd()}
     runs = {side: {w: [] for w, _ in args.seeds} for side in sides}
     ops = {side: {} for side in sides}
+    calls = {side: {} for side in sides}
 
     def save_all() -> None:
         for side in sides:
             save(f"BENCH_{args.label}_{side}.json", side, f"{args.tree} {side}".strip(),
-                 runs[side], ops[side])
+                 runs[side], ops[side], calls[side])
 
     for workload, seeds in args.seeds:
         for i, seed in enumerate(seeds):
@@ -138,6 +169,13 @@ def main() -> int:
             ops[side][op] = single_op_ms(tree, op)
         save_all()
         print(op, {side: round(ops[side][op], 2) for side in sides}, flush=True)
+    for stmt in args.calls:
+        for i in range(CALL_PAIRS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                calls[side].setdefault(stmt, []).append(call_us(sides[side], stmt))
+            save_all()
+        print(stmt, {side: round(statistics.median(calls[side][stmt]), 1) for side in sides},
+              flush=True)
     return 0
 
 
