@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
@@ -184,10 +185,7 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
     alice = list(spec.alice_qubits)
     results, residuals = _audit_common(state, alice, tol)
     if cfg.bell is not None:
-        rho_a = entanglement.reduced_density(state, alice)
-        residuals["alice_marginal_residual"] = float(
-            entanglement._mixedness_residual(rho_a.matrix)
-        )
+        residuals["alice_marginal_residual"] = entanglement._side_marginal(state, alice)[1]
     if cfg.dnk is None:
         results["ame"] = results["gme"] = results["orthonormality"] = None
         if n <= MAX_AUDIT_QUBITS:
@@ -341,16 +339,33 @@ def render_report(report: dict, fmt: str) -> str:
 
 
 def _write_output(text: str, output: Optional[str]) -> None:
+    """Write the report to stdout, or to ``output`` through any symlinks.
+    An existing FIFO, device or other non-regular file is written in place;
+    a regular file is replaced atomically and keeps its mode, and a new one
+    gets the mode the umask allows."""
     if output is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(output))
+    path = os.path.realpath(output)
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".densecode-")
         try:
+            mode: Optional[int] = os.stat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        if mode is None:  # the umask can only be read by setting it
+            umask = os.umask(0o022)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".densecode-")
+        try:
+            os.fchmod(fd, stat.S_IMODE(mode))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            os.replace(tmp_path, output)
+            os.replace(tmp_path, path)
         except BaseException:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)

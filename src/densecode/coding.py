@@ -114,6 +114,12 @@ class PartyShare:
     bits: tuple[int, ...]
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, read-only: a spec's arrays are shared by every caller of its cache."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class DnkSpec:
     """Layout of the distributed scheme for ``n_bits`` bits and ``n_senders``
@@ -156,27 +162,29 @@ class DnkSpec:
 
     @functools.cached_property
     def block_masks(self) -> np.ndarray:
-        return np.array([sum(1 << (self.n_bits - q) for q in block) for block in self.blocks])
+        return _frozen(np.array([sum(1 << (self.n_bits - q) for q in block)
+                                 for block in self.blocks]))
 
     @functools.cached_property
     def last_bits(self) -> np.ndarray:
-        return np.array([self.n_bits - block[-1] for block in self.blocks])
+        return _frozen(np.array([self.n_bits - block[-1] for block in self.blocks]))
 
     @functools.cached_property
     def support(self) -> np.ndarray:
         """The 2**B unions of whole blocks, ascending: the resource's nonzero indices."""
         b = len(self.blocks)  # bit j of a, from the top, selects block j
-        return ((np.arange(2**b)[:, None] >> np.arange(b - 1, -1, -1)) & 1) @ self.block_masks
+        return _frozen(((np.arange(2**b)[:, None] >> np.arange(b - 1, -1, -1)) & 1)
+                       @ self.block_masks)
 
     @functools.cached_property
     def lead_support(self) -> np.ndarray:
         """The lead bits of each support index: circuit output a sets lead_support[a]."""
-        return self.support & self.lead_mask
+        return _frozen(self.support & self.lead_mask)
 
     @functools.cached_property
     def coset_reps(self) -> np.ndarray:
         """The indices with every lead bit 0, one per coset of the support."""
-        return np.flatnonzero((np.arange(2**self.n_bits) & self.lead_mask) == 0)
+        return _frozen(np.flatnonzero((np.arange(2**self.n_bits) & self.lead_mask) == 0))
 
 
 @functools.lru_cache(maxsize=64, typed=True)

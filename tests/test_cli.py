@@ -1,4 +1,7 @@
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -381,6 +384,56 @@ def test_failed_output_leaves_no_temporary_file(tmp_path, capsys):
     assert code == 2
     assert str(target) in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
+    real = tmp_path / "real.json"
+    real.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(real)
+    code, out, _ = run(["audit", "--ghz", "3", "--output", str(link)], capsys)
+    assert (code, out) == (0, "")
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert json.loads(real.read_text())["command"] == "audit"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_output_to_a_fifo_writes_through_it(tmp_path, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    # a daemon: were the FIFO replaced, its reader would block for good
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    try:
+        code, out, _ = run(["audit", "--ghz", "3", "--output", str(fifo)], capsys)
+    finally:
+        reader.join(timeout=10)
+    assert (code, out) == (0, "")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert json.loads(received[0])["command"] == "audit"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+
+def test_new_output_file_gets_the_umask_mode(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    old = os.umask(0o027)
+    try:
+        code, _, _ = run(["audit", "--ghz", "2", "--output", str(target)], capsys)
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o640
+
+
+def test_replaced_output_file_keeps_its_mode(tmp_path, capsys):
+    target = tmp_path / "report.json"
+    target.write_text("old")
+    target.chmod(0o604)
+    code, _, _ = run(["audit", "--ghz", "2", "--output", str(target)], capsys)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o604
+    assert json.loads(target.read_text())["command"] == "audit"
 
 
 def test_render_rejects_unknown_format():

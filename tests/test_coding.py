@@ -452,6 +452,24 @@ def test_dnk_spec_index_constants_read_off_the_blocks(n):
             i for i in range(2**n) if all(format(i, f"0{n}b")[q - 1] == "0" for q in leads)]
 
 
+@pytest.mark.parametrize("name", ["support", "lead_support", "block_masks", "last_bits",
+                                  "coset_reps"])
+def test_dnk_spec_index_arrays_are_read_only(name):
+    """The cached spec is shared: no caller can change its arrays for the rest."""
+    array = getattr(dnk_spec(4, 3), name)
+    before = array.tolist()
+    with pytest.raises(ValueError):
+        array[1 if array.size > 1 else 0] = 0
+    assert getattr(dnk_spec(4, 3), name).tolist() == before
+
+
+def test_dnk_spec_support_write_raises():
+    with pytest.raises(ValueError):
+        dnk_spec(4, 3).support[1] = 0
+    spec = dnk_spec(4, 3)
+    assert dnk_decode(dnk_encoded_state("1011", spec), spec) == Message.from_string("1011")
+
+
 def test_dnk_state_reductions():
     assert np.allclose(dnk_state(dnk_spec(4, 1)).amplitudes, bell_pairs_state(2).amplitudes)
     assert np.allclose(dnk_state(dnk_spec(3, 2)).amplitudes, ghz_state(3).amplitudes)

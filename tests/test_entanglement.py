@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecode import (
     Bipartition,
@@ -412,6 +414,94 @@ def test_layout_entropies_count_the_blocks_a_side_cuts(n, k):
         cut = sum(0 < len(set(block) & set(side)) < len(block) for block in spec.blocks)
         assert abs(entropy - cut) <= 1e-12, side
     assert gme == (len(spec.blocks) == 1)
+
+
+@st.composite
+def sparse_states(draw):
+    """A normalized state on a drawn support: random indices, a coset of a
+    random subgroup of the index group (one rectangle per component on each
+    side, of shapes that differ from side to side), or such a coset with a
+    few indices more; real or complex amplitudes."""
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["random", "coset", "coset-plus"]))
+    index = st.integers(0, 2**n - 1)
+    if kind == "random":
+        support = draw(st.sets(index, min_size=1, max_size=min(2**n, 24)))
+    else:
+        support = {draw(index)}
+        for generator in draw(st.lists(st.integers(1, 2**n - 1), min_size=1, max_size=4)):
+            support |= {i ^ generator for i in support}
+        if kind == "coset-plus":
+            support |= draw(st.sets(index, min_size=1, max_size=3))
+    support = sorted(support)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(len(support))
+    if draw(st.booleans()):
+        values = values + 1j * rng.standard_normal(len(support))
+    v = np.zeros(2**n, dtype=complex)
+    v[support] = values
+    return StateVector(n, v / np.linalg.norm(v))
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_states())
+def test_component_pass_matches_the_dense_reference_on_sparse_states(state):
+    ref_ame, ref_residual, ref_failing, ref_entropies, ref_gme = per_side_reference(state)
+    ame, gme = entanglement_verdicts(state)
+    assert (ame.is_ame, ame.failing, gme) == (ref_ame, ref_failing, ref_gme)
+    assert abs(ame.max_residual - ref_residual) <= 1e-12
+    assert list(ame.entropies) == list(ref_entropies)
+    for side, entropy in ref_entropies.items():
+        assert abs(ame.entropies[side] - entropy) <= 1e-12, side
+    n = state.n_qubits
+    for alice in ([1], list(range(1, n)), list(range(1, n + 1, 2))):
+        bob = [q for q in range(1, n + 1) if q not in alice]
+        rho = reduced_density(state, bob)
+        rep = optimality_report(state, alice)
+        dense_residual = np.abs(rho.matrix - np.eye(2 ** len(bob)) / 2 ** len(bob)).max()
+        assert abs(rep.bob_marginal_residual - dense_residual) <= 1e-12
+        assert abs(rep.capacity - (len(alice) + von_neumann_entropy(rho))) <= 1e-12
+        assert rep.alice_size_sufficient == (len(alice) >= n / 2)
+        if len(bob) <= len(alice):
+            spectrum = schmidt_spectrum(state, Bipartition.of(n, alice))
+            dense = np.clip(rho.eigenvalues(), 0.0, None)[::-1]
+            assert spectrum.shape == dense.shape
+            assert np.abs(spectrum - dense).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_pass_in_small_pieces_matches_the_whole_pass(monkeypatch, seed):
+    """Batches of one side and block stacks written piece by piece."""
+    rng = np.random.default_rng(400 + seed)
+    n = 5 + seed % 3
+    v = np.zeros(2**n, dtype=complex)
+    v[rng.choice(2**n, size=12, replace=False)] = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    state = tensor_product(StateVector(n, v / np.linalg.norm(v)), ghz_state(2))
+    whole, whole_gme = entanglement_verdicts(state, tol=0.3)
+    import densecode.entanglement as ent
+
+    monkeypatch.setattr(ent, "_STACK_BYTES", 64)
+    split, split_gme = entanglement_verdicts(state, tol=0.3)
+    assert (split.is_ame, split.failing, split_gme) == (whole.is_ame, whole.failing, whole_gme)
+    assert abs(split.max_residual - whole.max_residual) <= 1e-15
+    for side, entropy in whole.entropies.items():
+        assert abs(split.entropies[side] - entropy) <= 1e-12, side
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_every_layout_is_optimal_and_gme_exactly_with_one_block(n):
+    """The paper's claim, for every D(N, k): the Alice|Bob cut reaches the
+    Holevo bound through a maximally mixed receiver marginal, while the state
+    is GME only with one block, and AME only at N <= 3."""
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        state = dnk_state(spec)
+        rep = optimality_report(state, spec.alice_qubits)
+        assert rep.optimal and rep.bob_marginal_maximally_mixed, (n, k)
+        assert rep.bob_marginal_residual <= 1e-12, (n, k)
+        ame, gme = entanglement_verdicts(state)
+        assert gme == (len(spec.blocks) == 1), (n, k)
+        assert ame.is_ame == (n <= 3), (n, k)
 
 
 def test_bell_product_verdicts_name_the_first_failing_side():
