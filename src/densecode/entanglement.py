@@ -186,9 +186,9 @@ class AmeReport:
 _STACK_BYTES = 2**20
 
 
-def _mixedness_residual(rho: np.ndarray) -> np.ndarray:
+def _mixedness_residual(rho: np.ndarray) -> float:
     """Largest entry of |rho - I/d| for a d x d matrix."""
-    return np.abs(rho - np.eye(rho.shape[-1]) / rho.shape[-1]).max()
+    return float(np.abs(rho - np.eye(rho.shape[-1]) / rho.shape[-1]).max())
 
 
 def _key_ids(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -596,7 +596,7 @@ def _receiver_marginal(
     else:
         rho_b = partial_trace(state_or_rho, bob)
         spectrum = rho_b.eigenvalues()
-        residual = float(_mixedness_residual(rho_b.matrix))
+        residual = _mixedness_residual(rho_b.matrix)
         s_ab = von_neumann_entropy(state_or_rho)
     return len(bob), spectrum, residual, len(alice_set) + float(_entropies(spectrum)) - s_ab
 
