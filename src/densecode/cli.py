@@ -14,7 +14,6 @@ import math
 import os
 import stat
 import sys
-import tempfile
 from dataclasses import asdict, dataclass
 from typing import Any, Optional
 
@@ -341,8 +340,8 @@ def render_report(report: dict, fmt: str) -> str:
 def _write_output(text: str, output: Optional[str]) -> None:
     """Write the report to stdout, or to ``output`` through any symlinks.
     An existing FIFO, device or other non-regular file is written in place;
-    a regular file is replaced atomically and keeps its mode, and a new one
-    gets the mode the umask allows."""
+    a regular file is replaced atomically and keeps its mode where the file
+    system can set one, and a new one gets the mode the umask allows."""
     if output is None:
         sys.stdout.write(text)
         return
@@ -356,14 +355,15 @@ def _write_output(text: str, output: Optional[str]) -> None:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return
-        if mode is None:  # the umask can only be read by setting it
-            umask = os.umask(0o022)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, tmp_path = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".densecode-")
+        tmp_path = os.path.join(os.path.dirname(path), f".densecode-{os.urandom(8).hex()}")
         try:
-            os.fchmod(fd, stat.S_IMODE(mode))
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            # "x" creates the file exclusively, with the mode the umask allows
+            with open(tmp_path, "x", encoding="utf-8") as fh:
+                if mode is not None:
+                    try:
+                        os.fchmod(fh.fileno(), stat.S_IMODE(mode))
+                    except OSError:
+                        pass  # a file system without modes (vfat) keeps its own
                 fh.write(text)
             os.replace(tmp_path, path)
         except BaseException:

@@ -246,9 +246,12 @@ def _block_stacks(row_ids, col_ids, row_side, col_side, row_first, full, split, 
     ``col_side`` give the side of each id and ``row_first`` each side's first
     row id.  A ``full`` side is one block; the entries of a ``split`` side
     are split into connected components by ``_component_heads``.  Blocks are
-    numbered by their head row, ordered by shape and written into one buffer
-    with a single scatter.  Yields stacks (q, r, c) of blocks of one shape,
-    rows on the side and columns on the rest, with the side of each block.
+    numbered by their head row.  The sides are cut into groups at every
+    ``_STACK_BYTES`` of blocks, and each group's blocks, ordered by shape,
+    are written into one buffer with a single scatter, so a buffer holds at
+    most ``_STACK_BYTES`` plus one side's blocks.  Yields stacks (q, r, c)
+    of blocks of one shape, rows on the side and columns on the rest, with
+    the side of each block.
     """
     n_rows, n_cols = row_side.size, col_side.size
     k = row_ids.shape[1]
@@ -267,10 +270,14 @@ def _block_stacks(row_ids, col_ids, row_side, col_side, row_first, full, split, 
     row_place, r = _places(block_rows, row_comp, n_comps, n_rows)
     col_place, c = _places(block_cols, col_comp, n_comps, n_cols)
     shape = r * (k + 1) + c
-    by_shape = np.argsort(shape, kind="stable")
     size = r * c
+    comp_side = row_side[heads]
+    side_size = np.bincount(comp_side, size, full.size).astype(np.int64)
+    group = (np.cumsum(side_size) - side_size) * values.itemsize // _STACK_BYTES
+    key = group[comp_side] * (k + 1) ** 2 + shape
+    order = np.argsort(key, kind="stable")
     offset = np.empty(n_comps, np.int64)
-    offset[by_shape] = np.cumsum(size[by_shape]) - size[by_shape]
+    offset[order] = np.cumsum(size[order]) - size[order]
     # an entry's place in the buffer: its row's start there, plus its column
     row_start = np.zeros(n_rows, np.int64)
     row_start[block_rows] = offset[row_comp] + row_place[block_rows] * c[row_comp]
@@ -278,41 +285,19 @@ def _block_stacks(row_ids, col_ids, row_side, col_side, row_first, full, split, 
     if used.size < len(row_ids):
         row_ids, col_ids = row_ids[used], col_ids[used]
     dest = row_start[row_ids] + col_place[col_ids]
-    total = int(size.sum())
-    if total * values.itemsize <= _STACK_BYTES:
-        buffer = np.zeros(total, values.dtype)
-        buffer[dest] = values
-
-        def stack(lo: int, hi: int) -> np.ndarray:
-            return buffer[lo:hi]
-    else:  # written piece by piece, from the entries in buffer order
-        order = np.argsort(dest, axis=None)
-        dest, vals = dest.ravel()[order], np.tile(values, used.size)[order]
-
-        def stack(lo: int, hi: int) -> np.ndarray:
-            i, j = np.searchsorted(dest, [lo, hi])
-            piece = np.zeros(hi - lo, values.dtype)
-            piece[dest[i:j] - lo] = vals[i:j]
-            return piece
-    comp_side = row_side[heads]
-    shapes, firsts = np.unique(shape[by_shape], return_index=True)
-    for shape_key, first, last in zip(shapes, firsts, np.append(firsts[1:], n_comps)):
-        rr, cc = divmod(int(shape_key), k + 1)
-        per = max(1, _STACK_BYTES // (rr * cc * values.itemsize))
-        for lo in range(first, last, per):
-            hi = min(lo + per, last)
-            start = int(offset[by_shape[lo]])
-            a = stack(start, start + (hi - lo) * rr * cc).reshape(hi - lo, rr, cc)
-            yield a, comp_side[by_shape[lo:hi]]
-
-
-def _spectra_2x2(m: np.ndarray) -> np.ndarray:
-    """Ascending spectra of Hermitian 2 x 2 matrices laid out (2, 2, q), in
-    closed form, none below ``-DEFAULT_TOLERANCE``."""
-    p, q = m[0, 0].real, m[1, 1].real
-    off = (m[0, 1] + np.conj(m[1, 0])) / 2
-    mean, radius = (p + q) / 2, np.hypot((p - q) / 2, np.abs(off))
-    return _psd(np.stack([mean - radius, mean + radius], axis=1))
+    group_size = np.bincount(group, side_size)
+    keys, firsts = np.unique(key[order], return_index=True)
+    current = -1
+    for group_shape, first, last in zip(keys, firsts, np.append(firsts[1:], n_comps)):
+        g, shape_key = divmod(int(group_shape), (k + 1) ** 2)
+        if g != current:
+            current, base = g, int(offset[order[first]])
+            buffer = np.zeros(int(group_size[g]), values.dtype)
+            buffer[dest[group[used] == g] - base] = values
+        rr, cc = divmod(shape_key, k + 1)
+        start = int(offset[order[first]]) - base
+        yield (buffer[start : start + (last - first) * rr * cc].reshape(last - first, rr, cc),
+               comp_side[order[first:last]])
 
 
 def _solve_blocks(stacks, paired: np.ndarray):
@@ -327,7 +312,7 @@ def _solve_blocks(stacks, paired: np.ndarray):
     Gram matrices of one size, whatever their blocks' shapes, are checked
     Hermitian and their largest off-diagonal |rho_ij| taken together, laid
     out (size, size, q) so that every step runs along q; their spectra come
-    from one closed form (2 x 2) or one ``eigvalsh``.
+    from one ``eigvalsh``.
 
     Returns the nonzero eigenvalues with the side of each, and (sides,
     residuals) of the side Gram matrices and of the rest Gram matrices.
@@ -368,10 +353,7 @@ def _solve_blocks(stacks, paired: np.ndarray):
         if solve.any():
             if not solve.all():
                 laid, laid_h = laid[:, :, solve], laid_h[:, :, solve]
-            if size == 2:
-                eigs = _spectra_2x2(laid)
-            else:
-                eigs = _psd(np.linalg.eigvalsh(((laid + laid_h) / 2).transpose(2, 0, 1)))
+            eigs = _psd(np.linalg.eigvalsh(((laid + laid_h) / 2).transpose(2, 0, 1)))
             spectra.append(eigs.ravel())
             owners.append(np.repeat(sides[solve], size))
     return spectra, owners, side_res, rest_res
@@ -517,8 +499,8 @@ def entanglement_verdicts(
     GHZ side's are, is diagonal, and its diagonal is its spectrum.  A block
     with one row or one column has rank one and its trace is its one
     nonzero eigenvalue; the other blocks are stacked by shape, and the
-    smaller Gram matrix of each is solved: in closed form at 2 x 2, else by
-    one batched ``eigvalsh`` per size.  At m = n/2 a side and its complement
+    smaller Gram matrix of each is solved by one batched ``eigvalsh`` per
+    size.  At m = n/2 a side and its complement
     share their blocks: the spectrum is solved once, and each keeps its own
     residual.
 

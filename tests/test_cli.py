@@ -436,6 +436,20 @@ def test_replaced_output_file_keeps_its_mode(tmp_path, capsys):
     assert json.loads(target.read_text())["command"] == "audit"
 
 
+def test_output_file_is_written_where_its_mode_cannot_be_set(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "report.json"
+    target.write_text("old")
+
+    def refuse(fd, mode):
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "fchmod", refuse)
+    code, out, err = run(["audit", "--ghz", "2", "--output", str(target)], capsys)
+    assert (code, out, err) == (0, "", "")
+    assert json.loads(target.read_text())["command"] == "audit"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
 def test_render_rejects_unknown_format():
     with pytest.raises(ValueError):
         render_report({"a": 1}, "yaml")

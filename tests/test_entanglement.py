@@ -471,7 +471,7 @@ def test_component_pass_matches_the_dense_reference_on_sparse_states(state):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_component_pass_in_small_pieces_matches_the_whole_pass(monkeypatch, seed):
-    """Batches of one side and block stacks written piece by piece."""
+    """Batches of one side, and block buffers cut into many groups."""
     rng = np.random.default_rng(400 + seed)
     n = 5 + seed % 3
     v = np.zeros(2**n, dtype=complex)
