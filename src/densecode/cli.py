@@ -14,7 +14,7 @@ import math
 import os
 import stat
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Any, Optional
 
 import numpy as np
@@ -25,39 +25,26 @@ ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # every-bipartition checks stay desk-scale up to here
 MAX_ENCODE_BITS = 24  # a receiver's dense state holds 2^n amplitudes: 256 MiB at 24
 
-
-@dataclass
-class RunConfig:
-    command: str
-    seed: int = 0
-    fmt: str = "json"
-    output: Optional[str] = None
-    tolerance: float = 1e-9
-    cert_tolerance: float = security.CERT_TOLERANCE
-    message: Optional[str] = None
-    senders: Optional[int] = None
-    ghz: Optional[int] = None
-    bell: Optional[int] = None
-    dnk: Optional[tuple[int, int]] = None
-    n: Optional[int] = None
-    attack: str = "none"
-    rounds: int = 1
-    threshold: float = 0.0
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars/containers into plain JSON types."""
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
+# Every numeric flag once, as (namespace field, flag, low, high, unit), with
+# the reason for its range; ``_validate`` checks them before a command runs.
+# A row without a unit is a float flag, which must also be finite.  A count
+# bounded by another flag is checked where both are known, so its row has no
+# range: --senders and K of --dnk against N in ``_layout``, and the length of
+# --message in ``cmd_encode``.
+_FLAGS = (
+    ("tolerance", "--tolerance", 0.0, math.inf, None),  # a distance
+    ("threshold", "--threshold", 0.0, 1.0, None),  # compared with a detection rate
+    ("cert_tolerance", "--cert-tolerance", 0.0, math.inf, None),  # a distance
+    ("senders", "--senders", None, None, "senders"),  # 1..N-1, N from --message
+    # the every-bipartition pass walks 2^(n-1) - 1 sides
+    ("ghz", "--ghz", 2, MAX_AUDIT_QUBITS, "qubits"),
+    # 2P qubits; the audit builds the dense resource: 2^20 amplitudes at 10 pairs
+    ("bell", "--bell", 1, 10, "pairs"),
+    ("dnk", "--dnk", 2, MAX_AUDIT_QUBITS, "bits"),  # N, as --ghz; K: 1..N-1
+    # as --ghz; the attacked state holds 2^(n+1) amplitudes
+    ("n", "--n", 2, MAX_AUDIT_QUBITS, "qubits"),
+    ("rounds", "--rounds", 1, security.MAX_ROUNDS, "rounds"),  # int64 sample counts
+)
 
 
 def _operator_entry(ps: statevec.PauliString) -> dict[str, Any]:
@@ -70,16 +57,14 @@ def _operator_entry(ps: statevec.PauliString) -> dict[str, Any]:
 
 def _report(command: str, params: dict, results: dict, residuals: dict,
             verdict: str, seed: int) -> dict:
-    return _jsonable(
-        {
-            "command": command,
-            "params": params,
-            "results": results,
-            "residuals": residuals,
-            "verdict": verdict,
-            "seed": seed,
-        }
-    )
+    return {
+        "command": command,
+        "params": params,
+        "results": results,
+        "residuals": residuals,
+        "verdict": verdict,
+        "seed": seed,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -105,14 +90,12 @@ def _share_entry(share: coding.PartyShare) -> dict[str, Any]:
     return {"qubits": list(share.qubits), "bits": list(share.bits)}
 
 
-def cmd_encode(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.message is None:
-        raise ValueError("encode requires --message")
-    msg = coding.Message.from_string(cfg.message)
+def cmd_encode(args: argparse.Namespace) -> tuple[dict, int]:
+    msg = coding.Message.from_string(args.message)
     n = len(msg)
     if n > MAX_ENCODE_BITS:
         raise ValueError(f"--message supports at most {MAX_ENCODE_BITS} bits, got {n}")
-    spec = _layout("--senders", n, n - 1 if cfg.senders is None else cfg.senders)
+    spec = _layout("--senders", n, n - 1 if args.senders is None else args.senders)
     (cols,), (vals,) = coding._word_support([int(str(msg), 2)], spec)
     results: dict[str, Any] = {
         "message": str(msg),
@@ -120,7 +103,7 @@ def cmd_encode(cfg: RunConfig) -> tuple[dict, int]:
         "operator": _operator_entry(coding.dnk_combined_string(msg, spec)),
         "parties": None,
     }
-    if cfg.senders is not None:
+    if args.senders is not None:
         per_party = coding.dnk_encode(msg, spec)
         results["layout"] = _layout_entry(spec)
         results["parties"] = {
@@ -132,17 +115,31 @@ def cmd_encode(cfg: RunConfig) -> tuple[dict, int]:
         }
     results["amplitudes"] = [[c, v, 0.0] for c, v in zip(cols.tolist(), vals.tolist())]
     norm_dev = abs(float(np.sum(vals**2)) - 1.0)
-    params = {"message": cfg.message, "senders": cfg.senders}
-    return _report("encode", params, results, {"norm_deviation": norm_dev}, "ok", cfg.seed), 0
+    params = {"message": args.message, "senders": args.senders}
+    return _report("encode", params, results, {"norm_deviation": norm_dev}, "ok", args.seed), 0
 
 
 # ---------------------------------------------------------------------------
 # audit
 
 
-def _audit_common(state: statevec.StateVector, alice: list[int], tol: float) -> tuple[dict, dict]:
+def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
+    tol = args.tolerance
+    if [args.ghz, args.bell, args.dnk].count(None) != 2:
+        raise ValueError("audit requires exactly one of --ghz, --bell, --dnk")
+    if args.ghz is not None:
+        spec, params = coding.dnk_spec(args.ghz, args.ghz - 1), {"ghz": args.ghz}
+    elif args.bell is not None:
+        spec, params = coding.dnk_spec(2 * args.bell, 1), {"bell": args.bell}
+    else:
+        spec, params = _layout("--dnk K", *args.dnk), {"dnk": args.dnk}
+    params["tolerance"] = tol
+
+    n = spec.n_qubits
+    state = coding.dnk_state(spec)
+    alice = list(spec.alice_qubits)
     opt = entanglement.optimality_report(state, alice, tol=tol)
-    results = {
+    results: dict[str, Any] = {
         "capacity": opt.capacity,
         "holevo_bound": opt.holevo_bound,
         "alice_size_sufficient": opt.alice_size_sufficient,
@@ -153,39 +150,9 @@ def _audit_common(state: statevec.StateVector, alice: list[int], tol: float) -> 
         "capacity_gap": abs(opt.capacity - opt.holevo_bound),
         "bob_marginal_residual": opt.bob_marginal_residual,
     }
-    return results, residuals
-
-
-def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
-    tol = cfg.tolerance
-    chosen = [x for x in (cfg.ghz, cfg.bell, cfg.dnk) if x is not None]
-    if len(chosen) != 1:
-        raise ValueError("audit requires exactly one of --ghz, --bell, --dnk")
-
-    if cfg.ghz is not None:
-        n = cfg.ghz
-        if not 2 <= n <= MAX_AUDIT_QUBITS:
-            raise ValueError(f"--ghz supports 2..{MAX_AUDIT_QUBITS} qubits, got {n}")
-        spec, params = coding.dnk_spec(n, n - 1), {"ghz": n}
-    elif cfg.bell is not None:
-        pairs = cfg.bell
-        if not 1 <= pairs <= 10:
-            raise ValueError(f"--bell supports 1..10 pairs, got {pairs}")
-        spec, params = coding.dnk_spec(2 * pairs, 1), {"bell": pairs}
-    else:
-        n, k = cfg.dnk
-        if not 2 <= n <= MAX_AUDIT_QUBITS:
-            raise ValueError(f"--dnk supports 2..{MAX_AUDIT_QUBITS} bits, got {n}")
-        spec, params = _layout("--dnk K", n, k), {"dnk": [n, k]}
-    params["tolerance"] = tol
-
-    n = spec.n_qubits
-    state = coding.dnk_state(spec)
-    alice = list(spec.alice_qubits)
-    results, residuals = _audit_common(state, alice, tol)
-    if cfg.bell is not None:
+    if args.bell is not None:
         residuals["alice_marginal_residual"] = entanglement._side_marginal(state, alice)[1]
-    if cfg.dnk is None:
+    if args.dnk is None:
         results["ame"] = results["gme"] = results["orthonormality"] = None
         if n <= MAX_AUDIT_QUBITS:
             ame, gme = entanglement.entanglement_verdicts(state, tol=tol)
@@ -200,14 +167,14 @@ def cmd_audit(cfg: RunConfig) -> tuple[dict, int]:
         results["layout"]["parties"] = {
             str(share.party): _share_entry(share) for share in spec.shares
         }
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(args.seed)
         picks = sorted(rng.choice(2**n, size=min(2**n, 64), replace=False).tolist())
         decoded = coding._decode_indices(coding.dnk_code_words(picks, spec), spec)
         failures = int(np.count_nonzero(decoded != picks))
         results["roundtrip"] = {"messages_checked": len(picks), "failures": failures}
 
-    verdict = "optimal" if results.get("optimal") else "suboptimal"
-    return _report("audit", params, results, residuals, verdict, cfg.seed), 0
+    verdict = "optimal" if opt.optimal else "suboptimal"
+    return _report("audit", params, results, residuals, verdict, args.seed), 0
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +216,17 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
     )
 
 
-def cmd_security(cfg: RunConfig) -> tuple[dict, int]:
-    if cfg.n is None:
-        raise ValueError("security requires --n")
-    if not 2 <= cfg.n <= MAX_AUDIT_QUBITS:
-        raise ValueError(f"--n supports 2..{MAX_AUDIT_QUBITS} qubits, got {cfg.n}")
-    if not 1 <= cfg.rounds <= security.MAX_ROUNDS:
-        raise ValueError(f"--rounds must be in 1..{security.MAX_ROUNDS}, got {cfg.rounds}")
-    attack = _load_attack(cfg.attack)
+def cmd_security(args: argparse.Namespace) -> tuple[dict, int]:
+    attack = _load_attack(args.attack)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     sim = security.security_simulation(
-        cfg.n, attack, cfg.rounds, rng, threshold=cfg.threshold
+        args.n, attack, args.rounds, rng, threshold=args.threshold
     )
 
     results: dict[str, Any] = {
-        "n": cfg.n,
-        "attack": cfg.attack,
+        "n": args.n,
+        "attack": args.attack,
         "exact": {
             "computational_inconsistency": sim.exact.computational_inconsistency,
             "hadamard_inconsistency": sim.exact.hadamard_inconsistency,
@@ -282,13 +243,13 @@ def cmd_security(cfg: RunConfig) -> tuple[dict, int]:
             "detections": sim.detections,
             "detection_rate": sim.detection_rate,
         },
-        "threshold": cfg.threshold,
+        "threshold": args.threshold,
     }
     residuals: dict[str, Any] = {
         "empirical_vs_exact": abs(sim.detection_rate - sim.exact.probability),
     }
     if attack is not None:
-        cert = security.undetectable_certificate(attack, tol=cfg.cert_tolerance)
+        cert = security.undetectable_certificate(attack, tol=args.cert_tolerance)
         results["certificate"] = asdict(cert)
         residuals["certificate_max"] = max(
             cert.flip_01, cert.flip_10, cert.branch_mismatch
@@ -298,13 +259,13 @@ def cmd_security(cfg: RunConfig) -> tuple[dict, int]:
 
     verdict = "abort" if sim.aborted else "pass"
     params = {
-        "n": cfg.n,
-        "attack": cfg.attack,
-        "rounds": cfg.rounds,
-        "threshold": cfg.threshold,
-        "cert_tolerance": cfg.cert_tolerance,
+        "n": args.n,
+        "attack": args.attack,
+        "rounds": args.rounds,
+        "threshold": args.threshold,
+        "cert_tolerance": args.cert_tolerance,
     }
-    report = _report("security", params, results, residuals, verdict, cfg.seed)
+    report = _report("security", params, results, residuals, verdict, args.seed)
     return report, (4 if sim.aborted else 0)
 
 
@@ -427,47 +388,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_finite(flag: str, value: float, low: float, high: float = math.inf) -> None:
-    if not (math.isfinite(value) and low <= value <= high):
-        span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
-        raise ValueError(f"{flag} must be a finite number {span}, got {value!r}")
-
-
-def _integer(flag: str, raw: Any) -> Optional[int]:
-    """An integer flag's value, None when it is not given.  Integer flags are
-    parsed as text, so a bad value gives one line naming the flag, not
-    argparse's usage block."""
-    if raw is None:
-        return None
+def _integer(flag: str, text: Any) -> int:
+    """An integer flag's value.  Integer flags are parsed as text, so a bad
+    value gives one line naming the flag, not argparse's usage block."""
     try:
-        return int(raw)
+        return int(text)
     except ValueError:
-        raise ValueError(f"{flag} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{flag} must be an integer, got {text!r}") from None
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    _check_finite("--tolerance", args.tolerance, 0.0)
-    if args.command == "security":
-        _check_finite("--threshold", args.threshold, 0.0, 1.0)
-        _check_finite("--cert-tolerance", args.cert_tolerance, 0.0)
-    return RunConfig(
-        command=args.command,
-        seed=_seed(args),
-        fmt=args.format,
-        output=args.output,
-        tolerance=args.tolerance,
-        cert_tolerance=getattr(args, "cert_tolerance", security.CERT_TOLERANCE),
-        message=getattr(args, "message", None),
-        senders=_integer("--senders", getattr(args, "senders", None)),
-        ghz=_integer("--ghz", getattr(args, "ghz", None)),
-        bell=_integer("--bell", getattr(args, "bell", None)),
-        dnk=tuple(_integer("--dnk", raw) for raw in args.dnk)
-        if getattr(args, "dnk", None) else None,
-        n=_integer("--n", getattr(args, "n", None)),
-        attack=getattr(args, "attack", "none"),
-        rounds=_integer("--rounds", getattr(args, "rounds", 1)),
-        threshold=getattr(args, "threshold", 0.0),
-    )
+def _validate(args: argparse.Namespace) -> None:
+    """Check every flag of ``_FLAGS`` that the command has, in place: integer
+    text becomes an int.  Then resolve the seed.  The first bad value raises
+    a ValueError naming its flag."""
+    for field, flag, low, high, unit in _FLAGS:
+        value = getattr(args, field, None)
+        if value is None:
+            continue
+        if unit is None:
+            if not (math.isfinite(value) and low <= value <= high):
+                span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
+                raise ValueError(f"{flag} must be a finite number {span}, got {value!r}")
+            continue
+        many = isinstance(value, list)  # --dnk N K; the range is N's
+        ints = [_integer(flag, text) for text in (value if many else [value])]
+        if low is not None and not low <= ints[0] <= high:
+            raise ValueError(f"{flag} supports {low}..{high} {unit}, got {ints[0]}")
+        setattr(args, field, ints if many else ints[0])
+    args.seed = _seed(args)
 
 
 _COMMANDS = {"encode": cmd_encode, "audit": cmd_audit, "security": cmd_security}
@@ -477,9 +425,9 @@ _PARSER = build_parser()  # holds no per-run state: parse_args makes a new Names
 def main(argv: Optional[list[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        report, code = _COMMANDS[cfg.command](cfg)
-        _write_output(render_report(report, cfg.fmt), cfg.output)
+        _validate(args)
+        report, code = _COMMANDS[args.command](args)
+        _write_output(render_report(report, args.format), args.output)
         return code
     except coding.NoMatchError as exc:
         print(f"densecode: decode failure: {exc}", file=sys.stderr)

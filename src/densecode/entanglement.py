@@ -111,32 +111,29 @@ class Bipartition:
         return len(self.alice) + len(self.bob)
 
 
+def _split(qubits: Iterable[int], n: int, name: str) -> tuple[list[int], list[int]]:
+    """``qubits`` and the rest of the register 1..n, each ascending.  The
+    ``name``d set must be a non-empty proper subset of the register."""
+    chosen = set(qubits)
+    kept = sorted(chosen)
+    if not kept or kept[0] < 1 or kept[-1] > n or len(kept) == n:
+        raise ValueError(f"{name} {kept} must be a non-empty proper subset of 1..{n}")
+    return kept, [q for q in range(1, n + 1) if q not in chosen]
+
+
 def reduced_density(state: StateVector, keep: Iterable[int]) -> DensityOperator:
     """Partial trace onto ``keep`` (1-based indices, ascending in the result)."""
-    kept = sorted(set(keep))
-    n = state.n_qubits
-    if not kept:
-        raise ValueError("keep set must be non-empty")
-    if any(q < 1 or q > n for q in kept):
-        raise ValueError(f"keep set {kept} outside register 1..{n}")
-    if len(kept) == n:
-        raise ValueError("keep set must be a proper subset; nothing to trace out")
-    traced = [q for q in range(1, n + 1) if q not in kept]
-    perm = [q - 1 for q in kept] + [q - 1 for q in traced]
+    kept, traced = _split(keep, state.n_qubits, "keep set")
+    perm = [q - 1 for q in kept + traced]
     a = state.tensor().transpose(perm).reshape(2 ** len(kept), -1)
     return DensityOperator(len(kept), a @ a.conj().T)
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     """Partial trace of a density operator onto ``keep``."""
-    kept = sorted(set(keep))
     n = rho.n_qubits
-    if not kept or len(kept) == n:
-        raise ValueError("keep set must be a non-empty proper subset")
-    if any(q < 1 or q > n for q in kept):
-        raise ValueError(f"keep set {kept} outside register 1..{n}")
-    traced = [q for q in range(1, n + 1) if q not in kept]
-    perm = [q - 1 for q in kept] + [q - 1 for q in traced]
+    kept, traced = _split(keep, n, "keep set")
+    perm = [q - 1 for q in kept + traced]
     k, t = len(kept), len(traced)
     m = rho.matrix.reshape((2,) * (2 * n))
     m = m.transpose(perm + [n + p for p in perm])
@@ -565,13 +562,7 @@ def _receiver_marginal(
     non-empty proper subset of the register: its qubit count, its ascending
     spectrum and its residual max |rho_B - I/d_B|, and the capacity
     log2(d_A) + S(rho_B) - S(rho_AB); a StateVector is pure, S(rho_AB) = 0."""
-    alice_set = sorted(set(alice))
-    n = state_or_rho.n_qubits
-    if not alice_set or len(alice_set) >= n:
-        raise ValueError("sender set must be a non-empty proper subset")
-    if any(q < 1 or q > n for q in alice_set):
-        raise ValueError(f"sender set {alice_set} outside register 1..{n}")
-    bob = [q for q in range(1, n + 1) if q not in alice_set]
+    alice_set, bob = _split(alice, state_or_rho.n_qubits, "sender set")
     if isinstance(state_or_rho, StateVector):
         spectrum, residual = _side_marginal(state_or_rho, bob)
         s_ab = 0.0

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from densecode import cli, coding
+from densecode import cli, coding, security
 from densecode.cli import main, render_report
 from densecode.coding import dnk_encoded_state, dnk_spec
 
@@ -248,6 +248,14 @@ def test_security_rejects_non_finite_file(tmp_path, capsys, entry):
         (["audit", "--dnk", "12", "0"], "--dnk"),
         (["audit", "--dnk", "12", "12"], "--dnk"),
         (["encode", "--message", "1010", "--senders", "0"], "--senders"),
+        # one past each end of the range table
+        (["audit", "--ghz", "1"], "--ghz"),
+        (["audit", "--bell", "0"], "--bell"),
+        (["audit", "--bell", "11"], "--bell"),
+        (["audit", "--dnk", "1", "1"], "--dnk"),
+        (["audit", "--dnk", "13", "5"], "--dnk"),
+        (["security", "--n", "1"], "--n"),
+        (["security", "--n", "13"], "--n"),
     ],
 )
 def test_rejects_out_of_range_flags(capsys, argv, flag):
@@ -255,6 +263,18 @@ def test_rejects_out_of_range_flags(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+    assert err.startswith(f"densecode: {flag} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "--ghz", "2"],
+    ["audit", "--bell", "10"],
+    ["security", "--n", "12", "--rounds", "100"],
+])
+def test_range_table_ends_are_inclusive(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] in ("optimal", "pass")
 
 
 def test_threshold_bounds_are_inclusive(capsys):
@@ -472,6 +492,36 @@ def test_non_finite_report_exits_with_code_2(capsys, monkeypatch):
     code, out, err = run(["encode", "--message", "01"], capsys)
     assert (code, out) == (2, "")
     assert "not JSON compliant" in err
+
+
+def is_plain_json(value):
+    """True when ``value`` is built only of str-keyed dicts, lists, str, int,
+    float, bool and None, compared by exact type: a numpy scalar or a tuple
+    would render differently in csv or text."""
+    if type(value) is dict:
+        return all(type(k) is str and is_plain_json(v) for k, v in value.items())
+    if type(value) is list:
+        return all(is_plain_json(v) for v in value)
+    return type(value) in (str, int, float, bool, type(None))
+
+
+def test_reports_hold_only_plain_json_types(tmp_path):
+    path = tmp_path / "atk.json"
+    path.write_text(json.dumps([[[int(r == c), 0] for c in range(4)] for r in range(4)]))
+    argvs = [
+        ["encode", "--message", "1011010010"],
+        ["encode", "--message", "1011010010", "--senders", "4"],
+        ["audit", "--ghz", "5"],
+        ["audit", "--bell", "3"],
+        ["audit", "--dnk", "7", "3"],
+        *(["security", "--n", "3", "--rounds", "200", "--attack", attack]
+          for attack in ["none", *sorted(security.ATTACK_PRESETS), f"file:{path}"]),
+    ]
+    for argv in argvs:
+        args = cli._PARSER.parse_args(argv)
+        cli._validate(args)
+        report, _ = cli._COMMANDS[args.command](args)
+        assert is_plain_json(report), argv
 
 
 @pytest.mark.parametrize(

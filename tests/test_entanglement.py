@@ -106,10 +106,13 @@ def test_tensor_then_reduce_recovers_factors():
 
 
 def test_reduced_density_rejects_empty_and_full():
-    with pytest.raises(ValueError):
-        reduced_density(ghz_state(2), set())
-    with pytest.raises(ValueError):
-        reduced_density(ghz_state(2), {1, 2})
+    state = ghz_state(2)
+    rho = DensityOperator(2, np.outer(state.amplitudes, state.amplitudes.conj()))
+    # empty, the whole register, and qubits 0 and n + 1 outside it
+    for keep in (set(), {1, 2}, {0}, {0, 1}, {3}, {1, 3}):
+        for reduce, target in ((reduced_density, state), (partial_trace, rho)):
+            with pytest.raises(ValueError, match=r"keep set .* proper subset of 1\.\.2"):
+                reduce(target, keep)
 
 
 def test_density_operator_validation():
@@ -597,7 +600,10 @@ def test_optimality_report_capacity_equals_capacity(seed):
 
 
 def test_capacity_rejects_bad_sender_set():
-    with pytest.raises(ValueError):
-        capacity(ghz_state(3), [])
-    with pytest.raises(ValueError):
-        capacity(ghz_state(3), [1, 2, 3])
+    state = ghz_state(3)
+    rho = DensityOperator(3, np.outer(state.amplitudes, state.amplitudes.conj()))
+    # empty, the whole register, and qubits 0 and n + 1 outside it
+    for alice in ([], [1, 2, 3], [0], [0, 1], [4], [1, 4]):
+        for target in (state, rho):
+            with pytest.raises(ValueError, match=r"sender set .* proper subset of 1\.\.3"):
+                capacity(target, alice)
