@@ -26,13 +26,13 @@ MAX_AUDIT_QUBITS = 12  # every-bipartition checks stay desk-scale up to here
 MAX_ENCODE_BITS = 24  # a receiver's dense state holds 2^n amplitudes: 256 MiB at 24
 
 # Every numeric flag once, as (namespace field, flag, low, high, unit), with
-# the reason for its range; ``_validate`` checks them before a command runs.
-# A row without a unit is a float flag, which must also be finite.  A count
-# bounded by another flag is checked where both are known, so its row has no
-# range: --senders and K of --dnk against N in ``_layout``, and the length of
-# --message in ``cmd_encode``.
+# the reason for its range; ``_validate`` converts their text and checks them
+# before a command runs.  A row without a unit is a float flag, which must
+# also be finite.  A count bounded by another flag is checked where both are
+# known, so its row has no range: --senders and K of --dnk against N in
+# ``_layout``, and the length of --message in ``cmd_encode``.
 _FLAGS = (
-    ("tolerance", "--tolerance", 0.0, math.inf, None),  # a distance
+    ("tolerance", "--tolerance", 0.0, math.inf, None),  # a distance; audit only
     ("threshold", "--threshold", 0.0, 1.0, None),  # compared with a detection rate
     ("cert_tolerance", "--cert-tolerance", 0.0, math.inf, None),  # a distance
     ("senders", "--senders", None, None, "senders"),  # 1..N-1, N from --message
@@ -151,7 +151,9 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
         "bob_marginal_residual": opt.bob_marginal_residual,
     }
     if args.bell is not None:
-        residuals["alice_marginal_residual"] = entanglement._side_marginal(state, alice)[1]
+        residuals["alice_marginal_residual"] = entanglement._receiver_marginal(
+            state, spec.bob_qubits
+        )[2]
     if args.dnk is None:
         results["ame"] = results["gme"] = results["orthonormality"] = None
         if n <= MAX_AUDIT_QUBITS:
@@ -285,13 +287,19 @@ def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
         rows.append((prefix, json.dumps(value, allow_nan=False)))
 
 
+def _csv_field(value: str) -> str:
+    """``value`` as one CSV field: quoted, its quotes doubled, when it holds a
+    comma, as the JSON of a nested list does."""
+    return '"' + value.replace('"', '""') + '"' if "," in value else value
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     rows: list[tuple[str, str]] = []
     _flatten("", report, rows)
     if fmt == "csv":
-        return "".join(f"{key},{value}\n" for key, value in rows)
+        return "".join(f"{key},{_csv_field(value)}\n" for key, value in rows)
     if fmt == "text":
         width = max(len(key) for key, _ in rows)
         return "".join(f"{key.ljust(width)}  {value}\n" for key, value in rows)
@@ -362,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"RNG seed in [0, 2**63) (default ${ENV_SEED} or 0)")
         p.add_argument("--format", choices=("json", "csv", "text"), default="json")
         p.add_argument("--output", default=None, help="write the report to a file")
-        p.add_argument("--tolerance", type=float, default=1e-9)
 
     enc = sub.add_parser("encode", help="encode a classical message")
     common(enc)
@@ -372,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     aud = sub.add_parser("audit", help="verify code and entanglement properties")
     common(aud)
+    aud.add_argument("--tolerance", default=1e-9)
     aud.add_argument("--ghz", default=None, metavar="N")
     aud.add_argument("--bell", default=None, metavar="PAIRS")
     aud.add_argument("--dnk", nargs=2, default=None, metavar=("N", "K"))
@@ -382,39 +390,42 @@ def build_parser() -> argparse.ArgumentParser:
     sec.add_argument("--attack", default="none",
                      help="none, identity, cnot, swap0, or file:PATH")
     sec.add_argument("--rounds", default=10000)
-    sec.add_argument("--threshold", type=float, default=0.0,
+    sec.add_argument("--threshold", default=0.0,
                      help="abort when the detection rate exceeds this")
-    sec.add_argument("--cert-tolerance", type=float, default=security.CERT_TOLERANCE)
+    sec.add_argument("--cert-tolerance", default=security.CERT_TOLERANCE)
     return parser
 
 
-def _integer(flag: str, text: Any) -> int:
-    """An integer flag's value.  Integer flags are parsed as text, so a bad
-    value gives one line naming the flag, not argparse's usage block."""
+def _number(flag: str, text: Any, kind: type, want: str) -> Any:
+    """A numeric flag's text as ``kind``.  Numeric flags are parsed as text,
+    so a bad value gives one line naming the flag, not argparse's usage block."""
     try:
-        return int(text)
+        return kind(text)
     except ValueError:
-        raise ValueError(f"{flag} must be an integer, got {text!r}") from None
+        raise ValueError(f"{flag} must be {want}, got {text!r}") from None
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Check every flag of ``_FLAGS`` that the command has, in place: integer
-    text becomes an int.  Then resolve the seed.  The first bad value raises
-    a ValueError naming its flag."""
+    """Check every flag of ``_FLAGS`` that the command has, in place: its
+    text becomes an int, or a float for a row without a unit.  Then resolve
+    the seed.  The first bad value raises a ValueError naming its flag."""
     for field, flag, low, high, unit in _FLAGS:
         value = getattr(args, field, None)
         if value is None:
             continue
         if unit is None:
-            if not (math.isfinite(value) and low <= value <= high):
-                span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
-                raise ValueError(f"{flag} must be a finite number {span}, got {value!r}")
-            continue
+            span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
+            kind, want = float, f"a finite number {span}"
+        else:
+            kind, want = int, "an integer"
         many = isinstance(value, list)  # --dnk N K; the range is N's
-        ints = [_integer(flag, text) for text in (value if many else [value])]
-        if low is not None and not low <= ints[0] <= high:
-            raise ValueError(f"{flag} supports {low}..{high} {unit}, got {ints[0]}")
-        setattr(args, field, ints if many else ints[0])
+        numbers = [_number(flag, text, kind, want) for text in (value if many else [value])]
+        first = numbers[0]
+        if unit is None and not (math.isfinite(first) and low <= first <= high):
+            raise ValueError(f"{flag} must be {want}, got {first!r}")
+        if unit is not None and low is not None and not low <= first <= high:
+            raise ValueError(f"{flag} supports {low}..{high} {unit}, got {first}")
+        setattr(args, field, numbers if many else first)
     args.seed = _seed(args)
 
 

@@ -38,6 +38,7 @@ from .statevec import (
     PauliLabel,
     PauliString,
     StateVector,
+    _butterfly,
     _parity,
     compose_labels,
 )
@@ -395,13 +396,9 @@ def _circuit_outputs(words: np.ndarray, reps: np.ndarray, spec: DnkSpec) -> np.n
     """|circuit output| on the cosets r ^ support of ``reps`` (batch, R), output a
     as ``_message_indices`` reads it: the fan-outs fix a coset's non-lead bits, so the
     lead Hadamards are a Walsh-Hadamard transform of its 2**B amplitudes.  From
-    any start in the coset |output| is bitwise equal: +, - and / are odd."""
+    any start in the coset |output| is bitwise equal: +, - and * are odd."""
     t = words[np.arange(len(words))[:, None, None], reps[..., None] ^ spec.support]
-    plus_minus = np.array([[1], [-1]], dtype=t.dtype)  # a butterfly: lo + hi, lo - hi
-    for j in reversed(range(len(spec.blocks))):
-        v = t.reshape(-1, 2, 2**j)
-        t = (v[:, :1] + plus_minus * v[:, 1:]) / math.sqrt(2.0)
-    return np.abs(t.reshape(reps.shape + spec.support.shape))
+    return np.abs(_butterfly(t, [2**j for j in reversed(range(len(spec.blocks)))]))
 
 
 def _full_circuit_decode(amps: np.ndarray, spec: DnkSpec) -> int:

@@ -441,22 +441,6 @@ def _marginals(
     return np.concatenate(spectra), np.concatenate(owners), residuals, rest_residuals
 
 
-def _side_marginal(state: StateVector, keep: Iterable[int]) -> tuple[np.ndarray, float]:
-    """The ascending spectrum of the reduced state on ``keep`` (1-based, a
-    non-empty proper subset), with a zero per dimension it does not reach,
-    and its residual max |rho - I/2**m|; ``reduced_density`` without the
-    dense matrix."""
-    kept = sorted(set(keep))
-    n = state.n_qubits
-    dim = 2 ** len(kept)
-    support, values = _support(state)
-    mask = np.array([sum(1 << (n - q) for q in kept)])
-    eigs, _, residual, _ = _marginals(support, values, mask, np.array([float(dim)]),
-                                      np.zeros(1, bool))
-    spectrum = np.sort(np.concatenate([eigs, np.zeros(dim - eigs.size)]))
-    return spectrum, float(residual[0])
-
-
 def _support(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """The indices of the nonzero amplitudes (an exact zero test) and their
     values, real when no amplitude has an imaginary part."""
@@ -560,11 +544,19 @@ def _receiver_marginal(
 ) -> tuple[int, np.ndarray, float, float]:
     """The reduced state rho_B on the receiver side of the sender set A, a
     non-empty proper subset of the register: its qubit count, its ascending
-    spectrum and its residual max |rho_B - I/d_B|, and the capacity
-    log2(d_A) + S(rho_B) - S(rho_AB); a StateVector is pure, S(rho_AB) = 0."""
-    alice_set, bob = _split(alice, state_or_rho.n_qubits, "sender set")
+    spectrum (with a zero per dimension it does not reach) and its residual
+    max |rho_B - I/d_B|, and the capacity log2(d_A) + S(rho_B) - S(rho_AB).
+    A StateVector is pure, S(rho_AB) = 0, and rho_B is taken on its support
+    by ``_marginals``, without the dense matrix."""
+    n = state_or_rho.n_qubits
+    alice_set, bob = _split(alice, n, "sender set")
     if isinstance(state_or_rho, StateVector):
-        spectrum, residual = _side_marginal(state_or_rho, bob)
+        dim = 2 ** len(bob)
+        mask = np.array([sum(1 << (n - q) for q in bob)])
+        eigs, _, residuals, _ = _marginals(*_support(state_or_rho), mask, np.array([float(dim)]),
+                                           np.zeros(1, bool))
+        spectrum = np.sort(np.concatenate([eigs, np.zeros(dim - eigs.size)]))
+        residual = float(residuals[0])
         s_ab = 0.0
     else:
         rho_b = partial_trace(state_or_rho, bob)

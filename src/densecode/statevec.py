@@ -79,10 +79,6 @@ class PauliLabel(Enum):
     IY = "iY"
 
     @property
-    def matrix(self) -> np.ndarray:
-        return _LABEL_MATRIX[self]
-
-    @property
     def bits(self) -> tuple[int, int]:
         """(x, z) decomposition: the label equals Z**z @ X**x up to sign."""
         return _LABEL_BITS[self]
@@ -91,12 +87,6 @@ class PauliLabel(Enum):
         return self.value
 
 
-_LABEL_MATRIX = {
-    PauliLabel.I: np.eye(2, dtype=complex),
-    PauliLabel.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliLabel.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    PauliLabel.IY: np.array([[0, 1], [-1, 0]], dtype=complex),
-}
 _LABEL_BITS = {
     PauliLabel.I: (0, 0),
     PauliLabel.X: (1, 0),
@@ -206,17 +196,24 @@ def apply_pauli_string(state: StateVector, ps: PauliString) -> StateVector:
     return StateVector(state.n_qubits, t.reshape(-1))
 
 
+def _butterfly(t: np.ndarray, strides: Iterable[int]) -> np.ndarray:
+    """A Hadamard on the index bit of each stride of ``t``'s last axis, in the
+    order given: each pair (lo, hi) at that stride becomes (lo + hi, lo - hi)
+    times sqrt(1/2), in an array of ``t``'s shape."""
+    shape = t.shape
+    plus_minus = np.array([[1], [-1]], dtype=t.dtype)
+    for stride in strides:
+        v = t.reshape(-1, 2, stride)
+        t = (v[:, :1] + plus_minus * v[:, 1:]) * _SQRT_HALF
+    return t.reshape(shape)
+
+
 def hadamard_on(state: StateVector, qubits: Iterable[int]) -> StateVector:
     """Hadamard applied to the given qubits."""
+    n = state.n_qubits
     qs = sorted(set(qubits))
-    _check_targets(state.n_qubits, qs)
-    t = state.tensor()
-    for q in qs:
-        ax = q - 1
-        lo = np.take(t, 0, axis=ax)
-        hi = np.take(t, 1, axis=ax)
-        t = np.stack(((lo + hi) * _SQRT_HALF, (lo - hi) * _SQRT_HALF), axis=ax)
-    return StateVector(state.n_qubits, t.reshape(-1))
+    _check_targets(n, qs)
+    return StateVector(n, _butterfly(state.amplitudes, [2 ** (n - q) for q in qs]))
 
 
 def hadamard_all(state: StateVector) -> StateVector:

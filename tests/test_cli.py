@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import stat
@@ -240,7 +242,7 @@ def test_security_rejects_non_finite_file(tmp_path, capsys, entry):
         (["security", "--n", "3", "--threshold", "nan"], "--threshold"),
         (["security", "--n", "3", "--cert-tolerance", "-0.5"], "--cert-tolerance"),
         (["security", "--n", "3", "--cert-tolerance", "inf"], "--cert-tolerance"),
-        (["security", "--n", "3", "--tolerance", "nan"], "--tolerance"),
+        (["audit", "--ghz", "3", "--tolerance", "nan"], "--tolerance"),
         (["audit", "--ghz", "3", "--tolerance", "-1"], "--tolerance"),
         (["audit", "--ghz", "3", "--tolerance", "inf"], "--tolerance"),
         (["security", "--n", "3", "--rounds", "0"], "--rounds"),
@@ -539,6 +541,50 @@ def test_non_integer_flag_exits_2_naming_it(capsys, argv, flag):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"densecode: {flag} must be an integer, got {argv[-1]!r}\n"
+
+
+@pytest.mark.parametrize("text", ["abc", "1/2", "0x10", ""])
+@pytest.mark.parametrize("argv, flag, span", [
+    (["audit", "--ghz", "3"], "--tolerance", ">= 0"),
+    (["security", "--n", "3"], "--threshold", "in [0, 1]"),
+    (["security", "--n", "3"], "--cert-tolerance", ">= 0"),
+])
+def test_non_number_float_flag_exits_2_naming_it(capsys, argv, flag, span, text):
+    code, out, err = run(argv + [flag, text], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"densecode: {flag} must be a finite number {span}, got {text!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--message", "1010"],
+    ["security", "--n", "3"],
+])
+def test_only_audit_takes_tolerance(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tolerance", "0.5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance 0.5" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main([argv[0], "--help"])
+    assert "--tolerance" not in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["audit", "--help"])
+    assert "--tolerance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--message", "1011010010", "--senders", "4"],
+    ["audit", "--dnk", "6", "4"],
+    ["security", "--n", "3", "--attack", "cnot", "--rounds", "50"],
+])
+def test_csv_rows_read_back_as_key_and_value(capsys, argv):
+    code, out, _ = run(argv + ["--format", "csv"], capsys)
+    assert code in (0, 4)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows and all(len(row) == 2 for row in rows), rows
+    _, report = run_json(argv, capsys)
+    if argv[0] == "encode":
+        assert json.loads(dict(rows)["results.amplitudes"]) == report["results"]["amplitudes"]
 
 
 # ---------------------------------------------------------------------------
