@@ -275,16 +275,50 @@ def cmd_security(args: argparse.Namespace) -> tuple[dict, int]:
 # rendering and entry point
 
 
+def _float_json(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+    return float.__repr__(value)
+
+
+# Each JSON scalar's text by exact type, as ``json.dumps`` writes it.
+_SCALAR = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: _float_json,
+           bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _json(value: Any, pad: str) -> str:
+    """``json.dumps(value, sort_keys=True, allow_nan=False)`` for plain JSON
+    values, with ``indent=2`` when ``pad`` is the newline and indent that
+    ``value`` starts at, else on one line (``pad`` empty).  A list of scalars
+    takes one pass through ``_SCALAR``; any other container recurses."""
+    scalar = _SCALAR.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = pad + "  " if pad else ""
+    if isinstance(value, dict):
+        ends, items = "{}", [f"{_SCALAR[str](key)}: {_json(value[key], inner)}"
+                             for key in sorted(value)]
+    elif isinstance(value, list):
+        ends = "[]"
+        try:
+            items = [_SCALAR[type(v)](v) for v in value]
+        except KeyError:
+            items = [_json(v, inner) for v in value]
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + (inner or " ")).join(items) + pad + ends[1]
+
+
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
-    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
-        rows.append((prefix, json.dumps(value, sort_keys=True, allow_nan=False)))
-    elif isinstance(value, list):
+    elif isinstance(value, list) and not (value and isinstance(value[0], (dict, list))):
         rows.append((prefix, ";".join(str(v) for v in value)))
     else:
-        rows.append((prefix, json.dumps(value, allow_nan=False)))
+        rows.append((prefix, _json(value, "")))
 
 
 def _csv_field(value: str) -> str:
@@ -295,7 +329,7 @@ def _csv_field(value: str) -> str:
 
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _json(report, "\n") + "\n"
     rows: list[tuple[str, str]] = []
     _flatten("", report, rows)
     if fmt == "csv":
@@ -406,9 +440,13 @@ def _number(flag: str, text: Any, kind: type, want: str) -> Any:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Check every flag of ``_FLAGS`` that the command has, in place: its
-    text becomes an int, or a float for a row without a unit.  Then resolve
-    the seed.  The first bad value raises a ValueError naming its flag."""
+    """Refuse any flag left without a value, then check every flag of
+    ``_FLAGS`` that the command has, in place: its text becomes an int, or a
+    float for a row without a unit.  Then resolve the seed.  The first bad
+    value raises a ValueError naming its flag."""
+    for field, value in vars(args).items():
+        if value == []:  # argparse before Python 3.13 reads --FLAG=-- as an empty list
+            raise ValueError(f"--{field.replace('_', '-')} needs a value, got '--'")
     for field, flag, low, high, unit in _FLAGS:
         value = getattr(args, field, None)
         if value is None:

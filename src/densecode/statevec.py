@@ -38,13 +38,14 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
-        amps = np.array(self.amplitudes, dtype=complex).reshape(-1)  # a private copy
+        amps = np.array(self.amplitudes, dtype=complex, order="C").reshape(-1)  # a private copy
         if amps.size != 2**self.n_qubits:
             raise ValueError(
                 f"expected {2**self.n_qubits} amplitudes for "
                 f"{self.n_qubits} qubits, got {amps.size}"
             )
-        norm_sq = float((np.abs(amps) ** 2).sum())
+        flat = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
+        norm_sq = float(flat @ flat)
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         amps.flags.writeable = False

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import stat
+import sys
 import threading
 
 import numpy as np
@@ -507,10 +508,11 @@ def is_plain_json(value):
     return type(value) in (str, int, float, bool, type(None))
 
 
-def test_reports_hold_only_plain_json_types(tmp_path):
+def every_command(tmp_path):
+    """Argv for each command and each way it fills its report."""
     path = tmp_path / "atk.json"
     path.write_text(json.dumps([[[int(r == c), 0] for c in range(4)] for r in range(4)]))
-    argvs = [
+    return [
         ["encode", "--message", "1011010010"],
         ["encode", "--message", "1011010010", "--senders", "4"],
         ["audit", "--ghz", "5"],
@@ -519,11 +521,55 @@ def test_reports_hold_only_plain_json_types(tmp_path):
         *(["security", "--n", "3", "--rounds", "200", "--attack", attack]
           for attack in ["none", *sorted(security.ATTACK_PRESETS), f"file:{path}"]),
     ]
-    for argv in argvs:
-        args = cli._PARSER.parse_args(argv)
-        cli._validate(args)
-        report, _ = cli._COMMANDS[args.command](args)
+
+
+def report_of(argv):
+    args = cli._PARSER.parse_args(argv)
+    cli._validate(args)
+    return cli._COMMANDS[args.command](args)[0]
+
+
+def test_reports_hold_only_plain_json_types(tmp_path):
+    for argv in every_command(tmp_path):
+        report = report_of(argv)
         assert is_plain_json(report), argv
+
+
+def reference_render(report, fmt):
+    """The three formats written with ``json.dumps``, as reports were first
+    rendered; the renderer must stay byte-identical to it."""
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    rows = []
+
+    def flatten(prefix, value):
+        if isinstance(value, dict):
+            for key in sorted(value):
+                flatten(f"{prefix}.{key}" if prefix else key, value[key])
+        elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+            rows.append((prefix, json.dumps(value, sort_keys=True, allow_nan=False)))
+        elif isinstance(value, list):
+            rows.append((prefix, ";".join(str(v) for v in value)))
+        else:
+            rows.append((prefix, json.dumps(value, allow_nan=False)))
+
+    flatten("", report)
+    if fmt == "csv":
+        return "".join(f"{key},{cli._csv_field(value)}\n" for key, value in rows)
+    width = max(len(key) for key, _ in rows)
+    return "".join(f"{key.ljust(width)}  {value}\n" for key, value in rows)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_every_command_renders_as_json_dumps_does(tmp_path, fmt):
+    argvs = every_command(tmp_path) + [
+        ["encode", "--message", "10110100101101001011", "--senders", "9"],
+        ["audit", "--bell", "6"],
+        ["security", "--n", "5", "--attack", "cnot", "--rounds", "1000", "--seed", "7"],
+    ]
+    for argv in argvs:
+        report = report_of(argv)
+        assert render_report(report, fmt) == reference_render(report, fmt), argv
 
 
 @pytest.mark.parametrize(
@@ -553,6 +599,30 @@ def test_non_number_float_flag_exits_2_naming_it(capsys, argv, flag, span, text)
     code, out, err = run(argv + [flag, text], capsys)
     assert (code, out) == (2, "")
     assert err == f"densecode: {flag} must be a finite number {span}, got {text!r}\n"
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse keeps '--' as the value")
+@pytest.mark.parametrize("argv, flag", [
+    (["encode", "--message=--"], "--message"),
+    (["encode", "--message", "1010", "--senders=--"], "--senders"),
+    (["encode", "--message", "1010", "--seed=--"], "--seed"),
+    (["encode", "--message", "1010", "--format=--"], "--format"),
+    (["encode", "--message", "1010", "--output=--"], "--output"),
+    (["audit", "--ghz=--"], "--ghz"),
+    (["audit", "--bell=--"], "--bell"),
+    (["audit", "--ghz", "3", "--tolerance=--"], "--tolerance"),
+    (["security", "--n=--"], "--n"),
+    (["security", "--n", "3", "--rounds=--"], "--rounds"),
+    (["security", "--n", "3", "--threshold=--"], "--threshold"),
+    (["security", "--n", "3", "--cert-tolerance=--"], "--cert-tolerance"),
+    (["security", "--n", "3", "--attack=--"], "--attack"),
+])
+def test_flag_given_as_double_dash_exits_2_naming_it(tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)  # nothing may be written, --output=-- included
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"densecode: {flag} needs a value, got '--'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

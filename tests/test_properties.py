@@ -1,6 +1,7 @@
 """Property tests over randomly drawn layouts, messages, attacks and argv."""
 
 import io
+import json
 import math
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -26,7 +27,7 @@ from densecode import (
     ghz_state,
     hadamard_on,
 )
-from densecode.cli import main
+from densecode.cli import _json, main, render_report
 from densecode.coding import _full_circuit_decode, dnk_code_words, dnk_decode_words
 
 
@@ -227,3 +228,41 @@ def test_generated_argv_exits_with_a_known_code_and_one_stderr_line(argv):
     if code not in (0, 4):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("densecode: "), (argv, lines)
+
+
+# ---------------------------------------------------------------------------
+# Rendering: every JSON value the renderer meets, written as json.dumps would.
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=10**19, max_value=10**40).map(lambda v: v * (-1) ** v),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1.7976931348623157e308, 0.1]),
+    st.text(),  # non-ASCII and control characters included
+    st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "\ud800"]),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.dictionaries(st.text(max_size=6), inner, max_size=5)),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_renderer_writes_what_json_dumps_writes(value):
+    indented = json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+    assert _json(value, "\n") == indented
+    assert _json(value, "") == json.dumps(value, sort_keys=True, allow_nan=False)
+    report = {"results": value, "verdict": "ok"}
+    assert render_report(report, "json") == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.0, math.nan],
+                                   [[0.5, -math.inf]], {"a": [math.inf]}])
+def test_renderer_refuses_non_finite_floats_as_json_dumps_does(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        json.dumps(value, allow_nan=False)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        render_report({"results": value}, "json")

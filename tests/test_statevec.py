@@ -13,7 +13,7 @@ from densecode import (
     hadamard_all,
     tensor_product,
 )
-from densecode.statevec import _marginal_probabilities
+from densecode.statevec import NORM_TOLERANCE, _marginal_probabilities
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -105,7 +105,8 @@ def test_statevector_rejects_unnormalized():
         StateVector(1, np.array([1.0, 1.0]))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e200,  # 1e200 squares to inf
+                                 complex(0, np.nan), complex(0, -np.inf), complex(0, 1e200)])
 def test_statevector_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(1, [bad, 0])
@@ -115,6 +116,42 @@ def test_statevector_amplitudes_are_read_only():
     s = ghz_state(2)
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("scale", [1 - 0.4 * NORM_TOLERANCE, 1 + 0.4 * NORM_TOLERANCE])
+def test_statevector_accepts_a_norm_within_tolerance(scale):
+    amps = np.array([0.6, 0.8j]) * np.sqrt(scale)
+    assert StateVector(1, amps).amplitudes[1] == amps[1]
+
+
+@pytest.mark.parametrize("scale", [1 - 2 * NORM_TOLERANCE, 1 + 2 * NORM_TOLERANCE])
+def test_statevector_rejects_a_norm_outside_tolerance(scale):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(1, np.array([0.6, 0.8j]) * np.sqrt(scale))
+
+
+def test_statevector_validates_strided_fortran_and_real_inputs():
+    rng = np.random.default_rng(3)
+    ref = random_state(4, rng).amplitudes
+    wide = np.zeros(32, dtype=complex)
+    wide[::2] = ref
+    grid = np.asfortranarray(ref.reshape(4, 4))
+    real = ref.real / np.linalg.norm(ref.real)
+    halves = np.full(16, 0.25, dtype=np.float32)  # exact in float32
+    cases = [(wide[::2], ref), (ref[::-1], ref[::-1]), (grid, ref), (real, real),
+             (halves, halves), (np.eye(16, dtype=int)[3], np.eye(16)[3])]
+    for amps, want in cases:
+        state = StateVector(4, amps)
+        assert state.amplitudes.dtype == complex and state.amplitudes.flags.c_contiguous
+        assert np.array_equal(state.amplitudes, np.asarray(want, dtype=complex).reshape(-1))
+
+
+def test_statevector_keeps_a_private_copy():
+    amps = np.array([SQ2, SQ2], dtype=complex)
+    state = StateVector(1, amps)
+    amps[0] = 5.0
+    assert state.amplitudes[0] == SQ2
+    assert not np.shares_memory(state.amplitudes, amps)
 
 
 def test_pauli_string_rejects_duplicate_targets():
