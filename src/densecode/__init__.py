@@ -32,6 +32,7 @@ from .entanglement import (
     holevo_bound,
     is_ame,
     is_gme_pure,
+    layout_verdicts,
     optimality_report,
     partial_trace,
     reduced_density,

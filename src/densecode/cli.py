@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import stat
 import sys
 from dataclasses import asdict
@@ -22,7 +23,7 @@ import numpy as np
 from . import coding, entanglement, security, statevec
 
 ENV_SEED = "DENSECODE_SEED"
-MAX_AUDIT_QUBITS = 12  # every-bipartition checks stay desk-scale up to here
+MAX_AUDIT_QUBITS = 12  # the audit roundtrip decodes 64 dense rows: 2 MiB at 12 qubits
 MAX_ENCODE_BITS = 24  # a receiver's dense state holds 2^n amplitudes: 256 MiB at 24
 
 # Every numeric flag once, as (namespace field, flag, low, high, unit), with
@@ -36,12 +37,12 @@ _FLAGS = (
     ("threshold", "--threshold", 0.0, 1.0, None),  # compared with a detection rate
     ("cert_tolerance", "--cert-tolerance", 0.0, math.inf, None),  # a distance
     ("senders", "--senders", None, None, "senders"),  # 1..N-1, N from --message
-    # the every-bipartition pass walks 2^(n-1) - 1 sides
-    ("ghz", "--ghz", 2, MAX_AUDIT_QUBITS, "qubits"),
-    # 2P qubits; the audit builds the dense resource: 2^20 amplitudes at 10 pairs
+    ("ghz", "--ghz", 2, MAX_AUDIT_QUBITS, "qubits"),  # the audit roundtrip's dense rows
+    # 2P qubits; past MAX_AUDIT_QUBITS the audit reads only the closed form and
+    # the receiver marginal, on the resource's 2^P support indices
     ("bell", "--bell", 1, 10, "pairs"),
     ("dnk", "--dnk", 2, MAX_AUDIT_QUBITS, "bits"),  # N, as --ghz; K: 1..N-1
-    # as --ghz; the attacked state holds 2^(n+1) amplitudes
+    # the attacked state holds 2^(n+1) amplitudes
     ("n", "--n", 2, MAX_AUDIT_QUBITS, "qubits"),
     ("rounds", "--rounds", 1, security.MAX_ROUNDS, "rounds"),  # int64 sample counts
 )
@@ -136,39 +137,33 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
     params["tolerance"] = tol
 
     n = spec.n_qubits
-    state = coding.dnk_state(spec)
-    alice = list(spec.alice_qubits)
-    opt = entanglement.optimality_report(state, alice, tol=tol)
+    (support,), (values,) = coding._word_support([0], spec)  # the resource, on its support
+    opt = entanglement._optimality(n, support, values, spec.alice_qubits, tol)
+    ame, gme, ame_residual = entanglement.layout_verdicts(map(len, spec.blocks), tol)
     results: dict[str, Any] = {
         "capacity": opt.capacity,
         "holevo_bound": opt.holevo_bound,
         "alice_size_sufficient": opt.alice_size_sufficient,
         "bob_marginal_maximally_mixed": opt.bob_marginal_maximally_mixed,
         "optimal": opt.optimal,
+        "ame": ame,
+        "gme": gme,
+        "orthonormality": None,
+        "layout": {**_layout_entry(spec),
+                   "parties": {str(share.party): _share_entry(share) for share in spec.shares}},
+        "roundtrip": None,
     }
     residuals = {
         "capacity_gap": abs(opt.capacity - opt.holevo_bound),
         "bob_marginal_residual": opt.bob_marginal_residual,
+        "ame_max_residual": ame_residual,
+        "gram_residual": None,
     }
-    if args.bell is not None:
-        residuals["alice_marginal_residual"] = entanglement._receiver_marginal(
-            state, spec.bob_qubits
-        )[2]
-    if args.dnk is None:
-        results["ame"] = results["gme"] = results["orthonormality"] = None
-        if n <= MAX_AUDIT_QUBITS:
-            ame, gme = entanglement.entanglement_verdicts(state, tol=tol)
-            results["ame"], results["gme"] = ame.is_ame, gme
-            residuals["ame_max_residual"] = ame.max_residual
-        if n <= coding.MAX_BASIS_BITS:
-            gram = coding.dnk_gram_report(spec.n_bits, spec.n_senders)
-            results["orthonormality"] = asdict(gram)
-            residuals["gram_residual"] = gram.residual()
-    else:
-        results["layout"] = _layout_entry(spec)
-        results["layout"]["parties"] = {
-            str(share.party): _share_entry(share) for share in spec.shares
-        }
+    if n <= coding.MAX_BASIS_BITS:
+        gram = coding.dnk_gram_report(spec.n_bits, spec.n_senders)
+        results["orthonormality"] = asdict(gram)
+        residuals["gram_residual"] = gram.residual()
+    if n <= MAX_AUDIT_QUBITS:
         rng = np.random.default_rng(args.seed)
         picks = sorted(rng.choice(2**n, size=min(2**n, 64), replace=False).tolist())
         decoded = coding._decode_indices(coding.dnk_code_words(picks, spec), spec)
@@ -392,8 +387,18 @@ def _seed(args: argparse.Namespace) -> int:
     raise ValueError(f"{name} must be an integer in [0, 2**63), got {raw!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes a word that starts as a negative number does, -1e-3 and -inf as
+    well as argparse's own -1 and -.5, for a value and never for an option,
+    so that ``_validate`` names the flag of a bad one in one line."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="densecode",
         description="Simulate and audit dense-coding protocols.",
     )

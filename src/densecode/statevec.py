@@ -45,7 +45,9 @@ class StateVector:
                 f"{self.n_qubits} qubits, got {amps.size}"
             )
         flat = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
-        norm_sq = float(flat @ flat)
+        # vdot runs the same dot product as flat @ flat, but raises no overflow
+        # warning: a norm that overflows to inf is refused just below
+        norm_sq = float(np.vdot(flat, flat))
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         amps.flags.writeable = False

@@ -20,6 +20,7 @@ from densecode import (
     entanglement_verdicts,
     ghz_state,
     holevo_bound,
+    layout_verdicts,
     pauli_equivalent,
     schmidt_spectrum,
     security_simulation,
@@ -48,6 +49,7 @@ X = PauliLabel.X
     (detection_report, (ghz_state(3), 1), "protocol size 1 invalid for 3 qubits"),
     (security_simulation, (1, None, 10, np.random.default_rng(0)),
      "protocol needs at least 2 qubits, got 1"),
+    (layout_verdicts, ([3, 1],), "GHZ blocks need at least 2 qubits each, got [3, 1]"),
 ])
 def test_bad_arguments_raise_a_value_error_saying_why(call, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):

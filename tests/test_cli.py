@@ -129,7 +129,7 @@ def test_audit_bell_pairs(capsys):
     assert report["results"]["capacity"] == pytest.approx(4.0)
     assert report["results"]["ame"] is False
     assert report["results"]["gme"] is False
-    assert report["residuals"]["alice_marginal_residual"] < 1e-9
+    assert report["residuals"]["bob_marginal_residual"] < 1e-9
     assert report["verdict"] == "optimal"
 
 
@@ -139,6 +139,42 @@ def test_audit_dnk(capsys):
     assert report["results"]["layout"]["ghz_size"] == 4
     assert report["results"]["roundtrip"]["failures"] == 0
     assert report["verdict"] == "optimal"
+
+
+_AUDIT_TARGETS = ([["--ghz", str(n)] for n in (2, 3, 4, 10, 11, 12)]
+                  + [["--bell", str(p)] for p in (1, 2, 5, 6, 7, 10)]
+                  + [["--dnk", "2", "1"], ["--dnk", "7", "3"], ["--dnk", "12", "5"],
+                     ["--dnk", "12", "11"]])
+
+
+def test_every_audit_flag_reports_the_same_keys(capsys, monkeypatch):
+    """One audit body: every flag and size fills the same result and residual
+    keys, from the layout's support, with no dense resource and no
+    every-side pass."""
+    monkeypatch.setattr(coding, "dnk_state", Forbidden("dnk_state"))
+    monkeypatch.setattr(cli.entanglement, "entanglement_verdicts",
+                        Forbidden("entanglement_verdicts"))
+    keys = set()
+    for target in _AUDIT_TARGETS:
+        _, report = run_json(["audit", *target], capsys)
+        assert report["verdict"] == "optimal", target
+        keys.add((tuple(sorted(report["results"])), tuple(sorted(report["residuals"]))))
+        n = report["results"]["holevo_bound"]
+        assert (report["results"]["roundtrip"] is None) == (n > cli.MAX_AUDIT_QUBITS), target
+        assert (report["residuals"]["gram_residual"] is None) == (n > coding.MAX_BASIS_BITS)
+    assert len(keys) == 1, keys
+
+
+def test_audit_dnk_is_optimal_but_neither_gme_nor_ame(capsys):
+    """The paper's claim on D(12, 5), six blocks: the Alice|Bob cut reaches
+    the Holevo bound, with no genuine multipartite entanglement."""
+    _, report = run_json(["audit", "--dnk", "12", "5"], capsys)
+    results = report["results"]
+    assert (results["optimal"], results["gme"], results["ame"]) == (True, False, False)
+    assert report["verdict"] == "optimal"
+    assert report["residuals"]["ame_max_residual"] == 0.5
+    assert report["residuals"]["bob_marginal_residual"] < 1e-12
+    assert results["roundtrip"] == {"messages_checked": 64, "failures": 0}
 
 
 def test_audit_requires_exactly_one_target(capsys):
@@ -308,10 +344,11 @@ def test_security_identity_preset_passes(capsys):
 
 def test_audit_bell_beyond_caps_reports_null(capsys):
     _, report = run_json(["audit", "--bell", "7"], capsys)
-    assert report["results"]["ame"] is None
+    assert report["results"]["ame"] is False
     assert report["results"]["orthonormality"] is None
+    assert report["results"]["roundtrip"] is None
     assert report["results"]["capacity"] == pytest.approx(14.0)
-    assert report["residuals"]["alice_marginal_residual"] < 1e-9
+    assert report["residuals"]["bob_marginal_residual"] < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -599,6 +636,21 @@ def test_non_number_float_flag_exits_2_naming_it(capsys, argv, flag, span, text)
     code, out, err = run(argv + [flag, text], capsys)
     assert (code, out) == (2, "")
     assert err == f"densecode: {flag} must be a finite number {span}, got {text!r}\n"
+
+
+@pytest.mark.parametrize("argv, flag, got", [
+    (["audit", "--ghz", "3", "--tolerance", "-1e-3"], "--tolerance", "-0.001"),
+    (["audit", "--ghz", "-2e1"], "--ghz", "'-2e1'"),
+    (["audit", "--dnk", "-1e1", "3"], "--dnk", "'-1e1'"),
+    (["security", "--n", "3", "--threshold", "-inf"], "--threshold", "-inf"),
+    (["security", "--n", "3", "--cert-tolerance", "-1E2"], "--cert-tolerance", "-100.0"),
+    (["security", "--n", "3", "--seed", "-5e0"], "--seed", "'-5e0'"),
+])
+def test_negative_value_as_a_separate_word_exits_2_naming_its_flag(capsys, argv, flag, got):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"densecode: {flag} ") and err.endswith(f", got {got}\n"), err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.skipif(sys.version_info >= (3, 13), reason="argparse keeps '--' as the value")

@@ -18,6 +18,7 @@ from densecode import (
     holevo_bound,
     is_ame,
     is_gme_pure,
+    layout_verdicts,
     optimality_report,
     partial_trace,
     reduced_density,
@@ -505,6 +506,9 @@ def test_every_layout_is_optimal_and_gme_exactly_with_one_block(n):
         ame, gme = entanglement_verdicts(state)
         assert gme == (len(spec.blocks) == 1), (n, k)
         assert ame.is_ame == (n <= 3), (n, k)
+        closed_ame, closed_gme, closed_residual = layout_verdicts(map(len, spec.blocks))
+        assert (closed_ame, closed_gme) == (ame.is_ame, gme), (n, k)
+        assert abs(closed_residual - ame.max_residual) <= 1e-15, (n, k)
 
 
 def test_bell_product_verdicts_name_the_first_failing_side():

@@ -146,8 +146,8 @@ def test_detection_matches_the_closed_form_on_haar_attacks(n, seed):
 # ---------------------------------------------------------------------------
 # Generated argv: every numeric flag and --message get in-range values (kept
 # small), out-of-range values (20 digits or more included) and non-numbers.
-# A float flag is given as --flag=TEXT, since argparse takes a separate value
-# such as -1e-3 for an option of its own.
+# A float flag is given as --flag=TEXT or as two words, --flag TEXT; a value
+# such as -1e-3 or -inf is then a word of its own that starts with a dash.
 
 NOT_AN_INTEGER = st.one_of(st.text(alphabet="abxyz.+_ e", max_size=8),
                            st.sampled_from(["1.5", "1e3", "0x10", "nan", "inf", "1/2"]))
@@ -168,15 +168,17 @@ def flag(inside, low, high):
 
 
 def real_flag(name, low, high):
-    """A float flag whose valid range is [low, high], as one --flag=TEXT word:
-    in range (at most 1), out of range or not a number."""
+    """A float flag whose valid range is [low, high], as the words of
+    --flag=TEXT or of --flag TEXT: in range (at most 1), out of range or not
+    a number.  A lone -- ends the options, so it comes only as --flag=--."""
     outside_range = [st.floats(max_value=low, exclude_max=True),
-                     st.sampled_from([math.nan, math.inf])]
+                     st.sampled_from([math.nan, math.inf, -math.inf])]
     if math.isfinite(high):
         outside_range.append(st.floats(min_value=high, exclude_min=True))
     text = st.one_of(st.floats(low, min(high, 1.0)).map(repr),
                      st.one_of(outside_range).map(repr), NOT_A_NUMBER)
-    return text.map(lambda t: f"{name}={t}")
+    return st.one_of(text.map(lambda t: [f"{name}={t}"]),
+                     text.filter(lambda t: t != "--").map(lambda t: [name, t]))
 
 
 def bit_strings(min_size, max_size):
@@ -201,15 +203,15 @@ def argvs(draw):
             ["--dnk", draw(flag(st.just(n), 2, 12)), draw(flag(st.just(k), 1, n - 1))],
         ]))
         if draw(st.booleans()):
-            argv.append(draw(real_flag("--tolerance", 0.0, math.inf)))
+            argv += draw(real_flag("--tolerance", 0.0, math.inf))
     else:
         argv = ["security", "--n", draw(flag(st.integers(2, 10), 2, 12))]
         if draw(st.booleans()):
             argv += ["--rounds", draw(flag(st.integers(1, 1000), 1, 2**63 - 1))]
         if draw(st.booleans()):
-            argv.append(draw(real_flag("--threshold", 0.0, 1.0)))
+            argv += draw(real_flag("--threshold", 0.0, 1.0))
         if draw(st.booleans()):
-            argv.append(draw(real_flag("--cert-tolerance", 0.0, math.inf)))
+            argv += draw(real_flag("--cert-tolerance", 0.0, math.inf))
     if draw(st.booleans()):
         argv += ["--seed", draw(flag(st.integers(0, 2**63 - 1), 0, 2**63 - 1))]
     return argv

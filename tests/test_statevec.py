@@ -107,6 +107,7 @@ def test_statevector_rejects_unnormalized():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e200,  # 1e200 squares to inf
                                  complex(0, np.nan), complex(0, -np.inf), complex(0, 1e200)])
+@pytest.mark.filterwarnings("error")  # a norm that overflows to inf is refused, not warned of
 def test_statevector_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(1, [bad, 0])

@@ -12,13 +12,14 @@ runs ``python3 clibench/run.py --workload W --seed S --seconds 20 --trace 0``
 in both trees, one after the other, the first side alternating from seed to
 seed.  Each run keeps the last JSON line, the seed and the host slowdown the
 run printed; each workload gets the median and quartiles of every end-to-end
-metric.  Every ``--ops`` command is then timed in both trees as a single CLI
-call in a fresh interpreter with one BLAS thread: the best of 5 wall times,
-with the package's caches cleared before each call.  Every ``--calls``
-statement is timed in both trees, alternating, in CALL_PAIRS pairs of fresh
-interpreters with one BLAS thread: ``timeit`` picks a loop count, and each run
-keeps the best of 5 loops, in microseconds per statement.  Setup code, run once
-and untimed, goes before `` ;; `` in the statement; both run after
+metric.  Every ``--ops`` command and ``--calls`` statement is then timed in
+both trees, alternating, in CALL_PAIRS pairs of fresh interpreters with one
+BLAS thread, the first side swapping each pair; each gets every run and their
+median.  An op run is one CLI call in-process, the best of 5 wall times in
+milliseconds, with the package's caches cleared before each call.  A call run
+lets ``timeit`` pick a loop count and keeps the best of 5 loops, in
+microseconds per statement.  Setup code, run once and untimed, goes before
+`` ;; `` in the statement; both run after
 ``import numpy as np; from densecode import *; from densecode import coding``.
 Both files are rewritten after every run, so an interrupted series keeps what
 it measured.
@@ -110,21 +111,26 @@ def summary(runs: list[dict]) -> dict:
     return out
 
 
+def _medians(timed: dict) -> dict:
+    return {item: {"median": statistics.median(runs), "runs": runs}
+            for item, runs in timed.items()}
+
+
 def save(path: str, label: str, tree: str, workloads: dict, ops: dict, calls: dict) -> None:
     doc = {
         "blas_threads": 1,
         "calls_method": f"{CALL_PAIRS} alternating pairs of fresh interpreters, each the best "
                         "of 5 timeit loops, one BLAS thread; microseconds per statement",
-        "calls_us": {stmt: {"median": statistics.median(runs), "runs": runs}
-                     for stmt, runs in calls.items()},
+        "calls_us": _medians(calls),
         "command": COMMAND,
         "cores": os.cpu_count(),
         "label": label,
         "numpy": np.__version__,
         "pairing": "parent and change runs alternate, the first side swapping each seed",
         "python": platform.python_version(),
-        "single_ops_ms": ops,
-        "single_ops_method": "one CLI call in-process, wall time, best of 5, one BLAS thread",
+        "single_ops_ms": _medians(ops),
+        "single_ops_method": f"{CALL_PAIRS} alternating pairs of fresh interpreters, each one "
+                             "CLI call in-process, wall time, best of 5, one BLAS thread",
         "tree": tree,
         "workloads": {w: {"runs": runs, "summary": summary(runs)}
                       for w, runs in workloads.items() if runs},
@@ -164,17 +170,14 @@ def main() -> int:
             print(workload, seed, {s: round(runs[s][workload][-1]["last_line"]["metrics"]
                                             ["ops_per_s"]["value"], 1) for s in sides},
                   flush=True)
-    for op in args.ops:
-        for side, tree in sides.items():
-            ops[side][op] = single_op_ms(tree, op)
-        save_all()
-        print(op, {side: round(ops[side][op], 2) for side in sides}, flush=True)
-    for stmt in args.calls:
+    timed = [(ops, op, single_op_ms) for op in args.ops]
+    timed += [(calls, stmt, call_us) for stmt in args.calls]
+    for into, item, measure in timed:
         for i in range(CALL_PAIRS):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                calls[side].setdefault(stmt, []).append(call_us(sides[side], stmt))
+                into[side].setdefault(item, []).append(measure(sides[side], item))
             save_all()
-        print(stmt, {side: round(statistics.median(calls[side][stmt]), 1) for side in sides},
+        print(item, {side: round(statistics.median(into[side][item]), 2) for side in sides},
               flush=True)
     return 0
 
