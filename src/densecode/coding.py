@@ -19,7 +19,8 @@ Decoding is done two ways that must agree: overlap against the code basis,
 and a circuit (CNOT fan-out from each block's first qubit, Hadamard on it,
 bit-map inversion) on the coset of the largest amplitude, a 2^B-point
 Walsh-Hadamard transform; for a GHZ block it gives the ket z with  b1 = z_1,
-b2 = z_g,  b_{j+1} = z_j xor z_g.
+b2 = z_g,  b_{j+1} = z_j xor z_g.  The circuit on the whole register only
+explains a failure: it names the blocks that are not sharp.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NoReturn, Sequence, Union
 
 import numpy as np
 
@@ -251,13 +252,13 @@ def dnk_encode(msg: MessageLike, spec: DnkSpec) -> dict[int, PauliString]:
 
 def dnk_state(spec: DnkSpec) -> StateVector:
     """The shared resource: one GHZ state per block, in register order."""
-    return StateVector._trusted(spec.n_qubits, dnk_code_words([0], spec)[0])
+    return StateVector(spec.n_qubits, dnk_code_words([0], spec)[0])
 
 
 def dnk_encoded_state(msg: MessageLike, spec: DnkSpec) -> StateVector:
     """Resource state after every sender applied its local operator."""
     idx = int(str(_layout_message(msg, spec)), 2)
-    return StateVector._trusted(spec.n_qubits, dnk_code_words([idx], spec)[0])
+    return StateVector(spec.n_qubits, dnk_code_words([idx], spec)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -392,52 +393,65 @@ def _message_indices(s: np.ndarray, a: np.ndarray, spec: DnkSpec) -> np.ndarray:
     return spec.lead_support[a] | (((s >> 1) ^ last) & ~spec.lead_mask)
 
 
-def _circuit_outputs(words: np.ndarray, reps: np.ndarray, spec: DnkSpec) -> np.ndarray:
-    """|circuit output| on the cosets r ^ support of ``reps`` (batch, R), output a
-    as ``_message_indices`` reads it: the fan-outs fix a coset's non-lead bits, so the
-    lead Hadamards are a Walsh-Hadamard transform of its 2**B amplitudes.  From
+def _circuit_outputs(t: np.ndarray, spec: DnkSpec) -> np.ndarray:
+    """|circuit output| of each coset's 2**B amplitudes ``t`` (..., 2**B), in support
+    order, output a as ``_message_indices`` reads it: the fan-outs fix a coset's non-lead
+    bits, so the lead Hadamards are a Walsh-Hadamard transform of its amplitudes.  From
     any start in the coset |output| is bitwise equal: +, - and * are odd."""
-    t = words[np.arange(len(words))[:, None, None], reps[..., None] ^ spec.support]
     return np.abs(_butterfly(t, [2**j for j in reversed(range(len(spec.blocks)))]))
 
 
-def _full_circuit_decode(amps: np.ndarray, spec: DnkSpec) -> int:
-    """The circuit on the whole register; ``NoMatchError`` names the blocks not sharp
-    ("ghz" for a block of 3 or more qubits, "pair1", "pair2", ... for pairs in order)."""
+def _coset_indices(s: np.ndarray, t: np.ndarray, spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Message index and best |circuit output| of each coset s ^ support, from ``t``
+    (batch, 2**B), its amplitudes at s ^ support in support order."""
+    out = _circuit_outputs(t, spec)
+    return _message_indices(s, out.argmax(axis=1), spec), out.max(axis=1)
+
+
+def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
+    """Raise ``NoMatchError`` with the best output of the circuit on the whole register
+    and the blocks not sharp ("ghz" for a block of 3 or more qubits, "pair1", "pair2",
+    ... for pairs in order).
+
+    Called when the coset of s = argmax |psi| has no output >= T = OVERLAP_THRESHOLD;
+    then no coset has one, for B <= 17 (every register under 36 qubits, as a block has 2
+    or more).  Were output a of coset C at least T on a unit state, psi on C would be
+    o h_a + r, with |o| >= T, every entry of h_a +-2**(-B/2), r orthogonal to h_a and
+    |r|**2 + w <= 1 - T**2 for the weight w off C.  Each amplitude on C would be at least
+    T 2**(-B/2) - |r| and each off it at most sqrt(w), and |r| + sqrt(w) <=
+    sqrt(2 (1 - T**2)) ~ 2.0e-3 < T 2**(-B/2), so s would lie on C."""
     n, reps = spec.n_qubits, spec.coset_reps
-    out = _circuit_outputs(amps[None], reps[None], spec)[0]
-    r, a = np.unravel_index(np.argmax(out), out.shape)
-    overlap = float(out[r, a])
-    if overlap < OVERLAP_THRESHOLD:
-        probs = np.empty((2,) * n)
-        probs.reshape(-1)[reps[:, None] | spec.lead_support] = out**2
-        pair_number = itertools.count(1)
-        suspects = []
-        for block in spec.blocks:
-            name = "ghz" if len(block) > 2 else f"pair{next(pair_number)}"
-            marginal = probs.sum(axis=tuple(ax for ax in range(n) if ax + 1 not in block))
-            if float(marginal.max()) < OVERLAP_THRESHOLD**2:
-                suspects.append(name)
-        raise NoMatchError(
-            f"state matches no code word (best overlap {overlap:.6f}; "
-            f"suspect blocks: {', '.join(suspects) or 'none isolated'})",
-            overlap,
-            tuple(suspects),
-        )
-    return int(_message_indices(reps[[r]], np.array([a]), spec)[0])
+    out = _circuit_outputs(amps[reps[:, None] ^ spec.support], spec)
+    overlap = float(out.max())
+    probs = np.empty((2,) * n)
+    probs.reshape(-1)[reps[:, None] | spec.lead_support] = out**2
+    pair_number = itertools.count(1)
+    suspects = []
+    for block in spec.blocks:
+        name = "ghz" if len(block) > 2 else f"pair{next(pair_number)}"
+        marginal = probs.sum(axis=tuple(ax for ax in range(n) if ax + 1 not in block))
+        if float(marginal.max()) < OVERLAP_THRESHOLD**2:
+            suspects.append(name)
+    raise NoMatchError(
+        f"state matches no code word (best overlap {overlap:.6f}; "
+        f"suspect blocks: {', '.join(suspects) or 'none isolated'})",
+        overlap,
+        tuple(suspects),
+    )
 
 
 def _decode_indices(words: np.ndarray, spec: DnkSpec) -> np.ndarray:
-    """Circuit decode of each row of ``words`` (batch, 2**n) to its message index, on the
-    coset of s = argmax |psi|: an output >= OVERLAP_THRESHOLD there is the whole circuit's
-    best, else all."""
+    """Circuit decode of each row of ``words`` (batch, 2**n), a state of norm 1, to its
+    message index, on the coset of s = argmax |psi|; the first row whose best output
+    there is under OVERLAP_THRESHOLD matches no code word (see ``_no_match``)."""
     if words.ndim != 2 or words.shape[1] != 2**spec.n_qubits:
         raise ValueError(f"expected rows of 2**{spec.n_qubits} amplitudes, got {words.shape}")
     s = np.abs(words).argmax(axis=1)
-    out = _circuit_outputs(words, s[:, None], spec)[:, 0]
-    msgs = _message_indices(s, out.argmax(axis=1), spec)
-    for i in np.flatnonzero(~(out.max(axis=1) >= OVERLAP_THRESHOLD)):
-        msgs[i] = _full_circuit_decode(words[i], spec)
+    msgs, best = _coset_indices(
+        s, words[np.arange(len(words))[:, None], s[:, None] ^ spec.support], spec)
+    failed = np.flatnonzero(~(best >= OVERLAP_THRESHOLD))
+    if failed.size:
+        _no_match(words[failed[0]], spec)
     return msgs
 
 

@@ -53,14 +53,6 @@ class StateVector:
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def _trusted(cls, n_qubits: int, amplitudes: np.ndarray) -> "StateVector":
-        """1-D kernel output already normalized: the same read-only complex copy, unchecked."""
-        state = object.__new__(cls)
-        state.__dict__.update(n_qubits=n_qubits, amplitudes=np.array(amplitudes, dtype=complex))
-        state.amplitudes.flags.writeable = False
-        return state
-
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit (axis k = qubit k+1)."""
         return self.amplitudes.reshape((2,) * self.n_qubits)

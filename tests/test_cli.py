@@ -152,6 +152,8 @@ def test_every_audit_flag_reports_the_same_keys(capsys, monkeypatch):
     keys, from the layout's support, with no dense resource and no
     every-side pass."""
     monkeypatch.setattr(coding, "dnk_state", Forbidden("dnk_state"))
+    monkeypatch.setattr(coding, "dnk_code_words", Forbidden("dnk_code_words"))
+    monkeypatch.setattr(coding, "_decode_indices", Forbidden("_decode_indices"))
     monkeypatch.setattr(cli.entanglement, "entanglement_verdicts",
                         Forbidden("entanglement_verdicts"))
     keys = set()
@@ -160,9 +162,24 @@ def test_every_audit_flag_reports_the_same_keys(capsys, monkeypatch):
         assert report["verdict"] == "optimal", target
         keys.add((tuple(sorted(report["results"])), tuple(sorted(report["residuals"]))))
         n = report["results"]["holevo_bound"]
-        assert (report["results"]["roundtrip"] is None) == (n > cli.MAX_AUDIT_QUBITS), target
+        assert report["results"]["roundtrip"] == {"messages_checked": min(2 ** int(n), 64),
+                                                  "failures": 0}, target
         assert (report["residuals"]["gram_residual"] is None) == (n > coding.MAX_BASIS_BITS)
     assert len(keys) == 1, keys
+
+
+@pytest.mark.parametrize("corrupt", ["index", "overlap"])
+def test_audit_roundtrip_counts_a_wrong_or_weak_word_as_a_failure(capsys, monkeypatch, corrupt):
+    """A sampled word that decodes to another message, or whose best circuit output is
+    under the decode threshold, is a failure."""
+    if corrupt == "index":
+        indices = coding._message_indices
+        monkeypatch.setattr(coding, "_message_indices", lambda s, a, spec: indices(s, a, spec) ^ 1)
+    else:
+        outputs = coding._circuit_outputs
+        monkeypatch.setattr(coding, "_circuit_outputs", lambda t, spec: outputs(t, spec) * 0.999)
+    _, report = run_json(["audit", "--dnk", "7", "3"], capsys)
+    assert report["results"]["roundtrip"] == {"messages_checked": 64, "failures": 64}
 
 
 def test_audit_dnk_is_optimal_but_neither_gme_nor_ame(capsys):
@@ -346,7 +363,7 @@ def test_audit_bell_beyond_caps_reports_null(capsys):
     _, report = run_json(["audit", "--bell", "7"], capsys)
     assert report["results"]["ame"] is False
     assert report["results"]["orthonormality"] is None
-    assert report["results"]["roundtrip"] is None
+    assert report["results"]["roundtrip"] == {"messages_checked": 64, "failures": 0}
     assert report["results"]["capacity"] == pytest.approx(14.0)
     assert report["residuals"]["bob_marginal_residual"] < 1e-9
 

@@ -40,9 +40,11 @@ from densecode import (
 )
 from densecode.coding import (
     _circuit_outputs,
+    _coset_indices,
     _decode_indices,
     _message_indices,
     _word_masks,
+    _word_support,
     dnk_code_words,
     dnk_decode_words,
 )
@@ -670,9 +672,10 @@ def test_circuit_outputs_are_bitwise_equal_from_every_member_of_a_coset(n, k):
     rng = np.random.default_rng(n * 10 + k)
     for _ in range(5):
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        base = _circuit_outputs(amps[None], reps[None], spec)
+        base = _circuit_outputs(amps[reps[:, None] ^ support], spec)
         for offset in support:
-            assert np.array_equal(_circuit_outputs(amps[None], (reps ^ offset)[None], spec), base)
+            assert np.array_equal(_circuit_outputs(amps[(reps ^ offset)[:, None] ^ support], spec),
+                                  base)
 
 
 def test_batched_roundtrip_of_every_message():
@@ -724,11 +727,32 @@ def test_decode_of_every_message_matches_the_reference(n):
         spec = dnk_spec(n, k)
         words = dnk_code_words(np.arange(2**n), spec)
         s = np.abs(words).argmax(axis=1)
-        a = _circuit_outputs(words, s[:, None], spec)[:, 0].argmax(axis=1)
+        a = _circuit_outputs(words[np.arange(2**n)[:, None], s[:, None] ^ spec.support],
+                             spec).argmax(axis=1)
         want = [reference_message_at(si, ai, spec) for si, ai in zip(s.tolist(), a.tolist())]
         assert [int(str(m), 2) for m in want] == list(range(2**n))
         assert dnk_decode_words(words, spec) == want
         assert _decode_indices(words, spec).tolist() == list(range(2**n))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_support_roundtrip_is_bitwise_the_dense_decode(n):
+    """The audit decodes each word from its support, s = its smallest column and
+    t = its values; the dense decode gathers s = argmax |row| and t = row[s ^ support]."""
+    rng = np.random.default_rng(1700 + n)
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        msgs = np.arange(2**n) if n <= 10 else np.sort(rng.choice(2**n, 64, replace=False))
+        cols, vals = _word_support(msgs, spec)
+        got, got_best = _coset_indices(cols[:, 0], vals, spec)
+        words = dnk_code_words(msgs, spec)
+        s = np.abs(words).argmax(axis=1)
+        t = words[np.arange(len(msgs))[:, None], s[:, None] ^ spec.support]
+        assert np.array_equal(cols[:, 0], s) and np.array_equal(vals, t), (n, k)
+        want, want_best = _coset_indices(s, t, spec)
+        assert np.array_equal(got, want) and np.array_equal(got_best, want_best), (n, k)
+        assert np.array_equal(got, _decode_indices(words, spec)), (n, k)
+        assert got.tolist() == msgs.tolist()
 
 
 def reference_circuit(state, spec):

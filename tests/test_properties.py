@@ -28,7 +28,13 @@ from densecode import (
     hadamard_on,
 )
 from densecode.cli import _json, main, render_report
-from densecode.coding import _full_circuit_decode, dnk_code_words, dnk_decode_words
+from densecode.coding import (
+    OVERLAP_THRESHOLD,
+    _no_match,
+    _word_support,
+    dnk_code_words,
+    dnk_decode_words,
+)
 
 
 @st.composite
@@ -111,10 +117,48 @@ def test_hadamard_corruption_fails_circuit_and_overlap_decode_alike(case, data):
     with pytest.raises(NoMatchError) as kernel:
         dnk_decode(state, spec)
     with pytest.raises(NoMatchError) as full:
-        _full_circuit_decode(state.amplitudes, spec)
+        _no_match(state.amplitudes, spec)
     assert str(kernel.value) == str(full.value)
     assert (kernel.value.best_overlap, kernel.value.blocks) == (
         full.value.best_overlap, full.value.blocks)
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 9) for k in range(1, n)])
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_near_threshold_states_decode_on_the_fast_path(n, k, data):
+    """A code word plus a perturbation of norm under sqrt(1 - T**2), normalized, still
+    overlaps the word by at least T, and its largest amplitude stays on the word's coset:
+    the fast path decodes it, so the full-register pass never has to.  "off" puts the
+    perturbation on one index off the coset, "swap" also lowers one index on it.  Just
+    past the bound, "off" overlaps the word by less than T and fails."""
+    spec = dnk_spec(n, k)
+    msg = data.draw(st.integers(0, 2**n - 1))
+    (cols,), _ = _word_support([msg], spec)
+    word = dnk_code_words([msg], spec)[0]
+    kind = data.draw(st.sampled_from(["off", "swap", "random"]))
+    if kind == "random":
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        delta = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    else:
+        delta = np.zeros(2**n, dtype=complex)
+        off = np.setdiff1d(np.arange(2**n), cols).tolist()
+        delta[data.draw(st.sampled_from(off))] = np.exp(1j * data.draw(st.floats(0, 2 * np.pi)))
+    if kind == "swap":
+        on = data.draw(st.sampled_from(cols.tolist()))
+        delta[on] = -np.sign(word[on])
+    delta *= 0.999 * math.sqrt(1 - OVERLAP_THRESHOLD**2) / np.linalg.norm(delta)
+    amps = word + delta
+    state = StateVector(n, amps / np.linalg.norm(amps))
+    assert abs(np.vdot(word, state.amplitudes)) >= OVERLAP_THRESHOLD
+    assert int(np.abs(state.amplitudes).argmax()) in cols
+    assert int(str(dnk_decode(state, spec)), 2) == msg
+    if kind == "off":
+        delta *= 1.001 / OVERLAP_THRESHOLD / 0.999
+        amps = word + delta
+        with pytest.raises(NoMatchError) as info:
+            dnk_decode(StateVector(n, amps / np.linalg.norm(amps)), spec)
+        assert info.value.best_overlap < OVERLAP_THRESHOLD
 
 
 def haar_unitary(dim, rng):
