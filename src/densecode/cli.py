@@ -28,9 +28,9 @@ MAX_ENCODE_BITS = 24  # a receiver's dense state holds 2^n amplitudes: 256 MiB a
 
 # Every numeric flag once, as (namespace field, flag, low, high, unit), with
 # the reason for its range; ``_validate`` converts their text and checks them
-# before a command runs.  A row without a unit is a float flag, which must
-# also be finite.  A count bounded by another flag is checked where both are
-# known, so its row has no range: --senders and K of --dnk against N in
+# before a command runs.  A row without a unit is a float flag: finite and >= 0
+# (``statevec._finite``).  A count bounded by another flag is checked where both
+# are known, so its row has no range: --senders and K of --dnk against N in
 # ``_layout``, and the length of --message in ``cmd_encode``.
 _FLAGS = (
     ("tolerance", "--tolerance", 0.0, math.inf, None),  # a distance; audit only
@@ -142,8 +142,6 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
     opt = entanglement._optimality(n, support, values, spec.alice_qubits, tol)
     ame, gme, ame_residual = entanglement.layout_verdicts(map(len, spec.blocks), tol)
 
-    # Each pick's word on its support: its smallest column has every lead bit 0, so
-    # the columns are that column ^ support in support order, the coset the receiver reads
     rng = np.random.default_rng(args.seed)
     picks = sorted(rng.choice(2**n, size=min(2**n, 64), replace=False).tolist())
     cols, vals = coding._word_support(picks, spec)
@@ -457,9 +455,9 @@ def _validate(args: argparse.Namespace) -> None:
         many = isinstance(value, list)  # --dnk N K; the range is N's
         numbers = [_number(flag, text, kind, want) for text in (value if many else [value])]
         first = numbers[0]
-        if unit is None and not (math.isfinite(first) and low <= first <= high):
-            raise ValueError(f"{flag} must be {want}, got {first!r}")
-        if unit is not None and low is not None and not low <= first <= high:
+        if unit is None:
+            statevec._finite(flag, first, high)
+        elif low is not None and not low <= first <= high:
             raise ValueError(f"{flag} supports {low}..{high} {unit}, got {first}")
         setattr(args, field, numbers if many else first)
     args.seed = _seed(args)

@@ -40,6 +40,7 @@ from .statevec import (
     PauliString,
     StateVector,
     _butterfly,
+    _integer,
     _parity,
     compose_labels,
 )
@@ -64,12 +65,12 @@ class Message:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(map(int, self.bits))
-        object.__setattr__(self, "bits", bits)
+        bits = tuple(self.bits)
         if len(bits) < 2:
             raise ValueError(f"messages need at least 2 bits, got {len(bits)}")
-        if not {0, 1}.issuperset(bits):
+        if not {0, 1}.issuperset(bits):  # before int(), which would truncate 1.7 to 1
             raise ValueError(f"message bits must be 0 or 1: {bits}")
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @classmethod
     def from_string(cls, text: str) -> "Message":
@@ -199,9 +200,9 @@ def dnk_spec(n_bits: int, n_senders: int) -> DnkSpec:
     as possible, and with them the message bits those qubits carry under the
     bit rule of ``dnk_combined_string``.
     """
-    if n_bits < 2:
+    if _integer("n_bits", n_bits) < 2:
         raise ValueError(f"need at least 2 message bits, got {n_bits}")
-    if not 1 <= n_senders <= n_bits - 1:
+    if not 1 <= _integer("n_senders", n_senders) <= n_bits - 1:
         raise ValueError(f"sender count must be in 1..{n_bits - 1}, got {n_senders}")
     floor_size = 2 if n_bits % 2 == 0 else 3
     g = max(floor_size, 2 * (n_senders + 1) - n_bits)
@@ -287,21 +288,6 @@ class CodeBasis:
     def n_qubits(self) -> int:
         return self.spec.n_qubits
 
-    @property
-    def messages(self) -> tuple[Message, ...]:
-        """The message of each row, in integer order."""
-        return tuple(all_messages(self.n_qubits))
-
-    def state_for(self, msg: MessageLike) -> StateVector:
-        idx = int(str(_layout_message(msg, self.spec)), 2)
-        return StateVector(self.n_qubits, self.states[idx])
-
-    def gram(self) -> np.ndarray:
-        return self.states @ self.states.T
-
-    def gram_report(self) -> GramReport:
-        return dnk_gram_report(self.spec.n_bits, self.spec.n_senders)
-
 
 MAX_BASIS_BITS = 10  # a full code basis is a 2**n x 2**n dense matrix
 
@@ -325,9 +311,13 @@ def _word_masks(spec: DnkSpec, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _word_support(msgs: Sequence[int], spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
     """Ascending columns c = support ^ x of the words of messages ``msgs``, and their
-    values (-1)**popcount(c & z) * psi[c ^ x] for Z**z X**x (iY = ZX) on resource psi."""
+    values (-1)**popcount(c & z) * psi[c ^ x] for Z**z X**x (iY = ZX) on resource psi.
+    The first column is x with each block whose lead x sets flipped whole: every lead
+    bit 0.  A block's lead is its top index bit, so that column ^ support ascends in
+    support order, with no sort: the coset the receiver reads, in its order."""
     x, z = _word_masks(spec, np.asarray(msgs, dtype=np.int64))
-    cols = np.sort(spec.support ^ x[:, None], axis=1)
+    rep = x ^ (((x[:, None] & spec.block_masks & spec.lead_mask) != 0) @ spec.block_masks)
+    cols = rep[:, None] ^ spec.support
     amp = math.prod([_SQRT_HALF] * len(spec.blocks))
     return cols, np.array([amp, -amp])[_parity(cols & z[:, None])]
 
@@ -543,7 +533,7 @@ def encode_bell(msg: MessageLike) -> list[PauliString]:
 
 def bell_pairs_state(n_pairs: int) -> StateVector:
     """Product of Bell pairs, each laid out (sender half, receiver half)."""
-    if n_pairs < 1:
+    if _integer("n_pairs", n_pairs) < 1:
         raise ValueError("need at least one Bell pair")
     return dnk_state(dnk_spec(2 * n_pairs, 1))
 

@@ -14,7 +14,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .statevec import StateVector
+from .statevec import StateVector, _finite, _integer
 
 DEFAULT_TOLERANCE = 1e-9
 _EIG_CUTOFF = 1e-12  # eigenvalues at or below this contribute 0 to entropy
@@ -281,6 +281,7 @@ def entanglement_verdicts(
     n = state.n_qubits
     if n < 2:
         raise ValueError("entanglement verdicts need at least 2 qubits")
+    _finite("tol", tol)
     support, values = _support(state)
     sides: list[tuple[int, ...]] = []
     residuals, entropies = [], []
@@ -333,6 +334,7 @@ def layout_verdicts(
     sizes = list(block_sizes)
     if not sizes or min(sizes) < 2:
         raise ValueError(f"GHZ blocks need at least 2 qubits each, got {sizes}")
+    _finite("tol", tol)
     one = len(sizes) == 1
     residual = 0.5 - 2.0 ** -(sizes[0] // 2) if one else 0.5
     return residual <= tol, (1.0 if one else 0.0) > tol, residual
@@ -356,7 +358,7 @@ def is_gme_pure(state: StateVector, tol: float = DEFAULT_TOLERANCE) -> bool:
 
 def holevo_bound(n: int) -> int:
     """Maximum classical bits extractable from an n-qubit register."""
-    if n < 1:
+    if _integer("n", n) < 1:
         raise ValueError(f"need at least one qubit, got {n}")
     return n
 
@@ -414,6 +416,7 @@ def _optimality(
 ) -> OptimalityReport:
     """``optimality_report`` of the pure n-qubit state with nonzero ``values``
     at ``support``."""
+    _finite("tol", tol)
     n_bob, _, residual, cap = _pure_receiver_marginal(n, support, values, alice)
     bound = holevo_bound(n)
     return OptimalityReport(

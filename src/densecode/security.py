@@ -38,9 +38,10 @@ from .statevec import (
     basis_ket,
     ghz_state,
     hadamard_all,
-    hadamard_on,
     tensor_product,
-    _marginal_probabilities,
+    _butterfly,
+    _finite,
+    _integer,
     _parity,
 )
 
@@ -183,13 +184,14 @@ class DetectionReport:
 def _check_marginals(state: StateVector, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Outcome distributions of protocol qubits 1..n, packed like the outcomes
     of ``round_consistent``, in the computational and in the Hadamard check
-    basis.  Qubits past n (an eavesdropper ancilla) are traced out."""
+    basis, the latter by one butterfly on the amplitudes, which builds no state.
+    Qubits past n (an eavesdropper ancilla) are traced out."""
     if not 2 <= n <= state.n_qubits:
         raise ValueError(f"protocol size {n} invalid for {state.n_qubits} qubits")
-    measured = list(range(1, n + 1))
-    p_comp = _marginal_probabilities(state, measured)
-    p_had = _marginal_probabilities(hadamard_on(state, measured), measured)
-    return p_comp, p_had
+    amps = state.amplitudes
+    had = _butterfly(amps, [amps.size >> q for q in range(1, n + 1)])  # qubit q's stride
+    # qubits 1..n are the leading index bits: one row per outcome, the rest traced out
+    return tuple((np.abs(a) ** 2).reshape(2**n, -1).sum(axis=1) for a in (amps, had))
 
 
 def _score_marginals(p_comp: np.ndarray, p_had: np.ndarray) -> DetectionReport:
@@ -238,6 +240,7 @@ class CertificateReport:
 
 
 def undetectable_certificate(atk: EveAttack, tol: float = CERT_TOLERANCE) -> CertificateReport:
+    _finite("tol", tol)
     v00 = atk.branch(0, 0)
     v11 = atk.branch(1, 1)
     flip_01 = float(np.linalg.norm(atk.branch(0, 1)))
@@ -289,10 +292,11 @@ def security_simulation(
     statistics.  The default threshold 0 aborts on any inconsistency: the
     model is noiseless, so a clean channel never produces a false positive.
     """
-    if not 1 <= rounds <= MAX_ROUNDS:
+    if not 1 <= _integer("rounds", rounds) <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
-    if n < 2:
+    if _integer("n", n) < 2:
         raise ValueError(f"protocol needs at least 2 qubits, got {n}")
+    _finite("threshold", threshold, 1.0)
     state = ghz_state(n)
     if attack is not None:
         state = apply_eve(state, attack)

@@ -16,9 +16,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -26,6 +27,20 @@ NORM_TOLERANCE = 1e-9
 PHASE_TOLERANCE = 1e-9
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
+
+
+def _integer(name: str, value: Any) -> int:
+    """An integer count or index ``value`` as an int, else a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, value: float, high: float = math.inf) -> None:
+    """Refuse a tolerance or threshold ``value`` outside [0, ``high``], naming ``name``."""
+    if not (math.isfinite(value) and 0 <= value <= high):
+        span = f"in [0, {high:g}]" if math.isfinite(high) else ">= 0"
+        raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,7 +51,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n_qubits < 1:
+        if _integer("n_qubits", self.n_qubits) < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
         amps = np.array(self.amplitudes, dtype=complex, order="C").reshape(-1)  # a private copy
         if amps.size != 2**self.n_qubits:
@@ -107,7 +122,7 @@ class PauliString:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "targets", tuple(self.targets))
+        object.__setattr__(self, "targets", tuple(_integer("target", q) for q in self.targets))
         if len(self.labels) != len(self.targets):
             raise ValueError("labels and targets must have equal length")
         if len(set(self.targets)) != len(self.targets):
@@ -139,9 +154,9 @@ def _parity(v: np.ndarray) -> np.ndarray:
 
 def basis_ket(n: int, index: int) -> StateVector:
     """Computational basis state |index> on an n-qubit register."""
-    if n < 1:
+    if _integer("n", n) < 1:
         raise ValueError(f"need at least one qubit, got {n}")
-    if not 0 <= index < 2**n:
+    if not 0 <= _integer("index", index) < 2**n:
         raise ValueError(f"basis index {index} out of range for {n} qubits")
     amps = np.zeros(2**n, dtype=complex)
     amps[index] = 1.0
@@ -150,7 +165,7 @@ def basis_ket(n: int, index: int) -> StateVector:
 
 def ghz_state(n: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) on n >= 2 qubits."""
-    if n < 2:
+    if _integer("n", n) < 2:
         raise ValueError(f"GHZ state needs at least 2 qubits, got {n}")
     amps = np.zeros(2**n, dtype=complex)
     amps[0] = amps[-1] = _SQRT_HALF
@@ -196,10 +211,10 @@ def _butterfly(t: np.ndarray, strides: Iterable[int]) -> np.ndarray:
     order given: each pair (lo, hi) at that stride becomes (lo + hi, lo - hi)
     times sqrt(1/2), in an array of ``t``'s shape."""
     shape = t.shape
-    plus_minus = np.array([[1], [-1]], dtype=t.dtype)
     for stride in strides:
         v = t.reshape(-1, 2, stride)
-        t = (v[:, :1] + plus_minus * v[:, 1:]) * _SQRT_HALF
+        lo, hi = v[:, :1], v[:, 1:]
+        t = np.concatenate((lo + hi, lo - hi), axis=1) * _SQRT_HALF
     return t.reshape(shape)
 
 
@@ -233,17 +248,6 @@ def apply_two_qubit(state: StateVector, matrix: np.ndarray, qubits: tuple[int, i
     t = m @ t.reshape(4, -1)
     t = np.moveaxis(t.reshape(shape), (0, 1), (q1 - 1, q2 - 1))
     return StateVector(n, t.reshape(-1))
-
-
-def _marginal_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Exact outcome distribution for measuring ``qubits`` (ascending order,
-    first listed qubit = most significant outcome bit)."""
-    n = state.n_qubits
-    others = [q for q in range(1, n + 1) if q not in qubits]
-    probs = np.abs(state.tensor()) ** 2
-    perm = [q - 1 for q in qubits] + [q - 1 for q in others]
-    marginal = probs.transpose(perm).reshape(2 ** len(qubits), -1).sum(axis=1)
-    return marginal
 
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = PHASE_TOLERANCE) -> bool:

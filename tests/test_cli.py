@@ -769,7 +769,6 @@ def test_encode_builds_no_dense_state(capsys, monkeypatch):
 
 def test_audit_gram_check_builds_no_code_basis(capsys, monkeypatch):
     monkeypatch.setattr(coding, "dnk_code_basis", Forbidden("dnk_code_basis"))
-    monkeypatch.setattr(coding.CodeBasis, "gram", Forbidden("CodeBasis.gram"))
     _, report = run_json(["audit", "--ghz", "10"], capsys)
     assert report["results"]["orthonormality"]["dimension"] == 1024
     assert report["residuals"]["gram_residual"] < 1e-12

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from densecode.coding import (
     dnk_decode_words,
 )
 from densecode.entanglement import reduced_density, capacity
+from densecode.statevec import _parity
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -230,8 +232,8 @@ def test_decode_rejects_unknown_method():
 
 def test_code_basis_entry_count_and_gram():
     basis = ghz_code_basis(3)
-    assert len(basis.messages) == 8
-    assert np.max(np.abs(basis.gram() - np.eye(8))) < 1e-12
+    assert len(all_messages(3)) == 8
+    assert np.max(np.abs(basis.states @ basis.states.T - np.eye(8))) < 1e-12
 
 
 def test_orthonormality_report_n3():
@@ -311,7 +313,8 @@ def test_bell_roundtrip_exhaustive(method):
 
 
 def test_bell_code_basis_gram():
-    assert np.max(np.abs(bell_code_basis(2).gram() - np.eye(16))) < 1e-12
+    states = bell_code_basis(2).states
+    assert np.max(np.abs(states @ states.T - np.eye(16))) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -321,7 +324,7 @@ def test_ghz_code_basis_rows_are_the_encoded_states(n):
     assert not basis.states.flags.writeable
     for i, msg in enumerate(all_messages(n)):
         amps = encoded_state(msg).amplitudes
-        assert basis.messages[i] == msg
+        assert int(str(msg), 2) == i
         assert not amps.imag.any()
         assert np.array_equal(basis.states[i], amps.real), str(msg)
 
@@ -338,7 +341,7 @@ def test_bell_code_basis_rows_are_the_encoded_states(pairs):
 
 def test_code_basis_state_for_is_a_validated_state():
     basis = ghz_code_basis(4)
-    state = basis.state_for("1011")
+    state = dnk_encoded_state("1011", basis.spec)
     assert isinstance(state, StateVector)
     assert state.amplitudes.dtype == complex
     assert not state.amplitudes.flags.writeable
@@ -349,15 +352,15 @@ def test_code_basis_state_for_is_a_validated_state():
 @pytest.mark.parametrize("msg", ["10", "101", "10110", (1, 0)])
 def test_code_basis_state_for_rejects_another_length(msg):
     with pytest.raises(ValueError, match=f"message has {len(msg)} bits, layout expects 4"):
-        ghz_code_basis(4).state_for(msg)
+        dnk_encoded_state(msg, ghz_code_basis(4).spec)
 
 
 def test_gram_report_is_shared_by_every_basis():
     for basis in (ghz_code_basis(4), bell_code_basis(2), dnk_code_basis(6, 3)):
-        report = basis.gram_report()
+        report = dnk_gram_report(basis.spec.n_bits, basis.spec.n_senders)
         assert (report.n_bits, report.dimension) == (basis.n_qubits, 2**basis.n_qubits)
         assert report.residual() < 1e-12
-    assert verify_code_orthonormality(5) == ghz_code_basis(5).gram_report()
+    assert verify_code_orthonormality(5) == dnk_gram_report(5, 4)
 
 
 @pytest.mark.parametrize("phase", [1j, -1j, np.exp(0.7j)])
@@ -733,6 +736,24 @@ def test_decode_of_every_message_matches_the_reference(n):
         assert [int(str(m), 2) for m in want] == list(range(2**n))
         assert dnk_decode_words(words, spec) == want
         assert _decode_indices(words, spec).tolist() == list(range(2**n))
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_word_support_is_the_sorted_coset_bitwise(n):
+    """The closed-form columns are the sorted coset support ^ x, and the values
+    are read at those sorted columns, for every message up to 6 bits and 64 seeded
+    messages above."""
+    rng = np.random.default_rng(1800 + n)
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        msgs = np.arange(2**n) if n <= 6 else rng.choice(2**n, 64, replace=False)
+        x, z = _word_masks(spec, msgs)
+        want = np.sort(spec.support ^ x[:, None], axis=1)
+        amp = math.prod([SQ2] * len(spec.blocks))
+        want_vals = np.array([amp, -amp])[_parity(want & z[:, None])]
+        cols, vals = _word_support(msgs, spec)
+        assert cols.dtype == want.dtype and np.array_equal(cols, want), (n, k)
+        assert vals.dtype == want_vals.dtype and np.array_equal(vals, want_vals), (n, k)
 
 
 @pytest.mark.parametrize("n", range(2, 13))

@@ -22,6 +22,7 @@ from densecode import (
     dnk_combined_string,
     dnk_decode,
     dnk_encoded_state,
+    dnk_gram_report,
     dnk_spec,
     dnk_state,
     ghz_state,
@@ -55,8 +56,8 @@ def layouts_and_messages(draw, max_n=10):
 def test_dnk_basis_row_is_the_encoded_state_and_decodes(case):
     n, k, msg = case
     spec = dnk_spec(n, k)
-    state = dnk_code_basis(n, k).state_for(msg)
-    assert np.array_equal(state.amplitudes, dnk_encoded_state(msg, spec).amplitudes)
+    state = dnk_encoded_state(msg, spec)
+    assert np.array_equal(state.amplitudes, dnk_code_basis(n, k).states[int(str(msg), 2)])
     assert dnk_decode(state, spec) == msg
     assert dnk_decode(state, spec, method="overlap") == dnk_decode(state, spec)
 
@@ -64,7 +65,7 @@ def test_dnk_basis_row_is_the_encoded_state_and_decodes(case):
 @settings(max_examples=30, deadline=None)
 @given(layouts())
 def test_dnk_code_basis_is_orthonormal(layout):
-    assert dnk_code_basis(*layout).gram_report().residual() < 1e-12
+    assert dnk_gram_report(*layout).residual() < 1e-12
 
 
 @settings(max_examples=60, deadline=None)

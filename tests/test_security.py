@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 
@@ -12,6 +13,7 @@ from densecode import (
     ParityClass,
     PauliLabel,
     PauliString,
+    StateVector,
     apply_eve,
     apply_pauli_string,
     basis_ket,
@@ -19,6 +21,7 @@ from densecode import (
     detection_report,
     encoded_state,
     ghz_state,
+    hadamard_on,
     parity_class,
     pm_support,
     reduced_density,
@@ -26,7 +29,7 @@ from densecode import (
     tensor_product,
     undetectable_certificate,
 )
-from densecode import security
+from densecode import security, statevec
 from densecode.cli import main
 from densecode.security import round_consistent
 
@@ -423,3 +426,54 @@ def test_security_op_builds_one_attacked_state(capsys, monkeypatch):
     capsys.readouterr()
     assert code == 4
     assert calls == [4]
+
+
+def marginal_probabilities(state, qubits):
+    """Exact outcome distribution for measuring ``qubits`` (ascending order,
+    first listed qubit = most significant outcome bit), by a general
+    transpose-sum; ``measure_qubits`` in test_statevec.py reads the same code."""
+    n = state.n_qubits
+    others = [q for q in range(1, n + 1) if q not in qubits]
+    probs = np.abs(state.tensor()) ** 2
+    perm = [q - 1 for q in qubits] + [q - 1 for q in others]
+    return probs.transpose(perm).reshape(2 ** len(qubits), -1).sum(axis=1)
+
+
+def reference_check_marginals(state, k):
+    """Both check marginals of protocol qubits 1..k by ``hadamard_on`` and a
+    general transpose-sum."""
+    qubits = list(range(1, k + 1))
+    return (marginal_probabilities(state, qubits),
+            marginal_probabilities(hadamard_on(state, qubits), qubits))
+
+
+def _marginal_cases():
+    """Seeded random states of 2..7 qubits, and the attacked GHZ states."""
+    rng = np.random.default_rng(4200)
+    cases = []
+    for n in range(2, 8):
+        v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        cases += [(StateVector(n, v / np.linalg.norm(v)), k) for k in range(2, n + 1)]
+    for n in range(2, 7):
+        cases += [(apply_eve(ghz_state(n), make()), n) for make in security.ATTACK_PRESETS.values()]
+    return cases
+
+
+@pytest.mark.parametrize("state, k", _marginal_cases())
+def test_check_marginals_are_bitwise_the_reference(state, k):
+    want_comp, want_had = reference_check_marginals(state, k)
+    got_comp, got_had = security._check_marginals(state, k)
+    assert np.array_equal(got_comp, want_comp) and np.array_equal(got_had, want_had)
+    assert detection_report(state, k) == security._score_marginals(want_comp, want_had)
+
+
+def test_security_op_needs_no_hadamard_state(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("hadamard_on was called")
+
+    monkeypatch.setattr(statevec, "hadamard_on", forbidden)
+    monkeypatch.setattr(security, "hadamard_on", forbidden, raising=False)
+    code = main(["security", "--n", "4", "--attack", "cnot", "--rounds", "200", "--seed", "5"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 4
+    assert abs(report["results"]["exact"]["detection_probability"] - 0.25) <= 1e-12

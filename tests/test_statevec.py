@@ -13,7 +13,7 @@ from densecode import (
     hadamard_all,
     tensor_product,
 )
-from densecode.statevec import NORM_TOLERANCE, _marginal_probabilities
+from densecode.statevec import NORM_TOLERANCE
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -24,8 +24,8 @@ def random_state(n, rng):
 
 
 # Local references for operations the package does not export: <a|b>, a qubit
-# permutation, and a projective measurement drawn from the package's own
-# ``_marginal_probabilities`` (the distribution the security sampler uses).
+# permutation, a marginal outcome distribution by a general transpose-sum, and a
+# projective measurement drawn from that marginal.
 
 
 def inner_product(a, b):
@@ -43,13 +43,23 @@ def permute_qubits(state, perm):
     return StateVector(n, state.tensor().transpose(np.argsort(perm)).reshape(-1))
 
 
+def marginal_probabilities(state, qubits):
+    """Exact outcome distribution for measuring ``qubits`` (ascending order,
+    first listed qubit = most significant outcome bit)."""
+    n = state.n_qubits
+    others = [q for q in range(1, n + 1) if q not in qubits]
+    probs = np.abs(state.tensor()) ** 2
+    perm = [q - 1 for q in qubits] + [q - 1 for q in others]
+    return probs.transpose(perm).reshape(2 ** len(qubits), -1).sum(axis=1)
+
+
 def measure_qubits(state, qubits, rng):
     """(outcome, collapsed state): the outcome packs the measured bits with the lowest
     qubit as the high bit; the collapsed state keeps the register, renormalized."""
     qs = sorted(set(qubits))
     if not qs:
         raise ValueError("measurement needs a non-empty qubit set")
-    marginal = _marginal_probabilities(state, qs)
+    marginal = marginal_probabilities(state, qs)
     outcome = int(rng.choice(marginal.size, p=marginal / marginal.sum()))
     t = state.tensor().copy()
     for pos, q in enumerate(qs):
