@@ -15,7 +15,6 @@ import os
 import re
 import stat
 import sys
-from dataclasses import asdict
 from typing import Any, Optional
 
 import numpy as np
@@ -168,7 +167,7 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
     }
     if n <= coding.MAX_BASIS_BITS:
         gram = coding.dnk_gram_report(spec.n_bits, spec.n_senders)
-        results["orthonormality"] = asdict(gram)
+        results["orthonormality"] = dict(vars(gram))
         residuals["gram_residual"] = gram.residual()
 
     verdict = "optimal" if opt.optimal else "suboptimal"
@@ -238,7 +237,7 @@ def cmd_security(args: argparse.Namespace) -> tuple[dict, int]:
     }
     if attack is not None:
         cert = security.undetectable_certificate(attack, tol=args.cert_tolerance)
-        results["certificate"] = asdict(cert)
+        results["certificate"] = dict(vars(cert))
         residuals["certificate_max"] = max(
             cert.flip_01, cert.flip_10, cert.branch_mismatch
         )
@@ -388,7 +387,8 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and its subparsers by command name."""
     parser = _Parser(
         prog="densecode",
         description="Simulate and audit dense-coding protocols.",
@@ -423,7 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
     sec.add_argument("--threshold", default=0.0,
                      help="abort when the detection rate exceeds this")
     sec.add_argument("--cert-tolerance", default=security.CERT_TOLERANCE)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
 
 
 def _number(flag: str, text: Any, kind: type, want: str) -> Any:
@@ -464,11 +468,25 @@ def _validate(args: argparse.Namespace) -> None:
 
 
 _COMMANDS = {"encode": cmd_encode, "audit": cmd_audit, "security": cmd_security}
-_PARSER = build_parser()  # holds no per-run state: parse_args makes a new Namespace
+# the parsers hold no per-run state: each parse makes a new Namespace
+_PARSER, _SUBPARSERS = _build_parsers()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)`` in one pass: a call that names a command
+    is parsed by that command's parser alone, and the top-level parser only
+    prints help and usage errors."""
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         _validate(args)
         report, code = _COMMANDS[args.command](args)

@@ -34,11 +34,8 @@ import numpy as np
 
 from .statevec import (
     StateVector,
-    apply_two_qubit,
-    basis_ket,
     ghz_state,
     hadamard_all,
-    tensor_product,
     _butterfly,
     _finite,
     _integer,
@@ -64,6 +61,7 @@ class CheckBasis(Enum):
 
 def pm_support(state: StateVector, cutoff: float = SUPPORT_CUTOFF) -> list[tuple[int, complex]]:
     """(mask, amplitude) pairs in the |+>/|-> basis; mask bit 1 means |->."""
+    _finite("cutoff", cutoff)
     amps = hadamard_all(state).amplitudes
     return [
         (int(m), complex(amps[m]))
@@ -75,6 +73,7 @@ def parity_class(state: StateVector, tol: float = 1e-9) -> ParityClass:
     """Classify the |+>/|-> support: even-weight masks with uniform modulus,
     odd-weight ditto, or neither.  Sign patterns are allowed (bit-flip
     encodings produce them); only the moduli must be uniform."""
+    _finite("tol", tol)
     n = state.n_qubits
     moduli = np.abs(hadamard_all(state).amplitudes)
     parity = _parity(np.arange(2**n))
@@ -164,10 +163,17 @@ ATTACK_PRESETS = {
 
 
 def apply_eve(state: StateVector, atk: EveAttack) -> StateVector:
-    """Append a |0> ancilla and act with the attack on (last qubit, ancilla)."""
+    """Append a |0> ancilla and act with the attack on (last qubit, ancilla).
+
+    The receiver's qubit and the ancilla are the two lowest index bits of the
+    extended register, so the attack is one 4x4 product on its amplitudes in
+    groups of four, with the operands in ``apply_two_qubit``'s order: bitwise
+    what it gives on ``tensor_product(state, basis_ket(1, 0))``."""
     n = state.n_qubits
-    extended = tensor_product(state, basis_ket(1, 0))
-    return apply_two_qubit(extended, atk.unitary, (n, n + 1))
+    extended = np.zeros((2**n, 2), dtype=complex)  # column 1: the ancilla's |1>
+    extended[:, 0] = state.amplitudes
+    pairs = np.ascontiguousarray(extended.reshape(-1, 4).T)
+    return StateVector(n + 1, (atk.unitary @ pairs).T.reshape(-1))
 
 
 # ---------------------------------------------------------------------------

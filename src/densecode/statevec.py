@@ -252,6 +252,7 @@ def apply_two_qubit(state: StateVector, matrix: np.ndarray, qubits: tuple[int, i
 
 def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = PHASE_TOLERANCE) -> bool:
     """True when a = exp(i theta) b for some phase, entrywise within tol."""
+    _finite("tol", tol)
     if a.n_qubits != b.n_qubits:
         return False
     overlap = np.vdot(b.amplitudes, a.amplitudes)

@@ -20,13 +20,16 @@ from densecode import (
     detection_report,
     dnk_spec,
     entanglement_verdicts,
+    equal_up_to_global_phase,
     ghz_state,
     holevo_bound,
     is_ame,
     is_gme_pure,
     layout_verdicts,
     optimality_report,
+    parity_class,
     pauli_equivalent,
+    pm_support,
     schmidt_spectrum,
     security_simulation,
     undetectable_certificate,
@@ -89,6 +92,14 @@ GHZ2_AMPS = ghz_state(2).amplitudes
     (dnk_spec, (4.0, 3), "n_bits must be an integer, got 4.0"),
     (dnk_spec, (4, True), "n_senders must be an integer, got True"),
     (bell_pairs_state, (1.5,), "n_pairs must be an integer, got 1.5"),
+    (parity_class, (ghz_state(3), NAN), "tol must be a finite number >= 0, got nan"),
+    (parity_class, (ghz_state(3), -1), "tol must be a finite number >= 0, got -1"),
+    (pm_support, (ghz_state(3), NAN), "cutoff must be a finite number >= 0, got nan"),
+    (pm_support, (ghz_state(3), -1), "cutoff must be a finite number >= 0, got -1"),
+    (equal_up_to_global_phase, (ghz_state(3), ghz_state(3), NAN),
+     "tol must be a finite number >= 0, got nan"),
+    (equal_up_to_global_phase, (ghz_state(3), ghz_state(3), -1),
+     "tol must be a finite number >= 0, got -1"),
 ])
 def test_bad_arguments_raise_a_value_error_saying_why(call, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -832,6 +832,12 @@ def test_seed_variable_set_after_import_is_read_by_each_call(capsys, monkeypatch
     (["audit", "--ghz", "3", "--bogus"], 2),
     (["encode"], 2),
     ([], 2),
+    (["security", "--n", "3", "--bogus"], 2),
+    (["encode", "--message", "1011", "--bogus", "x", "--senders", "2"], 2),
+    (["encode", "--message", "1011", "--format", "xml"], 2),
+    (["audit", "--dnk", "3"], 2),
+    (["decode", "--message", "1011"], 2),
+    (["security", "--n"], 2),
 ])
 def test_parser_exits_print_what_a_fresh_parser_prints(capsys, argv, code):
     with pytest.raises(SystemExit) as shared:
@@ -842,3 +848,11 @@ def test_parser_exits_print_what_a_fresh_parser_prints(capsys, argv, code):
     assert shared.value.code == fresh.value.code == code
     assert (printed.out, printed.err) == tuple(capsys.readouterr())
     assert (printed.out or printed.err).startswith("usage: densecode")
+
+
+def test_a_call_naming_a_command_parses_as_parse_args_does(tmp_path):
+    # main parses with the command's own parser; the namespace, in the order
+    # _validate reads it, is the one the full parser gives
+    for argv in every_command(tmp_path):
+        want = cli.build_parser().parse_args(argv)
+        assert list(vars(cli._parse(argv)).items()) == list(vars(want).items()), argv

@@ -28,7 +28,7 @@ from densecode import (
     ghz_state,
     hadamard_on,
 )
-from densecode.cli import _json, main, render_report
+from densecode.cli import _json, _parse, build_parser, main, render_report
 from densecode.coding import (
     OVERLAP_THRESHOLD,
     _no_match,
@@ -275,6 +275,29 @@ def test_generated_argv_exits_with_a_known_code_and_one_stderr_line(argv):
     if code not in (0, 4):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("densecode: "), (argv, lines)
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, its attributes in order, or the
+    exit code and both streams of the exit it makes."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+# words that argparse itself reads: unknown flags, a bad choice, help and "--"
+STRAY_WORDS = st.lists(st.sampled_from(["--bogus", "x", "--", "-1", "--format", "xml",
+                                        "--format=csv", "--help", "--seed"]), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs(), STRAY_WORDS)
+def test_generated_argv_parses_as_the_full_parser_does(argv, stray):
+    for words in (argv, argv + stray):
+        assert parse_outcome(_parse, words) == parse_outcome(build_parser().parse_args, words)
 
 
 # ---------------------------------------------------------------------------

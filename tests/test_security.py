@@ -16,6 +16,7 @@ from densecode import (
     StateVector,
     apply_eve,
     apply_pauli_string,
+    apply_two_qubit,
     basis_ket,
     detection_probability,
     detection_report,
@@ -169,6 +170,35 @@ def test_bitflip_attack_breaks_correlation():
     out = apply_eve(ghz_state(3), atk)
     idx = 0b0010  # alice 00, bob 1, ancilla 0
     assert abs(out.amplitudes[idx]) > 0.5
+
+
+def reference_apply_eve(state, atk):
+    """The attack as the general two-qubit gate on the register extended by
+    a |0> ancilla."""
+    n = state.n_qubits
+    return apply_two_qubit(tensor_product(state, basis_ket(1, 0)), atk.unitary, (n, n + 1))
+
+
+def assert_bitwise_equal(got, want):
+    assert np.array_equal(got.amplitudes.view(np.int64), want.amplitudes.view(np.int64))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_apply_eve_is_bitwise_the_two_qubit_gate_on_haar_attacks(n):
+    # The product's operand order is pinned: the transposed one,
+    # amplitudes.reshape(-1, 4) @ U.T, differs in the last bit on some states.
+    rng = np.random.default_rng(4300 + n)
+    for _ in range(40):
+        v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        state, atk = StateVector(n, v / np.linalg.norm(v)), EveAttack(haar_unitary(4, rng))
+        assert_bitwise_equal(apply_eve(state, atk), reference_apply_eve(state, atk))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("preset", sorted(security.ATTACK_PRESETS))
+def test_apply_eve_is_bitwise_the_two_qubit_gate_on_ghz_states(n, preset):
+    atk = security.ATTACK_PRESETS[preset]()
+    assert_bitwise_equal(apply_eve(ghz_state(n), atk), reference_apply_eve(ghz_state(n), atk))
 
 
 def test_attack_must_be_unitary():
@@ -426,6 +456,31 @@ def test_security_op_builds_one_attacked_state(capsys, monkeypatch):
     capsys.readouterr()
     assert code == 4
     assert calls == [4]
+
+
+def test_security_op_builds_only_the_ghz_and_the_attacked_state(tmp_path, capsys, monkeypatch):
+    u = haar_unitary(4, np.random.default_rng(4400))
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
+    want = detection_report(reference_apply_eve(ghz_state(4), EveAttack(u)), 4)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a general state operation was called")
+
+    for name in ("tensor_product", "apply_two_qubit", "basis_ket"):
+        monkeypatch.setattr(statevec, name, forbidden)
+        monkeypatch.setattr(security, name, forbidden, raising=False)
+    built = []
+    check = StateVector.__post_init__
+    monkeypatch.setattr(StateVector, "__post_init__",
+                        lambda self: built.append(self.n_qubits) or check(self))
+    code = main(["security", "--n", "4", "--attack", f"file:{path}", "--rounds", "400"])
+    report = json.loads(capsys.readouterr().out)
+    assert code in (0, 4)
+    assert built == [4, 5]
+    exact = report["results"]["exact"]
+    assert exact["detection_probability"] == want.probability
+    assert exact["hadamard_inconsistency"] == want.hadamard_inconsistency
 
 
 def marginal_probabilities(state, qubits):
