@@ -182,11 +182,16 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+# One validated instance per preset, built once at import: an ``EveAttack`` is
+# frozen with a read-only unitary, so every op can share it.
+_ATTACKS = {name: make() for name, make in security.ATTACK_PRESETS.items()}
+
+
 def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
     if spec_text == "none":
         return None
-    if spec_text in security.ATTACK_PRESETS:
-        return security.ATTACK_PRESETS[spec_text]()
+    if spec_text in _ATTACKS:
+        return _ATTACKS[spec_text]
     if spec_text.startswith("file:"):
         path = spec_text[len("file:"):]
         try:

@@ -430,13 +430,35 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     )
 
 
+_SCAN = 2**16  # magnitudes per pass of ``_argmax_abs``: one 512 KiB float buffer
+
+
+def _argmax_abs(words: np.ndarray) -> np.ndarray:
+    """``np.abs(words).argmax(axis=1)`` bitwise, in passes of ``max(1, _SCAN // rows)``
+    columns through one reused buffer of at most ``_SCAN`` magnitudes, so a decode
+    allocates no 2**n array of its own; a batch of at most ``_SCAN`` entries takes one
+    pass.  The argmax over the passes' maxima, stacked in order, keeps each row's first
+    largest magnitude or first NaN, as the full argmax does.  The buffer is writeable:
+    numpy copies a read-only array, such as a state's own amplitudes, before its argmax."""
+    rows, width = words.shape
+    w = min(width, max(1, _SCAN // max(rows, 1)))
+    buf, at = np.empty((rows, w), dtype=words.real.dtype), np.arange(rows)  # |words|' dtype
+    tops, idxs = [], []
+    for i in range(0, width, w):
+        part = np.abs(words[:, i:i + w], out=buf[:, :min(w, width - i)])
+        j = part.argmax(axis=1)
+        tops.append(part[at, j])
+        idxs.append(i + j)
+    return np.array(idxs)[np.argmax(tops, axis=0), at]
+
+
 def _decode_indices(words: np.ndarray, spec: DnkSpec) -> np.ndarray:
     """Circuit decode of each row of ``words`` (batch, 2**n), a state of norm 1, to its
     message index, on the coset of s = argmax |psi|; the first row whose best output
     there is under OVERLAP_THRESHOLD matches no code word (see ``_no_match``)."""
     if words.ndim != 2 or words.shape[1] != 2**spec.n_qubits:
         raise ValueError(f"expected rows of 2**{spec.n_qubits} amplitudes, got {words.shape}")
-    s = np.abs(words).argmax(axis=1)
+    s = _argmax_abs(words)
     msgs, best = _coset_indices(
         s, words[np.arange(len(words))[:, None], s[:, None] ^ spec.support], spec)
     failed = np.flatnonzero(~(best >= OVERLAP_THRESHOLD))

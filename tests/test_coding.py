@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,8 @@ from densecode import (
     verify_code_orthonormality,
 )
 from densecode.coding import (
+    _SCAN,
+    _argmax_abs,
     _circuit_outputs,
     _coset_indices,
     _decode_indices,
@@ -736,6 +739,54 @@ def test_decode_of_every_message_matches_the_reference(n):
         assert [int(str(m), 2) for m in want] == list(range(2**n))
         assert dnk_decode_words(words, spec) == want
         assert _decode_indices(words, spec).tolist() == list(range(2**n))
+
+
+def scan_batches(rng):
+    """Batches for the argmax scan: seeded real and complex rows of every width 2 to
+    2**18, 1 to 5 rows each, and a 1024 x 1024 batch."""
+    for e in range(1, 19):
+        for rows in range(1, 6):
+            real = rng.standard_normal((rows, 2**e))
+            yield real
+            yield real + 1j * rng.standard_normal((rows, 2**e))
+    yield rng.standard_normal((1024, 1024))
+
+
+def scan_edge_rows():
+    """Rows of 2**18 entries whose answer sits on the scan's pass boundaries."""
+    rows = np.zeros((5, 2**18))
+    rows[0, [5, _SCAN + 3]], rows[0, _SCAN] = 1.0, -1.0  # a tie: the first wins
+    rows[1, 10], rows[1, 2 * _SCAN + 1] = 50.0, np.nan  # a later NaN beats a larger value
+    rows[2, [7, _SCAN + 7]], rows[2, 3] = np.nan, np.inf  # the first NaN stays
+    rows[3] = -0.0  # all zeros
+    rows[4] = -0.0
+    rows[4, 3 * _SCAN + 9], rows[4, -1] = -2.0, 2.0
+    return rows
+
+
+def test_argmax_scan_is_bitwise_the_argmax_of_the_magnitudes():
+    edges = scan_edge_rows()
+    cases = [*scan_batches(np.random.default_rng(2000)), edges, edges * (1 - 1j),
+             *(edges[i:i + 1] for i in range(len(edges))), np.zeros((0, 16))]
+    for words in cases:
+        want = np.abs(words).argmax(axis=1)
+        got = _argmax_abs(words)
+        assert got.dtype == want.dtype and np.array_equal(got, want), words.shape
+    assert _argmax_abs(edges).tolist() == [5, 2 * _SCAN + 1, 7, 0, 3 * _SCAN + 9]
+
+
+def test_decode_of_an_18_qubit_word_allocates_no_register_sized_array():
+    """|psi| of 2**18 amplitudes would take 2 MiB; the scan's buffer takes 512 KiB."""
+    spec = dnk_spec(18, 17)
+    state = dnk_encoded_state("10" * 9, spec)
+    dnk_decode(state, spec)  # fills the layout's cached index arrays first
+    tracemalloc.start()
+    try:
+        assert str(dnk_decode(state, spec)) == "10" * 9
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 @pytest.mark.parametrize("n", range(2, 21))

@@ -483,6 +483,20 @@ def test_security_op_builds_only_the_ghz_and_the_attacked_state(tmp_path, capsys
     assert exact["hadamard_inconsistency"] == want.hadamard_inconsistency
 
 
+def test_security_op_reuses_the_preset_attacks_built_at_import(capsys, monkeypatch):
+    monkeypatch.delenv("DENSECODE_SEED", raising=False)
+    argv = ["security", "--n", "4", "--attack", "cnot", "--rounds", "200"]
+    want_code = main(argv)
+    want = capsys.readouterr()
+
+    def forbidden(self):
+        raise AssertionError("a preset attack was built again")
+
+    monkeypatch.setattr(EveAttack, "__post_init__", forbidden)
+    assert main(argv) == want_code
+    assert capsys.readouterr() == want
+
+
 def marginal_probabilities(state, qubits):
     """Exact outcome distribution for measuring ``qubits`` (ascending order,
     first listed qubit = most significant outcome bit), by a general
