@@ -3,7 +3,7 @@
 Every run emits one machine-readable report with the stable top-level keys
 {command, params, results, residuals, verdict, seed}.  Identical arguments
 and seed produce byte-identical JSON.  Exit codes: 0 success, 2 validation
-error, 3 decode failure (no code-word match), 4 security-abort verdict.
+error, 4 security-abort verdict.
 """
 
 from __future__ import annotations
@@ -497,9 +497,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         report, code = _COMMANDS[args.command](args)
         _write_output(render_report(report, args.format), args.output)
         return code
-    except coding.NoMatchError as exc:
-        print(f"densecode: decode failure: {exc}", file=sys.stderr)
-        return 3
     except ValueError as exc:
         print(f"densecode: {exc}", file=sys.stderr)
         return 2

@@ -217,7 +217,11 @@ def detection_report(state: StateVector, n_protocol: int) -> DetectionReport:
 
 def detection_probability(state: StateVector, n_protocol: Optional[int] = None) -> float:
     """``detection_report``'s probability; ``n_protocol`` defaults to the layout
-    of ``apply_eve``'s output, the protocol qubits then one ancilla."""
+    of ``apply_eve``'s output, the protocol qubits then one ancilla.
+
+    The default reads the last qubit as that ancilla, so a clean
+    ``ghz_state(3)`` scores 0.25: its third qubit is left out of the check.
+    Score an unattacked state of n qubits with ``n_protocol=n``."""
     n = state.n_qubits - 1 if n_protocol is None else n_protocol
     return detection_report(state, n).probability
 

@@ -119,9 +119,11 @@ def test_audit_largest_registers_verdicts(capsys):
     _, ghz = run_json(["audit", "--ghz", "12"], capsys)
     assert (ghz["results"]["gme"], ghz["results"]["ame"]) == (True, False)
     assert ghz["verdict"] == "optimal"
-    _, bell = run_json(["audit", "--bell", "6"], capsys)
-    assert (bell["results"]["gme"], bell["results"]["ame"]) == (False, False)
-    assert bell["verdict"] == "optimal"
+    for pairs in ("6", "10"):
+        _, bell = run_json(["audit", "--bell", pairs], capsys)
+        assert (bell["results"]["gme"], bell["results"]["ame"]) == (False, False)
+        assert bell["verdict"] == "optimal"
+        assert bell["residuals"]["bob_marginal_residual"] < 1e-12
 
 
 def test_audit_bell_pairs(capsys):
@@ -224,18 +226,19 @@ def test_security_clean(capsys):
 
 
 def test_security_cnot_aborts(capsys):
-    code, report = run_json(
-        ["security", "--n", "5", "--attack", "cnot", "--rounds", "2000", "--seed", "7"],
-        capsys,
-    )
-    assert code == 4
-    assert report["verdict"] == "abort"
-    assert report["results"]["exact"]["detection_probability"] == pytest.approx(0.25, abs=1e-12)
-    rate = report["results"]["empirical"]["detection_rate"]
-    assert abs(rate - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 2000)
-    cert = report["results"]["certificate"]
-    assert cert["undetectable"] is False
-    assert cert["branch_mismatch"] == pytest.approx(np.sqrt(2))
+    for n in ("5", "12"):  # 12: the largest register --n allows
+        code, report = run_json(
+            ["security", "--n", n, "--attack", "cnot", "--rounds", "2000", "--seed", "7"],
+            capsys,
+        )
+        assert code == 4, n
+        assert report["verdict"] == "abort"
+        assert report["results"]["exact"]["detection_probability"] == pytest.approx(0.25, abs=1e-12)
+        rate = report["results"]["empirical"]["detection_rate"]
+        assert abs(rate - 0.25) < 3 * np.sqrt(0.25 * 0.75 / 2000)
+        cert = report["results"]["certificate"]
+        assert cert["undetectable"] is False
+        assert cert["branch_mismatch"] == pytest.approx(np.sqrt(2))
 
 
 def test_security_attack_from_file(tmp_path, capsys):
@@ -743,7 +746,7 @@ class Forbidden:
         raise AssertionError(f"{self.name}.{attr} was used")
 
 
-@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("n", range(2, 21))
 def test_encode_amplitudes_are_bitwise_the_encoded_state(capsys, n):
     rng = np.random.default_rng(900 + n)
     for senders in (None, int(rng.integers(1, n)), n - 1):

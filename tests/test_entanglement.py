@@ -423,9 +423,9 @@ def test_layout_entropies_count_the_blocks_a_side_cuts(n, k):
 @st.composite
 def sparse_states(draw):
     """A normalized state on a drawn support: random indices, a coset of a
-    random subgroup of the index group (one rectangle per component on each
-    side, of shapes that differ from side to side), or such a coset with a
-    few indices more; real or complex amplitudes."""
+    random subgroup of the index group (on each side its row and column keys
+    pair up as full rectangles, of shapes that differ from side to side), or
+    such a coset with a few indices more; real or complex amplitudes."""
     n = draw(st.integers(2, 7))
     kind = draw(st.sampled_from(["random", "coset", "coset-plus"]))
     index = st.integers(0, 2**n - 1)

@@ -271,7 +271,7 @@ def test_generated_argv_exits_with_a_known_code_and_one_stderr_line(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse's own rejections
             code = exc.code
-    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert code in (0, 2, 4), (argv, code, err.getvalue())
     if code not in (0, 4):
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("densecode: "), (argv, lines)
