@@ -433,48 +433,29 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
 _SCAN = 2**16  # magnitudes per pass of ``_argmax_abs``: one 512 KiB float buffer
 
 
-def _argmax_abs(words: np.ndarray) -> np.ndarray:
-    """``np.abs(words).argmax(axis=1)`` bitwise, in passes of ``max(1, _SCAN // rows)``
-    columns through one reused buffer of at most ``_SCAN`` magnitudes, so a decode
-    allocates no 2**n array of its own; a batch of at most ``_SCAN`` entries takes one
-    pass.  The argmax over the passes' maxima, stacked in order, keeps each row's first
-    largest magnitude or first NaN, as the full argmax does.  The buffer is writeable:
-    numpy copies a read-only array, such as a state's own amplitudes, before its argmax."""
-    rows, width = words.shape
-    w = min(width, max(1, _SCAN // max(rows, 1)))
-    buf, at = np.empty((rows, w), dtype=words.real.dtype), np.arange(rows)  # |words|' dtype
-    tops, idxs = [], []
-    for i in range(0, width, w):
-        part = np.abs(words[:, i:i + w], out=buf[:, :min(w, width - i)])
-        j = part.argmax(axis=1)
-        tops.append(part[at, j])
-        idxs.append(i + j)
-    return np.array(idxs)[np.argmax(tops, axis=0), at]
-
-
-def _decode_indices(words: np.ndarray, spec: DnkSpec) -> np.ndarray:
-    """Circuit decode of each row of ``words`` (batch, 2**n), a state of norm 1, to its
-    message index, on the coset of s = argmax |psi|; the first row whose best output
-    there is under OVERLAP_THRESHOLD matches no code word (see ``_no_match``)."""
-    if words.ndim != 2 or words.shape[1] != 2**spec.n_qubits:
-        raise ValueError(f"expected rows of 2**{spec.n_qubits} amplitudes, got {words.shape}")
-    s = _argmax_abs(words)
-    msgs, best = _coset_indices(
-        s, words[np.arange(len(words))[:, None], s[:, None] ^ spec.support], spec)
-    failed = np.flatnonzero(~(best >= OVERLAP_THRESHOLD))
-    if failed.size:
-        _no_match(words[failed[0]], spec)
-    return msgs
-
-
-def dnk_decode_words(words: np.ndarray, spec: DnkSpec) -> list[Message]:
-    """``_decode_indices`` of each row, as messages."""
-    width = f"0{spec.n_qubits}b"
-    return [Message.from_string(format(i, width)) for i in _decode_indices(words, spec).tolist()]
+def _argmax_abs(amps: np.ndarray) -> int:
+    """``np.abs(amps).argmax()`` bitwise, in passes of ``_SCAN`` entries through one
+    reused buffer, so a decode allocates no 2**n array of its own.  A later pass wins
+    only with a strictly larger magnitude, or with a NaN over a number, which keeps the
+    first largest magnitude or the first NaN, as the full argmax does.  The buffer is
+    writeable: numpy copies a read-only array, such as a state's own amplitudes, before
+    its argmax."""
+    buf = np.empty(min(len(amps), _SCAN), dtype=amps.real.dtype)  # |amps|' dtype
+    top, at = -1.0, 0  # below every magnitude: the first pass always takes over
+    for i in range(0, len(amps), _SCAN):
+        part = np.abs(amps[i:i + _SCAN], out=buf[:len(amps) - i])
+        j = int(part.argmax())
+        if math.isnan(part[j]):
+            return i + j
+        if part[j] > top:
+            top, at = part[j], i + j
+    return at
 
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
-    """Joint decode: every block of the layout, concatenated in bit order."""
+    """Joint decode: every block of the layout, concatenated in bit order.  The circuit
+    decode reads the coset of s = argmax |psi|; a state whose best output there is under
+    OVERLAP_THRESHOLD matches no code word (see ``_no_match``)."""
     if state.n_qubits != spec.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, layout expects {spec.n_qubits}"
@@ -483,7 +464,12 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
         return _overlap_decode(dnk_code_basis(spec.n_bits, spec.n_senders), state)
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
-    return dnk_decode_words(state.amplitudes[None], spec)[0]
+    amps = state.amplitudes
+    s = np.array([_argmax_abs(amps)])
+    msgs, best = _coset_indices(s, amps[s[:, None] ^ spec.support], spec)
+    if not best[0] >= OVERLAP_THRESHOLD:
+        _no_match(amps, spec)
+    return Message.from_string(format(int(msgs[0]), f"0{spec.n_qubits}b"))
 
 
 # ---------------------------------------------------------------------------

@@ -155,7 +155,7 @@ def test_every_audit_flag_reports_the_same_keys(capsys, monkeypatch):
     every-side pass."""
     monkeypatch.setattr(coding, "dnk_state", Forbidden("dnk_state"))
     monkeypatch.setattr(coding, "dnk_code_words", Forbidden("dnk_code_words"))
-    monkeypatch.setattr(coding, "_decode_indices", Forbidden("_decode_indices"))
+    monkeypatch.setattr(coding, "_argmax_abs", Forbidden("_argmax_abs"))
     monkeypatch.setattr(cli.entanglement, "entanglement_verdicts",
                         Forbidden("entanglement_verdicts"))
     keys = set()

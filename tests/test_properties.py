@@ -34,7 +34,6 @@ from densecode.coding import (
     _no_match,
     _word_support,
     dnk_code_words,
-    dnk_decode_words,
 )
 
 
@@ -75,19 +74,6 @@ def test_support_encode_is_bitwise_the_pauli_string_on_the_resource(case):
     spec = dnk_spec(n, k)
     want = apply_pauli_string(dnk_state(spec), dnk_combined_string(msg, spec))
     assert np.array_equal(dnk_encoded_state(msg, spec).amplitudes, want.amplitudes)
-
-
-@settings(max_examples=40, deadline=None)
-@given(layouts(), st.data())
-def test_batched_decode_equals_decoding_each_state(layout, data):
-    n, k = layout
-    spec = dnk_spec(n, k)
-    idx = data.draw(st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=8))
-    phases = data.draw(st.lists(st.floats(0, 2 * np.pi), min_size=len(idx), max_size=len(idx)))
-    words = dnk_code_words(idx, spec) * np.exp(1j * np.array(phases))[:, None]
-    each = [dnk_decode(StateVector(n, w), spec) for w in words]
-    assert dnk_decode_words(words, spec) == each
-    assert [int(str(m), 2) for m in each] == idx
 
 
 @settings(max_examples=40, deadline=None)
