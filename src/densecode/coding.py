@@ -305,7 +305,10 @@ def _word_masks(spec: DnkSpec, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Bit b_q of message i sits at index bit n - q, like qubit q.  The bit rule
     puts X^b_(q+1) on every sender qubit q and Z^b_q on every block's first
     qubit, so message i has X-mask (i << 1) & sender_mask and Z-mask i & lead_mask.
+    Indices are int64, so i << 1 fits only for layouts of up to 62 bits.
     """
+    if spec.n_bits > 62:
+        raise ValueError(f"int64 index arrays hold layouts of up to 62 bits, got {spec.n_bits}")
     return (msgs << 1) & spec.sender_mask, msgs & spec.lead_mask
 
 
@@ -403,11 +406,13 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     and the blocks not sharp ("ghz" for a block of 3 or more qubits, "pair1", "pair2",
     ... for pairs in order).
 
-    Called when the coset of s = argmax |psi| has no output >= T = OVERLAP_THRESHOLD;
-    then no coset has one, for B <= 17 (every register under 36 qubits, as a block has 2
-    or more).  Were output a of coset C at least T on a unit state, psi on C would be
-    o h_a + r, with |o| >= T, every entry of h_a +-2**(-B/2), r orthogonal to h_a and
-    |r|**2 + w <= 1 - T**2 for the weight w off C.  Each amplitude on C would be at least
+    Called when the coset of s has no output >= T = OVERLAP_THRESHOLD; then no coset
+    has one, so the result does not depend on s.  A scan that stopped at s has it on
+    any coset with an output >= T, by the weight bound in ``dnk_decode``; s = argmax
+    |psi| has, for B <= 17 (every register under 36 qubits, as a block has 2 or more).
+    Were output a of coset C at least T on a unit state, psi on C would be o h_a + r,
+    with |o| >= T, every entry of h_a +-2**(-B/2), r orthogonal to h_a and |r|**2 + w
+    <= 1 - T**2 for the weight w off C.  Each amplitude on C would be at least
     T 2**(-B/2) - |r| and each off it at most sqrt(w), and |r| + sqrt(w) <=
     sqrt(2 (1 - T**2)) ~ 2.0e-3 < T 2**(-B/2), so s would lie on C."""
     n, reps = spec.n_qubits, spec.coset_reps
@@ -430,22 +435,25 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     )
 
 
-_SCAN = 2**16  # magnitudes per pass of ``_argmax_abs``: one 512 KiB float buffer
+_SCAN = 2**13  # magnitudes per pass of ``_argmax_abs``: one 64 KiB float buffer
+#: an amplitude this large lies on the coset of any output >= OVERLAP_THRESHOLD
+_ON_COSET = 2 * math.sqrt(1 - OVERLAP_THRESHOLD**2)
 
 
-def _argmax_abs(amps: np.ndarray) -> int:
+def _argmax_abs(amps: np.ndarray, enough: float = math.inf) -> int:
     """``np.abs(amps).argmax()`` bitwise, in passes of ``_SCAN`` entries through one
-    reused buffer, so a decode allocates no 2**n array of its own.  A later pass wins
-    only with a strictly larger magnitude, or with a NaN over a number, which keeps the
-    first largest magnitude or the first NaN, as the full argmax does.  The buffer is
-    writeable: numpy copies a read-only array, such as a state's own amplitudes, before
-    its argmax."""
+    reused buffer, so a decode allocates no 2**n array of its own, except that the
+    argmax of the first pass whose largest magnitude reaches ``enough`` is returned at
+    once.  A later pass wins only with a strictly larger magnitude, or with a NaN over a
+    number, which keeps the first largest magnitude or the first NaN, as the full argmax
+    does.  The buffer is writeable: numpy copies a read-only array, such as a state's
+    own amplitudes, before its argmax."""
     buf = np.empty(min(len(amps), _SCAN), dtype=amps.real.dtype)  # |amps|' dtype
     top, at = -1.0, 0  # below every magnitude: the first pass always takes over
     for i in range(0, len(amps), _SCAN):
         part = np.abs(amps[i:i + _SCAN], out=buf[:len(amps) - i])
         j = int(part.argmax())
-        if math.isnan(part[j]):
+        if math.isnan(part[j]) or part[j] >= enough:
             return i + j
         if part[j] > top:
             top, at = part[j], i + j
@@ -454,8 +462,17 @@ def _argmax_abs(amps: np.ndarray) -> int:
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
     """Joint decode: every block of the layout, concatenated in bit order.  The circuit
-    decode reads the coset of s = argmax |psi|; a state whose best output there is under
-    OVERLAP_THRESHOLD matches no code word (see ``_no_match``)."""
+    decode reads the coset of an index s of large |psi|; a state whose best output there
+    is under OVERLAP_THRESHOLD matches no code word (see ``_no_match``).
+
+    The scan for s = argmax |psi| stops at the first pass holding a magnitude of at
+    least ``_ON_COSET`` = 2 sqrt(1 - T**2) ~ 2.8e-3, T = OVERLAP_THRESHOLD, and takes
+    that pass's argmax.  Were output a of coset C at least T, C would hold weight at least
+    T**2 (the lead Hadamards are unitary), so every amplitude off C would be at most
+    sqrt(1 + NORM_TOLERANCE - T**2) ~ 1.4e-3: a pass that stops has found an index on
+    C, from which the outputs are bitwise those from argmax |psi|.  If no coset reaches
+    T, ``_no_match`` reads the whole register, whatever s is.  So the message, or the
+    error, is the full scan's."""
     if state.n_qubits != spec.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, layout expects {spec.n_qubits}"
@@ -465,7 +482,7 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
     amps = state.amplitudes
-    s = np.array([_argmax_abs(amps)])
+    s = np.array([_argmax_abs(amps, _ON_COSET)])
     msgs, best = _coset_indices(s, amps[s[:, None] ^ spec.support], spec)
     if not best[0] >= OVERLAP_THRESHOLD:
         _no_match(amps, spec)
