@@ -24,6 +24,7 @@ from . import coding, entanglement, security, statevec
 ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # the largest register the audit benchmark runs (--dnk 12)
 MAX_ENCODE_BITS = 24  # a receiver's dense state holds 2^n amplitudes: 256 MiB at 24
+_ROUNDTRIP_WORDS = 64  # the audit decodes every word up to 6 qubits, else 64 seeded picks
 
 # Every numeric flag once, as (namespace field, flag, low, high, unit), with
 # the reason for its range; ``_validate`` converts their text and checks them
@@ -36,9 +37,10 @@ _FLAGS = (
     ("threshold", "--threshold", 0.0, 1.0, None),  # compared with a detection rate
     ("cert_tolerance", "--cert-tolerance", 0.0, math.inf, None),  # a distance
     ("senders", "--senders", None, None, "senders"),  # 1..N-1, N from --message
-    # The audit reads the resource and its roundtrip words on their 2^B support
-    # indices, B blocks, and a 2^n array only for the Gram check (n <= 10); a cap
-    # is raised only with a paired benchmark run at the new size
+    # The audit reads one table of code words on their 2^B support indices, B
+    # blocks: every word for n <= 10 (2^n x 2^B entries, which the Gram check
+    # needs), else the resource and 64 picks; a cap is raised only with a paired
+    # benchmark run at the new size
     ("ghz", "--ghz", 2, MAX_AUDIT_QUBITS, "qubits"),
     ("bell", "--bell", 1, 10, "pairs"),  # 2P qubits on 2^P support indices
     ("dnk", "--dnk", 2, MAX_AUDIT_QUBITS, "bits"),  # N, as --ghz; K: 1..N-1
@@ -137,14 +139,21 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
     params["tolerance"] = tol
 
     n = spec.n_qubits
-    (support,), (values,) = coding._word_support([0], spec)  # the resource, on its support
-    opt = entanglement._optimality(n, support, values, spec.alice_qubits, tol)
+    if 2**n <= _ROUNDTRIP_WORDS:  # a draw of every message is range(2**n)
+        picks = np.arange(2**n)
+    else:
+        rng = np.random.default_rng(args.seed)
+        picks = np.sort(rng.choice(2**n, size=_ROUNDTRIP_WORDS, replace=False))
+    # One word table for all three checks: every word where the Gram check runs, else
+    # the resource (message 0) and the picks.  Row m is bitwise a one-word call's row.
+    every_word = n <= coding.MAX_BASIS_BITS
+    table = np.arange(2**n) if every_word else np.concatenate(([0], picks))
+    cols, vals = coding._word_support(table, spec)
+    opt = entanglement._optimality(n, cols[0], vals[0], spec.alice_qubits, tol)
     ame, gme, ame_residual = entanglement.layout_verdicts(map(len, spec.blocks), tol)
 
-    rng = np.random.default_rng(args.seed)
-    picks = sorted(rng.choice(2**n, size=min(2**n, 64), replace=False).tolist())
-    cols, vals = coding._word_support(picks, spec)
-    decoded, best = coding._coset_indices(cols[:, 0], vals, spec)
+    rows = picks if every_word else slice(1, None)
+    decoded, best = coding._coset_indices(cols[rows, 0], vals[rows], spec)
     failures = int(np.count_nonzero((decoded != picks) | ~(best >= coding.OVERLAP_THRESHOLD)))
     results: dict[str, Any] = {
         "capacity": opt.capacity,
@@ -165,8 +174,8 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
         "ame_max_residual": ame_residual,
         "gram_residual": None,
     }
-    if n <= coding.MAX_BASIS_BITS:
-        gram = coding.dnk_gram_report(spec.n_bits, spec.n_senders)
+    if every_word:
+        gram = coding._gram_report(spec.n_bits, cols, vals)
         results["orthonormality"] = dict(vars(gram))
         residuals["gram_residual"] = gram.residual()
 

@@ -343,10 +343,17 @@ def dnk_code_basis(n_bits: int, n_senders: int) -> CodeBasis:
 
 
 def dnk_gram_report(n_bits: int, n_senders: int) -> GramReport:
-    """Every code word's Gram matrix against the identity, one block per coset of the
-    support (named by its smallest column; words on two cosets have a product of exactly
-    0), padded to the fullest coset so that an encoder repeating a word still shows."""
-    cols, vals = _word_support(np.arange(2**n_bits), _basis_spec(n_bits, n_senders))
+    """Every code word's Gram matrix against the identity, by ``_gram_report``, the one
+    Gram check, which the audit calls on the word table it has already built."""
+    spec = _basis_spec(n_bits, n_senders)
+    return _gram_report(n_bits, *_word_support(np.arange(2**n_bits), spec))
+
+
+def _gram_report(n_bits: int, cols: np.ndarray, vals: np.ndarray) -> GramReport:
+    """The Gram matrix of the 2**n_bits words ``_word_support`` gave as ``cols``, ``vals``
+    against the identity, one block per coset of the support (named by its smallest
+    column; words on two cosets have a product of exactly 0), padded to the fullest coset
+    so that an encoder repeating a word still shows."""
     order = np.argsort(cols[:, 0], kind="stable")
     key = cols[order, 0]
     rank = np.arange(len(key)) - np.searchsorted(key, key)  # place within the coset

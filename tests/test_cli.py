@@ -143,7 +143,7 @@ def test_audit_dnk(capsys):
     assert report["verdict"] == "optimal"
 
 
-_AUDIT_TARGETS = ([["--ghz", str(n)] for n in (2, 3, 4, 10, 11, 12)]
+_AUDIT_TARGETS = ([["--ghz", str(n)] for n in (2, 3, 4, 6, 10, 11, 12)]
                   + [["--bell", str(p)] for p in (1, 2, 5, 6, 7, 10)]
                   + [["--dnk", "2", "1"], ["--dnk", "7", "3"], ["--dnk", "12", "5"],
                      ["--dnk", "12", "11"]])
@@ -182,6 +182,55 @@ def test_audit_roundtrip_counts_a_wrong_or_weak_word_as_a_failure(capsys, monkey
         monkeypatch.setattr(coding, "_circuit_outputs", lambda t, spec: outputs(t, spec) * 0.999)
     _, report = run_json(["audit", "--dnk", "7", "3"], capsys)
     assert report["results"]["roundtrip"] == {"messages_checked": 64, "failures": 64}
+
+
+def audit_qubits(target):
+    """n of an ``_AUDIT_TARGETS`` entry: --ghz N, --bell P (2P qubits) or --dnk N K."""
+    return 2 * int(target[1]) if target[0] == "--bell" else int(target[1])
+
+
+def test_every_audit_builds_its_code_words_once(capsys, monkeypatch):
+    """One ``_word_support`` table per audit: every word where the Gram check runs,
+    else the resource (message 0) and the 64 picks."""
+    calls = []
+    support = coding._word_support
+    monkeypatch.setattr(coding, "_word_support",
+                        lambda msgs, spec: calls.append(np.asarray(msgs)) or support(msgs, spec))
+    for target in _AUDIT_TARGETS:
+        calls.clear()
+        run_json(["audit", *target], capsys)
+        assert len(calls) == 1, target
+        n, (rows,) = audit_qubits(target), calls
+        if n <= coding.MAX_BASIS_BITS:
+            assert np.array_equal(rows, np.arange(2**n)), target
+        else:
+            assert len(rows) == 65 and rows[0] == 0, target
+            assert np.all(np.diff(rows[1:]) > 0), target
+
+
+def test_audit_of_at_most_64_words_checks_every_word_with_no_draw(capsys, monkeypatch):
+    """Up to 6 qubits the roundtrip decodes every word: no ``Generator`` is built, and
+    the seed changes nothing in the report but its own field."""
+    monkeypatch.setattr(cli.np.random, "default_rng", Forbidden("default_rng"))
+    targets = [t for t in _AUDIT_TARGETS if 2 ** audit_qubits(t) <= 64]
+    assert {audit_qubits(t) for t in targets} == {2, 3, 4, 6}
+    for target in targets:
+        _, first = run_json(["audit", *target, "--seed", "0"], capsys)
+        _, second = run_json(["audit", *target, "--seed", "99"], capsys)
+        assert (first.pop("seed"), second.pop("seed")) == (0, 99)
+        assert first == second, target
+        assert first["results"]["roundtrip"]["messages_checked"] == 2 ** audit_qubits(target)
+
+
+def test_audit_table_shows_an_encoder_that_repeats_a_word(capsys, monkeypatch):
+    """Message 1 gets message 0's masks: its word decodes to message 0, and the Gram
+    check sees two equal words, though all three checks read one table."""
+    masks = coding._word_masks
+    monkeypatch.setattr(coding, "_word_masks",
+                        lambda spec, msgs: masks(spec, np.where(msgs == 1, 0, msgs)))
+    _, report = run_json(["audit", "--dnk", "6", "3"], capsys)
+    assert report["results"]["roundtrip"] == {"messages_checked": 64, "failures": 1}
+    assert report["residuals"]["gram_residual"] >= 0.99
 
 
 def test_audit_dnk_is_optimal_but_neither_gme_nor_ame(capsys):

@@ -340,7 +340,7 @@ def test_bell_code_basis_rows_are_the_encoded_states(pairs):
         assert np.array_equal(basis.states[i], amps.real), str(msg)
 
 
-def test_code_basis_state_for_is_a_validated_state():
+def test_dnk_encoded_state_is_a_validated_state():
     basis = ghz_code_basis(4)
     state = dnk_encoded_state("1011", basis.spec)
     assert isinstance(state, StateVector)
@@ -351,7 +351,7 @@ def test_code_basis_state_for_is_a_validated_state():
 
 
 @pytest.mark.parametrize("msg", ["10", "101", "10110", (1, 0)])
-def test_code_basis_state_for_rejects_another_length(msg):
+def test_dnk_encoded_state_rejects_another_length(msg):
     with pytest.raises(ValueError, match=f"message has {len(msg)} bits, layout expects 4"):
         dnk_encoded_state(msg, ghz_code_basis(4).spec)
 
