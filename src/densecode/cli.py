@@ -149,7 +149,7 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
     every_word = n <= coding.MAX_BASIS_BITS
     table = np.arange(2**n) if every_word else np.concatenate(([0], picks))
     cols, vals = coding._word_support(table, spec)
-    opt = entanglement._optimality(n, cols[0], vals[0], spec.alice_qubits, tol)
+    opt = entanglement.layout_optimality(map(len, spec.blocks), vals[0], tol)
     ame, gme, ame_residual = entanglement.layout_verdicts(map(len, spec.blocks), tol)
 
     rows = picks if every_word else slice(1, None)

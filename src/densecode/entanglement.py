@@ -202,6 +202,13 @@ def _distinct_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranks, dense[:, -1] + 1
 
 
+def _weights(values: np.ndarray) -> np.ndarray:
+    """|v|^2 of the amplitudes ``values``, once all are finite; real when they are."""
+    if not np.isfinite(values).all():
+        raise ValueError("density matrix has non-finite entries")
+    return values.real**2 + values.imag**2 if np.iscomplexobj(values) else values * values
+
+
 def _marginals(
     n: int, support: np.ndarray, values: np.ndarray, masks: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -224,11 +231,9 @@ def _marginals(
 
     Returns the (sides, R) spectra, zero-padded, and the residual per side.
     """
-    if not np.isfinite(values).all():
-        raise ValueError("density matrix has non-finite entries")
+    weights = _weights(values)
     k, dim = support.size, 2**m
     rows, cols = min(k, dim), min(k, 2 ** (n - m))
-    weights = values.real**2 + values.imag**2 if np.iscomplexobj(values) else values * values
     spectra = np.zeros((len(masks), rows))
     residuals = np.empty(len(masks))
     per_batch = max(1, _STACK_BYTES // (rows * cols * values.itemsize))
@@ -305,6 +310,14 @@ def entanglement_verdicts(
     return ame, bool(np.all(entropy > tol))
 
 
+def _block_sizes(block_sizes: Iterable[int]) -> list[int]:
+    """The sizes of a product of one or more GHZ blocks of 2 or more qubits each."""
+    sizes = list(block_sizes)
+    if not sizes or min(sizes) < 2:
+        raise ValueError(f"GHZ blocks need at least 2 qubits each, got {sizes}")
+    return sizes
+
+
 def layout_verdicts(
     block_sizes: Iterable[int], tol: float = DEFAULT_TOLERANCE
 ) -> tuple[bool, bool, float]:
@@ -331,9 +344,7 @@ def layout_verdicts(
     tolerance, GME exactly with one block and AME exactly with one block of
     at most 3 qubits.
     """
-    sizes = list(block_sizes)
-    if not sizes or min(sizes) < 2:
-        raise ValueError(f"GHZ blocks need at least 2 qubits each, got {sizes}")
+    sizes = _block_sizes(block_sizes)
     _finite("tol", tol)
     one = len(sizes) == 1
     residual = 0.5 - 2.0 ** -(sizes[0] // 2) if one else 0.5
@@ -411,13 +422,11 @@ class OptimalityReport:
     optimal: bool
 
 
-def _optimality(
-    n: int, support: np.ndarray, values: np.ndarray, alice: Iterable[int], tol: float
+def _optimality_verdicts(
+    n: int, n_bob: int, residual: float, cap: float, tol: float
 ) -> OptimalityReport:
-    """``optimality_report`` of the pure n-qubit state with nonzero ``values``
-    at ``support``."""
-    _finite("tol", tol)
-    n_bob, _, residual, cap = _pure_receiver_marginal(n, support, values, alice)
+    """The report on n qubits whose receiver side of ``n_bob`` qubits has the
+    residual max |rho_B - I/d_B| and the capacity ``cap``."""
     bound = holevo_bound(n)
     return OptimalityReport(
         capacity=cap,
@@ -433,4 +442,31 @@ def optimality_report(
     state: StateVector, alice: Iterable[int], tol: float = DEFAULT_TOLERANCE
 ) -> OptimalityReport:
     """Checks whether the given sender split achieves the Holevo bound."""
-    return _optimality(state.n_qubits, *_support(state), alice, tol)
+    _finite("tol", tol)
+    n = state.n_qubits
+    n_bob, _, residual, cap = _pure_receiver_marginal(n, *_support(state), alice)
+    return _optimality_verdicts(n, n_bob, residual, cap, tol)
+
+
+def layout_optimality(
+    block_sizes: Iterable[int], values: np.ndarray, tol: float = DEFAULT_TOLERANCE
+) -> OptimalityReport:
+    """``optimality_report`` of a layout's resource, a product of GHZ blocks of
+    the given sizes with ``values`` its 2**B amplitudes in support order, for
+    its ``alice_qubits``: a receiver with one qubit of each block, in closed
+    form.  Each block keeps a sender qubit, whose bits tell the support apart, so
+    rho_B is diagonal with the weights |v|^2: its spectrum is their sort and its
+    residual max |w - 2**-B|.  ``_marginals`` takes it in its diagonal branch,
+    one weight per ``bincount`` bin, so every field is bitwise the same; only the
+    support comes from the layout, and the values are still read."""
+    sizes = _block_sizes(block_sizes)
+    _finite("tol", tol)
+    values = np.asarray(values)
+    if values.shape != (2 ** len(sizes),):
+        raise ValueError(f"{len(sizes)} blocks need {2 ** len(sizes)} values, got {values.shape}")
+    weights = _weights(values)
+    _check_traces(weights.sum())
+    n, n_bob = sum(sizes), len(sizes)
+    residual = float(np.abs(weights - 1 / 2**n_bob).max())
+    cap = n - n_bob + float(_entropies(np.sort(weights)))
+    return _optimality_verdicts(n, n_bob, residual, cap, tol)

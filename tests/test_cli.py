@@ -151,9 +151,10 @@ _AUDIT_TARGETS = ([["--ghz", str(n)] for n in (2, 3, 4, 6, 10, 11, 12)]
 
 def test_every_audit_flag_reports_the_same_keys(capsys, monkeypatch):
     """One audit body: every flag and size fills the same result and residual
-    keys, from the layout's support, with no dense resource and no
-    every-side pass."""
+    keys, from the layout's support, with no dense resource, no every-side
+    pass and no numerical marginal: the receiver's is read off the layout."""
     monkeypatch.setattr(coding, "dnk_state", Forbidden("dnk_state"))
+    monkeypatch.setattr(cli.entanglement, "_marginals", Forbidden("_marginals"))
     monkeypatch.setattr(coding, "dnk_code_words", Forbidden("dnk_code_words"))
     monkeypatch.setattr(coding, "_argmax_abs", Forbidden("_argmax_abs"))
     monkeypatch.setattr(cli.entanglement, "entanglement_verdicts",
@@ -162,6 +163,7 @@ def test_every_audit_flag_reports_the_same_keys(capsys, monkeypatch):
     for target in _AUDIT_TARGETS:
         _, report = run_json(["audit", *target], capsys)
         assert report["verdict"] == "optimal", target
+        assert report["results"]["bob_marginal_maximally_mixed"] is True, target
         keys.add((tuple(sorted(report["results"])), tuple(sorted(report["residuals"]))))
         n = report["results"]["holevo_bound"]
         assert report["results"]["roundtrip"] == {"messages_checked": min(2 ** int(n), 64),
@@ -220,6 +222,25 @@ def test_audit_of_at_most_64_words_checks_every_word_with_no_draw(capsys, monkey
         assert (first.pop("seed"), second.pop("seed")) == (0, 99)
         assert first == second, target
         assert first["results"]["roundtrip"]["messages_checked"] == 2 ** audit_qubits(target)
+
+
+@pytest.mark.parametrize("n, seed", [(n, 2500 + n) for n in range(7, 13)])
+def test_audit_above_64_words_decodes_the_seeds_draw(capsys, monkeypatch, n, seed):
+    """Above 6 qubits the roundtrip decodes the 64 messages the seed draws, sorted,
+    from the every-word table (up to 10 qubits) or from the 65-row one."""
+    decoded = []
+    indices = coding._coset_indices
+
+    def spy(s, t, spec):
+        messages, best = indices(s, t, spec)
+        decoded.append(messages)
+        return messages, best
+
+    monkeypatch.setattr(coding, "_coset_indices", spy)
+    _, report = run_json(["audit", "--ghz", str(n), "--seed", str(seed)], capsys)
+    assert report["results"]["roundtrip"] == {"messages_checked": 64, "failures": 0}
+    draw = np.sort(np.random.default_rng(seed).choice(2**n, 64, replace=False))
+    assert len(decoded) == 1 and np.array_equal(decoded[0], draw)
 
 
 def test_audit_table_shows_an_encoder_that_repeats_a_word(capsys, monkeypatch):

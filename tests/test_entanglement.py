@@ -18,6 +18,7 @@ from densecode import (
     holevo_bound,
     is_ame,
     is_gme_pure,
+    layout_optimality,
     layout_verdicts,
     optimality_report,
     partial_trace,
@@ -449,7 +450,7 @@ def sparse_states(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(sparse_states())
-def test_component_pass_matches_the_dense_reference_on_sparse_states(state):
+def test_entanglement_verdicts_match_the_dense_reference_on_sparse_states(state):
     ref_ame, ref_residual, ref_failing, ref_entropies, ref_gme = per_side_reference(state)
     ame, gme = entanglement_verdicts(state)
     assert (ame.is_ame, ame.failing, gme) == (ref_ame, ref_failing, ref_gme)
@@ -474,7 +475,7 @@ def test_component_pass_matches_the_dense_reference_on_sparse_states(state):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_component_pass_in_small_pieces_matches_the_whole_pass(monkeypatch, seed):
+def test_entanglement_verdicts_in_small_pieces_match_the_whole_pass(monkeypatch, seed):
     """Batches of one side, and block buffers cut into many groups."""
     rng = np.random.default_rng(400 + seed)
     n = 5 + seed % 3
@@ -509,6 +510,34 @@ def test_every_layout_is_optimal_and_gme_exactly_with_one_block(n):
         closed_ame, closed_gme, closed_residual = layout_verdicts(map(len, spec.blocks))
         assert (closed_ame, closed_gme) == (ame.is_ame, gme), (n, k)
         assert abs(closed_residual - ame.max_residual) <= 1e-15, (n, k)
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_layout_optimality_is_bitwise_the_report_on_every_layout(n):
+    """The closed-form receiver marginal gives every field of the numerical
+    report on the resource, capacity and residual included, equal with ``==``."""
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        state = dnk_state(spec)
+        closed = layout_optimality(map(len, spec.blocks), state.amplitudes[spec.support].real)
+        assert closed == optimality_report(state, spec.alice_qubits), (n, k)
+        assert closed.optimal, (n, k)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_layout_optimality_is_bitwise_the_report_off_uniform_weights(seed):
+    """A random real unit vector on a layout's support: the receiver marginal is
+    not maximally mixed, and both paths say so with the same numbers."""
+    rng = np.random.default_rng(2500 + seed)
+    n = int(rng.integers(2, 15))
+    spec = dnk_spec(n, int(rng.integers(1, n)))
+    values = rng.standard_normal(2 ** len(spec.blocks))
+    values /= np.linalg.norm(values)
+    amps = np.zeros(2**n)
+    amps[spec.support] = values
+    closed = layout_optimality(map(len, spec.blocks), values)
+    assert closed == optimality_report(StateVector(n, amps), spec.alice_qubits), (n, seed)
+    assert not (closed.optimal or closed.bob_marginal_maximally_mixed), (n, seed)
 
 
 def test_bell_product_verdicts_name_the_first_failing_side():
