@@ -312,7 +312,7 @@ def entanglement_verdicts(
 
 def _block_sizes(block_sizes: Iterable[int]) -> list[int]:
     """The sizes of a product of one or more GHZ blocks of 2 or more qubits each."""
-    sizes = list(block_sizes)
+    sizes = [_integer("block size", size) for size in block_sizes]
     if not sizes or min(sizes) < 2:
         raise ValueError(f"GHZ blocks need at least 2 qubits each, got {sizes}")
     return sizes
@@ -374,31 +374,23 @@ def holevo_bound(n: int) -> int:
     return n
 
 
-def _pure_receiver_marginal(
-    n: int, support: np.ndarray, values: np.ndarray, alice: Iterable[int]
-) -> tuple[int, np.ndarray, float, float]:
-    """``_receiver_marginal`` of the pure n-qubit state with nonzero ``values``
-    at ``support``: rho_B is taken on the support by ``_marginals``, without
-    the dense matrix, and S(rho_AB) = 0."""
-    alice_set, bob = _split(alice, n, "sender set")
-    dim = 2 ** len(bob)
-    mask = np.array([sum(1 << (n - q) for q in bob)])
-    spectra, residuals = _marginals(n, support, values, mask, len(bob))
-    spectrum = np.sort(np.concatenate([spectra[0], np.zeros(dim - spectra.shape[1])]))
-    return len(bob), spectrum, float(residuals[0]), len(alice_set) + float(_entropies(spectrum))
-
-
 def _receiver_marginal(
     state_or_rho: Union[StateVector, DensityOperator], alice: Iterable[int]
 ) -> tuple[int, np.ndarray, float, float]:
     """The reduced state rho_B on the receiver side of the sender set A, a
     non-empty proper subset of the register: its qubit count, its ascending
     spectrum (with a zero per dimension it does not reach) and its residual
-    max |rho_B - I/d_B|, and the capacity log2(d_A) + S(rho_B) - S(rho_AB)."""
+    max |rho_B - I/d_B|, and the capacity log2(d_A) + S(rho_B) - S(rho_AB).
+    A pure state's rho_B is taken on its support by ``_marginals``, without
+    the dense matrix, and S(rho_AB) = 0."""
     n = state_or_rho.n_qubits
-    if isinstance(state_or_rho, StateVector):
-        return _pure_receiver_marginal(n, *_support(state_or_rho), alice)
     alice_set, bob = _split(alice, n, "sender set")
+    if isinstance(state_or_rho, StateVector):
+        mask = np.array([sum(1 << (n - q) for q in bob)])
+        spectra, residuals = _marginals(n, *_support(state_or_rho), mask, len(bob))
+        zeros = np.zeros(2 ** len(bob) - spectra.shape[1])
+        spectrum = np.sort(np.concatenate([spectra[0], zeros]))
+        return len(bob), spectrum, float(residuals[0]), len(alice_set) + float(_entropies(spectrum))
     rho_b = partial_trace(state_or_rho, bob)
     spectrum = rho_b.eigenvalues()
     capacity_bits = len(alice_set) + float(_entropies(spectrum)) - von_neumann_entropy(state_or_rho)
@@ -443,9 +435,8 @@ def optimality_report(
 ) -> OptimalityReport:
     """Checks whether the given sender split achieves the Holevo bound."""
     _finite("tol", tol)
-    n = state.n_qubits
-    n_bob, _, residual, cap = _pure_receiver_marginal(n, *_support(state), alice)
-    return _optimality_verdicts(n, n_bob, residual, cap, tol)
+    n_bob, _, residual, cap = _receiver_marginal(state, alice)
+    return _optimality_verdicts(state.n_qubits, n_bob, residual, cap, tol)
 
 
 def layout_optimality(

@@ -7,12 +7,13 @@ his qubit either in the computational basis (then the senders' outcome must
 be all-0 or all-1, matching his bit) or in the Hadamard basis (then the
 total number of |-> outcomes across all protocol qubits must be even).
 
-Both the exact and the sampled statistics come from one object: the outcome
-marginals of the protocol qubits in the two check bases (``_check_marginals``).
-A simulation builds the attacked state once, takes the two marginals once,
-scores them exactly (``detection_report``'s masks) and draws its rounds from
-them (``round_consistent``), so the two scoring rules check each other on the
-same distribution.
+Both the exact and the sampled statistics come from one object:
+``detection_report``, which scores the outcome marginals of the protocol
+qubits in the two check bases (``_check_marginals``) once.  A round either
+passes or fails its check, so a simulation draws each basis's failed rounds
+as one binomial of that basis's exact inconsistency.  ``round_consistent``
+is the same rule for single measured outcomes, and the tests hold the two
+scorings equal.
 
 The attack model is a unitary on (receiver qubit x one ancilla qubit), the
 ancilla starting in |0>.  Writing  U |b>|0> = |0>|v_b0> + |1>|v_b1>,  the
@@ -280,7 +281,7 @@ class SimulationReport:
     computational_rate: Optional[float]
     hadamard_rate: Optional[float]
     aborted: bool
-    exact: DetectionReport  # exact scores of the marginals the rounds were drawn from
+    exact: DetectionReport  # the detection_report the rounds were drawn from
 
 
 def security_simulation(
@@ -292,12 +293,11 @@ def security_simulation(
 ) -> SimulationReport:
     """Run independent check rounds with a uniformly random basis each.
 
-    The attacked state is built once and its two check marginals are taken
-    once; ``exact`` scores them with ``detection_report``'s masks.  All
-    rounds are sampled from the same marginals at once: one binomial draw
-    from ``rng`` splits them between the bases, then one multinomial draw
-    per basis (computational first) spreads that basis's rounds over its
-    2**n outcomes, which ``round_consistent`` scores.  Time and memory are
+    The attacked state is built once and ``exact`` is its
+    ``detection_report``.  All rounds are drawn from that report at once,
+    by three binomial draws from ``rng``: one splits the rounds between the
+    bases, then one per basis (computational first) picks that basis's
+    inconsistent rounds with its exact inconsistency.  Time and memory are
     O(2**n) whatever ``rounds`` is, and a fixed seed gives identical
     statistics.  The default threshold 0 aborts on any inconsistency: the
     model is noiseless, so a clean channel never produces a false positive.
@@ -310,18 +310,15 @@ def security_simulation(
     state = ghz_state(n)
     if attack is not None:
         state = apply_eve(state, attack)
-    p_comp, p_had = _check_marginals(state, n)
-    outcomes = np.arange(2**n)
+    exact = detection_report(state, n)
+    # min: an attack passes as unitary within UNITARY_TOLERANCE, so its
+    # inconsistent mass may exceed 1 by that much, which binomial refuses
     c_rounds = int(rng.binomial(rounds, 0.5))
-    tallies = []
-    for basis, count, marginal in (
-        (CheckBasis.COMPUTATIONAL, c_rounds, p_comp),
-        (CheckBasis.HADAMARD, rounds - c_rounds, p_had),
-    ):
-        counts = rng.multinomial(count, marginal / marginal.sum())
-        tallies.append((count, int(counts[round_consistent(basis, outcomes, n)].sum())))
-    (c_rounds, c_ok), (h_rounds, h_ok) = tallies
-    detections = (c_rounds - c_ok) + (h_rounds - h_ok)
+    c_bad = int(rng.binomial(c_rounds, min(exact.computational_inconsistency, 1.0)))
+    h_rounds = rounds - c_rounds
+    h_bad = int(rng.binomial(h_rounds, min(exact.hadamard_inconsistency, 1.0)))
+    c_ok, h_ok = c_rounds - c_bad, h_rounds - h_bad
+    detections = c_bad + h_bad
     rate = detections / rounds
     return SimulationReport(
         rounds=rounds,
@@ -335,5 +332,5 @@ def security_simulation(
         computational_rate=c_ok / c_rounds if c_rounds else None,
         hadamard_rate=h_ok / h_rounds if h_rounds else None,
         aborted=rate > threshold,
-        exact=_score_marginals(p_comp, p_had),
+        exact=exact,
     )

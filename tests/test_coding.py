@@ -223,7 +223,7 @@ def test_decode_no_match_on_corruption():
 
 
 def test_decode_rejects_unknown_method():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown decode method 'guess'"):
         decode_ghz(ghz_state(2), method="guess")
 
 
@@ -268,7 +268,7 @@ def test_decode_bell_rejects_odd_register():
 
 
 def test_dnk_decode_rejects_wrong_register_size():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="state has 4 qubits, layout expects 6"):
         dnk_decode(ghz_state(4), dnk_spec(6, 2))
 
 

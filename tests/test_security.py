@@ -148,6 +148,20 @@ def test_round_consistent_array_matches_scalar_rule(n, basis):
     assert [bool(round_consistent(basis, o, n)) for o in range(2**n)] == expected
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_exact_scores_are_the_sums_over_inconsistent_outcomes(n):
+    # detection_report's masks and round_consistent are one rule: on any
+    # distribution, the exact score is the sum over the outcomes the rule fails.
+    rng = np.random.default_rng(4500 + n)
+    fails = {basis: ~round_consistent(basis, np.arange(2**n), n) for basis in CheckBasis}
+    for _ in range(20):
+        p_comp, p_had = rng.dirichlet(np.ones(2**n), size=2)
+        report = security._score_marginals(p_comp, p_had)
+        comp_fail, had_fail = fails[CheckBasis.COMPUTATIONAL], fails[CheckBasis.HADAMARD]
+        assert report.computational_inconsistency == float(p_comp[comp_fail].sum())
+        assert report.hadamard_inconsistency == float(p_had[had_fail].sum())
+
+
 # ---------------------------------------------------------------------------
 # attack application
 
@@ -409,8 +423,8 @@ def test_simulation_clean_channel_never_detects(n):
 
 @pytest.mark.parametrize("seed", range(51))
 def test_sampled_rates_match_exact_detection(seed):
-    # Sampler (round_consistent over multinomial counts) against the exact
-    # enumeration in detection_report, which scores outcomes on its own.
+    # Sampled rates, binomial draws at the inconsistencies of the attacked
+    # state's detection_report, against that report within Hoeffding's bound.
     n = (2, 3, 5)[seed % 3]
     rng = np.random.default_rng(3000 + seed)
     atk = EveAttack(haar_unitary(4, rng))
@@ -441,6 +455,42 @@ def test_simulation_exact_is_detection_report(n, atk):
     sim = security_simulation(n, atk, 100, np.random.default_rng(n))
     state = ghz_state(n) if atk is None else apply_eve(ghz_state(n), atk)
     assert sim.exact == detection_report(state, n_protocol=n)
+
+
+def test_simulation_reports_the_detection_report_it_drew_from(monkeypatch):
+    returned = []
+    original = security.detection_report
+
+    def recording(state, n):
+        returned.append(original(state, n))
+        return returned[-1]
+
+    monkeypatch.setattr(security, "detection_report", recording)
+    sim = security_simulation(4, EveAttack.cnot(), 100, np.random.default_rng(0))
+    assert len(returned) == 1 and sim.exact is returned[0]
+
+
+# A Z on the receiver's qubit flips every Hadamard round; scaled by 1 + 4e-10
+# it passes as unitary, and its Hadamard inconsistency exceeds 1.
+BARELY_UNITARY_Z = (1 + 4e-10) * np.diag([1.0, 1.0, -1.0, -1.0])
+
+
+def test_simulation_clips_an_inconsistency_above_one():
+    atk = EveAttack(BARELY_UNITARY_Z)
+    assert detection_report(apply_eve(ghz_state(4), atk), 4).hadamard_inconsistency > 1
+    report = security_simulation(4, atk, 1000, np.random.default_rng(4600))
+    assert report.hadamard_rounds > 0 and report.hadamard_consistent == 0
+    assert report.computational_consistent == report.computational_rounds
+    assert report.aborted
+
+
+def test_security_cli_clips_an_inconsistency_above_one(tmp_path, capsys):
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps([[[z, 0.0] for z in row] for row in BARELY_UNITARY_Z.tolist()]))
+    argv = ["security", "--n", "4", "--attack", f"file:{path}", "--rounds", "1000", "--seed", "3"]
+    assert main(argv) == 4
+    empirical = json.loads(capsys.readouterr().out)["results"]["empirical"]
+    assert empirical["hadamard_rounds"] > 0 and empirical["hadamard_consistent"] == 0
 
 
 def test_security_op_builds_one_attacked_state(capsys, monkeypatch):

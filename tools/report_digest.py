@@ -4,11 +4,13 @@ byte-identical.
     python3 tools/report_digest.py                        # this checkout's src
     python3 tools/report_digest.py --src ../parent/src    # another checkout's
 
-It prints one line: the argv count, how many exited with each code, and the sha256.  The
-same line from two checkouts means the same reports.  Each argv runs in-process
-through ``densecode.cli.main``, and its record is the argv, the exit code, stdout and
-stderr.  The sweep is every one of these under ``--seed`` 0, 7 and 12345 and
-``--format`` json, csv and text:
+Its first line gives the argv count, how many exited with each code, and the sha256.  The
+same line from two checkouts means the same reports.  One line per argv class follows
+(``audit --ghz``, ``audit --bell``, ``audit --dnk``, ``security``, ``encode`` and
+``encode --senders``) with the same fields over that class alone, to show which class
+moved.  Each argv runs in-process through ``densecode.cli.main``, and its record is
+the argv, the exit code, stdout and stderr.  The sweep is every one of these under
+``--seed`` 0, 7 and 12345 and ``--format`` json, csv and text:
 
 - ``audit --ghz 2..12``, ``audit --bell 1..10`` and every ``audit --dnk N K``
   with N <= 12;
@@ -46,6 +48,18 @@ def commands() -> list[list[str]]:
     return cmds
 
 
+def argv_class(cmd: list[str]) -> str:
+    """The class of a sweep argv: the command, with its layout flag or ``--senders``."""
+    if cmd[0] == "audit":
+        return " ".join(cmd[:2])
+    return "encode --senders" if "--senders" in cmd else cmd[0]
+
+
+def summary(codes: collections.Counter, digest) -> str:
+    exits = ", ".join(f"{codes[code]} exit {code}" for code in sorted(codes))
+    return f"{sum(codes.values())} argv ({exits}) sha256 {digest.hexdigest()}"
+
+
 def run(cli, argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
@@ -63,15 +77,21 @@ def main() -> int:
     import densecode.cli as cli
 
     digest, codes = hashlib.sha256(), collections.Counter()
+    classes = collections.defaultdict(lambda: (hashlib.sha256(), collections.Counter()))
     for cmd in commands():
+        class_digest, class_codes = classes[argv_class(cmd)]
         for seed in SEEDS:
             for fmt in FORMATS:
                 argv = [*cmd, "--seed", seed, "--format", fmt]
                 code, out, err = run(cli, argv)
-                digest.update(repr((argv, code, out, err)).encode())
+                record = repr((argv, code, out, err)).encode()
+                digest.update(record)
+                class_digest.update(record)
                 codes[code] += 1
-    exits = ", ".join(f"{codes[code]} exit {code}" for code in sorted(codes))
-    print(f"{sum(codes.values())} argv ({exits}) sha256 {digest.hexdigest()}")
+                class_codes[code] += 1
+    print(summary(codes, digest))
+    for name, (class_digest, class_codes) in classes.items():
+        print(f"{name}: {summary(class_codes, class_digest)}")
     return 0
 
 
