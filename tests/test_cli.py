@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import stat
 import sys
@@ -697,6 +698,34 @@ def test_every_command_renders_as_json_dumps_does(tmp_path, fmt):
     for argv in argvs:
         report = report_of(argv)
         assert render_report(report, fmt) == reference_render(report, fmt), argv
+
+
+def floats_in(value):
+    if isinstance(value, dict):
+        return [f for v in value.values() for f in floats_in(v)]
+    if isinstance(value, list):
+        return [f for v in value for f in floats_in(v)]
+    return [value] if type(value) is float else []
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_a_table_writes_each_distinct_float_once(monkeypatch, fmt):
+    """The report of a 20-bit code word holds 2049 floats but four distinct
+    ones; each float text is written once per render, not once per row."""
+    report = report_of(["encode", "--message", "10110100101101001011", "--senders", "9"])
+    calls = []
+    float_json = cli._float_json
+
+    def counted(value):
+        calls.append(value)
+        return float_json(value)
+
+    monkeypatch.setattr(cli, "_float_json", counted)
+    monkeypatch.setitem(cli._SCALAR, float, counted)
+    assert render_report(report, fmt) == reference_render(report, fmt)
+    distinct = {(v, math.copysign(1.0, v)) for v in floats_in(report)}
+    assert len(report["results"]["amplitudes"]) == 1024
+    assert 0 < len(calls) <= len(distinct) < 10
 
 
 @pytest.mark.parametrize(

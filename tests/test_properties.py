@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -28,6 +29,7 @@ from densecode import (
     ghz_state,
     hadamard_on,
 )
+from densecode import cli
 from densecode.cli import _json, _parse, build_parser, main, render_report
 from densecode.coding import (
     OVERLAP_THRESHOLD,
@@ -35,6 +37,7 @@ from densecode.coding import (
     _word_support,
     dnk_code_words,
 )
+from test_cli import reference_render
 
 
 @st.composite
@@ -322,3 +325,64 @@ def test_renderer_refuses_non_finite_floats_as_json_dumps_does(value):
         json.dumps(value, allow_nan=False)
     with pytest.raises(ValueError, match="not JSON compliant"):
         render_report({"results": value}, "json")
+
+
+# Tables: lists of rows of one width, the shape of ``results.amplitudes``,
+# which the renderer writes one column at a time.  Each column draws from one
+# kind of cell; the kinds include repeated floats, zeros of both signs and a
+# column that mixes 1, 1.0 and True.
+TABLE_CELLS = {
+    "int": st.one_of(st.integers(), st.integers(min_value=10**19, max_value=10**40)),
+    "float": st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([0.5, -0.5, 2.0**-5, 1e-300])),
+    "repeated": st.sampled_from([0.3535533905932738, -0.3535533905932738]),
+    "zeros": st.sampled_from([0.0, -0.0]),
+    "ones": st.sampled_from([1, 1.0, True]),
+    "any": st.one_of(st.none(), st.booleans(), st.integers(), st.sampled_from([0.0, -0.0, 0.5])),
+}
+
+
+@st.composite
+def tables(draw):
+    """1 to 8 rows of one width, or that table made ragged, given an empty row
+    or given a nested cell."""
+    kinds = draw(st.lists(st.sampled_from(sorted(TABLE_CELLS)), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*(TABLE_CELLS[kind] for kind in kinds)).map(list),
+                         min_size=1, max_size=8))
+    row = rows[draw(st.integers(0, len(rows) - 1))]
+    change = draw(st.sampled_from(["none", "ragged", "empty", "nested"]))
+    if change == "ragged" and len(row) > 1:
+        row.pop()
+    elif change == "ragged":
+        row.append(0.5)
+    elif change == "empty":
+        row.clear()
+    elif change == "nested":
+        row[-1] = [row[-1]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables())
+def test_tables_render_as_json_dumps_writes_them(table):
+    report = {"results": {"amplitudes": table, "n_bits": 3}, "verdict": "ok"}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_TABLE_ROWS", 1)  # so that tables of a few rows take the table path
+        assert _json(table, "\n") == json.dumps(table, sort_keys=True, indent=2, allow_nan=False)
+        assert _json(table, "") == json.dumps(table, sort_keys=True, allow_nan=False)
+        for fmt in ("json", "csv", "text"):
+            assert render_report(report, fmt) == reference_render(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("rows", [1, cli._TABLE_ROWS])  # the recursive and the table path
+@pytest.mark.parametrize("table, first", [
+    ([[0, math.nan, 0.0]], math.nan),
+    ([[0, 0.5, 0.0], [1, math.inf, 0.0]], math.inf),
+    ([[-math.inf], [0.5]], -math.inf),
+    ([[1.0, math.inf], [math.nan, 1.0]], math.inf),  # the first in document order
+])
+def test_a_table_with_a_non_finite_float_is_refused_in_every_format(fmt, rows, table, first):
+    table = table + table[:1] * (rows - len(table))
+    with pytest.raises(ValueError, match=re.escape(f"not JSON compliant: {first!r}")):
+        render_report({"results": {"amplitudes": table}}, fmt)

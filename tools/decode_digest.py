@@ -3,12 +3,13 @@ decode leaves every result byte-identical.
 
     python3 tools/decode_digest.py                        # this checkout's src
     python3 tools/decode_digest.py --src ../parent/src    # another checkout's
+    python3 tools/decode_digest.py --expect SHA256        # exit 1 on another sha256
 
 It prints one line: the record count, how many are messages and how many are
 ``NoMatchError``s, and the sha256.  The same line from two checkouts means the same
-records.  A record is the circuit decode (``dnk_decode``) of one seeded state,
-written as the message, or as the error's text, ``repr`` of its best overlap and its
-blocks.  The states, for every layout D(N, k) with N <= 18:
+records.  With ``--expect SHA256`` it exits 1 when the sha256 differs.  A record is
+the circuit decode (``dnk_decode``) of one seeded state, written as the message, or
+as the error's text, ``repr`` of its best overlap and its blocks.  The states, for every layout D(N, k) with N <= 18:
 
 - N <= 10: every code word under a random global phase;
 - N > 10: eight seeded code words under a random global phase;
@@ -84,6 +85,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
                     help="the src directory whose densecode is decoded (default: this checkout's)")
+    ap.add_argument("--expect", metavar="SHA256",
+                    help="exit 1 unless the sha256 is this one")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     import densecode.coding as dc
@@ -95,7 +98,10 @@ def main() -> int:
         failures += outcome.startswith("(")
     print(f"{count} records ({count - failures} messages, {failures} NoMatchError) "
           f"sha256 {digest.hexdigest()}")
-    return 0
+    if args.expect is None or digest.hexdigest() == args.expect:
+        return 0
+    print(f"sha256 {digest.hexdigest()} is not the expected {args.expect}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

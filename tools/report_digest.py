@@ -3,14 +3,16 @@ byte-identical.
 
     python3 tools/report_digest.py                        # this checkout's src
     python3 tools/report_digest.py --src ../parent/src    # another checkout's
+    python3 tools/report_digest.py --expect SHA256        # exit 1 on another sha256
 
 Its first line gives the argv count, how many exited with each code, and the sha256.  The
 same line from two checkouts means the same reports.  One line per argv class follows
 (``audit --ghz``, ``audit --bell``, ``audit --dnk``, ``security``, ``encode`` and
 ``encode --senders``) with the same fields over that class alone, to show which class
-moved.  Each argv runs in-process through ``densecode.cli.main``, and its record is
-the argv, the exit code, stdout and stderr.  The sweep is every one of these under
-``--seed`` 0, 7 and 12345 and ``--format`` json, csv and text:
+moved.  With ``--expect SHA256`` it exits 1 when the total sha256 differs, after
+printing every line.  Each argv runs in-process through ``densecode.cli.main``, and
+its record is the argv, the exit code, stdout and stderr.  The sweep is every one of
+these under ``--seed`` 0, 7 and 12345 and ``--format`` json, csv and text:
 
 - ``audit --ghz 2..12``, ``audit --bell 1..10`` and every ``audit --dnk N K``
   with N <= 12;
@@ -72,6 +74,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
                     help="the src directory whose densecode is run (default: this checkout's)")
+    ap.add_argument("--expect", metavar="SHA256",
+                    help="exit 1 unless the total sha256 is this one")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     import densecode.cli as cli
@@ -92,7 +96,10 @@ def main() -> int:
     print(summary(codes, digest))
     for name, (class_digest, class_codes) in classes.items():
         print(f"{name}: {summary(class_codes, class_digest)}")
-    return 0
+    if args.expect is None or digest.hexdigest() == args.expect:
+        return 0
+    print(f"sha256 {digest.hexdigest()} is not the expected {args.expect}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
