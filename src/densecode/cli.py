@@ -23,7 +23,7 @@ from . import coding, entanglement, security, statevec
 
 ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # the largest register the audit benchmark runs (--dnk 12)
-MAX_ENCODE_BITS = 24  # a receiver's dense state holds 2^n amplitudes: 256 MiB at 24
+MAX_ENCODE_BITS = 24  # the report's amplitude table: 2^B rows, B <= n/2 blocks, 4096 at 24
 _ROUNDTRIP_WORDS = 64  # the audit decodes every word up to 6 qubits, else 64 seeded picks
 
 # Every numeric flag once, as (namespace field, flag, low, high, unit), with
@@ -100,19 +100,19 @@ def cmd_encode(args: argparse.Namespace) -> tuple[dict, int]:
         raise ValueError(f"--message supports at most {MAX_ENCODE_BITS} bits, got {n}")
     spec = _layout("--senders", n, n - 1 if args.senders is None else args.senders)
     (cols,), (vals,) = coding._word_support([int(str(msg), 2)], spec)
+    full = coding.dnk_combined_string(msg, spec)
     results: dict[str, Any] = {
         "message": str(msg),
         "n_bits": n,
-        "operator": _operator_entry(coding.dnk_combined_string(msg, spec)),
+        "operator": _operator_entry(full),
         "parties": None,
     }
     if args.senders is not None:
-        per_party = coding.dnk_encode(msg, spec)
         results["layout"] = _layout_entry(spec)
-        results["parties"] = {
+        results["parties"] = {  # each party's operator, as ``coding.dnk_encode`` splits it
             str(share.party): {
                 **_share_entry(share),
-                "operator": _operator_entry(per_party[share.party]),
+                "operator": _operator_entry(full.restricted_to(share.qubits)),
             }
             for share in spec.shares
         }
@@ -471,7 +471,7 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
 
     aud = sub.add_parser("audit", help="verify code and entanglement properties")
     common(aud)
-    aud.add_argument("--tolerance", default=1e-9)
+    aud.add_argument("--tolerance", default=entanglement.DEFAULT_TOLERANCE)
     aud.add_argument("--ghz", default=None, metavar="N")
     aud.add_argument("--bell", default=None, metavar="PAIRS")
     aud.add_argument("--dnk", nargs=2, default=None, metavar=("N", "K"))

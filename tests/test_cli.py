@@ -537,6 +537,27 @@ def test_failed_output_leaves_no_temporary_file(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a_directory"]
 
 
+def test_a_failed_replace_removes_its_temporary_file(tmp_path, capsys, monkeypatch):
+    """The temporary file is written when the final ``os.replace`` fails: it is
+    removed, and the file it was to replace keeps its old text."""
+    target = tmp_path / "report.json"
+    target.write_text("old")
+    replaced = []
+
+    def failing_replace(src, dst):
+        replaced.append((os.path.basename(src), os.path.isfile(src), dst))
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.os, "replace", failing_replace)
+    code, out, err = run(["audit", "--ghz", "2", "--output", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"densecode: cannot write the report to {str(target)!r}: Permission denied\n"
+    [(name, written, dst)] = replaced
+    assert name.startswith(".densecode-") and written and dst == os.path.realpath(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+    assert target.read_text() == "old"
+
+
 def test_output_through_a_symlink_writes_its_target(tmp_path, capsys):
     real = tmp_path / "real.json"
     real.write_text("old")
@@ -611,6 +632,16 @@ def test_render_rejects_non_finite_values(fmt):
     report = {"command": "audit", "residuals": {"gram_residual": float("nan")}}
     with pytest.raises(ValueError):
         render_report(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("value", [object(), {1, 2}, 1j, b"01"], ids=lambda v: type(v).__name__)
+def test_render_refuses_a_non_json_value_as_json_dumps_does(fmt, value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value)
+    with pytest.raises(TypeError) as got:
+        render_report({"command": "audit", "results": {"x": value}}, fmt)
+    assert str(got.value) == str(want.value)
 
 
 def test_non_finite_report_exits_with_code_2(capsys, monkeypatch):

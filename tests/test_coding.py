@@ -77,6 +77,12 @@ def test_message_parsing_and_str():
     assert len(m) == 5
 
 
+def test_message_iterates_over_its_bits():
+    m = Message.from_string("10110")
+    assert list(m) == [1, 0, 1, 1, 0]
+    assert sum(m) == 3 and tuple(m) == m.bits
+
+
 def test_message_validation():
     with pytest.raises(ValueError):
         Message((1,))
@@ -849,7 +855,7 @@ def test_decode_that_stops_is_the_full_scan_decode_on_near_threshold_states(n, m
     """Up to 10 qubits against the overlap decode, an independent path; from 11 qubits
     against the decode whose scan never stops (``_ON_COSET`` = inf), byte for byte.
     Every layout up to 14 qubits; above, Bell pairs only, a mixed layout and one GHZ
-    block, as ``tools/decode_digest.py`` covers every layout."""
+    block, as ``tools/digest.py`` decodes every layout."""
     rng = np.random.default_rng(2300 + n)
     for k in range(1, n) if n <= 14 else (1, 3 * n // 4, n - 1):
         spec = dnk_spec(n, k)

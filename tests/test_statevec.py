@@ -170,6 +170,19 @@ def test_pauli_string_rejects_duplicate_targets():
         PauliString((PauliLabel.X, PauliLabel.Z), (1, 1))
 
 
+def test_statevector_repr_shows_at_most_six_terms():
+    uniform = StateVector(3, np.full(8, 8**-0.5))
+    assert repr(uniform) == "StateVector(" + " + ".join(
+        f"0.3536+0j|{idx:03b}>" for idx in range(6)) + ")"
+    assert repr(StateVector(3, 1j * basis_ket(3, 0b011).amplitudes)) == "StateVector(0+1j|011>)"
+
+
+def test_pauli_string_label_on_an_untargeted_qubit_is_identity():
+    ps = PauliString((PauliLabel.X, PauliLabel.IY), (2, 4))
+    assert [ps.label_on(q) for q in (1, 2, 3, 4, 5)] == [
+        PauliLabel.I, PauliLabel.X, PauliLabel.I, PauliLabel.IY, PauliLabel.I]
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 
@@ -427,6 +440,12 @@ def test_equal_up_to_global_phase():
     rotated = StateVector(3, s.amplitudes * np.exp(0.83j))
     assert equal_up_to_global_phase(s, rotated)
     assert not equal_up_to_global_phase(s, basis_ket(3, 0))
+
+
+def test_states_of_different_sizes_are_never_equal_up_to_phase():
+    # |00> and |000> hold the same first amplitudes, yet differ in register size
+    assert not equal_up_to_global_phase(basis_ket(2, 0), basis_ket(3, 0))
+    assert not equal_up_to_global_phase(ghz_state(3), ghz_state(2), tol=10.0)
 
 
 def test_apply_two_qubit_cnot():
