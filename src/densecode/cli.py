@@ -359,11 +359,14 @@ def _json(value: Any, pad: str) -> str:
 
 
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
+    """One (key, text) row per leaf of ``value``: a list of JSON scalars joined
+    by ``;`` as ``str`` writes them, any other list as its JSON, which refuses
+    a non-JSON item with ``json.dumps``'s ``TypeError``."""
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
-    elif isinstance(value, list) and not (value and isinstance(value[0], (dict, list))):
-        rows.append((prefix, ";".join(str(v) for v in value)))
+    elif isinstance(value, list) and set(map(type, value)) <= _SCALAR.keys():
+        rows.append((prefix, ";".join(map(str, value))))
     else:
         rows.append((prefix, _json(value, "")))
 

@@ -29,12 +29,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NoReturn, Sequence, Union
+from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
 from .statevec import (
     _BITS_LABEL,
+    CHUNK,
     _SQRT_HALF,
     PauliLabel,
     PauliString,
@@ -442,29 +443,47 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     )
 
 
-_SCAN = 2**13  # magnitudes per pass of ``_argmax_abs``: one 64 KiB float buffer
+#: magnitudes per pass of ``_argmax_abs``: one 64 KiB float buffer.  It divides
+#: ``CHUNK``, so each chunk a state weighs starts on a pass
+_SCAN = 2**13
 #: an amplitude this large lies on the coset of any output >= OVERLAP_THRESHOLD
 _ON_COSET = 2 * math.sqrt(1 - OVERLAP_THRESHOLD**2)
 
 
-def _argmax_abs(amps: np.ndarray, enough: float = math.inf) -> int:
+def _argmax_abs(amps: np.ndarray, enough: float = math.inf,
+                weights: Optional[Sequence[float]] = None) -> int:
     """``np.abs(amps).argmax()`` bitwise, in passes of ``_SCAN`` entries through one
     reused buffer, so a decode allocates no 2**n array of its own, except that the
     argmax of the first pass whose largest magnitude reaches ``enough`` is returned at
     once.  A later pass wins only with a strictly larger magnitude, or with a NaN over a
     number, which keeps the first largest magnitude or the first NaN, as the full argmax
     does.  The buffer is writeable: numpy copies a read-only array, such as a state's
-    own amplitudes, before its argmax."""
+    own amplitudes, before its argmax.
+
+    ``weights``, a state's ``_chunk_weights``, are the |amps|^2 of each ``CHUNK`` of
+    ``amps``.  With them the passes start at the first chunk whose weight is not below
+    (enough/2)**2: a lighter chunk holds neither a NaN nor a magnitude >= ``enough``,
+    whose square alone would outweigh it 4 to 1, far past any rounding of the sum, so no
+    pass in it could stop.  A chunk starts on a pass, so a pass that stops is the one
+    the full scan stops at.  Skipped chunks matter only when no pass stops, and then the
+    scan reruns from 0 without weights."""
+    start = 0
+    if weights is not None:
+        light = (enough / 2) ** 2
+        for weight in weights:
+            if not weight < light:
+                break
+            start += CHUNK
     buf = np.empty(min(len(amps), _SCAN), dtype=amps.real.dtype)  # |amps|' dtype
     top, at = -1.0, 0  # below every magnitude: the first pass always takes over
-    for i in range(0, len(amps), _SCAN):
+    for i in range(start, len(amps), _SCAN):
         part = np.abs(amps[i:i + _SCAN], out=buf[:len(amps) - i])
         j = int(part.argmax())
         if math.isnan(part[j]) or part[j] >= enough:
             return i + j
         if part[j] > top:
             top, at = part[j], i + j
-    return at
+    return _argmax_abs(amps, enough) if start else at
 
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
@@ -474,8 +493,10 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
 
     The scan for s = argmax |psi| stops at the first pass holding a magnitude of at
     least ``_ON_COSET`` = 2 sqrt(1 - T**2) ~ 2.8e-3, T = OVERLAP_THRESHOLD, and takes
-    that pass's argmax.  Were output a of coset C at least T, C would hold weight at least
-    T**2 (the lead Hadamards are unitary), so every amplitude off C would be at most
+    that pass's argmax; it starts at the first chunk of the state's copy heavy enough
+    to hold one, by the chunk weights the state took as it copied its amplitudes.  Were
+    output a of coset C at least T, C would hold weight at least T**2 (the lead
+    Hadamards are unitary), so every amplitude off C would be at most
     sqrt(1 + NORM_TOLERANCE - T**2) ~ 1.4e-3: a pass that stops has found an index on
     C, from which the outputs are bitwise those from argmax |psi|.  If no coset reaches
     T, ``_no_match`` reads the whole register, whatever s is.  So the message, or the
@@ -489,7 +510,7 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
     amps = state.amplitudes
-    s = np.array([_argmax_abs(amps, _ON_COSET)])
+    s = np.array([_argmax_abs(amps, _ON_COSET, state._chunk_weights)])
     msgs, best = _coset_indices(s, amps[s[:, None] ^ spec.support], spec)
     if not best[0] >= OVERLAP_THRESHOLD:
         _no_match(amps, spec)

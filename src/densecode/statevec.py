@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Sequence
 
@@ -25,6 +25,7 @@ import numpy as np
 
 NORM_TOLERANCE = 1e-9
 PHASE_TOLERANCE = 1e-9
+CHUNK = 2**14  # amplitudes per weighed chunk of a state's copy: 256 KiB, within L2
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -45,28 +46,50 @@ def _finite(name: str, value: float, high: float = math.inf) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Pure state of ``n_qubits`` qubits as 2**n complex amplitudes."""
+    """Pure state of ``n_qubits`` qubits as 2**n complex amplitudes.
+
+    The state keeps a private, read-only, C-ordered complex copy of the amplitudes
+    and ``_chunk_weights``, the |psi|^2 of each ``CHUNK`` of that copy in order,
+    which a decode's scan reads to skip the chunks too light to stop it.  A state
+    of one chunk is copied whole by np.array.  A larger one is copied from the
+    C-order ravel of its input a chunk at a time, and each chunk is weighed right
+    after its copy, while it is still in L2: the norm takes no second pass through
+    memory.  |psi|^2, the weights' sum from the left, must lie within
+    NORM_TOLERANCE of 1."""
 
     n_qubits: int
     amplitudes: np.ndarray
+    _chunk_weights: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if _integer("n_qubits", self.n_qubits) < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
-        amps = np.array(self.amplitudes, dtype=complex, order="C").reshape(-1)  # a private copy
-        if amps.size != 2**self.n_qubits:
+        size = 2**self.n_qubits
+        many = size > CHUNK
+        src = (np.ravel(self.amplitudes) if many  # C order, as np.array reads it
+               else np.array(self.amplitudes, dtype=complex, order="C").reshape(-1))
+        if src.size != size:
             raise ValueError(
-                f"expected {2**self.n_qubits} amplitudes for "
-                f"{self.n_qubits} qubits, got {amps.size}"
+                f"expected {size} amplitudes for {self.n_qubits} qubits, got {src.size}"
             )
-        flat = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
-        # vdot runs the same dot product as flat @ flat, but raises no overflow
-        # warning: a norm that overflows to inf is refused just below
-        norm_sq = float(np.vdot(flat, flat))
+        amps = np.empty(size, dtype=complex) if many else src  # the private copy
+        flat = part = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
+        weights, norm_sq, i = (), 0.0, 0
+        while i < size:  # not a for over a range, which costs a small state 0.5 us cold
+            if many:
+                amps[i:i + CHUNK] = src[i:i + CHUNK]
+                part = flat[2 * i:2 * (i + CHUNK)]
+            # vdot runs the same dot product as part @ part, but raises no overflow
+            # warning: a norm that overflows to inf is refused just below
+            weight = float(np.vdot(part, part))
+            weights += (weight,)
+            norm_sq += weight
+            i += CHUNK
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "_chunk_weights", weights)
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit (axis k = qubit k+1)."""

@@ -644,6 +644,26 @@ def test_render_refuses_a_non_json_value_as_json_dumps_does(fmt, value):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("value", [object(), {1, 2}, 1j, b"01"], ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("at", [0, 2])
+def test_render_refuses_a_non_json_list_item_as_json_dumps_does(fmt, value, at):
+    items = [1, "a", 0.5]
+    items.insert(at, value)
+    with pytest.raises(TypeError) as want:
+        json.dumps(items)
+    with pytest.raises(TypeError) as got:
+        render_report({"command": "audit", "results": {"x": items}}, fmt)
+    assert str(got.value) == str(want.value)
+
+
+def test_flat_rows_join_a_list_of_json_scalars_and_write_any_other_list_as_json():
+    report = {"a": [True, None, 1.5, "b,c", 3], "d": [], "e": [1, {"f": [2]}]}
+    assert render_report(report, "csv") == (
+        'a,"True;None;1.5;b,c;3"\nd,\ne,"[1, {""f"": [2]}]"\n')
+    assert render_report(report, "text") == 'a  True;None;1.5;b,c;3\nd  \ne  [1, {"f": [2]}]\n'
+
+
 def test_non_finite_report_exits_with_code_2(capsys, monkeypatch):
     from densecode import cli
 

@@ -41,6 +41,7 @@ from densecode import (
     verify_code_orthonormality,
 )
 from densecode.coding import (
+    _ON_COSET,
     _SCAN,
     _argmax_abs,
     _circuit_outputs,
@@ -51,7 +52,7 @@ from densecode.coding import (
     dnk_code_words,
 )
 from densecode.entanglement import reduced_density, capacity
-from densecode.statevec import _parity
+from densecode.statevec import CHUNK, _parity
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -813,6 +814,95 @@ def test_argmax_scan_stops_at_the_first_pass_that_reaches_enough():
         3, 3, _SCAN + 5, _SCAN + 5, 2 * _SCAN + 1, 2 * _SCAN + 1, 3 * _SCAN]
     finite = np.where(np.isnan(row), 1.0, row)
     assert _argmax_abs(finite, 5.0) == np.abs(finite).argmax() == 2 * _SCAN + 1
+
+
+SCAN_ENOUGH = (1e-3, _ON_COSET, 0.5, math.inf)
+
+
+def chunk_weights(row):
+    """The |row|^2 of each CHUNK of ``row``, as a state weighs its copy."""
+    flat = np.asarray(row, dtype=complex).view(float)
+    return tuple(float(np.vdot(p, p)) for p in np.split(flat, range(2 * CHUNK, flat.size,
+                                                                     2 * CHUNK)))
+
+
+def assert_weights_change_no_scan(amps, weights):
+    for enough in SCAN_ENOUGH:
+        want = _argmax_abs(amps, enough)
+        assert _argmax_abs(amps, enough, weights) == want, enough
+        if enough == math.inf:
+            assert want == np.abs(amps).argmax()
+
+
+def test_chunk_weights_change_no_code_word_scan():
+    """The scan from a state's chunk weights returns the weightless scan's index on code
+    words of D(N, k) under a random phase, N = 15..20: 2 to 64 chunks."""
+    rng = np.random.default_rng(2901)
+    for n in range(15, 21):
+        for k in sorted({1, n // 2, n - 1}):
+            spec = dnk_spec(n, k)
+            msgs = rng.choice(2**n, 2, replace=False)
+            for word in dnk_code_words(msgs, spec):
+                state = StateVector(n, word * np.exp(2j * np.pi * rng.random()))
+                assert len(state._chunk_weights) == max(1, 2**n // CHUNK)
+                assert_weights_change_no_scan(state.amplitudes, state._chunk_weights)
+
+
+def lone_amplitude_states(n, rng):
+    """States of n qubits with one large amplitude at CHUNK - 1, CHUNK or the last
+    index, over a background of 0, 1e-6 (its chunks light at every ``enough``) or
+    2e-3 (around the decode threshold) per entry, under random phases."""
+    size = 2**n
+    for at in (CHUNK - 1, CHUNK, size - 1):
+        for background in (0.0, 1e-6, 2e-3):
+            amps = background * np.exp(2j * np.pi * rng.random(size))
+            amps[at] = 0.0
+            amps[at] = math.sqrt(1 - np.sum(np.abs(amps) ** 2)) * np.exp(2j * np.pi * rng.random())
+            yield StateVector(n, amps)
+
+
+def test_chunk_weights_change_no_scan_of_a_lone_amplitude():
+    rng = np.random.default_rng(2902)
+    for state in lone_amplitude_states(17, rng):
+        assert_weights_change_no_scan(state.amplitudes, state._chunk_weights)
+
+
+def test_a_scan_with_no_stop_reruns_over_the_skipped_chunks():
+    """A first chunk too light to be read, holding the largest magnitude 0.2, and the
+    rest of the weight spread thin over chunk 5: no magnitude reaches 0.5, so the scan
+    that started at chunk 5 reruns from 0 and finds 0.2, as the weightless one does."""
+    amps = np.zeros(2**17, dtype=complex)
+    amps[7] = 0.2j
+    amps[5 * CHUNK:6 * CHUNK] = math.sqrt((1 - 0.04) / CHUNK)
+    state = StateVector(17, amps)
+    assert state._chunk_weights[0] < (0.5 / 2) ** 2 <= state._chunk_weights[5]
+    assert_weights_change_no_scan(state.amplitudes, state._chunk_weights)
+    assert _argmax_abs(state.amplitudes, 0.5, state._chunk_weights) == 7
+
+
+def test_the_scan_starts_at_the_first_chunk_not_below_a_quarter_of_enough_squared():
+    """Weights that call a chunk light skip it, whatever it holds: the scan starts at
+    the first chunk whose weight is not below (enough/2)**2, a NaN weight included."""
+    assert CHUNK % _SCAN == 0  # a chunk starts on a pass
+    row = np.zeros(4 * CHUNK, dtype=complex)
+    row[[3, CHUNK + 5, 2 * CHUNK + 7]] = 0.9, 0.6, 0.7
+    light, heavy = 0.0624, 0.0625  # (0.5 / 2)**2 = 0.0625
+    assert _argmax_abs(row, 0.5, (light, heavy, 1.0, 1.0)) == CHUNK + 5
+    assert _argmax_abs(row, 0.5, (light, np.nan, 1.0, 1.0)) == CHUNK + 5
+    assert _argmax_abs(row, 0.5, (light, light, heavy, 1.0)) == 2 * CHUNK + 7
+    assert _argmax_abs(row, 0.5, (heavy, 1.0, 1.0, 1.0)) == 3
+    assert _argmax_abs(row, 0.95, (light, heavy, 1.0, 1.0)) == 3  # no stop: the rerun
+
+
+def test_chunk_weights_change_no_scan_of_a_nan_or_inf_row():
+    """Rows no state holds, with NaN and inf, scanned with weights=None and with their
+    chunks' weights, NaN or inf where a chunk holds one: such a chunk is never skipped."""
+    for row in [*scan_edge_rows(), *(scan_edge_rows() * (1 - 1j))]:
+        row.flags.writeable = False
+        for enough in SCAN_ENOUGH:
+            want = _argmax_abs(row, enough, None)
+            assert want == _argmax_abs(row, enough)
+            assert _argmax_abs(row, enough, chunk_weights(row)) == want, enough
 
 
 def unit(amps):

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from densecode import (
     hadamard_all,
     tensor_product,
 )
-from densecode.statevec import NORM_TOLERANCE
+from densecode.statevec import CHUNK, NORM_TOLERANCE
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -163,6 +166,85 @@ def test_statevector_keeps_a_private_copy():
     amps[0] = 5.0
     assert state.amplitudes[0] == SQ2
     assert not np.shares_memory(state.amplitudes, amps)
+
+
+# A state of n = 17 qubits is copied and weighed in 2**17 / CHUNK = 8 chunks.
+
+
+def test_each_chunk_weight_is_its_chunks_vdot_and_read_only():
+    state = random_state(17, np.random.default_rng(29))
+    flat = state.amplitudes.view(float)
+    parts = [flat[i:i + 2 * CHUNK] for i in range(0, flat.size, 2 * CHUNK)]
+    assert len(parts) == len(state._chunk_weights) == 8
+    for weight, part in zip(state._chunk_weights, parts):
+        assert type(weight) is float and weight == np.vdot(part, part)
+    assert isinstance(state._chunk_weights, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state._chunk_weights = (1.0,)
+    assert len(ghz_state(5)._chunk_weights) == 1
+
+
+@pytest.mark.parametrize("n", [1, 14, 15, 17])
+def test_chunk_weights_sum_to_the_norm(n):
+    """One chunk up to CHUNK amplitudes: the weight is the one dot of the whole copy."""
+    state = random_state(n, np.random.default_rng(n))
+    flat = state.amplitudes.view(float)
+    if 2**n <= CHUNK:
+        assert state._chunk_weights == (float(np.vdot(flat, flat)),)
+    total = sum(state._chunk_weights)
+    assert abs(total - 1.0) <= NORM_TOLERANCE
+    assert math.isclose(total, float(np.vdot(flat, flat)), rel_tol=1e-14)
+
+
+def scaled_state(n, scale):
+    v = random_state(n, np.random.default_rng(17)).amplitudes
+    return v * np.sqrt(scale)
+
+
+@pytest.mark.parametrize("scale", [1 - 0.4 * NORM_TOLERANCE, 1 + 0.4 * NORM_TOLERANCE])
+def test_a_multi_chunk_state_within_tolerance_is_accepted(scale):
+    amps = scaled_state(17, scale)
+    assert np.array_equal(StateVector(17, amps).amplitudes, amps)
+
+
+@pytest.mark.parametrize("scale", [1 - 2 * NORM_TOLERANCE, 1 + 2 * NORM_TOLERANCE])
+def test_a_multi_chunk_state_outside_tolerance_is_refused(scale):
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(17, scaled_state(17, scale))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, complex(0, np.nan),
+                                 complex(0, -np.inf), complex(0, 1e200)])
+@pytest.mark.parametrize("at", [-CHUNK, -1])
+@pytest.mark.filterwarnings("error")  # the last chunk's weight overflows without a warning
+def test_a_non_finite_amplitude_in_the_last_chunk_is_refused(bad, at):
+    amps = ghz_state(17).amplitudes.copy()
+    amps[at] = bad
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(17, amps)
+
+
+def test_a_multi_chunk_state_copies_strided_fortran_and_real_inputs():
+    """Read in C order from any layout and dtype, as a one-chunk state's np.array reads."""
+    rng = np.random.default_rng(30)
+    ref = random_state(17, rng).amplitudes
+    wide = np.zeros(2**18, dtype=complex)
+    wide[::2] = ref
+    grid = np.asfortranarray(ref.reshape(2**8, 2**9))
+    real = ref.real / np.linalg.norm(ref.real)
+    sixteenths = np.zeros(2**17, dtype=np.float32)
+    sixteenths[::512] = 1 / 16  # exact in float32, 256 of them
+    basis = np.zeros(2**17, dtype=int)
+    basis[-1] = 1
+    for amps in (wide[::2], ref[::-1], grid, real, sixteenths, basis, list(ref)):
+        state = StateVector(17, amps)
+        assert state.amplitudes.dtype == complex and state.amplitudes.flags.c_contiguous
+        assert not state.amplitudes.flags.writeable
+        want = np.array(amps, dtype=complex, order="C").reshape(-1)
+        assert np.array_equal(state.amplitudes, want)
+        assert not np.shares_memory(state.amplitudes, amps)
+    with pytest.raises(ValueError, match="expected 131072 amplitudes for 17 qubits, got 65536"):
+        StateVector(17, ref[::2])
 
 
 def test_pauli_string_rejects_duplicate_targets():

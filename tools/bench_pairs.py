@@ -17,9 +17,11 @@ both trees, alternating, in CALL_PAIRS pairs of fresh interpreters with one
 BLAS thread, the first side swapping each pair; each gets every run and their
 median.  An op run is one CLI call in-process, the best of 5 wall times in
 milliseconds, with the package's caches cleared before each call.  A call run
-lets ``timeit`` pick a loop count and keeps the best of 5 loops, in
-microseconds per statement.  Setup code, run once and untimed, goes before
-`` ;; `` in the statement; both run after
+is the median of CALLS wall times of the statement in microseconds, each
+timed cold, after a fixed pass over a 4 MiB array (``clibench/calibration.py``'s
+``_memory`` kernel), so a fixed cost that a warm loop would hide, such as a
+small state's copy, shows as it does in one CLI call.  Setup code, run once
+and untimed, goes before `` ;; `` in the statement; both run after
 ``import numpy as np; from densecode import *; from densecode import coding``.
 Both files are rewritten after every run, so an interrupted series keeps what
 it measured.
@@ -57,15 +59,24 @@ for _ in range(5):
 print(best * 1e3)
 """
 CALL_PAIRS = 7
+CALLS = 201
 CALL = r"""
-import sys, timeit
+import statistics, sys, time
 sys.path.insert(0, "src")
 setup, _, stmt = sys.argv[1].rpartition(" ;; ")
 names = {}
 exec("import numpy as np\nfrom densecode import *\nfrom densecode import coding\n" + setup, names)
-timer = timeit.Timer(stmt, globals=names)
-number = timer.autorange()[0]
-print(min(timer.repeat(5, number)) / number * 1e6)
+np, code = names["np"], compile(stmt, "<call>", "exec")
+array = np.arange(2**18, dtype=complex)  # 4 MiB
+times = []
+for _ in range(int(sys.argv[2])):
+    x = array.copy()  # clibench/calibration.py's _memory: the caches go cold
+    x *= 0.5
+    float(np.abs(x).sum())
+    t = time.perf_counter()
+    exec(code, names)
+    times.append(time.perf_counter() - t)
+print(statistics.median(times) * 1e6)
 """
 
 
@@ -97,7 +108,7 @@ def single_op_ms(tree: str, op: str) -> float:
 
 
 def call_us(tree: str, stmt: str) -> float:
-    done = subprocess.run([sys.executable, "-c", CALL, stmt], cwd=tree, check=True,
+    done = subprocess.run([sys.executable, "-c", CALL, stmt, str(CALLS)], cwd=tree, check=True,
                           capture_output=True, text=True, env=one_thread_env())
     return float(done.stdout.split()[-1])
 
@@ -119,8 +130,9 @@ def _medians(timed: dict) -> dict:
 def save(path: str, label: str, tree: str, workloads: dict, ops: dict, calls: dict) -> None:
     doc = {
         "blas_threads": 1,
-        "calls_method": f"{CALL_PAIRS} alternating pairs of fresh interpreters, each the best "
-                        "of 5 timeit loops, one BLAS thread; microseconds per statement",
+        "calls_method": f"{CALL_PAIRS} alternating pairs of fresh interpreters, each the median "
+                        f"of {CALLS} calls, each timed cold after a 4 MiB array pass, one BLAS "
+                        "thread; microseconds per call",
         "calls_us": _medians(calls),
         "command": COMMAND,
         "cores": os.cpu_count(),
