@@ -212,7 +212,7 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
             matrix = np.array(
                 [[complex(re, im) for re, im in row] for row in rows], dtype=complex
             )
-        except (TypeError, ValueError) as exc:
+        except (OverflowError, TypeError, ValueError) as exc:  # an int too large for a float
             raise ValueError(
                 f"malformed attack matrix in {path!r}: expected 4 rows of 4 "
                 f"[re, im] pairs ({exc})"
@@ -361,11 +361,15 @@ def _json(value: Any, pad: str) -> str:
 def _flatten(prefix: str, value: Any, rows: list[tuple[str, str]]) -> None:
     """One (key, text) row per leaf of ``value``: a list of JSON scalars joined
     by ``;`` as ``str`` writes them, any other list as its JSON, which refuses
-    a non-JSON item with ``json.dumps``'s ``TypeError``."""
+    a non-JSON item with ``json.dumps``'s ``TypeError``.  Either list refuses a
+    non-finite float with the json format's ``ValueError``."""
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else key, value[key], rows)
     elif isinstance(value, list) and set(map(type, value)) <= _SCALAR.keys():
+        for item in value:
+            if type(item) is float and not math.isfinite(item):
+                _float_json(item)  # raises json's ValueError
         rows.append((prefix, ";".join(map(str, value))))
     else:
         rows.append((prefix, _json(value, "")))

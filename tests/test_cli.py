@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import sys
 import threading
@@ -340,6 +341,18 @@ def test_security_rejects_malformed_file(tmp_path, capsys):
     assert "attack matrix" in err
 
 
+def test_security_refuses_an_integer_past_float_range_in_a_file(tmp_path, capsys):
+    rows = [[[int(r == c), 0] for c in range(4)] for r in range(4)]
+    rows[2][1][1] = 10**400  # 401 digits: complex() raises OverflowError
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run(
+        ["security", "--n", "3", "--attack", f"file:{path}", "--rounds", "10"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert "malformed attack matrix" in err and "Traceback" not in err
+
+
 def test_security_rejects_non_unitary_file(tmp_path, capsys):
     rows = [[[1, 0]] * 4 for _ in range(4)]
     path = tmp_path / "nonunitary.json"
@@ -632,6 +645,17 @@ def test_render_rejects_non_finite_values(fmt):
     report = {"command": "audit", "residuals": {"gram_residual": float("nan")}}
     with pytest.raises(ValueError):
         render_report(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize("items, first", [
+    ([float("nan"), 1.0], float("nan")),
+    ([1, "a", float("inf")], float("inf")),
+    ([0.5, -float("inf"), float("nan")], -float("inf")),  # the first in list order
+])
+def test_render_refuses_a_non_finite_float_in_a_list_of_scalars(fmt, items, first):
+    with pytest.raises(ValueError, match=re.escape(f"not JSON compliant: {first!r}")):
+        render_report({"command": "audit", "results": {"x": items}}, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])

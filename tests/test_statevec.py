@@ -247,6 +247,71 @@ def test_a_multi_chunk_state_copies_strided_fortran_and_real_inputs():
         StateVector(17, ref[::2])
 
 
+# From statevec._SPARSE = 2**18 amplitudes, an input whose first chunk holds only
+# zero bits is copied into np.zeros and its chunks of zero bits are left unwritten;
+# every other input is copied chunk by chunk.  Both paths must give the same bytes.
+
+
+def chunk_cases(n, head_zero):
+    """(kind, input) of every accepted input kind for one n-qubit state: mass 0.5 in
+    four chunks, the first of them chunk 0 unless ``head_zero``; for float dtypes also
+    a chunk of -0.0 only and a chunk of the dtype's smallest denormal only; zero bits
+    everywhere else.  An int or bool input is one basis state."""
+    size = 2**n
+    mass = [9 if not head_zero else CHUNK + 1, 4 * CHUNK + 2, size - CHUNK, size - 1]
+    cases = []
+    for dtype in (complex, np.complex64, float, np.float32):
+        x = np.zeros(size, dtype=dtype)
+        x[mass] = 0.5
+        if x.dtype.kind == "c":
+            x[mass[1]] = 0.5j
+        x[2 * CHUNK:3 * CHUNK] = -0.0
+        x[3 * CHUNK:4 * CHUNK] = np.finfo(x.dtype).smallest_subnormal
+        cases.append((x.dtype.name, x))
+    for dtype in (int, bool):
+        x = np.zeros(size, dtype=dtype)
+        x[mass[0]] = 1
+        cases.append((x.dtype.name, x))
+    ref = cases[0][1]
+    wide = np.zeros(2 * size, dtype=complex)
+    wide[::2] = ref
+    cases += [("list", list(ref)), ("strided", wide[::2]), ("reversed", ref[::-1].copy()[::-1]),
+              ("fortran", np.asfortranarray(ref.reshape(2**8, -1))),
+              ("object", ref.astype(object))]
+    return cases
+
+
+@pytest.mark.parametrize("head_zero", [True, False])
+@pytest.mark.parametrize("n", [17, 18, 20])
+def test_both_copy_paths_keep_every_bit_and_weight(n, head_zero):
+    for kind, x in chunk_cases(n, head_zero):
+        state = StateVector(n, x)
+        want = np.array(x, dtype=complex).reshape(-1)
+        assert state.amplitudes.tobytes() == want.tobytes(), kind
+        assert state.amplitudes.flags.c_contiguous and not state.amplitudes.flags.writeable
+        assert isinstance(x, list) or not np.shares_memory(state.amplitudes, x), kind
+        flat = state.amplitudes.view(float)
+        parts = [flat[i:i + 2 * CHUNK] for i in range(0, flat.size, 2 * CHUNK)]
+        assert len(state._chunk_weights) == len(parts), kind
+        for weight, part in zip(state._chunk_weights, parts):
+            assert type(weight) is float, kind
+            assert weight.hex() == float(np.vdot(part, part)).hex(), kind
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+@pytest.mark.parametrize("n", [18, 20])
+@pytest.mark.filterwarnings("error")
+def test_a_non_finite_amplitude_after_a_zero_first_chunk_is_refused(n, bad):
+    for dtype in (complex, np.complex64, float, np.float32):
+        if isinstance(bad, complex) and np.dtype(dtype).kind != "c":
+            continue
+        x = np.zeros(2**n, dtype=dtype)
+        x[CHUNK + 1] = 1.0
+        x[5 * CHUNK + 3] = bad
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(n, x)
+
+
 def test_pauli_string_rejects_duplicate_targets():
     with pytest.raises(ValueError):
         PauliString((PauliLabel.X, PauliLabel.Z), (1, 1))
