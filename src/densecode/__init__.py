@@ -77,6 +77,7 @@ from .security import (
     ParityClass,
     SimulationReport,
     apply_eve,
+    detection_closed_form,
     detection_probability,
     detection_report,
     parity_class,

@@ -44,7 +44,8 @@ _FLAGS = (
     ("ghz", "--ghz", 2, MAX_AUDIT_QUBITS, "qubits"),
     ("bell", "--bell", 1, 10, "pairs"),  # 2P qubits on 2^P support indices
     ("dnk", "--dnk", 2, MAX_AUDIT_QUBITS, "bits"),  # N, as --ghz; K: 1..N-1
-    # the attacked state holds 2^(n+1) amplitudes
+    # security's alias of --ghz.  security builds no state at any size, so
+    # these caps bound only the audit's cost
     ("n", "--n", 2, MAX_AUDIT_QUBITS, "qubits"),
     ("rounds", "--rounds", 1, security.MAX_ROUNDS, "rounds"),  # int64 sample counts
 )
@@ -89,6 +90,26 @@ def _layout(flag: str, n: int, k: int) -> coding.DnkSpec:
     return coding.dnk_spec(n, k)
 
 
+def _named_layout(args: argparse.Namespace) -> tuple[coding.DnkSpec, dict[str, Any]]:
+    """The layout named by the one layout flag the command was given, with that
+    flag's params entry: --ghz N is D(N, N-1), --bell P is D(2P, 1), --dnk N K
+    is D(N, K), and security's --n N is --ghz N."""
+    flags = [flag for flag in ("ghz", "bell", "dnk", "n") if hasattr(args, flag)]
+    given = [flag for flag in flags if getattr(args, flag) is not None]
+    if len(given) != 1:
+        names = ", ".join(f"--{flag}" for flag in flags)
+        raise ValueError(f"{args.command} requires exactly one of {names}")
+    flag = given[0]
+    value = getattr(args, flag)
+    if flag == "bell":
+        spec = coding.dnk_spec(2 * value, 1)
+    elif flag == "dnk":
+        spec = _layout("--dnk K", *value)
+    else:
+        spec = coding.dnk_spec(value, value - 1)
+    return spec, {flag: value}
+
+
 def _share_entry(share: coding.PartyShare) -> dict[str, Any]:
     return {"qubits": list(share.qubits), "bits": list(share.bits)}
 
@@ -128,14 +149,7 @@ def cmd_encode(args: argparse.Namespace) -> tuple[dict, int]:
 
 def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
     tol = args.tolerance
-    if [args.ghz, args.bell, args.dnk].count(None) != 2:
-        raise ValueError("audit requires exactly one of --ghz, --bell, --dnk")
-    if args.ghz is not None:
-        spec, params = coding.dnk_spec(args.ghz, args.ghz - 1), {"ghz": args.ghz}
-    elif args.bell is not None:
-        spec, params = coding.dnk_spec(2 * args.bell, 1), {"bell": args.bell}
-    else:
-        spec, params = _layout("--dnk K", *args.dnk), {"dnk": args.dnk}
+    spec, params = _named_layout(args)
     params["tolerance"] = tol
 
     n = spec.n_qubits
@@ -228,11 +242,13 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
 
 
 def cmd_security(args: argparse.Namespace) -> tuple[dict, int]:
+    spec, params = _named_layout(args)
     attack = _load_attack(args.attack)
 
     rng = np.random.default_rng(args.seed)
     sim = security.security_simulation(
-        args.n, attack, args.rounds, rng, threshold=args.threshold
+        spec.n_qubits, attack, args.rounds, rng, threshold=args.threshold,
+        blocks=len(spec.blocks),
     )
 
     empirical = dict(vars(sim))  # shallow: asdict's recursive copy is 2% of a security op
@@ -240,7 +256,8 @@ def cmd_security(args: argparse.Namespace) -> tuple[dict, int]:
     exact["detection_probability"] = exact.pop("probability")
     del empirical["threshold"], empirical["aborted"]  # params and verdict report them
     results: dict[str, Any] = {
-        "n": args.n,
+        "n": spec.n_qubits,
+        "layout": _layout_entry(spec),
         "attack": args.attack,
         "exact": exact,
         "empirical": empirical,
@@ -259,13 +276,8 @@ def cmd_security(args: argparse.Namespace) -> tuple[dict, int]:
         results["certificate"] = None
 
     verdict = "abort" if sim.aborted else "pass"
-    params = {
-        "n": args.n,
-        "attack": args.attack,
-        "rounds": args.rounds,
-        "threshold": args.threshold,
-        "cert_tolerance": args.cert_tolerance,
-    }
+    params.update(attack=args.attack, rounds=args.rounds, threshold=args.threshold,
+                  cert_tolerance=args.cert_tolerance)
     report = _report("security", params, results, residuals, verdict, args.seed)
     return report, (4 if sim.aborted else 0)
 
@@ -476,16 +488,20 @@ def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argume
     enc.add_argument("--senders", default=None,
                      help="split across this many senders (distributed layout)")
 
+    def layouts(p: argparse.ArgumentParser) -> None:  # exactly one: _named_layout
+        p.add_argument("--ghz", default=None, metavar="N")
+        p.add_argument("--bell", default=None, metavar="PAIRS")
+        p.add_argument("--dnk", nargs=2, default=None, metavar=("N", "K"))
+
     aud = sub.add_parser("audit", help="verify code and entanglement properties")
     common(aud)
     aud.add_argument("--tolerance", default=entanglement.DEFAULT_TOLERANCE)
-    aud.add_argument("--ghz", default=None, metavar="N")
-    aud.add_argument("--bell", default=None, metavar="PAIRS")
-    aud.add_argument("--dnk", nargs=2, default=None, metavar=("N", "K"))
+    layouts(aud)
 
     sec = sub.add_parser("security", help="simulate the eavesdropping check")
     common(sec)
-    sec.add_argument("--n", required=True, help="protocol qubits")
+    layouts(sec)
+    sec.add_argument("--n", default=None, metavar="N", help="alias of --ghz N")
     sec.add_argument("--attack", default="none",
                      help="none, identity, cnot, swap0, or file:PATH")
     sec.add_argument("--rounds", default=10000)

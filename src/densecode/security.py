@@ -1,28 +1,38 @@
-"""Eavesdropping analysis for GHZ dense coding.
+"""Eavesdropping analysis for dense coding on any block layout D(N, k).
 
 The shared state's signature in the |+>/|-> basis is a parity pattern: its
 support is exactly the even-weight masks, with uniform amplitude modulus.
 The two-basis check exploits it.  Each sampled round, the receiver measures
-his qubit either in the computational basis (then the senders' outcome must
-be all-0 or all-1, matching his bit) or in the Hadamard basis (then the
-total number of |-> outcomes across all protocol qubits must be even).
-
-Both the exact and the sampled statistics come from one object:
-``detection_report``, which scores the outcome marginals of the protocol
-qubits in the two check bases (``_check_marginals``) once.  A round either
-passes or fails its check, so a simulation draws each basis's failed rounds
-as one binomial of that basis's exact inconsistency.  ``round_consistent``
-is the same rule for single measured outcomes, and the tests hold the two
-scorings equal.
+his qubit of every block either in the computational basis (then each
+block's senders must read all-0 or all-1, matching his bit) or in the
+Hadamard basis (then each block's number of |-> outcomes must be even).  One
+basis is drawn per round, for all blocks, and the round fails if any block
+fails its check.
 
 The attack model is a unitary on (receiver qubit x one ancilla qubit), the
-ancilla starting in |0>.  Writing  U |b>|0> = |0>|v_b0> + |1>|v_b1>,  the
-four "branch" vectors v determine everything: the computational check is
-blind exactly when the bit-flip branches v_01 and v_10 vanish, and the
-Hadamard check is blind exactly when v_00 equals v_11 -- including their
-relative phase, since a phase difference rotates the shared state's parity
-pattern.  An attack passing both is the identity on the receiver qubit times
-a local ancilla map, so it gains nothing.
+ancilla starting in |0>, applied to the receiver's qubit of every block with
+a fresh ancilla each.  Writing  U |b>|0> = |0>|v_b0> + |1>|v_b1>,  the four
+"branch" vectors v determine everything.  On one block, of any size,
+
+    P_comp = (|v_01|^2 + |v_10|^2) / 2
+    P_had  = (|v_00 - v_11|^2 + |v_01 - v_10|^2) / 4,
+
+so the computational check is blind exactly when the bit-flip branches v_01
+and v_10 vanish, and the Hadamard check is blind exactly when v_00 equals
+v_11 -- including their relative phase, since a phase difference rotates the
+shared state's parity pattern.  The blocks and their ancillas form a product
+state, so a round in one basis on B blocks fails with probability
+1 - (1 - P_basis)^B.  ``detection_closed_form`` gives both from the 4x4
+attack alone, with no state built at any size.  An attack passing both
+checks is the identity on the receiver qubit times a local ancilla map, so
+it gains nothing.
+
+A round either passes or fails its check, so a simulation draws each basis's
+failed rounds as one binomial of that basis's exact inconsistency.  The dense
+path stays as an independent oracle: ``apply_eve`` builds the attacked state
+and ``detection_report`` scores it by enumerating every joint outcome
+(``_check_marginals``).  ``round_consistent`` is the same rule for single
+measured outcomes, and the tests hold the scorings equal.
 """
 
 from __future__ import annotations
@@ -35,7 +45,6 @@ import numpy as np
 
 from .statevec import (
     StateVector,
-    ghz_state,
     hadamard_all,
     _butterfly,
     _finite,
@@ -227,6 +236,38 @@ def detection_probability(state: StateVector, n_protocol: Optional[int] = None) 
     return detection_report(state, n).probability
 
 
+def _branches(atk: EveAttack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The attack's branch vectors (v_00, v_01, v_10, v_11)."""
+    return atk.branch(0, 0), atk.branch(0, 1), atk.branch(1, 0), atk.branch(1, 1)
+
+
+def _norm2(v: np.ndarray) -> float:
+    return float(np.vdot(v, v).real)
+
+
+def detection_closed_form(attack: Optional[EveAttack], blocks: int = 1) -> DetectionReport:
+    """Exact inconsistency probability of each check on a layout of ``blocks``
+    blocks, from the attack's branch vectors alone; no state is built.
+
+    On one block, of any size, P_comp = (|v_01|^2 + |v_10|^2) / 2 and P_had =
+    (|v_00 - v_11|^2 + |v_01 - v_10|^2) / 4: what ``detection_report`` gives
+    on ``apply_eve(ghz_state(n), attack)``, up to rounding.  Each receiver
+    qubit meets the same attack with its own ancilla and a round checks every
+    block in one basis, so with B blocks it fails with probability
+    1 - (1 - P)^B; B = 1 returns P itself.  With no attack (None) both
+    inconsistencies are exactly 0.0."""
+    if _integer("blocks", blocks) < 1:
+        raise ValueError(f"blocks must be >= 1, got {blocks}")
+    if attack is None:
+        return DetectionReport(0.0, 0.0, 0.0)
+    v00, v01, v10, v11 = _branches(attack)
+    comp = (_norm2(v01) + _norm2(v10)) / 2.0
+    had = (_norm2(v00 - v11) + _norm2(v01 - v10)) / 4.0
+    if blocks > 1:
+        comp, had = 1.0 - (1.0 - comp) ** blocks, 1.0 - (1.0 - had) ** blocks
+    return DetectionReport(comp, had, (comp + had) / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # Undetectability certificate
 
@@ -252,10 +293,9 @@ class CertificateReport:
 
 def undetectable_certificate(atk: EveAttack, tol: float = CERT_TOLERANCE) -> CertificateReport:
     _finite("tol", tol)
-    v00 = atk.branch(0, 0)
-    v11 = atk.branch(1, 1)
-    flip_01 = float(np.linalg.norm(atk.branch(0, 1)))
-    flip_10 = float(np.linalg.norm(atk.branch(1, 0)))
+    v00, v01, v10, v11 = _branches(atk)
+    flip_01 = float(np.linalg.norm(v01))
+    flip_10 = float(np.linalg.norm(v10))
     overlap = np.vdot(v11, v00)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
     mismatch_min = float(np.linalg.norm(v00 - phase * v11))
@@ -281,7 +321,7 @@ class SimulationReport:
     computational_rate: Optional[float]
     hadamard_rate: Optional[float]
     aborted: bool
-    exact: DetectionReport  # the detection_report the rounds were drawn from
+    exact: DetectionReport  # the detection_closed_form the rounds were drawn from
 
 
 def security_simulation(
@@ -290,29 +330,30 @@ def security_simulation(
     rounds: int,
     rng: np.random.Generator,
     threshold: float = 0.0,
+    blocks: int = 1,
 ) -> SimulationReport:
-    """Run independent check rounds with a uniformly random basis each.
+    """Run independent check rounds with a uniformly random basis each, on a
+    layout of ``n`` qubits in ``blocks`` blocks (the default 1: GHZ coding).
 
-    The attacked state is built once and ``exact`` is its
-    ``detection_report``.  All rounds are drawn from that report at once,
-    by three binomial draws from ``rng``: one splits the rounds between the
-    bases, then one per basis (computational first) picks that basis's
-    inconsistent rounds with its exact inconsistency.  Time and memory are
-    O(2**n) whatever ``rounds`` is, and a fixed seed gives identical
-    statistics.  The default threshold 0 aborts on any inconsistency: the
-    model is noiseless, so a clean channel never produces a false positive.
+    ``exact`` is ``detection_closed_form(attack, blocks)``, and no state is
+    built.  All rounds are drawn from that report at once, by three binomial
+    draws from ``rng``: one splits the rounds between the bases, then one per
+    basis (computational first) picks that basis's inconsistent rounds with
+    its exact inconsistency.  Time and memory are constant, whatever ``n``
+    and ``rounds`` are, and a fixed seed gives identical statistics.  The
+    default threshold 0 aborts on any inconsistency: the model is noiseless,
+    so a clean channel never produces a false positive.
     """
     if not 1 <= _integer("rounds", rounds) <= MAX_ROUNDS:
         raise ValueError(f"rounds must be in 1..{MAX_ROUNDS}, got {rounds}")
     if _integer("n", n) < 2:
         raise ValueError(f"protocol needs at least 2 qubits, got {n}")
+    if not 1 <= _integer("blocks", blocks) <= n // 2:  # each block holds >= 2 qubits
+        raise ValueError(f"blocks must be in 1..{n // 2} for {n} qubits, got {blocks}")
     _finite("threshold", threshold, 1.0)
-    state = ghz_state(n)
-    if attack is not None:
-        state = apply_eve(state, attack)
-    exact = detection_report(state, n)
+    exact = detection_closed_form(attack, blocks)
     # min: an attack passes as unitary within UNITARY_TOLERANCE, so its
-    # inconsistent mass may exceed 1 by that much, which binomial refuses
+    # inconsistency may exceed 1 by that much, which binomial refuses
     c_rounds = int(rng.binomial(rounds, 0.5))
     c_bad = int(rng.binomial(c_rounds, min(exact.computational_inconsistency, 1.0)))
     h_rounds = rounds - c_rounds

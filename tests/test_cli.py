@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import re
 import stat
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,6 +447,87 @@ def test_security_identity_preset_passes(capsys):
     assert report["verdict"] == "pass"
     assert report["results"]["certificate"]["undetectable"] is True
     assert report["results"]["exact"]["detection_probability"] == 0.0
+
+
+ATTACK_NAMES = ["none", *sorted(security.ATTACK_PRESETS)]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_security_ghz_is_the_n_alias(capsys, n):
+    for attack, seed in itertools.product(ATTACK_NAMES, ("0", "7")):
+        tail = ["--attack", attack, "--rounds", "500", "--seed", seed]
+        code_n, by_n = run_json(["security", "--n", str(n), *tail], capsys)
+        code_ghz, by_ghz = run_json(["security", "--ghz", str(n), *tail], capsys)
+        assert code_ghz == code_n and by_ghz["verdict"] == by_n["verdict"]
+        assert by_ghz["results"] == by_n["results"]
+        by_n["params"]["ghz"] = by_n["params"].pop("n")
+        assert by_ghz["params"] == by_n["params"]
+
+
+@pytest.mark.parametrize("pairs", range(1, 7))  # --dnk N stops at 12
+def test_security_bell_is_dnk_with_one_sender(capsys, pairs):
+    tail = ["--attack", "swap0", "--rounds", "500", "--seed", "3"]
+    _, by_bell = run_json(["security", "--bell", str(pairs), *tail], capsys)
+    _, by_dnk = run_json(["security", "--dnk", str(2 * pairs), "1", *tail], capsys)
+    assert by_bell["results"] == by_dnk["results"]
+    assert by_bell["results"]["layout"] == {
+        "ghz_size": 2, "bell_pairs": pairs - 1, "bob_qubits": list(range(2, 2 * pairs + 1, 2))}
+
+
+def test_security_on_a_layout_fails_a_round_if_any_block_fails(capsys):
+    # D(6, 3) is three Bell pairs; cnot fails a Hadamard round of one block
+    # half the time, so a round of three fails with 1 - (1/2)^3
+    code, report = run_json(
+        ["security", "--dnk", "6", "3", "--attack", "cnot", "--rounds", "1000", "--seed", "7"],
+        capsys,
+    )
+    assert code == 4 and report["verdict"] == "abort"
+    assert report["results"]["exact"] == {"computational_inconsistency": 0.0,
+                                          "hadamard_inconsistency": 0.875,
+                                          "detection_probability": 0.4375}
+    assert report["results"]["layout"]["bob_qubits"] == [2, 4, 6]
+    assert report["results"]["n"] == 6 and report["params"]["dnk"] == [6, 3]
+
+
+@pytest.mark.parametrize("layout", [[], ["--n", "3", "--ghz", "3"], ["--ghz", "3", "--bell", "2"],
+                                    ["--bell", "2", "--dnk", "4", "1"],
+                                    ["--dnk", "4", "1", "--n", "4"]])
+def test_security_needs_exactly_one_layout_flag(capsys, layout):
+    code, out, err = run(["security", *layout, "--rounds", "10"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "densecode: security requires exactly one of --ghz, --bell, --dnk, --n\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["security", "--ghz", "13"], "--ghz"),
+    (["security", "--bell", "11"], "--bell"),
+    (["security", "--dnk", "13", "5"], "--dnk"),
+    (["security", "--dnk", "6", "6"], "--dnk K"),
+])
+def test_security_layout_flags_keep_the_audit_ranges(capsys, argv, flag):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"densecode: {flag} ") and err.count("\n") == 1
+
+
+def traced_peak(argv):
+    """The tracemalloc peak of one in-process CLI call, its output discarded."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)  # imports, caches and the layout's spec, untraced
+        tracemalloc.start()
+        try:
+            main(argv)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_security_memory_does_not_grow_with_the_register():
+    # The dense path peaked at 580 KiB at --n 12 against 6 KiB at --n 3
+    tail = ["--attack", "cnot", "--rounds", "1000", "--seed", "7"]
+    small = traced_peak(["security", "--n", "3", *tail])
+    for layout in (["--n", "12"], ["--dnk", "12", "5"], ["--bell", "10"]):
+        assert traced_peak(["security", *layout, *tail]) <= small + 4096, layout
 
 
 def test_audit_bell_beyond_caps_reports_null(capsys):

@@ -239,7 +239,13 @@ def argvs(draw):
         if draw(st.booleans()):
             argv += draw(real_flag("--tolerance", 0.0, math.inf))
     else:
-        argv = ["security", "--n", draw(flag(st.integers(2, 10), 2, 12))]
+        n, k = draw(layouts())
+        argv = ["security"] + draw(st.sampled_from([
+            ["--n", draw(flag(st.integers(2, 10), 2, 12))],
+            ["--ghz", draw(flag(st.just(n), 2, 12))],
+            ["--bell", draw(flag(st.integers(1, 10), 1, 10))],
+            ["--dnk", draw(flag(st.just(n), 2, 12)), draw(flag(st.just(k), 1, n - 1))],
+        ]))
         if draw(st.booleans()):
             argv += ["--rounds", draw(flag(st.integers(1, 1000), 1, 2**63 - 1))]
         if draw(st.booleans()):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -18,8 +19,11 @@ from densecode import (
     apply_pauli_string,
     apply_two_qubit,
     basis_ket,
+    detection_closed_form,
     detection_probability,
     detection_report,
+    dnk_spec,
+    dnk_state,
     encoded_state,
     ghz_state,
     hadamard_on,
@@ -30,7 +34,7 @@ from densecode import (
     tensor_product,
     undetectable_certificate,
 )
-from densecode import security, statevec
+from densecode import cli, coding, security, statevec
 from densecode.cli import main
 from densecode.security import round_consistent
 
@@ -447,27 +451,56 @@ def _exact_cases():
     return [None, *(make() for make in security.ATTACK_PRESETS.values()), *haar]
 
 
+def bits(report):
+    """A report's floats as hex, so that == is bit for bit (0.0 is not -0.0)."""
+    return [float.hex(x) for x in dataclasses.astuple(report)]
+
+
+def dense_ghz_report(n, atk):
+    """The dense path: the attacked GHZ state, scored by enumeration."""
+    state = ghz_state(n) if atk is None else apply_eve(ghz_state(n), atk)
+    return detection_report(state, n_protocol=n)
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 @pytest.mark.parametrize("atk", _exact_cases())
-def test_simulation_exact_is_detection_report(n, atk):
-    # The report the rounds were drawn from is the exact enumeration of the
-    # same attacked state, bit for bit.
+def test_simulation_exact_is_the_closed_form(n, atk):
+    # The report the rounds were drawn from is the closed form, bit for bit,
+    # and the exact enumeration of the attacked state within 1e-12.
     sim = security_simulation(n, atk, 100, np.random.default_rng(n))
-    state = ghz_state(n) if atk is None else apply_eve(ghz_state(n), atk)
-    assert sim.exact == detection_report(state, n_protocol=n)
+    assert bits(sim.exact) == bits(detection_closed_form(atk))
+    dense = dense_ghz_report(n, atk)
+    for got, want in zip(dataclasses.astuple(sim.exact), dataclasses.astuple(dense)):
+        assert abs(got - want) <= 1e-12
 
 
-def test_simulation_reports_the_detection_report_it_drew_from(monkeypatch):
+class RecordingGenerator:
+    """Answers each binomial draw with half its trials and records (trials, p)."""
+
+    def __init__(self):
+        self.draws = []
+
+    def binomial(self, trials, p):
+        self.draws.append((trials, p))
+        return trials // 2
+
+
+@pytest.mark.parametrize("n, blocks", [(4, 1), (8, 3), (9, 4)])
+def test_simulation_draws_from_the_closed_form_it_reports(monkeypatch, n, blocks):
     returned = []
-    original = security.detection_report
+    original = security.detection_closed_form
 
-    def recording(state, n):
-        returned.append(original(state, n))
-        return returned[-1]
+    def recording(attack, b):
+        returned.append((b, original(attack, b)))
+        return returned[-1][1]
 
-    monkeypatch.setattr(security, "detection_report", recording)
-    sim = security_simulation(4, EveAttack.cnot(), 100, np.random.default_rng(0))
-    assert len(returned) == 1 and sim.exact is returned[0]
+    monkeypatch.setattr(security, "detection_closed_form", recording)
+    rng = RecordingGenerator()
+    sim = security_simulation(n, EveAttack.swap_with_zero(), 1001, rng, blocks=blocks)
+    assert len(returned) == 1 and returned[0][0] == blocks and sim.exact is returned[0][1]
+    exact = sim.exact
+    assert rng.draws == [(1001, 0.5), (500, exact.computational_inconsistency),
+                         (501, exact.hadamard_inconsistency)]
 
 
 # A Z on the receiver's qubit flips every Hadamard round; scaled by 1 + 4e-10
@@ -478,6 +511,7 @@ BARELY_UNITARY_Z = (1 + 4e-10) * np.diag([1.0, 1.0, -1.0, -1.0])
 def test_simulation_clips_an_inconsistency_above_one():
     atk = EveAttack(BARELY_UNITARY_Z)
     assert detection_report(apply_eve(ghz_state(4), atk), 4).hadamard_inconsistency > 1
+    assert detection_closed_form(atk).hadamard_inconsistency > 1
     report = security_simulation(4, atk, 1000, np.random.default_rng(4600))
     assert report.hadamard_rounds > 0 and report.hadamard_consistent == 0
     assert report.computational_consistent == report.computational_rounds
@@ -493,44 +527,48 @@ def test_security_cli_clips_an_inconsistency_above_one(tmp_path, capsys):
     assert empirical["hadamard_rounds"] > 0 and empirical["hadamard_consistent"] == 0
 
 
-def test_security_op_builds_one_attacked_state(capsys, monkeypatch):
-    calls = []
-    original = security.apply_eve
+def test_security_op_takes_no_dense_path(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a dense security path was called")
 
-    def counting(state, atk):
-        calls.append(state.n_qubits)
-        return original(state, atk)
-
-    monkeypatch.setattr(security, "apply_eve", counting)
+    for name in ("apply_eve", "detection_report", "_check_marginals", "ghz_state"):
+        monkeypatch.setattr(security, name, forbidden, raising=False)
+    for name in ("dnk_state", "dnk_code_words"):
+        monkeypatch.setattr(coding, name, forbidden)
     code = main(["security", "--n", "4", "--attack", "cnot", "--rounds", "200", "--seed", "5"])
-    capsys.readouterr()
+    exact = json.loads(capsys.readouterr().out)["results"]["exact"]
     assert code == 4
-    assert calls == [4]
+    assert (exact["hadamard_inconsistency"], exact["detection_probability"]) == (0.5, 0.25)
 
 
-def test_security_op_builds_only_the_ghz_and_the_attacked_state(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("layout", [["--n", "4"], ["--ghz", "12"], ["--bell", "3"],
+                                    ["--dnk", "8", "3"]])
+def test_security_op_builds_no_state(tmp_path, capsys, monkeypatch, layout):
     u = haar_unitary(4, np.random.default_rng(4400))
     path = tmp_path / "haar.json"
     path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
-    want = detection_report(reference_apply_eve(ghz_state(4), EveAttack(u)), 4)
+    args = cli._PARSER.parse_args(["security", *layout])
+    cli._validate(args)
+    spec = cli._named_layout(args)[0]
+    # the file's matrix, as the CLI reads it back
+    atk = cli._load_attack(f"file:{path}")
+    want = detection_closed_form(atk, len(spec.blocks))
+    dense = dense_layout_report(spec, atk)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("a general state operation was called")
-
-    for name in ("tensor_product", "apply_two_qubit", "basis_ket"):
-        monkeypatch.setattr(statevec, name, forbidden)
-        monkeypatch.setattr(security, name, forbidden, raising=False)
     built = []
     check = StateVector.__post_init__
     monkeypatch.setattr(StateVector, "__post_init__",
                         lambda self: built.append(self.n_qubits) or check(self))
-    code = main(["security", "--n", "4", "--attack", f"file:{path}", "--rounds", "400"])
+    code = main(["security", *layout, "--attack", f"file:{path}", "--rounds", "400"])
     report = json.loads(capsys.readouterr().out)
     assert code in (0, 4)
-    assert built == [4, 5]
+    assert built == []
     exact = report["results"]["exact"]
-    assert exact["detection_probability"] == want.probability
+    assert exact["computational_inconsistency"] == want.computational_inconsistency
     assert exact["hadamard_inconsistency"] == want.hadamard_inconsistency
+    assert exact["detection_probability"] == want.probability
+    assert abs(want.computational_inconsistency - dense.computational_inconsistency) <= 1e-12
+    assert abs(want.hadamard_inconsistency - dense.hadamard_inconsistency) <= 1e-12
 
 
 def test_security_op_reuses_the_preset_attacks_built_at_import(capsys, monkeypatch):
@@ -596,3 +634,101 @@ def test_security_op_needs_no_hadamard_state(capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert code == 4
     assert abs(report["results"]["exact"]["detection_probability"] - 0.25) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# every layout: the closed form against a dense oracle
+
+
+def dense_layout_report(spec, atk):
+    """Both inconsistencies of the layout ``spec`` under ``atk``, densely: the
+    resource with its own |0> ancilla per receiver qubit, the attack applied
+    to each (receiver, ancilla) pair, then every joint outcome of the N
+    protocol qubits enumerated.  A round in one basis fails if any block
+    fails its check there: its computational bits are not all equal, or its
+    count of |-> outcomes is odd."""
+    n, b = spec.n_qubits, len(spec.blocks)
+    state = dnk_state(spec)
+    if atk is not None:
+        state = tensor_product(state, basis_ket(b, 0))
+        for j, bob in enumerate(spec.bob_qubits):
+            state = apply_two_qubit(state, atk.unitary, (bob, n + 1 + j))
+    # the Hadamard basis on the protocol qubits, by raw tensordots
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    t = state.amplitudes.reshape((2,) * state.n_qubits)
+    for q in range(n):
+        t = np.moveaxis(np.tensordot(h, np.moveaxis(t, q, 0), axes=([1], [0])), 0, q)
+    p_comp, p_had = ((np.abs(a.reshape(2**n, -1)) ** 2).sum(axis=1)
+                     for a in (state.amplitudes, t))
+    outcomes = np.arange(2**n)
+    odd = np.array([bin(m).count("1") % 2 == 1 for m in outcomes])
+    comp_fail = np.zeros(2**n, dtype=bool)
+    had_fail = np.zeros(2**n, dtype=bool)
+    for block in spec.blocks:
+        mask = sum(1 << (n - q) for q in block)
+        on = outcomes & mask
+        comp_fail |= (on != 0) & (on != mask)
+        had_fail |= odd[on]
+    comp, had = float(p_comp[comp_fail].sum()), float(p_had[had_fail].sum())
+    return security.DetectionReport(comp, had, (comp + had) / 2)
+
+
+LAYOUTS = [(n, k) for n in range(2, 9) for k in range(1, n)]
+
+
+def _layout_attacks():
+    """No attack, the presets, 50 Haar attacks, then ten each of ancilla-local
+    and controlled-phase attacks: the two families on either side of the
+    certificate."""
+    rng = np.random.default_rng(4700)
+    return [None, *(make() for make in security.ATTACK_PRESETS.values()),
+            *(EveAttack(haar_unitary(4, rng)) for _ in range(50)),
+            *(ancilla_local_attack(rng) for _ in range(10)),
+            *(controlled_phase_attack(rng.uniform(0.05, np.pi)) for _ in range(10))]
+
+
+LAYOUT_ATTACKS = _layout_attacks()
+
+
+@pytest.mark.parametrize("n, k", LAYOUTS)
+def test_closed_form_is_the_dense_oracle_on_every_layout(n, k):
+    spec = dnk_spec(n, k)
+    for i, atk in enumerate(LAYOUT_ATTACKS):
+        got = detection_closed_form(atk, len(spec.blocks))
+        want = dense_layout_report(spec, atk)
+        for g, w in zip(dataclasses.astuple(got), dataclasses.astuple(want)):
+            assert abs(g - w) <= 1e-12, (n, k, i, got, want)
+
+
+@pytest.mark.parametrize("n, k", LAYOUTS)
+def test_detection_is_zero_exactly_when_the_certificate_passes_on_every_layout(n, k):
+    # Criterion 8's theorem on every layout: no attack and a certified one
+    # score exactly 0.0 in both bases, and every other attack is seen.
+    blocks = len(dnk_spec(n, k).blocks)
+    assert bits(detection_closed_form(None, blocks)) == [float.hex(0.0)] * 3
+    passed = 0
+    for atk in LAYOUT_ATTACKS[1:]:
+        report = detection_closed_form(atk, blocks)
+        certified = undetectable_certificate(atk).undetectable
+        assert (report.probability == 0.0) == certified
+        passed += certified
+    assert passed == 11  # identity and the ten ancilla-local attacks
+
+
+def test_one_block_is_p_itself_and_b_blocks_compound_it():
+    # B = 1 is P itself, and B blocks are 1 - (1 - P)^B of that P.
+    for atk in LAYOUT_ATTACKS[1:]:
+        one = detection_closed_form(atk, 1)
+        assert bits(one) == bits(detection_closed_form(atk))
+        v00, v01, v10, v11 = (atk.branch(i, j) for i in (0, 1) for j in (0, 1))
+        assert abs(one.computational_inconsistency
+                   - (np.sum(np.abs(v01) ** 2) + np.sum(np.abs(v10) ** 2)) / 2) <= 1e-15
+        assert abs(one.hadamard_inconsistency
+                   - (np.sum(np.abs(v00 - v11) ** 2) + np.sum(np.abs(v01 - v10) ** 2)) / 4) <= 1e-15
+        for b in range(2, 7):
+            many = detection_closed_form(atk, b)
+            assert many.computational_inconsistency == 1 - (1 - one.computational_inconsistency) ** b
+            assert many.hadamard_inconsistency == 1 - (1 - one.hadamard_inconsistency) ** b
+            assert many.probability == (many.computational_inconsistency
+                                        + many.hadamard_inconsistency) / 2
+

@@ -3,14 +3,19 @@ circuit decode byte-identical.
 
     python3 tools/digest.py                              # this checkout's src
     python3 tools/digest.py --src ../parent/src          # another checkout's
-    python3 tools/digest.py > tools/digests.txt          # record the expected lines
+    python3 tools/digest.py --write tools/digests.txt    # record the expected lines
     python3 tools/digest.py --expect tools/digests.txt   # exit 1 on another line
 
 Each sweep prints a total line, then one line per class, each with its record count,
 how many records of each kind, and the sha256 of its records.  The same lines from
-two checkouts mean the same records.  With ``--expect FILE`` it prints every line,
-then one stderr line for each line that differs from FILE's, which names the class
-that moved, and exits 1 if any did.  Both sweeps call ``densecode`` in-process.
+two checkouts mean the same records.  The report sweep also makes one line per argv:
+the argv, its exit code, and sha256 prefixes of its stdout and stderr.  ``--write
+FILE`` writes the printed lines to FILE and the per-argv lines to its sibling
+``-argv`` file (``tools/digests-argv.txt``).  With ``--expect FILE`` it prints every
+line, then one stderr line for each line that differs from FILE's, which names the
+class that moved, and one for each argv whose line differs from the sibling file's,
+which names the argv; it exits 1 if any did.  Both sweeps call ``densecode``
+in-process.
 
 The report sweep runs ``densecode.cli.main`` on each argv below, under ``--seed``
 0, 7 and 12345 and ``--format`` json, csv and text; a record is the argv, the exit
@@ -20,7 +25,8 @@ code, stdout and stderr, and its kind the exit code.  Its classes are ``audit
 
 - ``audit --ghz 2..12``, ``audit --bell 1..10`` and every ``audit --dnk N K``
   with N <= 12;
-- ``security --n 2..12`` under the attacks none, identity, cnot and swap0;
+- ``security --n 2..12`` and every ``security --dnk N K`` with N <= 8, under the
+  attacks none, identity, cnot and swap0;
 - ``encode`` of one message of each length 2..20, with and without ``--senders``.
 
 The decode sweep runs the circuit decode (``dnk_decode``) of seeded states for every
@@ -72,6 +78,8 @@ def commands() -> list[list[str]]:
     cmds += [["audit", "--bell", str(p)] for p in range(1, 11)]
     cmds += [["audit", "--dnk", str(n), str(k)] for n in range(2, 13) for k in range(1, n)]
     cmds += [["security", "--n", str(n), "--attack", a] for n in range(2, 13) for a in ATTACKS]
+    cmds += [["security", "--dnk", str(n), str(k), "--attack", a]
+             for n in range(2, 9) for k in range(1, n) for a in ATTACKS]
     for n in range(2, 21):
         msg = ("1101001" * 3)[:n]
         cmds += [["encode", "--message", msg],
@@ -86,15 +94,26 @@ def argv_class(cmd: list[str]) -> str:
     return "encode --senders" if "--senders" in cmd else cmd[0]
 
 
-def reports(cli):
-    """(class, kind, record) of every report of the sweep, in a fixed order."""
+def short_sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def reports(cli, argv_lines: list[str]):
+    """(class, kind, record) of every report of the sweep, in a fixed order.  Each
+    argv's line goes to ``argv_lines``: the argv, then ``: exit CODE stdout SHA
+    stderr SHA``."""
     for cmd in commands():
         for seed, fmt in itertools.product(SEEDS, FORMATS):
             argv = [*cmd, "--seed", seed, "--format", fmt]
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # a usage error, in a tree without the argv's flag
+                    code = exc.code
             record = (argv, code, out.getvalue(), err.getvalue())
+            argv_lines.append(f"{' '.join(argv)}: exit {code} stdout {short_sha(record[2])} "
+                              f"stderr {short_sha(record[3])}")
             yield argv_class(cmd), f"exit {code}", repr(record)
 
 
@@ -160,28 +179,58 @@ def sweep(records, noun: str) -> list[str]:
     return [line(*total)] + [f"{name}: {line(*c)}" for name, c in classes.items()]
 
 
+def argv_file(path: str) -> str:
+    """The per-argv sibling of a digest file: tools/digests.txt -> tools/digests-argv.txt."""
+    root, ext = os.path.splitext(path)
+    return f"{root}-argv{ext}"
+
+
+def read_lines(path: str) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def moved_argv(lines: list[str], expected: list[str]) -> list[str]:
+    """One text per argv whose line differs from, or is missing in, ``expected``,
+    in the order of ``lines``, then of ``expected``."""
+    got = dict(line.split(": exit ", 1) for line in lines)
+    want = dict(line.split(": exit ", 1) for line in expected)
+    return [f"{argv}: exit {got.get(argv, '(none)')} (expected exit {want.get(argv, '(none)')})"
+            for argv in {**got, **want} if got.get(argv) != want.get(argv)]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(os.path.dirname(__file__), "..", "src"),
                     help="the src directory whose densecode is run (default: this checkout's)")
-    ap.add_argument("--expect", metavar="FILE",
-                    help="exit 1 unless the lines printed are this file's lines")
+    group = ap.add_mutually_exclusive_group()
+    group.add_argument("--expect", metavar="FILE",
+                       help="exit 1 unless the lines printed are this file's lines and "
+                            "the per-argv lines are its -argv sibling's")
+    group.add_argument("--write", metavar="FILE",
+                       help="write the lines printed to this file and the per-argv "
+                            "lines to its -argv sibling")
     args = ap.parse_args()
     sys.path.insert(0, os.path.abspath(args.src))
     from densecode import cli, coding
 
-    lines = []
-    for records, noun in ((reports(cli), "argv"), (decodes(coding), "records")):
+    lines, argv_lines = [], []
+    for records, noun in ((reports(cli, argv_lines), "argv"), (decodes(coding), "records")):
         swept = sweep(records, noun)
         print("\n".join(swept), flush=True)
         lines += swept
+    if args.write is not None:
+        for path, written in ((args.write, lines), (argv_file(args.write), argv_lines)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(written) + "\n")
     if args.expect is None:
         return 0
-    with open(args.expect, encoding="utf-8") as fh:
-        expected = fh.read().splitlines()
-    moved = [pair for pair in itertools.zip_longest(lines, expected) if pair[0] != pair[1]]
-    for got, want in moved:
-        print(f"moved: {got} (expected {want})", file=sys.stderr)
+    expected = read_lines(args.expect)
+    moved = [f"{got} (expected {want})"
+             for got, want in itertools.zip_longest(lines, expected) if got != want]
+    moved += moved_argv(argv_lines, read_lines(argv_file(args.expect)))
+    for text in moved:
+        print(f"moved: {text}", file=sys.stderr)
     return 1 if moved else 0
 
 
