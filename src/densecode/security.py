@@ -29,10 +29,10 @@ it gains nothing.
 
 A round either passes or fails its check, so a simulation draws each basis's
 failed rounds as one binomial of that basis's exact inconsistency.  The dense
-path stays as an independent oracle: ``apply_eve`` builds the attacked state
-and ``detection_report`` scores it by enumerating every joint outcome
-(``_check_marginals``).  ``round_consistent`` is the same rule for single
-measured outcomes, and the tests hold the scorings equal.
+path stays as an independent oracle, composed of ``statevec`` primitives:
+``apply_eve`` is ``apply_two_qubit`` on the state extended by a |0> ancilla,
+and ``detection_report`` scores every joint outcome of the protocol qubits in
+the computational basis and, through ``hadamard_on``, in the Hadamard basis.
 """
 
 from __future__ import annotations
@@ -45,8 +45,11 @@ import numpy as np
 
 from .statevec import (
     StateVector,
+    apply_two_qubit,
+    basis_ket,
     hadamard_all,
-    _butterfly,
+    hadamard_on,
+    tensor_product,
     _finite,
     _integer,
     _parity,
@@ -94,27 +97,6 @@ def parity_class(state: StateVector, tol: float = 1e-9) -> ParityClass:
         if np.max(np.abs(on - target)) <= tol and np.max(off, initial=0.0) <= tol:
             return cls
     return ParityClass.NEITHER
-
-
-def round_consistent(basis: CheckBasis, outcome: int | np.ndarray, n: int) -> bool | np.ndarray:
-    """Whether measured outcome(s) of the n protocol qubits pass the check.
-
-    ``outcome`` packs the bits with qubit 1 as the high bit and the
-    receiver's qubit as bit 0; it may be an int or an integer array, and the
-    result is a bool or a bool array of the same shape.  The computational
-    check wants the senders all-0 with the receiver 0, or all-1 with the
-    receiver 1; the Hadamard check wants the senders' |-> count to have the
-    receiver's parity.
-    """
-    shape = np.shape(outcome)
-    outcome = np.asarray(outcome).reshape(-1)  # _parity's wrapping product warns on scalars
-    bob = outcome & 1
-    alice = outcome >> 1
-    if basis is CheckBasis.COMPUTATIONAL:
-        ok = ((alice == 0) & (bob == 0)) | ((alice == 2 ** (n - 1) - 1) & (bob == 1))
-    else:
-        ok = _parity(alice) == bob
-    return ok.reshape(shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -173,17 +155,9 @@ ATTACK_PRESETS = {
 
 
 def apply_eve(state: StateVector, atk: EveAttack) -> StateVector:
-    """Append a |0> ancilla and act with the attack on (last qubit, ancilla).
-
-    The receiver's qubit and the ancilla are the two lowest index bits of the
-    extended register, so the attack is one 4x4 product on its amplitudes in
-    groups of four, with the operands in ``apply_two_qubit``'s order: bitwise
-    what it gives on ``tensor_product(state, basis_ket(1, 0))``."""
+    """Append a |0> ancilla and act with the attack on (last qubit, ancilla)."""
     n = state.n_qubits
-    extended = np.zeros((2**n, 2), dtype=complex)  # column 1: the ancilla's |1>
-    extended[:, 0] = state.amplitudes
-    pairs = np.ascontiguousarray(extended.reshape(-1, 4).T)
-    return StateVector(n + 1, (atk.unitary @ pairs).T.reshape(-1))
+    return apply_two_qubit(tensor_product(state, basis_ket(1, 0)), atk.unitary, (n, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +169,6 @@ class DetectionReport:
     computational_inconsistency: float
     hadamard_inconsistency: float
     probability: float  # with the basis drawn uniformly
-
-
-def _check_marginals(state: StateVector, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outcome distributions of protocol qubits 1..n, packed like the outcomes
-    of ``round_consistent``, in the computational and in the Hadamard check
-    basis, the latter by one butterfly on the amplitudes, which builds no state.
-    Qubits past n (an eavesdropper ancilla) are traced out."""
-    if not 2 <= n <= state.n_qubits:
-        raise ValueError(f"protocol size {n} invalid for {state.n_qubits} qubits")
-    amps = state.amplitudes
-    had = _butterfly(amps, [amps.size >> q for q in range(1, n + 1)])  # qubit q's stride
-    # qubits 1..n are the leading index bits: one row per outcome, the rest traced out
-    return tuple((np.abs(a) ** 2).reshape(2**n, -1).sum(axis=1) for a in (amps, had))
 
 
 def _score_marginals(p_comp: np.ndarray, p_had: np.ndarray) -> DetectionReport:
@@ -222,7 +183,13 @@ def detection_report(state: StateVector, n_protocol: int) -> DetectionReport:
     """Exact inconsistency probability of each check on protocol qubits
     1..``n_protocol``, by enumerating every joint outcome; no sampling.  Qubits
     past ``n_protocol`` (an eavesdropper ancilla) are traced out."""
-    return _score_marginals(*_check_marginals(state, n_protocol))
+    if not 2 <= n_protocol <= state.n_qubits:
+        raise ValueError(f"protocol size {n_protocol} invalid for {state.n_qubits} qubits")
+    had = hadamard_on(state, range(1, n_protocol + 1))
+    # qubits 1..n are the leading index bits: one row per outcome, the rest traced out
+    p_comp, p_had = ((np.abs(s.amplitudes) ** 2).reshape(2**n_protocol, -1).sum(axis=1)
+                     for s in (state, had))
+    return _score_marginals(p_comp, p_had)
 
 
 def detection_probability(state: StateVector, n_protocol: Optional[int] = None) -> float:

@@ -20,9 +20,10 @@ milliseconds, with the package's caches cleared before each call.  A call run
 is the median of CALLS wall times of the statement in microseconds, each
 timed cold, after a fixed pass over a 4 MiB array (``clibench/calibration.py``'s
 ``_memory`` kernel), so a fixed cost that a warm loop would hide, such as a
-small state's copy, shows as it does in one CLI call; each also gets the median
-of its minor page faults per call, from ``getrusage`` before and after the
-statement, so a saving in fresh pages shows as such.  Setup code, run once
+small state's copy, shows as it does in one CLI call.  A call run cannot see
+fresh-page faults: the array pass leaves glibc's heap holding warm pages, which
+the statement's allocations reuse, so a saving in fresh pages shows only in an op
+or a workload run.  Setup code, run once
 and untimed, goes before `` ;; `` in the statement; both run after
 ``import numpy as np; from densecode import *; from densecode import coding``.
 Both files are rewritten after every run, so an interrupted series keeps what
@@ -63,24 +64,22 @@ print(best * 1e3)
 CALL_PAIRS = 7
 CALLS = 201
 CALL = r"""
-import resource, statistics, sys, time
+import statistics, sys, time
 sys.path.insert(0, "src")
 setup, _, stmt = sys.argv[1].rpartition(" ;; ")
 names = {}
 exec("import numpy as np\nfrom densecode import *\nfrom densecode import coding\n" + setup, names)
 np, code = names["np"], compile(stmt, "<call>", "exec")
 array = np.arange(2**18, dtype=complex)  # 4 MiB
-times, faults = [], []
+times = []
 for _ in range(int(sys.argv[2])):
     x = array.copy()  # clibench/calibration.py's _memory: the caches go cold
     x *= 0.5
     float(np.abs(x).sum())
-    f = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t = time.perf_counter()
     exec(code, names)
     times.append(time.perf_counter() - t)
-    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f)
-print(statistics.median(times) * 1e6, statistics.median(faults))
+print(statistics.median(times) * 1e6)
 """
 
 
@@ -111,12 +110,11 @@ def single_op_ms(tree: str, op: str) -> float:
     return float(done.stdout)
 
 
-def call_us(tree: str, stmt: str) -> tuple[float, float]:
-    """The median microseconds and minor page faults of one call of ``stmt``."""
+def call_us(tree: str, stmt: str) -> float:
+    """The median microseconds of one call of ``stmt``."""
     done = subprocess.run([sys.executable, "-c", CALL, stmt, str(CALLS)], cwd=tree, check=True,
                           capture_output=True, text=True, env=one_thread_env())
-    us, faults = done.stdout.split()[-2:]
-    return float(us), float(faults)
+    return float(done.stdout)
 
 
 def summary(runs: list[dict]) -> dict:
@@ -138,10 +136,8 @@ def save(path: str, label: str, tree: str, workloads: dict, ops: dict, calls: di
         "blas_threads": 1,
         "calls_method": f"{CALL_PAIRS} alternating pairs of fresh interpreters, each the median "
                         f"of {CALLS} calls, each timed cold after a 4 MiB array pass, one BLAS "
-                        "thread; microseconds per call, and in calls_minflt minor page faults "
-                        "per call (getrusage ru_minflt before and after the statement)",
-        "calls_minflt": _medians({stmt: [f for _, f in runs] for stmt, runs in calls.items()}),
-        "calls_us": _medians({stmt: [us for us, _ in runs] for stmt, runs in calls.items()}),
+                        "thread; microseconds per call",
+        "calls_us": _medians(calls),
         "command": COMMAND,
         "cores": os.cpu_count(),
         "label": label,
@@ -197,8 +193,8 @@ def main() -> int:
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 into[side].setdefault(item, []).append(measure(sides[side], item))
             save_all()
-        print(item, {side: np.median(into[side][item], axis=0).round(2).tolist() for side in sides},
-              flush=True)  # a call's median time and faults
+        print(item, {side: round(statistics.median(into[side][item]), 2) for side in sides},
+              flush=True)
     return 0
 
 

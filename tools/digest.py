@@ -11,11 +11,14 @@ how many records of each kind, and the sha256 of its records.  The same lines fr
 two checkouts mean the same records.  The report sweep also makes one line per argv:
 the argv, its exit code, and sha256 prefixes of its stdout and stderr.  ``--write
 FILE`` writes the printed lines to FILE and the per-argv lines to its sibling
-``-argv`` file (``tools/digests-argv.txt``).  With ``--expect FILE`` it prints every
-line, then one stderr line for each line that differs from FILE's, which names the
-class that moved, and one for each argv whose line differs from the sibling file's,
-which names the argv; it exits 1 if any did.  Both sweeps call ``densecode``
-in-process.
+``-argv`` file (``tools/digests-argv.txt``), after a first line ``# numpy VERSION``
+that records the numpy the lines were written under: a report's last digit may
+differ under another.  With ``--expect FILE`` it prints every line, then one stderr
+line for each line that differs from FILE's, which names the class that moved, and
+one for each argv whose line differs from the sibling file's, which names the argv;
+it exits 1 if any did.  The numpy line takes no part in the comparison, and
+``tests/test_digests.py`` checks the per-argv lines in tier-1 under that numpy
+version.  Both sweeps call ``densecode`` in-process.
 
 The report sweep runs ``densecode.cli.main`` on each argv below, under ``--seed``
 0, 7 and 12345 and ``--format`` json, csv and text; a record is the argv, the exit
@@ -67,6 +70,7 @@ import numpy as np
 SEEDS = ("0", "7", "12345")
 FORMATS = ("json", "csv", "text")
 ATTACKS = ("none", "identity", "cnot", "swap0")
+NUMPY_HEADER = "# numpy "  # the per-argv file's first line, before the version
 MAX_BITS = 18
 ALL_WORDS_BITS = 10  # up to here every code word is decoded
 WORDS = 8  # seeded code words per layout above ALL_WORDS_BITS
@@ -190,6 +194,14 @@ def read_lines(path: str) -> list[str]:
         return fh.read().splitlines()
 
 
+def read_argv_file(path: str) -> tuple[str, list[str]]:
+    """The numpy version in a per-argv file's first line, and the argv lines after it."""
+    header, *lines = read_lines(path)
+    if not header.startswith(NUMPY_HEADER):
+        raise ValueError(f"{path} does not start with a {NUMPY_HEADER!r} line")
+    return header[len(NUMPY_HEADER):], lines
+
+
 def moved_argv(lines: list[str], expected: list[str]) -> list[str]:
     """One text per argv whose line differs from, or is missing in, ``expected``,
     in the order of ``lines``, then of ``expected``."""
@@ -220,7 +232,8 @@ def main() -> int:
         print("\n".join(swept), flush=True)
         lines += swept
     if args.write is not None:
-        for path, written in ((args.write, lines), (argv_file(args.write), argv_lines)):
+        argv_written = [NUMPY_HEADER + np.__version__, *argv_lines]
+        for path, written in ((args.write, lines), (argv_file(args.write), argv_written)):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(written) + "\n")
     if args.expect is None:
@@ -228,7 +241,7 @@ def main() -> int:
     expected = read_lines(args.expect)
     moved = [f"{got} (expected {want})"
              for got, want in itertools.zip_longest(lines, expected) if got != want]
-    moved += moved_argv(argv_lines, read_lines(argv_file(args.expect)))
+    moved += moved_argv(argv_lines, read_argv_file(argv_file(args.expect))[1])
     for text in moved:
         print(f"moved: {text}", file=sys.stderr)
     return 1 if moved else 0
