@@ -153,6 +153,26 @@ def rule_fails(basis, n):
     return np.array(fails)
 
 
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("basis", [CheckBasis.COMPUTATIONAL, CheckBasis.HADAMARD])
+def test_score_marginals_fails_exactly_the_outcomes_the_rule_fails(n, basis):
+    # Outcome by outcome: all the mass on one outcome of the checked basis
+    # scores 1.0 there iff the rule fails it; the other basis sits on outcome
+    # 0, which passes both checks.
+    fails = rule_fails(basis, n)
+    rest = np.eye(2**n)[0]
+    for outcome in range(2**n):
+        point = np.eye(2**n)[outcome]
+        if basis is CheckBasis.COMPUTATIONAL:
+            report = security._score_marginals(point, rest)
+            got, other = report.computational_inconsistency, report.hadamard_inconsistency
+        else:
+            report = security._score_marginals(rest, point)
+            got, other = report.hadamard_inconsistency, report.computational_inconsistency
+        assert (got, other) == (float(fails[outcome]), 0.0), outcome
+        assert report.probability == got / 2.0
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_exact_scores_are_the_sums_over_inconsistent_outcomes(n):
     # detection_report's masks and the per-outcome rule are one rule: on any
