@@ -218,8 +218,11 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
     if spec_text.startswith("file:"):
         path = spec_text[len("file:"):]
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                rows = json.load(fh, parse_constant=_reject_constant)
+            with open(path, "rb", buffering=0) as fh:  # one read of the whole file
+                data = fh.read()
+            # decoded as text mode reads it: UTF-8, each \r\n and \r a \n
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+            rows = json.loads(text, parse_constant=_reject_constant)
         except (OSError, ValueError) as exc:
             raise ValueError(f"cannot read attack matrix file {path!r}: {exc}") from exc
         try:

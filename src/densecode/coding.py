@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NoReturn, Optional, Sequence, Union
+from typing import Any, NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -156,29 +156,49 @@ class DnkSpec:
     def alice_qubits(self) -> tuple[int, ...]:
         return tuple(q for share in self.shares for q in share.qubits)
 
+    def _index_constants(self) -> dict[str, Any]:
+        """``sender_mask``, ``lead_mask``, ``block_masks`` and ``last_bits``, derived
+        in one pass and cached with the instance, where each of their cached
+        properties finds them.  Every block is a run of qubits, so the one that
+        ends at qubit q has the mask ((1 << size) - 1) << (n - q), whose lowest
+        bit is its receiver's."""
+        n = self.n_bits
+        last_bits = [n - block[-1] for block in self.blocks]
+        masks = [((1 << len(block)) - 1) << last for block, last in zip(self.blocks, last_bits)]
+        constants = {
+            "sender_mask": sum(mask - (1 << last) for mask, last in zip(masks, last_bits)),
+            "lead_mask": sum(1 << (n - block[0]) for block in self.blocks),
+            "block_masks": _frozen(np.array(masks)),
+            "last_bits": _frozen(np.array(last_bits)),
+        }
+        vars(self).update(constants)
+        return constants
+
     @functools.cached_property
     def sender_mask(self) -> int:
-        return sum(1 << (self.n_bits - q) for q in self.alice_qubits)
+        return self._index_constants()["sender_mask"]
 
     @functools.cached_property
     def lead_mask(self) -> int:
-        return sum(1 << (self.n_bits - block[0]) for block in self.blocks)
+        return self._index_constants()["lead_mask"]
 
     @functools.cached_property
     def block_masks(self) -> np.ndarray:
-        return _frozen(np.array([sum(1 << (self.n_bits - q) for q in block)
-                                 for block in self.blocks]))
+        return self._index_constants()["block_masks"]
 
     @functools.cached_property
     def last_bits(self) -> np.ndarray:
-        return _frozen(np.array([self.n_bits - block[-1] for block in self.blocks]))
+        return self._index_constants()["last_bits"]
 
     @functools.cached_property
     def support(self) -> np.ndarray:
-        """The 2**B unions of whole blocks, ascending: the resource's nonzero indices."""
-        b = len(self.blocks)  # bit j of a, from the top, selects block j
-        return _frozen(((np.arange(2**b)[:, None] >> np.arange(b - 1, -1, -1)) & 1)
-                       @ self.block_masks)
+        """The 2**B unions of whole blocks, ascending: the resource's nonzero indices.
+        Bit j of a union's index, from the top, selects block j, and each block
+        lies below the ones before it, so each block from the last doubles the list."""
+        support = np.zeros(1, dtype=self.block_masks.dtype)
+        for mask in self.block_masks[::-1].tolist():
+            support = np.concatenate((support, support | mask))
+        return _frozen(support)
 
     @functools.cached_property
     def lead_support(self) -> np.ndarray:
@@ -207,18 +227,20 @@ def dnk_spec(n_bits: int, n_senders: int) -> DnkSpec:
         raise ValueError(f"sender count must be in 1..{n_bits - 1}, got {n_senders}")
     floor_size = 2 if n_bits % 2 == 0 else 3
     g = max(floor_size, 2 * (n_senders + 1) - n_bits)
-    blocks = (tuple(range(1, g + 1)),) + tuple((q, q + 1) for q in range(g + 1, n_bits, 2))
-    # each sender qubit with the message bits it carries: a lead q carries q and q + 1
-    senders = [(q, (q, q + 1) if q == block[0] else (q + 1,))
-               for block in blocks for q in block[:-1]]
-
+    blocks = (tuple(range(1, g + 1)),) + tuple(zip(range(g + 1, n_bits, 2),
+                                                    range(g + 2, n_bits + 1, 2)))
+    # the sender qubits: the GHZ block's first g - 1, then each pair's lead
+    senders = [*range(1, g), *range(g + 1, n_bits, 2)]
+    # A run of them carries a run of message bits: a lead q carries q and q + 1, a
+    # later GHZ sender q only q + 1
     base, extra = divmod(len(senders), n_senders)
-    shares, cursor = [], 0
+    shares, start = [], 0
     for party in range(1, n_senders + 1):
-        run = senders[cursor : cursor + base + (1 if party <= extra else 0)]
-        cursor += len(run)
-        shares.append(PartyShare(party, tuple(q for q, _ in run),
-                                 tuple(b for _, bits in run for b in bits)))
+        stop = start + base + (party <= extra)
+        first = senders[start]
+        shares.append(PartyShare(party, tuple(senders[start:stop]),
+                                 tuple(range(first + (1 < first < g), senders[stop - 1] + 2))))
+        start = stop
     return DnkSpec(n_bits, n_senders, blocks, tuple(shares))
 
 

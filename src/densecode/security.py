@@ -37,6 +37,7 @@ the computational basis and, through ``hadamard_on``, in the Hadamard basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -104,8 +105,13 @@ def parity_class(state: StateVector, tol: float = 1e-9) -> ParityClass:
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
+    """max |(U^t U - 1)_ij| of a square ``matrix``: 0.0 for an exact unitary."""
     m = np.asarray(matrix, dtype=complex)
-    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"unitarity is defined for a square matrix, got shape {m.shape}")
+    gram = m.conj().T @ m
+    gram.flat[:: m.shape[0] + 1] -= 1.0  # the identity's diagonal, without building it
+    return float(np.abs(gram).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,7 +122,9 @@ class EveAttack:
     unitary: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.unitary, dtype=complex)
+        # the one private copy, C-ordered whatever the input's order: the strides
+        # of the branch views, and so the BLAS calls that read them, follow it
+        m = np.array(self.unitary, dtype=complex, order="C")
         if m.shape != (4, 4):
             raise ValueError(f"attack must be a 4x4 matrix, got shape {m.shape}")
         if not np.isfinite(m).all():
@@ -124,7 +132,6 @@ class EveAttack:
         residual = unitarity_residual(m)
         if not residual <= UNITARY_TOLERANCE:
             raise ValueError(f"attack matrix is not unitary (U^t U residual {residual:.3e})")
-        m = m.copy()
         m.flags.writeable = False
         object.__setattr__(self, "unitary", m)
 
@@ -204,12 +211,21 @@ def detection_probability(state: StateVector, n_protocol: Optional[int] = None) 
 
 
 def _branches(atk: EveAttack) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The attack's branch vectors (v_00, v_01, v_10, v_11)."""
-    return atk.branch(0, 0), atk.branch(0, 1), atk.branch(1, 0), atk.branch(1, 1)
+    """The attack's branch vectors (v_00, v_01, v_10, v_11), the views ``branch``
+    gives, read at once: columns 0 and 2 of U are U|0>|0> and U|1>|0>."""
+    u = atk.unitary
+    return u[0:2, 0], u[2:4, 0], u[0:2, 2], u[2:4, 2]
 
 
 def _norm2(v: np.ndarray) -> float:
     return float(np.vdot(v, v).real)
+
+
+def _norm(v: np.ndarray) -> float:
+    """``float(np.linalg.norm(v))`` of a complex vector, by that function's own
+    formula, without its dispatch."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def detection_closed_form(attack: Optional[EveAttack], blocks: int = 1) -> DetectionReport:
@@ -261,12 +277,10 @@ class CertificateReport:
 def undetectable_certificate(atk: EveAttack, tol: float = CERT_TOLERANCE) -> CertificateReport:
     _finite("tol", tol)
     v00, v01, v10, v11 = _branches(atk)
-    flip_01 = float(np.linalg.norm(v01))
-    flip_10 = float(np.linalg.norm(v10))
     overlap = np.vdot(v11, v00)
     phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
-    mismatch_min = float(np.linalg.norm(v00 - phase * v11))
-    mismatch = float(np.linalg.norm(v00 - v11))
+    flip_01, flip_10, mismatch_min, mismatch = map(
+        _norm, (v01, v10, v00 - phase * v11, v00 - v11))
     verdict = flip_01 <= tol and flip_10 <= tol and mismatch <= tol
     return CertificateReport(flip_01, flip_10, mismatch_min, mismatch, verdict)
 

@@ -365,6 +365,38 @@ def test_security_rejects_non_unitary_file(tmp_path, capsys):
     assert "residual" in err
 
 
+# One file of each kind that the reader must refuse as text mode does: the line
+# numbers and columns of a syntax error count lines as text mode translates them
+_CNOT_ROWS = [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
+              [[0, 0], [0, 0], [0, 0], [1, 0]], [[0, 0], [0, 0], [1, 0], [0, 0]]]
+_UNREADABLE_FILES = {
+    "crlf syntax error": b"[[[1, 0], [0, 0], [0, 0], [0, 0]],\r\n [[0, 0] [1, 0]]]\r\n",
+    "cr only": b"[\r[[1, 0], [0, 0]],\r\r [[0, 0], [1, 0]] ]]\r",
+    "utf-8 bom": b"\xef\xbb\xbf" + json.dumps(_CNOT_ROWS).encode(),
+    "invalid utf-8 early": b"[" + b" " * 100 + b"\xff]",
+    "invalid utf-8 late": b"[" + b" " * 9000 + b"\xc3\x28]",
+    "utf-16": json.dumps(_CNOT_ROWS).encode("utf-16"),
+    "nan": json.dumps(_CNOT_ROWS).replace("[1, 0]", "[NaN, 0]", 1).encode(),
+    "empty": b"",
+    "missing": None,
+}
+
+
+@pytest.mark.parametrize("kind", _UNREADABLE_FILES)
+def test_unreadable_attack_file_errors_are_text_modes(tmp_path, capsys, kind):
+    """The reader takes the file as bytes; its error line is the one a text-mode
+    ``json.load`` of the same file gives."""
+    path = tmp_path / "attack.json"
+    if _UNREADABLE_FILES[kind] is not None:
+        path.write_bytes(_UNREADABLE_FILES[kind])
+    with pytest.raises((OSError, ValueError)) as caught:
+        with open(path, "r", encoding="utf-8") as fh:
+            json.load(fh, parse_constant=cli._reject_constant)
+    want = f"densecode: cannot read attack matrix file {str(path)!r}: {caught.value}\n"
+    code, out, err = run(["security", "--n", "3", "--attack", f"file:{path}"], capsys)
+    assert (code, out, err) == (2, "", want)
+
+
 @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e400"])
 def test_security_rejects_non_finite_file(tmp_path, capsys, entry):
     rows = [[[1 if r == c else 0, 0] for c in range(4)] for r in range(4)]

@@ -444,25 +444,75 @@ def test_dnk_spec_stores_its_blocks_and_derives_the_rest():
             setattr(spec, name, 0)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 25))
+def test_dnk_spec_shares_carry_the_bits_of_their_qubits(n):
+    """Party p holds the p-th run of sender qubits, sized as evenly as possible,
+    and the message bits those qubits carry: q and q + 1 on a block's first
+    qubit q, q + 1 on a later one."""
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        senders = [q for block in spec.blocks for q in block[:-1]]
+        leads = {block[0] for block in spec.blocks}
+        sizes = [len(senders) // k + (p < len(senders) % k) for p in range(k)]
+        assert [len(share.qubits) for share in spec.shares] == sizes
+        assert [q for share in spec.shares for q in share.qubits] == senders
+        for p, share in enumerate(spec.shares, 1):
+            assert share.party == p
+            assert share.bits == tuple(b for q in share.qubits
+                                       for b in ((q, q + 1) if q in leads else (q + 1,)))
+
+
+def qubit_by_qubit_index_constants(spec):
+    """The six index constants by formulas that read them off the qubits one by one."""
+    n, b = spec.n_bits, len(spec.blocks)
+    block_masks = np.array([sum(1 << (n - q) for q in block) for block in spec.blocks])
+    lead_mask = sum(1 << (n - block[0]) for block in spec.blocks)
+    support = ((np.arange(2**b)[:, None] >> np.arange(b - 1, -1, -1)) & 1) @ block_masks
+    return {
+        "sender_mask": sum(1 << (n - q) for q in spec.alice_qubits),
+        "lead_mask": lead_mask,
+        "block_masks": block_masks,
+        "last_bits": np.array([n - block[-1] for block in spec.blocks]),
+        "support": support,
+        "lead_support": support & lead_mask,
+    }
+
+
+@pytest.mark.parametrize("n", range(2, 25))
 def test_dnk_spec_index_constants_read_off_the_blocks(n):
-    """Each constant from the qubit strings: index bit n - q is character q - 1."""
+    """Each constant from the qubit strings, index bit n - q being character q - 1,
+    and, dtype included, by the qubit-by-qubit formulas, on every D(N <= 24, k):
+    encode's cap.  A fresh spec is read in both orders, since the first read of a
+    mask derives the others."""
     def mask(qubits):
         return int("".join("1" if q in qubits else "0" for q in range(1, n + 1)), 2)
 
     for k in range(1, n):
         spec = dnk_spec(n, k)
         leads = [block[0] for block in spec.blocks]
-        unions = sorted(mask([q for block, on in zip(spec.blocks, pick) if on for q in block])
+        block_masks = [mask(block) for block in spec.blocks]
+        unions = sorted(sum(m for m, on in zip(block_masks, pick) if on)
                         for pick in itertools.product((0, 1), repeat=len(spec.blocks)))
         assert spec.sender_mask == mask(spec.alice_qubits)
         assert spec.lead_mask == mask(leads)
-        assert spec.block_masks.tolist() == [mask(block) for block in spec.blocks]
+        assert spec.block_masks.tolist() == block_masks
         assert spec.last_bits.tolist() == [n - block[-1] for block in spec.blocks]
         assert spec.support.tolist() == unions
         assert spec.lead_support.tolist() == [u & mask(leads) for u in unions]
-        assert spec.coset_reps.tolist() == [
-            i for i in range(2**n) if all(format(i, f"0{n}b")[q - 1] == "0" for q in leads)]
+        if n <= 12:  # 2**n indices
+            assert spec.coset_reps.tolist() == [
+                i for i in range(2**n) if all(format(i, f"0{n}b")[q - 1] == "0" for q in leads)]
+
+        want = qubit_by_qubit_index_constants(spec)
+        for order in (list(want), list(reversed(want))):
+            fresh = dataclasses.replace(spec)
+            got = {name: getattr(fresh, name) for name in order}
+            for name, value in want.items():
+                if isinstance(value, np.ndarray):
+                    assert got[name].dtype == value.dtype, (k, name)
+                    assert got[name].tolist() == value.tolist(), (k, name)
+                else:
+                    assert type(got[name]) is type(value) and got[name] == value, (k, name)
 
 
 @pytest.mark.parametrize("name", ["support", "lead_support", "block_masks", "last_bits",

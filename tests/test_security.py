@@ -33,6 +33,7 @@ from densecode import (
     security_simulation,
     tensor_product,
     undetectable_certificate,
+    unitarity_residual,
 )
 from densecode import cli, coding, security, statevec
 from densecode.cli import main
@@ -751,3 +752,127 @@ def test_one_block_is_p_itself_and_b_blocks_compound_it():
             assert many.probability == (many.computational_inconsistency
                                         + many.hadamard_inconsistency) / 2
 
+
+
+# ---------------------------------------------------------------------------
+# the attack's numbers, bitwise those of the norm and identity formulas
+
+
+def reference_residual(u):
+    """max |U^t U - 1| with the identity built by ``np.eye``."""
+    m = np.asarray(u, dtype=complex)
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))))
+
+
+def reference_attack_numbers(u):
+    """What ``EveAttack(u)`` gives, by ``np.linalg.norm`` and ``np.eye``: the refusal's
+    text, else the certificate's four residuals, then detection_closed_form's three
+    numbers for B = 1..6, as ``float.hex``, then the certificate's verdict.  The
+    branches are views of the C-ordered private copy the attack keeps."""
+    residual = reference_residual(u)
+    if not residual <= security.UNITARY_TOLERANCE:
+        return f"attack matrix is not unitary (U^t U residual {residual:.3e})"
+    m = np.asarray(u, dtype=complex).copy()
+    v00, v01, v10, v11 = (m[2 * out : 2 * out + 2, 2 * b] for b in (0, 1) for out in (0, 1))
+    overlap = np.vdot(v11, v00)
+    phase = overlap / abs(overlap) if abs(overlap) > 1e-15 else 1.0
+    flips_and_mismatches = [float(np.linalg.norm(v))
+                            for v in (v01, v10, v00 - phase * v11, v00 - v11)]
+    numbers = list(flips_and_mismatches)
+
+    def norm2(v):
+        return float(np.vdot(v, v).real)
+
+    comp = (norm2(v01) + norm2(v10)) / 2.0
+    had = (norm2(v00 - v11) + norm2(v01 - v10)) / 4.0
+    for blocks in range(1, 7):
+        c, h = comp, had
+        if blocks > 1:
+            c, h = 1.0 - (1.0 - comp) ** blocks, 1.0 - (1.0 - had) ** blocks
+        numbers += [c, h, (c + h) / 2.0]
+    flip_01, flip_10, _, mismatch = flips_and_mismatches
+    tol = security.CERT_TOLERANCE
+    return [*map(float.hex, numbers), flip_01 <= tol and flip_10 <= tol and mismatch <= tol]
+
+
+def attack_numbers(u):
+    """``reference_attack_numbers`` of ``u``, as the package computes them."""
+    try:
+        atk = EveAttack(u)
+    except ValueError as exc:
+        return str(exc)
+    cert = undetectable_certificate(atk)
+    numbers = [cert.flip_01, cert.flip_10, cert.branch_mismatch_min_phase, cert.branch_mismatch]
+    for blocks in range(1, 7):
+        report = detection_closed_form(atk, blocks)
+        numbers += [report.computational_inconsistency, report.hadamard_inconsistency,
+                    report.probability]
+    return [*map(float.hex, numbers), cert.undetectable]
+
+
+def _preset_matrices():
+    """The presets as their constructors are given them: integer matrices."""
+    return [make().unitary.real.astype(int) for make in security.ATTACK_PRESETS.values()]
+
+
+def _negative_zero_matrices():
+    """Each preset negated, and with every zero real and imaginary part -0.0."""
+    cases = []
+    for p in _preset_matrices():
+        signed = p.astype(complex)
+        signed.real[signed.real == 0] = -0.0
+        signed.imag = -0.0
+        cases += [-p.astype(complex), signed, np.conj(signed)]
+    return cases
+
+
+def _bitwise_cases(family):
+    rng = np.random.default_rng(4800)
+    if family == "presets":
+        return _preset_matrices()
+    if family == "haar":  # every other one Fortran-ordered
+        return [haar_unitary(4, rng) if i % 2 else np.asfortranarray(haar_unitary(4, rng))
+                for i in range(1000)]
+    if family == "negative zeros":
+        return _negative_zero_matrices()
+    # U^t U = (1 + t) 1 up to rounding: residuals on both sides of the tolerance
+    tol = security.UNITARY_TOLERANCE
+    return [haar_unitary(4, rng) * math.sqrt(1 + t * tol)
+            for t in (0.5, 0.9, 0.99, 0.999, 1.001, 1.01, 1.1, 2.0) for _ in range(20)]
+
+
+@pytest.mark.parametrize("family", ["presets", "haar", "negative zeros", "scaled"])
+def test_attack_numbers_are_bitwise_the_norm_and_eye_formulas(family):
+    cases = _bitwise_cases(family)
+    outcomes = set()
+    for u in cases:
+        assert float.hex(unitarity_residual(u)) == float.hex(reference_residual(u))
+        want = reference_attack_numbers(u)
+        assert attack_numbers(u) == want
+        outcomes.add(isinstance(want, str))
+    if family == "haar":
+        assert sum(u.flags.f_contiguous and not u.flags.c_contiguous for u in cases) == 500
+    # the scaled family is refused and accepted, the others only accepted
+    assert outcomes == ({False, True} if family == "scaled" else {False})
+
+
+def test_security_op_needs_no_norm_or_eye(tmp_path, capsys, monkeypatch):
+    u = haar_unitary(4, np.random.default_rng(4900))
+    path = tmp_path / "haar.json"
+    path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u.tolist()]))
+    attacks = {f"file:{path}": cli._load_attack(f"file:{path}").unitary,
+               "cnot": EveAttack.cnot().unitary}
+    want = {attack: reference_attack_numbers(m) for attack, m in attacks.items()}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg.norm or np.eye was called")
+
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    monkeypatch.setattr(np, "eye", forbidden)
+    for attack in attacks:
+        code = main(["security", "--n", "5", "--attack", attack, "--rounds", "400", "--seed", "5"])
+        cert = json.loads(capsys.readouterr().out)["results"]["certificate"]
+        assert code == 4
+        got = [cert[key] for key in ("flip_01", "flip_10", "branch_mismatch_min_phase",
+                                     "branch_mismatch")]
+        assert [*map(float.hex, got), cert["undetectable"]] == [*want[attack][:4], False]
