@@ -35,3 +35,12 @@ def test_every_report_argv_is_the_recorded_one():
         pass
     moved = digest.moved_argv(lines, expected)
     assert not moved, f"{len(moved)} argv moved:\n" + "\n".join(moved)
+
+
+def test_every_value_error_argv_exits_2_with_one_densecode_line(capsys):
+    for cmd in digest.VALUE_ERRORS:
+        assert cli.main([*cmd, "--seed", "0"]) == 2, cmd
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, (cmd, lines)
+        assert lines[0].startswith("densecode: "), cmd

@@ -23,14 +23,18 @@ version.  Both sweeps call ``densecode`` in-process.
 The report sweep runs ``densecode.cli.main`` on each argv below, under ``--seed``
 0, 7 and 12345 and ``--format`` json, csv and text; a record is the argv, the exit
 code, stdout and stderr, and its kind the exit code.  Its classes are ``audit
---ghz``, ``audit --bell``, ``audit --dnk``, ``security``, ``encode`` and ``encode
---senders``.
+--ghz``, ``audit --bell``, ``audit --dnk``, ``security``, ``encode``, ``encode
+--senders`` and ``value errors``.
 
 - ``audit --ghz 2..12``, ``audit --bell 1..10`` and every ``audit --dnk N K``
   with N <= 12;
 - ``security --n 2..12`` and every ``security --dnk N K`` with N <= 8, under the
   attacks none, identity, cnot and swap0;
-- ``encode`` of one message of each length 2..20, with and without ``--senders``.
+- ``encode`` of one message of each length 2..20, with and without ``--senders``;
+- ``VALUE_ERRORS``: argv that ``cli._validate`` or a command refuses, each with exit 2
+  and one ``densecode:`` line: a value out of its range, not a number, a layout flag
+  too many or none.  argparse's own usage errors are left out: their text changes
+  with the Python version and the width argparse wraps at.
 
 The decode sweep runs the circuit decode (``dnk_decode``) of seeded states for every
 layout D(N, k) with N <= 18, one class per N.  A record is the layout, the state's
@@ -74,6 +78,25 @@ NUMPY_HEADER = "# numpy "  # the per-argv file's first line, before the version
 MAX_BITS = 18
 ALL_WORDS_BITS = 10  # up to here every code word is decoded
 WORDS = 8  # seeded code words per layout above ALL_WORDS_BITS
+VALUE_ERRORS = (
+    ("audit", "--ghz", "13"),
+    ("audit", "--ghz", "x"),
+    ("audit", "--bell", "11"),
+    ("audit", "--dnk", "6", "6"),
+    ("audit", "--ghz", "3", "--tolerance", "nan"),
+    ("audit", "--ghz", "3", "--tolerance", "1e400"),
+    ("audit", "--tolerance", "1e-9"),
+    ("security", "--n", "5", "--rounds", "0"),
+    ("security", "--n", "5", "--rounds", "1e3"),
+    ("security", "--n", "5", "--threshold", "1.5"),
+    ("security", "--ghz", "3", "--bell", "2"),
+    ("security", "--dnk", "6", "0"),
+    ("security", "--n", "3", "--attack", "bogus"),
+    ("encode", "--message", "1x"),
+    ("encode", "--message", "1"),
+    ("encode", "--message", "10", "--senders", "2"),
+    ("encode", "--message", "1" * 25),
+)
 
 
 def commands() -> list[list[str]]:
@@ -88,11 +111,14 @@ def commands() -> list[list[str]]:
         msg = ("1101001" * 3)[:n]
         cmds += [["encode", "--message", msg],
                  ["encode", "--message", msg, "--senders", str(n // 2)]]
-    return cmds
+    return cmds + [list(cmd) for cmd in VALUE_ERRORS]
 
 
 def argv_class(cmd: list[str]) -> str:
-    """The class of a sweep argv: the command, with its layout flag or ``--senders``."""
+    """The class of a sweep argv: the command, with its layout flag or ``--senders``,
+    or ``value errors``."""
+    if tuple(cmd) in VALUE_ERRORS:
+        return "value errors"
     if cmd[0] == "audit":
         return " ".join(cmd[:2])
     return "encode --senders" if "--senders" in cmd else cmd[0]
