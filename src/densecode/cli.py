@@ -555,15 +555,73 @@ def _validate(args: argparse.Namespace) -> None:
     args.seed = _seed(args)
 
 
+def _option_table(sub: argparse.ArgumentParser) -> Optional[tuple[dict, dict, frozenset]]:
+    """A command's options as its parser's actions hold them: option string ->
+    (dest, nargs, choices), the defaults by dest in action order, and the
+    required dests.  None when an action other than help does more than store
+    its text (a type, a const, a variable nargs): that command takes argparse
+    alone."""
+    options, defaults, required = {}, {}, set()
+    for action in sub._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if (type(action) is not argparse._StoreAction or action.type is not None
+                or not (action.nargs is None or isinstance(action.nargs, int))):
+            return None
+        for option in action.option_strings:
+            options[option] = (action.dest, action.nargs, action.choices)
+        defaults[action.dest] = action.default
+        if action.required:
+            required.add(action.dest)
+    return options, defaults, frozenset(required)
+
+
 _COMMANDS = {"encode": cmd_encode, "audit": cmd_audit, "security": cmd_security}
 # the parsers hold no per-run state: each parse makes a new Namespace
 _PARSER, _SUBPARSERS = _build_parsers()
+_TABLES = {name: table for name, sub in _SUBPARSERS.items()
+           if (table := _option_table(sub)) is not None}
+
+
+def _read_plain(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace argparse builds for an argv in plain form, read from the
+    command's ``_TABLES`` entry, else None.  Plain form: ``argv[0]`` names a
+    command and each later word is one of its exact option strings (not
+    -h/--help), followed by its nargs values, none of which starts with "-";
+    each value is among its choices and every required flag is given."""
+    table = _TABLES.get(argv[0]) if argv else None
+    if table is None:
+        return None
+    options, defaults, required = table
+    values: dict[str, Any] = {}
+    at, end = 1, len(argv)
+    while at < end:
+        entry = options.get(argv[at])
+        if entry is None:
+            return None
+        dest, nargs, choices = entry
+        count = 1 if nargs is None else nargs
+        words = argv[at + 1:at + 1 + count]
+        if len(words) < count:
+            return None
+        for word in words:
+            if word[:1] == "-" or (choices is not None and word not in choices):
+                return None
+        values[dest] = words[0] if nargs is None else words  # the last occurrence wins
+        at += 1 + count
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(command=argv[0], **{**defaults, **values})
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)`` in one pass: a call that names a command
-    is parsed by that command's parser alone, and the top-level parser only
-    prints help and usage errors."""
+    """``_PARSER.parse_args(argv)``: an argv in plain form is read from its
+    command's option table (``_read_plain``), any other by argparse in one
+    pass, where a call that names a command is parsed by that command's parser
+    alone and the top-level parser only prints help and usage errors."""
+    args = _read_plain(argv)
+    if args is not None:
+        return args
     sub = _SUBPARSERS.get(argv[0]) if argv else None
     if sub is None:
         return _PARSER.parse_args(argv)

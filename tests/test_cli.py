@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -1143,9 +1144,28 @@ def test_parser_exits_print_what_a_fresh_parser_prints(capsys, argv, code):
     assert (printed.out or printed.err).startswith("usage: densecode")
 
 
-def test_a_call_naming_a_command_parses_as_parse_args_does(tmp_path):
-    # main parses with the command's own parser; the namespace, in the order
+def test_a_call_naming_a_command_parses_as_parse_args_does(tmp_path, monkeypatch):
+    # an argv in plain form is read from the command's option table, any other
+    # by the command's own parser; either way the namespace, in the order
     # _validate reads it, is the one the full parser gives
-    for argv in every_command(tmp_path):
+    table_reads = [
+        *every_command(tmp_path),
+        ["security", "--n", "3", "--attack", ""],
+        ["security", "--n", "3", "--seed", "1", "--seed", "2"],  # the last one wins
+    ]
+    argparse_reads = [
+        ["audit", "--ghz=3"],
+        ["audit", "--gh", "3"],
+        ["audit", "--ghz", "3", "--tolerance", "-1e-3"],
+        ["encode", "--message", "1011", "--format=csv"],
+    ]
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    for argv in table_reads + argparse_reads:
         want = cli.build_parser().parse_args(argv)
-        assert list(vars(cli._parse(argv)).items()) == list(vars(want).items()), argv
+        calls = []
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args",
+                            lambda *a, **kw: calls.append(a) or parse_known_args(*a, **kw))
+        got = cli._parse(argv)
+        monkeypatch.undo()
+        assert list(vars(got).items()) == list(vars(want).items()), argv
+        assert bool(calls) == (argv in argparse_reads), argv

@@ -4,6 +4,7 @@ and stderr of each argv, byte for byte, under the numpy version that wrote the
 file.  A change that moves a report on purpose rewrites the file with
 ``python tools/digest.py --write tools/digests.txt``."""
 
+import argparse
 import importlib.util
 import pathlib
 
@@ -44,3 +45,21 @@ def test_every_value_error_argv_exits_2_with_one_densecode_line(capsys):
         lines = captured.err.splitlines()
         assert captured.out == "" and len(lines) == 1, (cmd, lines)
         assert lines[0].startswith("densecode: "), cmd
+
+
+def test_every_sweep_argv_runs_without_argparse(capsys, monkeypatch):
+    def run(argv):
+        code = cli.main(argv)
+        return (code, *capsys.readouterr())
+
+    argvs = [[*cmd, "--seed", "7", "--format", "json"] for cmd in digest.commands()]
+    want = [run(argv) for argv in argvs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("argparse was called")
+
+    for name in ("parse_known_args", "parse_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, forbidden)
+    assert [run(argv) for argv in argvs] == want
+    with pytest.raises(AssertionError, match="argparse was called"):
+        cli.main(["audit", "--ghz=3", "--seed", "7"])

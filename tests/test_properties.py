@@ -283,9 +283,14 @@ def parse_outcome(parse, argv):
             return exc.code, out.getvalue(), err.getvalue()
 
 
-# words that argparse itself reads: unknown flags, a bad choice, help and "--"
-STRAY_WORDS = st.lists(st.sampled_from(["--bogus", "x", "--", "-1", "--format", "xml",
-                                        "--format=csv", "--help", "--seed"]), max_size=3)
+# words that the option table hands to argparse: unknown flags, a bad choice,
+# help and "--", a unique prefix, --flag=value, an empty word and a lone "-";
+# and a flag given twice, which the table reads with the last one winning
+STRAY_WORDS = st.lists(st.sampled_from([
+    ["--bogus"], ["x"], ["--"], ["-1"], ["--format"], ["xml"], ["--format=csv"], ["--help"],
+    ["--seed"], ["--se"], ["--seed=1"], [""], ["-h"], ["-"], ["--format", "text"],
+    ["--seed", "3", "--seed", "4"],
+]), max_size=3).map(lambda groups: [word for group in groups for word in group])
 
 
 @settings(max_examples=150, deadline=None)
