@@ -136,6 +136,25 @@ class DnkSpec:
     blocks: tuple[tuple[int, ...], ...]  # the GHZ block, then each Bell pair, 1-based
     shares: tuple[PartyShare, ...]
 
+    def __post_init__(self) -> None:
+        """Refuse a layout that no ``dnk_spec`` builds: the index constants and the
+        closed forms hold only where the blocks are consecutive runs of at least 2
+        qubits that cover 1..N in order, and the shares hold, in order, exactly the
+        sender qubits, every qubit of each block but its last."""
+        n, blocks = self.n_bits, self.blocks
+        if (min(map(len, blocks), default=0) < 2
+                or [q for block in blocks for q in block] != list(range(1, n + 1))):
+            raise ValueError(f"blocks must be runs of at least 2 qubits that cover "
+                             f"1..{n} in order, got {blocks}")
+        senders = [q for block in blocks for q in block[:-1]]
+        shared = [q for share in self.shares for q in share.qubits]
+        if shared != senders:
+            raise ValueError(f"shares must hold the sender qubits {senders} in order, "
+                             f"got {shared}")
+        if self.n_senders != len(self.shares):
+            raise ValueError(f"n_senders must be {len(self.shares)}, the number of shares, "
+                             f"got {self.n_senders}")
+
     @property
     def n_qubits(self) -> int:
         return self.n_bits
