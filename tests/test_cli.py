@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -1118,7 +1119,7 @@ def test_seed_variable_set_after_import_is_read_by_each_call(capsys, monkeypatch
         assert report["seed"] == seed
 
 
-@pytest.mark.parametrize("argv,code", [
+PARSER_EXITS = [
     (["--help"], 0),
     (["encode", "--help"], 0),
     (["audit", "--help"], 0),
@@ -1132,7 +1133,10 @@ def test_seed_variable_set_after_import_is_read_by_each_call(capsys, monkeypatch
     (["audit", "--dnk", "3"], 2),
     (["decode", "--message", "1011"], 2),
     (["security", "--n"], 2),
-])
+]
+
+
+@pytest.mark.parametrize("argv,code", PARSER_EXITS)
 def test_parser_exits_print_what_a_fresh_parser_prints(capsys, argv, code):
     with pytest.raises(SystemExit) as shared:
         main(argv)
@@ -1142,6 +1146,46 @@ def test_parser_exits_print_what_a_fresh_parser_prints(capsys, argv, code):
     assert shared.value.code == fresh.value.code == code
     assert (printed.out, printed.err) == tuple(capsys.readouterr())
     assert (printed.out or printed.err).startswith("usage: densecode")
+
+
+# The sha256 of exit code, stdout and stderr of each argv of PARSER_EXITS at
+# COLUMNS=80, as "<python minor> <exit code> <sha256> <argv>".  argparse words
+# its help and errors differently across Python minor versions, so the pin holds
+# only under the one that wrote it.
+PARSER_EXIT_DIGESTS = [
+    "3.11 0 312029e36a52f299e6631823a8acae8fd2d0077c034d033a5c9cdb121e4c3a99 --help",
+    "3.11 0 51555b70327400544a51c0d5368cc83bffb4a64c6be0eaff15a49ed5c17cab2b encode --help",
+    "3.11 0 2b43d01d6b65dd3c2fa734736eb05e376a4ccfb4aa38c6c46c9699abfba9be40 audit --help",
+    "3.11 0 3d0bb20228444a43f7ece2bf8ecc3b1e1da524e36ee84a14138ed41546f9c6d8 security --help",
+    "3.11 2 26bcfae4e5adc7d278749e3ab6489ec2579ba62b8e094f70769886b793241671 audit --ghz 3 --bogus",
+    "3.11 2 50aa0820c936ea918fc297b548c24541eb8857d6433ad6e51b38d6019f26cce6 encode",
+    "3.11 2 5d8a342a2d2ddc4d41cf0976412c69c0b70531b8364bd2c2ffe6a3f2e3ed5b84",
+    "3.11 2 26bcfae4e5adc7d278749e3ab6489ec2579ba62b8e094f70769886b793241671 security --n 3 --bogus",
+    "3.11 2 e756ebcc6e71fc1330add383a07f1508b0cc2c63945b006e01fefd1080380040 "
+    "encode --message 1011 --bogus x --senders 2",
+    "3.11 2 1152a395d2698e2f411267232b5ea5bf42899b6f39819b3b1e63c664ba0cc716 "
+    "encode --message 1011 --format xml",
+    "3.11 2 5c7c29a26764f7e0ce86b2f61f5789baa826aa31063ac2a66576b6644b00a7de audit --dnk 3",
+    "3.11 2 fd0545d71ef670e59c3803f6ce0edde54776d889089cf50eeb29b5ab31b58312 decode --message 1011",
+    "3.11 2 ea23ad80c3e1b927b43f09dd2a2c39a7b6c55a13eb9234a9969f7e60d889aba8 security --n",
+]
+
+
+def test_parser_exits_print_the_recorded_bytes(capsys, monkeypatch):
+    version = PARSER_EXIT_DIGESTS[0].split()[0]
+    python = f"{sys.version_info.major}.{sys.version_info.minor}"
+    if version != python:
+        pytest.skip(f"the help and usage digests were written under Python {version}, "
+                    f"and this is Python {python}")
+    monkeypatch.setenv("COLUMNS", "80")
+    lines = []
+    for argv, _ in PARSER_EXITS:
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        out, err = capsys.readouterr()
+        digest = hashlib.sha256(f"{exit_.value.code}\0{out}\0{err}".encode()).hexdigest()
+        lines.append(f"{python} {exit_.value.code} {digest} {' '.join(argv)}".rstrip())
+    assert lines == PARSER_EXIT_DIGESTS
 
 
 def test_a_call_naming_a_command_parses_as_parse_args_does(tmp_path, monkeypatch):
