@@ -471,51 +471,51 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
-def _build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and its subparsers by command name."""
+_COMMON = (
+    ("--seed", dict(default=None, help=f"RNG seed in [0, 2**63) (default ${ENV_SEED} or 0)")),
+    ("--format", dict(choices=("json", "csv", "text"), default="json")),
+    ("--output", dict(default=None, help="write the report to a file")),
+)
+_LAYOUTS = (  # exactly one: _named_layout
+    ("--ghz", dict(default=None, metavar="N")),
+    ("--bell", dict(default=None, metavar="PAIRS")),
+    ("--dnk", dict(nargs=2, default=None, metavar=("N", "K"))),
+)
+# Each command's help line and its flags as (option string, ``add_argument``
+# keywords), in the order its help lists them and its namespace holds them.  A
+# flag stores its text: no type, action or variable nargs, which ``_TABLES``
+# does not read.
+_COMMAND_FLAGS = {
+    "encode": ("encode a classical message", _COMMON + (
+        ("--message", dict(required=True, help="bit string, length >= 2")),
+        ("--senders", dict(default=None,
+                           help="split across this many senders (distributed layout)")),
+    )),
+    "audit": ("verify code and entanglement properties", _COMMON + (
+        ("--tolerance", dict(default=entanglement.DEFAULT_TOLERANCE)),
+    ) + _LAYOUTS),
+    "security": ("simulate the eavesdropping check", _COMMON + _LAYOUTS + (
+        ("--n", dict(default=None, metavar="N", help="alias of --ghz N")),
+        ("--attack", dict(default="none", help="none, identity, cnot, swap0, or file:PATH")),
+        ("--rounds", dict(default=10000)),
+        ("--threshold", dict(default=0.0, help="abort when the detection rate exceeds this")),
+        ("--cert-tolerance", dict(default=security.CERT_TOLERANCE)),
+    )),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser of ``_COMMAND_FLAGS``, one subparser per command."""
     parser = _Parser(
         prog="densecode",
         description="Simulate and audit dense-coding protocols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", default=None,
-                       help=f"RNG seed in [0, 2**63) (default ${ENV_SEED} or 0)")
-        p.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        p.add_argument("--output", default=None, help="write the report to a file")
-
-    enc = sub.add_parser("encode", help="encode a classical message")
-    common(enc)
-    enc.add_argument("--message", required=True, help="bit string, length >= 2")
-    enc.add_argument("--senders", default=None,
-                     help="split across this many senders (distributed layout)")
-
-    def layouts(p: argparse.ArgumentParser) -> None:  # exactly one: _named_layout
-        p.add_argument("--ghz", default=None, metavar="N")
-        p.add_argument("--bell", default=None, metavar="PAIRS")
-        p.add_argument("--dnk", nargs=2, default=None, metavar=("N", "K"))
-
-    aud = sub.add_parser("audit", help="verify code and entanglement properties")
-    common(aud)
-    aud.add_argument("--tolerance", default=entanglement.DEFAULT_TOLERANCE)
-    layouts(aud)
-
-    sec = sub.add_parser("security", help="simulate the eavesdropping check")
-    common(sec)
-    layouts(sec)
-    sec.add_argument("--n", default=None, metavar="N", help="alias of --ghz N")
-    sec.add_argument("--attack", default="none",
-                     help="none, identity, cnot, swap0, or file:PATH")
-    sec.add_argument("--rounds", default=10000)
-    sec.add_argument("--threshold", default=0.0,
-                     help="abort when the detection rate exceeds this")
-    sec.add_argument("--cert-tolerance", default=security.CERT_TOLERANCE)
-    return parser, sub.choices
-
-
-def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
+    for name, (help_text, flags) in _COMMAND_FLAGS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, kwargs in flags:
+            command.add_argument(option, **kwargs)
+    return parser
 
 
 def _number(flag: str, text: Any, kind: type, want: str) -> Any:
@@ -555,32 +555,22 @@ def _validate(args: argparse.Namespace) -> None:
     args.seed = _seed(args)
 
 
-def _option_table(sub: argparse.ArgumentParser) -> Optional[tuple[dict, dict, frozenset]]:
-    """A command's options as its parser's actions hold them: option string ->
-    (dest, nargs, choices), the defaults by dest in action order, and the
-    required dests.  None when an action other than help does more than store
-    its text (a type, a const, a variable nargs): that command takes argparse
-    alone."""
+def _table(flags: tuple) -> tuple[dict, dict, frozenset]:
+    """A command's flags as ``_read_plain`` reads them: option string ->
+    (dest, nargs, choices), the defaults by dest in declaration order, and the
+    required dests.  The dest is the one argparse derives from the option."""
     options, defaults, required = {}, {}, set()
-    for action in sub._actions:
-        if isinstance(action, argparse._HelpAction):
-            continue
-        if (type(action) is not argparse._StoreAction or action.type is not None
-                or not (action.nargs is None or isinstance(action.nargs, int))):
-            return None
-        for option in action.option_strings:
-            options[option] = (action.dest, action.nargs, action.choices)
-        defaults[action.dest] = action.default
-        if action.required:
-            required.add(action.dest)
+    for option, kwargs in flags:
+        dest = option[2:].replace("-", "_")
+        options[option] = (dest, kwargs.get("nargs"), kwargs.get("choices"))
+        defaults[dest] = kwargs.get("default")
+        if kwargs.get("required"):
+            required.add(dest)
     return options, defaults, frozenset(required)
 
 
 _COMMANDS = {"encode": cmd_encode, "audit": cmd_audit, "security": cmd_security}
-# the parsers hold no per-run state: each parse makes a new Namespace
-_PARSER, _SUBPARSERS = _build_parsers()
-_TABLES = {name: table for name, sub in _SUBPARSERS.items()
-           if (table := _option_table(sub)) is not None}
+_TABLES = {name: _table(flags) for name, (_, flags) in _COMMAND_FLAGS.items()}
 
 
 def _read_plain(argv: list[str]) -> Optional[argparse.Namespace]:
@@ -615,20 +605,9 @@ def _read_plain(argv: list[str]) -> Optional[argparse.Namespace]:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """``_PARSER.parse_args(argv)``: an argv in plain form is read from its
-    command's option table (``_read_plain``), any other by argparse in one
-    pass, where a call that names a command is parsed by that command's parser
-    alone and the top-level parser only prints help and usage errors."""
-    args = _read_plain(argv)
-    if args is not None:
-        return args
-    sub = _SUBPARSERS.get(argv[0]) if argv else None
-    if sub is None:
-        return _PARSER.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """``build_parser().parse_args(argv)``: an argv in plain form is read from
+    its command's option table (``_read_plain``), with no parser built."""
+    return _read_plain(argv) or build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

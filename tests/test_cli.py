@@ -845,7 +845,7 @@ def every_command(tmp_path):
 
 
 def report_of(argv):
-    args = cli._PARSER.parse_args(argv)
+    args = cli._parse(argv)
     cli._validate(args)
     return cli._COMMANDS[args.command](args)[0]
 
@@ -1070,18 +1070,50 @@ def test_audit_gram_check_builds_no_code_basis(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# one parser per process
+# the option tables and the parser
 
 
 def test_ops_build_no_parser(capsys, monkeypatch):
+    # an argv in plain form builds no parser; any other builds one per call
     calls = []
     build = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
     for argv in (["encode", "--message", "1101001011010010"], ["audit", "--ghz", "6"],
                  ["security", "--n", "4", "--rounds", "400", "--attack", "cnot"]):
         assert main(argv) in (0, 4)
-    capsys.readouterr()
     assert calls == []
+    for count in (1, 2):
+        assert main(["audit", "--ghz=3", "--seed", "7"]) == 0
+        assert calls == [1] * count
+    capsys.readouterr()
+
+
+def test_each_option_table_agrees_with_its_subparser():
+    # _read_plain reads a flag's dest (--cert-tolerance -> cert_tolerance),
+    # nargs, choices, default and required state, and nothing else: a flag that
+    # argparse would convert, count or read a variable number of words for
+    # must not reach the tables
+    parser = cli.build_parser()
+    assert parser is not cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(cli._TABLES) == list(commands.choices) == list(cli._COMMANDS)
+    for name, sub in commands.choices.items():
+        options, defaults, required = {}, {}, set()
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            assert type(action) is argparse._StoreAction, (name, action)
+            assert action.type is None and action.const is None, (name, action)
+            assert action.nargs is None or isinstance(action.nargs, int), (name, action)
+            for option in action.option_strings:
+                options[option] = (action.dest, action.nargs, action.choices)
+            defaults[action.dest] = action.default
+            if action.required:
+                required.add(action.dest)
+        table_options, table_defaults, table_required = cli._TABLES[name]
+        assert table_options == options, name
+        assert list(table_defaults.items()) == list(defaults.items()), name
+        assert table_required == required, name
 
 
 def test_a_repeated_sequence_of_calls_is_byte_identical(tmp_path, capsys):
@@ -1190,8 +1222,8 @@ def test_parser_exits_print_the_recorded_bytes(capsys, monkeypatch):
 
 def test_a_call_naming_a_command_parses_as_parse_args_does(tmp_path, monkeypatch):
     # an argv in plain form is read from the command's option table, any other
-    # by the command's own parser; either way the namespace, in the order
-    # _validate reads it, is the one the full parser gives
+    # by a fresh parser; either way the namespace, in the order _validate reads
+    # it, is the one the full parser gives
     table_reads = [
         *every_command(tmp_path),
         ["security", "--n", "3", "--attack", ""],

@@ -569,7 +569,7 @@ def test_security_op_builds_no_state(tmp_path, capsys, monkeypatch, layout):
     u = haar_unitary(4, np.random.default_rng(4400))
     path = tmp_path / "haar.json"
     path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in u]))
-    args = cli._PARSER.parse_args(["security", *layout])
+    args = cli._parse(["security", *layout])
     cli._validate(args)
     spec = cli._named_layout(args)[0]
     # the file's matrix, as the CLI reads it back
