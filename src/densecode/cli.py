@@ -26,31 +26,6 @@ MAX_AUDIT_QUBITS = 12  # the largest register the audit benchmark runs (--dnk 12
 MAX_ENCODE_BITS = 24  # the report's amplitude table: 2^B rows, B <= n/2 blocks, 4096 at 24
 _ROUNDTRIP_WORDS = 64  # the audit decodes every word up to 6 qubits, else 64 seeded picks
 
-# Every numeric flag once, as (namespace field, flag, low, high, unit), with
-# the reason for its range; ``_validate`` converts their text and checks them
-# before a command runs.  A row without a unit is a float flag: finite and >= 0
-# (``statevec._finite``).  A count bounded by another flag is checked where both
-# are known, so its row has no range: --senders and K of --dnk against N in
-# ``_layout``, and the length of --message in ``cmd_encode``.
-_FLAGS = (
-    ("tolerance", "--tolerance", 0.0, math.inf, None),  # a distance; audit only
-    ("threshold", "--threshold", 0.0, 1.0, None),  # compared with a detection rate
-    ("cert_tolerance", "--cert-tolerance", 0.0, math.inf, None),  # a distance
-    ("senders", "--senders", None, None, "senders"),  # 1..N-1, N from --message
-    # The audit reads one table of code words on their 2^B support indices, B
-    # blocks: every word for n <= 10 (2^n x 2^B entries, which the Gram check
-    # needs), else the resource and 64 picks; a cap is raised only with a paired
-    # benchmark run at the new size
-    ("ghz", "--ghz", 2, MAX_AUDIT_QUBITS, "qubits"),
-    ("bell", "--bell", 1, 10, "pairs"),  # 2P qubits on 2^P support indices
-    ("dnk", "--dnk", 2, MAX_AUDIT_QUBITS, "bits"),  # N, as --ghz; K: 1..N-1
-    # security's alias of --ghz.  security builds no state at any size, so
-    # these caps bound only the audit's cost
-    ("n", "--n", 2, MAX_AUDIT_QUBITS, "qubits"),
-    ("rounds", "--rounds", 1, security.MAX_ROUNDS, "rounds"),  # int64 sample counts
-)
-
-
 def _operator_entry(ps: statevec.PauliString) -> dict[str, Any]:
     return {
         "labels": [lab.value for lab in ps.labels],
@@ -476,30 +451,48 @@ _COMMON = (
     ("--format", dict(choices=("json", "csv", "text"), default="json")),
     ("--output", dict(default=None, help="write the report to a file")),
 )
+# The audit reads one table of code words on their 2^B support indices, B
+# blocks: every word for n <= 10 (2^n x 2^B entries, which the Gram check
+# needs), else the resource and 64 picks; a cap is raised only with a paired
+# benchmark run at the new size.  security builds no state at any size, so
+# these caps, and --n's, bound only the audit's cost.
 _LAYOUTS = (  # exactly one: _named_layout
-    ("--ghz", dict(default=None, metavar="N")),
-    ("--bell", dict(default=None, metavar="PAIRS")),
-    ("--dnk", dict(nargs=2, default=None, metavar=("N", "K"))),
+    ("--ghz", dict(default=None, metavar="N"), 2, MAX_AUDIT_QUBITS, "qubits"),
+    ("--bell", dict(default=None, metavar="PAIRS"),
+     1, 10, "pairs"),  # 2P qubits on 2^P support indices
+    ("--dnk", dict(nargs=2, default=None, metavar=("N", "K")),
+     2, MAX_AUDIT_QUBITS, "bits"),  # N, as --ghz; K: 1..N-1
 )
 # Each command's help line and its flags as (option string, ``add_argument``
 # keywords), in the order its help lists them and its namespace holds them.  A
 # flag stores its text: no type, action or variable nargs, which ``_TABLES``
-# does not read.
+# does not read.  A numeric flag's row goes on with its range, (low, high,
+# unit), which ``_validate`` checks before a command runs: a row without a unit
+# is a float flag, finite and >= 0 (``statevec._finite``).  A count bounded by
+# another flag is checked where both are known, so its row has no low or high:
+# --senders and K of --dnk against N in ``_layout``, and the length of
+# --message in ``cmd_encode``.
 _COMMAND_FLAGS = {
     "encode": ("encode a classical message", _COMMON + (
         ("--message", dict(required=True, help="bit string, length >= 2")),
         ("--senders", dict(default=None,
-                           help="split across this many senders (distributed layout)")),
+                           help="split across this many senders (distributed layout)"),
+         None, None, "senders"),  # 1..N-1, N from --message
     )),
     "audit": ("verify code and entanglement properties", _COMMON + (
-        ("--tolerance", dict(default=entanglement.DEFAULT_TOLERANCE)),
+        ("--tolerance", dict(default=entanglement.DEFAULT_TOLERANCE),
+         0.0, math.inf, None),  # a distance
     ) + _LAYOUTS),
     "security": ("simulate the eavesdropping check", _COMMON + _LAYOUTS + (
-        ("--n", dict(default=None, metavar="N", help="alias of --ghz N")),
+        ("--n", dict(default=None, metavar="N", help="alias of --ghz N"),
+         2, MAX_AUDIT_QUBITS, "qubits"),
         ("--attack", dict(default="none", help="none, identity, cnot, swap0, or file:PATH")),
-        ("--rounds", dict(default=10000)),
-        ("--threshold", dict(default=0.0, help="abort when the detection rate exceeds this")),
-        ("--cert-tolerance", dict(default=security.CERT_TOLERANCE)),
+        ("--rounds", dict(default=10000),
+         1, security.MAX_ROUNDS, "rounds"),  # int64 sample counts
+        ("--threshold", dict(default=0.0, help="abort when the detection rate exceeds this"),
+         0.0, 1.0, None),  # compared with a detection rate
+        ("--cert-tolerance", dict(default=security.CERT_TOLERANCE),
+         0.0, math.inf, None),  # a distance
     )),
 }
 
@@ -513,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in _COMMAND_FLAGS.items():
         command = sub.add_parser(name, help=help_text)
-        for option, kwargs in flags:
+        for option, kwargs, *_ in flags:
             command.add_argument(option, **kwargs)
     return parser
 
@@ -528,17 +521,22 @@ def _number(flag: str, text: Any, kind: type, want: str) -> Any:
 
 
 def _validate(args: argparse.Namespace) -> None:
-    """Refuse any flag left without a value, then check every flag of
-    ``_FLAGS`` that the command has, in place: its text becomes an int, or a
-    float for a row without a unit.  Then resolve the seed.  The first bad
-    value raises a ValueError naming its flag."""
+    """Refuse any flag left without a value, then check, in place and in
+    declaration order, every flag of the command's ``_COMMAND_FLAGS`` rows that
+    has a range: its text becomes an int, or a float for a row without a unit.
+    Then resolve the seed.  The first bad value raises a ValueError naming its
+    flag."""
     for field, value in vars(args).items():
         if value == []:  # argparse before Python 3.13 reads --FLAG=-- as an empty list
             raise ValueError(f"--{field.replace('_', '-')} needs a value, got '--'")
-    for field, flag, low, high, unit in _FLAGS:
-        value = getattr(args, field, None)
+    for flag, _, *numeric in _COMMAND_FLAGS[args.command][1]:
+        if not numeric:
+            continue
+        field = flag[2:].replace("-", "_")
+        value = getattr(args, field)
         if value is None:
             continue
+        low, high, unit = numeric
         if unit is None:
             span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
             kind, want = float, f"a finite number {span}"
@@ -560,7 +558,7 @@ def _table(flags: tuple) -> tuple[dict, dict, frozenset]:
     (dest, nargs, choices), the defaults by dest in declaration order, and the
     required dests.  The dest is the one argparse derives from the option."""
     options, defaults, required = {}, {}, set()
-    for option, kwargs in flags:
+    for option, kwargs, *_ in flags:
         dest = option[2:].replace("-", "_")
         options[option] = (dest, kwargs.get("nargs"), kwargs.get("choices"))
         defaults[dest] = kwargs.get("default")

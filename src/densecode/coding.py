@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, NoReturn, Optional, Sequence, Union
+from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
@@ -140,7 +140,13 @@ class DnkSpec:
         """Refuse a layout that no ``dnk_spec`` builds: the index constants and the
         closed forms hold only where the blocks are consecutive runs of at least 2
         qubits that cover 1..N in order, and the shares hold, in order, exactly the
-        sender qubits, every qubit of each block but its last."""
+        sender qubits, every qubit of each block but its last.
+
+        The same pass sets the constants that hold one entry per qubit or block:
+        ``alice_qubits``, ``sender_mask``, ``lead_mask``, ``block_masks`` and
+        ``last_bits``.  Every block is a run of qubits, so the one that ends at
+        qubit q has the mask ((1 << size) - 1) << (n - q), whose lowest bit is its
+        receiver's."""
         n, blocks = self.n_bits, self.blocks
         if (min(map(len, blocks), default=0) < 2
                 or [q for block in blocks for q in block] != list(range(1, n + 1))):
@@ -154,6 +160,15 @@ class DnkSpec:
         if self.n_senders != len(self.shares):
             raise ValueError(f"n_senders must be {len(self.shares)}, the number of shares, "
                              f"got {self.n_senders}")
+        last_bits = [n - block[-1] for block in blocks]
+        masks = [((1 << len(block)) - 1) << last for block, last in zip(blocks, last_bits)]
+        vars(self).update(  # frozen: set past the dataclass's __setattr__
+            alice_qubits=tuple(senders),
+            sender_mask=sum(mask - (1 << last) for mask, last in zip(masks, last_bits)),
+            lead_mask=sum(1 << (n - block[0]) for block in blocks),
+            block_masks=_frozen(np.array(masks)),
+            last_bits=_frozen(np.array(last_bits)),
+        )
 
     @property
     def n_qubits(self) -> int:
@@ -171,43 +186,9 @@ class DnkSpec:
     def bob_qubits(self) -> tuple[int, ...]:
         return tuple(block[-1] for block in self.blocks)
 
-    @functools.cached_property
-    def alice_qubits(self) -> tuple[int, ...]:
-        return tuple(q for share in self.shares for q in share.qubits)
-
-    def _index_constants(self) -> dict[str, Any]:
-        """``sender_mask``, ``lead_mask``, ``block_masks`` and ``last_bits``, derived
-        in one pass and cached with the instance, where each of their cached
-        properties finds them.  Every block is a run of qubits, so the one that
-        ends at qubit q has the mask ((1 << size) - 1) << (n - q), whose lowest
-        bit is its receiver's."""
-        n = self.n_bits
-        last_bits = [n - block[-1] for block in self.blocks]
-        masks = [((1 << len(block)) - 1) << last for block, last in zip(self.blocks, last_bits)]
-        constants = {
-            "sender_mask": sum(mask - (1 << last) for mask, last in zip(masks, last_bits)),
-            "lead_mask": sum(1 << (n - block[0]) for block in self.blocks),
-            "block_masks": _frozen(np.array(masks)),
-            "last_bits": _frozen(np.array(last_bits)),
-        }
-        vars(self).update(constants)
-        return constants
-
-    @functools.cached_property
-    def sender_mask(self) -> int:
-        return self._index_constants()["sender_mask"]
-
-    @functools.cached_property
-    def lead_mask(self) -> int:
-        return self._index_constants()["lead_mask"]
-
-    @functools.cached_property
-    def block_masks(self) -> np.ndarray:
-        return self._index_constants()["block_masks"]
-
-    @functools.cached_property
-    def last_bits(self) -> np.ndarray:
-        return self._index_constants()["last_bits"]
+    # The arrays of 2**B or 2**N entries are built on first use, so that a spec
+    # read only for its blocks, as ``security`` reads one, never pays for them:
+    # D(62, 1)'s support alone would hold 2**31 indices
 
     @functools.cached_property
     def support(self) -> np.ndarray:

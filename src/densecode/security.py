@@ -204,7 +204,8 @@ def detection_probability(state: StateVector, n_protocol: Optional[int] = None) 
     of ``apply_eve``'s output, the protocol qubits then one ancilla.
 
     The default reads the last qubit as that ancilla, so a clean
-    ``ghz_state(3)`` scores 0.25: its third qubit is left out of the check.
+    ``ghz_state(3)`` scores 0.25 up to rounding: its third qubit is left out of
+    the check.
     Score an unattacked state of n qubits with ``n_protocol=n``."""
     n = state.n_qubits - 1 if n_protocol is None else n_protocol
     return detection_report(state, n).probability

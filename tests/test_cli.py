@@ -938,6 +938,41 @@ def test_non_integer_flag_exits_2_naming_it(capsys, argv, flag):
     assert err == f"densecode: {flag} must be an integer, got {argv[-1]!r}\n"
 
 
+RANGED_ROWS = [(command, option, kwargs.get("nargs"))
+               for command, (_, flags) in cli._COMMAND_FLAGS.items()
+               for option, kwargs, *numeric in flags if numeric]
+
+
+@pytest.mark.parametrize("command, option, nargs", RANGED_ROWS,
+                         ids=[f"{command} {option}" for command, option, _ in RANGED_ROWS])
+def test_every_ranged_flag_refuses_text_on_both_parse_paths(capsys, monkeypatch, command,
+                                                             option, nargs):
+    # --FLAG x is read from the option table and --FLAG=x by argparse; a flag of two
+    # values (--dnk N K) cannot be written --FLAG=x, so a --format=json word sends
+    # its argv to argparse instead
+    base = [command, "--message", "1010"] if command == "encode" else [command]
+    values = ["x", *["3"] * ((nargs or 1) - 1)]
+    forced = [f"{option}=x"] if nargs is None else ["--format=json", option, *values]
+    build = cli.build_parser
+    for argv, parsed in ((base + [option, *values], False), (base + forced, True)):
+        calls = []
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        code, out, err = run(argv, capsys)
+        assert (code, out, bool(calls)) == (2, "", parsed), argv
+        assert err.startswith(f"densecode: {option} must be ") and err.count("\n") == 1, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["security", "--n", "13", "--threshold", "2"],
+    ["security", "--threshold", "2", "--n", "13"],
+    ["security", "--threshold=2", "--n=13"],
+])
+def test_of_several_bad_values_the_first_declared_is_named(capsys, argv):
+    # security declares --n before --threshold, so --n is named on either parse path,
+    # whatever order the argv gives them in
+    assert run(argv, capsys) == (2, "", "densecode: --n supports 2..12 qubits, got 13\n")
+
+
 @pytest.mark.parametrize("text", ["abc", "1/2", "0x10", ""])
 @pytest.mark.parametrize("argv, flag, span", [
     (["audit", "--ghz", "3"], "--tolerance", ">= 0"),

@@ -439,7 +439,8 @@ def test_dnk_spec_stores_its_blocks_and_derives_the_rest():
     assert [f.name for f in dataclasses.fields(DnkSpec)] == ["n_bits", "n_senders", "blocks", "shares"]
     spec = dnk_spec(7, 3)
     assert repr(spec).startswith("DnkSpec(n_bits=7, n_senders=3, blocks=((1, 2, 3), (4, 5), (6, 7)), ")
-    for name in ("ghz_size", "bell_pairs", "bob_qubits", "alice_qubits", "n_qubits", "support"):
+    for name in ("ghz_size", "bell_pairs", "bob_qubits", "alice_qubits", "n_qubits", "support",
+                 "sender_mask", "lead_mask", "block_masks", "last_bits"):
         with pytest.raises(AttributeError):
             setattr(spec, name, 0)
 
@@ -482,8 +483,8 @@ def qubit_by_qubit_index_constants(spec):
 def test_dnk_spec_index_constants_read_off_the_blocks(n):
     """Each constant from the qubit strings, index bit n - q being character q - 1,
     and, dtype included, by the qubit-by-qubit formulas, on every D(N <= 24, k):
-    encode's cap.  A fresh spec is read in both orders, since the first read of a
-    mask derives the others."""
+    encode's cap.  A fresh spec is read in both orders: the masks are set when it is
+    built, and the support arrays on first use, each from the masks."""
     def mask(qubits):
         return int("".join("1" if q in qubits else "0" for q in range(1, n + 1)), 2)
 
