@@ -71,7 +71,6 @@ from .coding import (
 from .security import (
     ATTACK_PRESETS,
     CertificateReport,
-    CheckBasis,
     DetectionReport,
     EveAttack,
     ParityClass,

@@ -124,50 +124,62 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unions(masks: Sequence[int], dtype: np.dtype) -> np.ndarray:
+    """The 2**len(masks) unions of the disjoint ``masks``, each lying below the ones
+    before it, ascending: bit j of a union's place, from the top, selects mask j, so
+    each mask from the last doubles the list."""
+    unions = np.zeros(1, dtype=dtype)
+    for mask in reversed(masks):
+        unions = np.concatenate((unions, unions | mask))
+    return _frozen(unions)
+
+
 @dataclass(frozen=True)
 class DnkSpec:
-    """Layout of the distributed scheme for ``n_bits`` bits and ``n_senders``
-    senders: one GHZ block followed by Bell pairs, receiver qubits at the end
-    of each block.  Everything else about the layout is derived here, once; the
-    index constants put qubit q at index bit n - q."""
+    """The layout of the distributed scheme D(N, k), for N = ``n_bits`` message bits
+    and k = ``n_senders`` senders, which are its only fields.
+
+    The GHZ block has size max(2, 2(k+1)-N) for even N and max(3, 2(k+1)-N)
+    for odd N; the remaining bits ride on (N - ghz_size)/2 Bell pairs, receiver
+    qubits at the end of each block.  Senders receive contiguous runs of whole
+    sender qubits, sized as evenly as possible, and with them the message bits
+    those qubits carry under the bit rule of ``dnk_combined_string``.
+
+    Construction checks (N, k) and sets the facts that hold one entry per qubit or
+    block, as Python tuples and ints: ``blocks``, ``shares``, ``alice_qubits``,
+    ``sender_mask`` and ``lead_mask``.  The index constants put qubit q at index
+    bit n - q.  Every numpy array is built on first read."""
 
     n_bits: int
     n_senders: int
-    blocks: tuple[tuple[int, ...], ...]  # the GHZ block, then each Bell pair, 1-based
-    shares: tuple[PartyShare, ...]
 
     def __post_init__(self) -> None:
-        """Refuse a layout that no ``dnk_spec`` builds: the index constants and the
-        closed forms hold only where the blocks are consecutive runs of at least 2
-        qubits that cover 1..N in order, and the shares hold, in order, exactly the
-        sender qubits, every qubit of each block but its last.
-
-        The same pass sets the constants that hold one entry per qubit or block:
-        ``alice_qubits``, ``sender_mask``, ``lead_mask``, ``block_masks`` and
-        ``last_bits``.  Every block is a run of qubits, so the one that ends at
-        qubit q has the mask ((1 << size) - 1) << (n - q), whose lowest bit is its
-        receiver's."""
-        n, blocks = self.n_bits, self.blocks
-        if (min(map(len, blocks), default=0) < 2
-                or [q for block in blocks for q in block] != list(range(1, n + 1))):
-            raise ValueError(f"blocks must be runs of at least 2 qubits that cover "
-                             f"1..{n} in order, got {blocks}")
-        senders = [q for block in blocks for q in block[:-1]]
-        shared = [q for share in self.shares for q in share.qubits]
-        if shared != senders:
-            raise ValueError(f"shares must hold the sender qubits {senders} in order, "
-                             f"got {shared}")
-        if self.n_senders != len(self.shares):
-            raise ValueError(f"n_senders must be {len(self.shares)}, the number of shares, "
-                             f"got {self.n_senders}")
-        last_bits = [n - block[-1] for block in blocks]
-        masks = [((1 << len(block)) - 1) << last for block, last in zip(blocks, last_bits)]
+        n, k = self.n_bits, self.n_senders
+        if _integer("n_bits", n) < 2:
+            raise ValueError(f"need at least 2 message bits, got {n}")
+        if not 1 <= _integer("n_senders", k) <= n - 1:
+            raise ValueError(f"sender count must be in 1..{n - 1}, got {k}")
+        g = max(2 if n % 2 == 0 else 3, 2 * (k + 1) - n)
+        blocks = (tuple(range(1, g + 1)),) + tuple(zip(range(g + 1, n, 2),
+                                                        range(g + 2, n + 1, 2)))
+        # the sender qubits: the GHZ block's first g - 1, then each pair's lead
+        senders = (*range(1, g), *range(g + 1, n, 2))
+        # A run of them carries a run of message bits: a lead q carries q and q + 1, a
+        # later GHZ sender q only q + 1
+        base, extra = divmod(len(senders), k)
+        shares, start = [], 0
+        for party in range(1, k + 1):
+            stop = start + base + (party <= extra)
+            first = senders[start]
+            shares.append(PartyShare(party, senders[start:stop],
+                                     tuple(range(first + (1 < first < g), senders[stop - 1] + 2))))
+            start = stop
         vars(self).update(  # frozen: set past the dataclass's __setattr__
-            alice_qubits=tuple(senders),
-            sender_mask=sum(mask - (1 << last) for mask, last in zip(masks, last_bits)),
+            blocks=blocks,  # the GHZ block, then each Bell pair, 1-based
+            shares=tuple(shares),
+            alice_qubits=senders,
+            sender_mask=sum(1 << (n - q) for q in senders),
             lead_mask=sum(1 << (n - block[0]) for block in blocks),
-            block_masks=_frozen(np.array(masks)),
-            last_bits=_frozen(np.array(last_bits)),
         )
 
     @property
@@ -186,19 +198,26 @@ class DnkSpec:
     def bob_qubits(self) -> tuple[int, ...]:
         return tuple(block[-1] for block in self.blocks)
 
-    # The arrays of 2**B or 2**N entries are built on first use, so that a spec
-    # read only for its blocks, as ``security`` reads one, never pays for them:
-    # D(62, 1)'s support alone would hold 2**31 indices
+    # The arrays are built on first read, so that a spec read only for its blocks,
+    # as ``security`` reads one, never pays for them: D(62, 1)'s support alone would
+    # hold 2**31 indices.  Every block is a run of qubits, so the one that ends at
+    # qubit q has the mask ((1 << size) - 1) << (n - q), whose lowest bit is its
+    # receiver's
+
+    @functools.cached_property
+    def block_masks(self) -> np.ndarray:
+        n = self.n_bits
+        return _frozen(np.array([((1 << len(block)) - 1) << (n - block[-1])
+                                 for block in self.blocks]))
+
+    @functools.cached_property
+    def last_bits(self) -> np.ndarray:
+        return _frozen(np.array([self.n_bits - block[-1] for block in self.blocks]))
 
     @functools.cached_property
     def support(self) -> np.ndarray:
-        """The 2**B unions of whole blocks, ascending: the resource's nonzero indices.
-        Bit j of a union's index, from the top, selects block j, and each block
-        lies below the ones before it, so each block from the last doubles the list."""
-        support = np.zeros(1, dtype=self.block_masks.dtype)
-        for mask in self.block_masks[::-1].tolist():
-            support = np.concatenate((support, support | mask))
-        return _frozen(support)
+        """The 2**B unions of whole blocks, ascending: the resource's nonzero indices."""
+        return _unions(self.block_masks.tolist(), self.block_masks.dtype)
 
     @functools.cached_property
     def lead_support(self) -> np.ndarray:
@@ -207,41 +226,16 @@ class DnkSpec:
 
     @functools.cached_property
     def coset_reps(self) -> np.ndarray:
-        """The indices with every lead bit 0, one per coset of the support."""
-        return _frozen(np.flatnonzero((np.arange(2**self.n_bits) & self.lead_mask) == 0))
+        """The 2**(N-B) indices with every lead bit 0, ascending, one per coset of the
+        support: the unions of the other qubits' bits."""
+        bits = [1 << i for i in reversed(range(self.n_bits)) if not self.lead_mask >> i & 1]
+        return _unions(bits, np.intp)
 
 
 @functools.lru_cache(maxsize=64, typed=True)
 def dnk_spec(n_bits: int, n_senders: int) -> DnkSpec:
-    """Build the D(N, k) layout.
-
-    The GHZ block has size max(2, 2(k+1)-N) for even N and max(3, 2(k+1)-N)
-    for odd N; the remaining bits ride on (N - ghz_size)/2 Bell pairs.
-    Senders receive contiguous runs of whole sender qubits, sized as evenly
-    as possible, and with them the message bits those qubits carry under the
-    bit rule of ``dnk_combined_string``.
-    """
-    if _integer("n_bits", n_bits) < 2:
-        raise ValueError(f"need at least 2 message bits, got {n_bits}")
-    if not 1 <= _integer("n_senders", n_senders) <= n_bits - 1:
-        raise ValueError(f"sender count must be in 1..{n_bits - 1}, got {n_senders}")
-    floor_size = 2 if n_bits % 2 == 0 else 3
-    g = max(floor_size, 2 * (n_senders + 1) - n_bits)
-    blocks = (tuple(range(1, g + 1)),) + tuple(zip(range(g + 1, n_bits, 2),
-                                                    range(g + 2, n_bits + 1, 2)))
-    # the sender qubits: the GHZ block's first g - 1, then each pair's lead
-    senders = [*range(1, g), *range(g + 1, n_bits, 2)]
-    # A run of them carries a run of message bits: a lead q carries q and q + 1, a
-    # later GHZ sender q only q + 1
-    base, extra = divmod(len(senders), n_senders)
-    shares, start = [], 0
-    for party in range(1, n_senders + 1):
-        stop = start + base + (party <= extra)
-        first = senders[start]
-        shares.append(PartyShare(party, tuple(senders[start:stop]),
-                                 tuple(range(first + (1 < first < g), senders[stop - 1] + 2))))
-        start = stop
-    return DnkSpec(n_bits, n_senders, blocks, tuple(shares))
+    """The D(N, k) layout, one cached ``DnkSpec`` per (N, k)."""
+    return DnkSpec(n_bits, n_senders)
 
 
 # ---------------------------------------------------------------------------

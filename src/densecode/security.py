@@ -68,11 +68,6 @@ class ParityClass(Enum):
     NEITHER = "neither"
 
 
-class CheckBasis(Enum):
-    COMPUTATIONAL = "computational"
-    HADAMARD = "hadamard"
-
-
 def pm_support(state: StateVector, cutoff: float = SUPPORT_CUTOFF) -> list[tuple[int, complex]]:
     """(mask, amplitude) pairs in the |+>/|-> basis; mask bit 1 means |->."""
     _finite("cutoff", cutoff)

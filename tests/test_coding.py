@@ -436,13 +436,43 @@ def test_dnk_spec_invariants(n):
 
 
 def test_dnk_spec_stores_its_blocks_and_derives_the_rest():
-    assert [f.name for f in dataclasses.fields(DnkSpec)] == ["n_bits", "n_senders", "blocks", "shares"]
+    assert [f.name for f in dataclasses.fields(DnkSpec)] == ["n_bits", "n_senders"]
     spec = dnk_spec(7, 3)
-    assert repr(spec).startswith("DnkSpec(n_bits=7, n_senders=3, blocks=((1, 2, 3), (4, 5), (6, 7)), ")
+    assert repr(spec) == "DnkSpec(n_bits=7, n_senders=3)"
+    assert spec.blocks == ((1, 2, 3), (4, 5), (6, 7))
     for name in ("ghz_size", "bell_pairs", "bob_qubits", "alice_qubits", "n_qubits", "support",
-                 "sender_mask", "lead_mask", "block_masks", "last_bits"):
+                 "sender_mask", "lead_mask", "block_masks", "last_bits", "blocks", "shares"):
         with pytest.raises(AttributeError):
             setattr(spec, name, 0)
+    with pytest.raises(TypeError):
+        DnkSpec(7, 3, spec.blocks, spec.shares)
+
+
+def test_a_fresh_dnk_spec_holds_no_array_and_equals_the_cached_one():
+    """A layout is its two numbers: construction sets Python facts only, and equality
+    and hash go by (N, k), on every D(N <= 62, k)."""
+    for n in range(2, 63):
+        for k in range(1, n):
+            spec = DnkSpec(n, k)
+            assert not [name for name, value in vars(spec).items()
+                        if isinstance(value, np.ndarray)], (n, k)
+            assert spec == dnk_spec(n, k) and hash(spec) == hash(dnk_spec(n, k)), (n, k)
+    spec = dnk_spec(7, 3)
+    copy = dataclasses.replace(spec)
+    assert copy == spec and copy is not spec and copy.shares == spec.shares
+
+
+def test_coset_reps_builds_no_array_of_the_whole_register():
+    """D(22, 11) keeps 2**11 representatives (16 KiB); filtering the 2**22 indices
+    would peak at 36 MiB."""
+    spec = DnkSpec(22, 11)
+    tracemalloc.start()
+    try:
+        reps = spec.coset_reps
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reps) == 2**11 and peak < 2**20, peak
 
 
 @pytest.mark.parametrize("n", range(2, 25))
@@ -464,12 +494,13 @@ def test_dnk_spec_shares_carry_the_bits_of_their_qubits(n):
 
 
 def qubit_by_qubit_index_constants(spec):
-    """The six index constants by formulas that read them off the qubits one by one."""
+    """The index constants by formulas that read them off the qubits one by one, and
+    up to 16 bits the coset representatives by filtering every index."""
     n, b = spec.n_bits, len(spec.blocks)
     block_masks = np.array([sum(1 << (n - q) for q in block) for block in spec.blocks])
     lead_mask = sum(1 << (n - block[0]) for block in spec.blocks)
     support = ((np.arange(2**b)[:, None] >> np.arange(b - 1, -1, -1)) & 1) @ block_masks
-    return {
+    want = {
         "sender_mask": sum(1 << (n - q) for q in spec.alice_qubits),
         "lead_mask": lead_mask,
         "block_masks": block_masks,
@@ -477,14 +508,17 @@ def qubit_by_qubit_index_constants(spec):
         "support": support,
         "lead_support": support & lead_mask,
     }
+    if n <= 16:  # 2**n indices
+        want["coset_reps"] = np.flatnonzero((np.arange(2**n) & lead_mask) == 0)
+    return want
 
 
 @pytest.mark.parametrize("n", range(2, 25))
 def test_dnk_spec_index_constants_read_off_the_blocks(n):
     """Each constant from the qubit strings, index bit n - q being character q - 1,
     and, dtype included, by the qubit-by-qubit formulas, on every D(N <= 24, k):
-    encode's cap.  A fresh spec is read in both orders: the masks are set when it is
-    built, and the support arrays on first use, each from the masks."""
+    encode's cap.  A fresh spec is read in both orders: the two int masks are set when
+    it is built, and each array on first read."""
     def mask(qubits):
         return int("".join("1" if q in qubits else "0" for q in range(1, n + 1)), 2)
 

@@ -16,15 +16,15 @@ metric.  Every ``--ops`` command and ``--calls`` statement is then timed in
 both trees, alternating, in CALL_PAIRS pairs of fresh interpreters with one
 BLAS thread, the first side swapping each pair; each gets every run and their
 median.  An op run is one CLI call in-process, the best of 5 wall times in
-milliseconds, with the package's caches cleared before each call.  A call run
-is the median of CALLS wall times of the statement in microseconds, each
-timed cold, after a fixed pass over a 4 MiB array (``clibench/calibration.py``'s
-``_memory`` kernel), so a fixed cost that a warm loop would hide, such as a
-small state's copy, shows as it does in one CLI call.  A call run cannot see
-fresh-page faults: the array pass leaves glibc's heap holding warm pages, which
-the statement's allocations reuse, so a saving in fresh pages shows only in an op
-or a workload run.  Setup code, run once
-and untimed, goes before `` ;; `` in the statement; both run after
+milliseconds, with every ``lru_cache`` of the ``densecode.*`` modules cleared
+before each call.  A call run is the median of CALLS wall times of the
+statement in microseconds, each timed cold, after a fixed pass over a 4 MiB
+array (``clibench/calibration.py``'s ``_memory`` kernel), so a fixed cost that
+a warm loop would hide, such as a small state's copy, shows as it does in one
+CLI call.  A call run cannot see fresh-page faults: the array pass leaves
+glibc's heap holding warm pages, which the statement's allocations reuse, so a
+saving in fresh pages shows only in an op or a workload run.  Setup code, run
+once and untimed, goes before `` ;; `` in the statement; both run after
 ``import numpy as np; from densecode import *; from densecode import coding``.
 Both files are rewritten after every run, so an interrupted series keeps what
 it measured.
@@ -48,12 +48,14 @@ SLOWDOWN = re.compile(r"host ran ([0-9.]+)x slower")
 SINGLE_OP = r"""
 import contextlib, io, sys, time
 sys.path.insert(0, "src")
-import densecode.cli as cli, densecode.coding as coding
+import densecode.cli as cli
 argv = sys.argv[1:]
+caches = [obj for name, mod in list(sys.modules.items()) if name.startswith("densecode.")
+          for obj in vars(mod).values() if hasattr(obj, "cache_clear")]  # every lru_cache
 best = float("inf")
 for _ in range(5):
-    coding.dnk_spec.cache_clear()
-    coding.dnk_code_basis.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
     t = time.perf_counter()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
