@@ -113,7 +113,7 @@ def cmd_encode(args: argparse.Namespace) -> tuple[dict, int]:
             for share in spec.shares
         }
     results["amplitudes"] = [[c, v, 0.0] for c, v in zip(cols.tolist(), vals.tolist())]
-    norm_dev = abs(float(np.sum(vals**2)) - 1.0)
+    norm_dev = abs(float(np.add.reduce(vals**2)) - 1.0)
     params = {"message": args.message, "senders": args.senders}
     return _report("encode", params, results, {"norm_deviation": norm_dev}, "ok", args.seed), 0
 
@@ -132,7 +132,8 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
         picks = np.arange(2**n)
     else:
         rng = np.random.default_rng(args.seed)
-        picks = np.sort(rng.choice(2**n, size=_ROUNDTRIP_WORDS, replace=False))
+        picks = rng.choice(2**n, size=_ROUNDTRIP_WORDS, replace=False)
+        picks.sort()
     # One word table for all three checks: every word where the Gram check runs, else
     # the resource (message 0) and the picks.  Row m is bitwise a one-word call's row.
     every_word = n <= coding.MAX_BASIS_BITS
@@ -143,7 +144,7 @@ def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
 
     rows = picks if every_word else slice(1, None)
     decoded, best = coding._coset_indices(cols[rows, 0], vals[rows], spec)
-    failures = int(np.count_nonzero((decoded != picks) | ~(best >= coding.OVERLAP_THRESHOLD)))
+    failures = int(np.add.reduce((decoded != picks) | ~(best >= coding.OVERLAP_THRESHOLD)))
     results: dict[str, Any] = {
         "capacity": opt.capacity,
         "holevo_bound": opt.holevo_bound,
@@ -522,26 +523,16 @@ def _number(flag: str, text: Any, kind: type, want: str) -> Any:
 
 def _validate(args: argparse.Namespace) -> None:
     """Refuse any flag left without a value, then check, in place and in
-    declaration order, every flag of the command's ``_COMMAND_FLAGS`` rows that
-    has a range: its text becomes an int, or a float for a row without a unit.
-    Then resolve the seed.  The first bad value raises a ValueError naming its
-    flag."""
+    declaration order, every flag of the command's ``_CHECKS``: its text
+    becomes an int, or a float for a row without a unit.  Then resolve the
+    seed.  The first bad value raises a ValueError naming its flag."""
     for field, value in vars(args).items():
         if value == []:  # argparse before Python 3.13 reads --FLAG=-- as an empty list
             raise ValueError(f"--{field.replace('_', '-')} needs a value, got '--'")
-    for flag, _, *numeric in _COMMAND_FLAGS[args.command][1]:
-        if not numeric:
-            continue
-        field = flag[2:].replace("-", "_")
+    for flag, field, kind, want, low, high, unit in _CHECKS[args.command]:
         value = getattr(args, field)
         if value is None:
             continue
-        low, high, unit = numeric
-        if unit is None:
-            span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
-            kind, want = float, f"a finite number {span}"
-        else:
-            kind, want = int, "an integer"
         many = isinstance(value, list)  # --dnk N K; the range is N's
         numbers = [_number(flag, text, kind, want) for text in (value if many else [value])]
         first = numbers[0]
@@ -553,13 +544,19 @@ def _validate(args: argparse.Namespace) -> None:
     args.seed = _seed(args)
 
 
+def _dest(option: str) -> str:
+    """The namespace field argparse derives from an option string:
+    --cert-tolerance -> cert_tolerance."""
+    return option[2:].replace("-", "_")
+
+
 def _table(flags: tuple) -> tuple[dict, dict, frozenset]:
     """A command's flags as ``_read_plain`` reads them: option string ->
     (dest, nargs, choices), the defaults by dest in declaration order, and the
-    required dests.  The dest is the one argparse derives from the option."""
+    required dests."""
     options, defaults, required = {}, {}, set()
     for option, kwargs, *_ in flags:
-        dest = option[2:].replace("-", "_")
+        dest = _dest(option)
         options[option] = (dest, kwargs.get("nargs"), kwargs.get("choices"))
         defaults[dest] = kwargs.get("default")
         if kwargs.get("required"):
@@ -567,8 +564,27 @@ def _table(flags: tuple) -> tuple[dict, dict, frozenset]:
     return options, defaults, frozenset(required)
 
 
+def _checks(flags: tuple) -> tuple[tuple, ...]:
+    """A command's numeric flags as ``_validate`` reads them, in declaration
+    order: (flag, dest, type, the text of what it must be, low, high, unit)."""
+    checks = []
+    for flag, _, *numeric in flags:
+        if not numeric:
+            continue
+        low, high, unit = numeric
+        if unit is None:
+            span = f"in [{low:g}, {high:g}]" if math.isfinite(high) else f">= {low:g}"
+            kind, want = float, f"a finite number {span}"
+        else:
+            kind, want = int, "an integer"
+        checks.append((flag, _dest(flag), kind, want, low, high, unit))
+    return tuple(checks)
+
+
 _COMMANDS = {"encode": cmd_encode, "audit": cmd_audit, "security": cmd_security}
+# Each command's option table and numeric checks, derived once at import
 _TABLES = {name: _table(flags) for name, (_, flags) in _COMMAND_FLAGS.items()}
+_CHECKS = {name: _checks(flags) for name, (_, flags) in _COMMAND_FLAGS.items()}
 
 
 def _read_plain(argv: list[str]) -> Optional[argparse.Namespace]:

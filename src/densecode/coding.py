@@ -146,9 +146,9 @@ class DnkSpec:
     those qubits carry under the bit rule of ``dnk_combined_string``.
 
     Construction checks (N, k) and sets the facts that hold one entry per qubit or
-    block, as Python tuples and ints: ``blocks``, ``shares``, ``alice_qubits``,
-    ``sender_mask`` and ``lead_mask``.  The index constants put qubit q at index
-    bit n - q.  Every numpy array is built on first read."""
+    block, as Python tuples and ints: ``blocks``, ``alice_qubits``, ``sender_mask``
+    and ``lead_mask``.  The index constants put qubit q at index bit n - q.
+    ``shares`` and every numpy array are built on first read."""
 
     n_bits: int
     n_senders: int
@@ -164,19 +164,8 @@ class DnkSpec:
                                                         range(g + 2, n + 1, 2)))
         # the sender qubits: the GHZ block's first g - 1, then each pair's lead
         senders = (*range(1, g), *range(g + 1, n, 2))
-        # A run of them carries a run of message bits: a lead q carries q and q + 1, a
-        # later GHZ sender q only q + 1
-        base, extra = divmod(len(senders), k)
-        shares, start = [], 0
-        for party in range(1, k + 1):
-            stop = start + base + (party <= extra)
-            first = senders[start]
-            shares.append(PartyShare(party, senders[start:stop],
-                                     tuple(range(first + (1 < first < g), senders[stop - 1] + 2))))
-            start = stop
         vars(self).update(  # frozen: set past the dataclass's __setattr__
             blocks=blocks,  # the GHZ block, then each Bell pair, 1-based
-            shares=tuple(shares),
             alice_qubits=senders,
             sender_mask=sum(1 << (n - q) for q in senders),
             lead_mask=sum(1 << (n - block[0]) for block in blocks),
@@ -197,6 +186,22 @@ class DnkSpec:
     @property
     def bob_qubits(self) -> tuple[int, ...]:
         return tuple(block[-1] for block in self.blocks)
+
+    @functools.cached_property
+    def shares(self) -> tuple[PartyShare, ...]:
+        """Each sender's run of sender qubits, built on first read: ``security``, a
+        plain ``encode`` and every decode read none.  A run carries a run of message
+        bits: a lead q carries q and q + 1, a later GHZ sender q only q + 1."""
+        senders, g = self.alice_qubits, self.ghz_size
+        base, extra = divmod(len(senders), self.n_senders)
+        shares, start = [], 0
+        for party in range(1, self.n_senders + 1):
+            stop = start + base + (party <= extra)
+            first = senders[start]
+            shares.append(PartyShare(party, senders[start:stop],
+                                     tuple(range(first + (1 < first < g), senders[stop - 1] + 2))))
+            start = stop
+        return tuple(shares)
 
     # The arrays are built on first read, so that a spec read only for its blocks,
     # as ``security`` reads one, never pays for them: D(62, 1)'s support alone would
@@ -371,16 +376,18 @@ def _gram_report(n_bits: int, cols: np.ndarray, vals: np.ndarray) -> GramReport:
     against the identity, one block per coset of the support (named by its smallest
     column; words on two cosets have a product of exactly 0), padded to the fullest coset
     so that an encoder repeating a word still shows."""
-    order = np.argsort(cols[:, 0], kind="stable")
+    order = cols[:, 0].argsort(kind="stable")
     key = cols[order, 0]
-    rank = np.arange(len(key)) - np.searchsorted(key, key)  # place within the coset
-    coset, size = np.cumsum(rank == 0) - 1, rank.max() + 1
+    rank = np.arange(len(key)) - key.searchsorted(key)  # place within the coset
+    coset, size = (rank == 0).cumsum() - 1, np.maximum.reduce(rank) + 1
     blocks = np.zeros((coset[-1] + 1, size, vals.shape[1]))
     blocks[coset, rank] = vals[order]
     gram = blocks @ blocks.transpose(0, 2, 1)
-    off = np.max(np.abs(gram), where=~np.eye(size, dtype=bool), initial=0.0)
-    filled = np.arange(size) < np.bincount(coset)[:, None]  # padding rows have a 0 diagonal
-    deviation = np.max(np.abs(np.diagonal(gram, 0, 1, 2) - filled))
+    places = np.arange(size)
+    off = np.maximum.reduce(np.abs(gram), axis=None, initial=0.0,
+                            where=places[:, None] != places)
+    filled = places < np.bincount(coset)[:, None]  # padding rows have a 0 diagonal
+    deviation = np.maximum.reduce(np.abs(gram.diagonal(0, 1, 2) - filled), axis=None)
     return GramReport(n_bits, 2**n_bits, float(off), float(deviation))
 
 
@@ -422,7 +429,7 @@ def _coset_indices(s: np.ndarray, t: np.ndarray, spec: DnkSpec) -> tuple[np.ndar
     """Message index and best |circuit output| of each coset s ^ support, from ``t``
     (batch, 2**B), its amplitudes at s ^ support in support order."""
     out = _circuit_outputs(t, spec)
-    return _message_indices(s, out.argmax(axis=1), spec), out.max(axis=1)
+    return _message_indices(s, out.argmax(axis=1), spec), np.maximum.reduce(out, axis=1)
 
 
 def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
@@ -441,15 +448,15 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     sqrt(2 (1 - T**2)) ~ 2.0e-3 < T 2**(-B/2), so s would lie on C."""
     n, reps = spec.n_qubits, spec.coset_reps
     out = _circuit_outputs(amps[reps[:, None] ^ spec.support], spec)
-    overlap = float(out.max())
+    overlap = float(np.maximum.reduce(out, axis=None))
     probs = np.empty((2,) * n)
     probs.reshape(-1)[reps[:, None] | spec.lead_support] = out**2
     pair_number = itertools.count(1)
     suspects = []
     for block in spec.blocks:
         name = "ghz" if len(block) > 2 else f"pair{next(pair_number)}"
-        marginal = probs.sum(axis=tuple(ax for ax in range(n) if ax + 1 not in block))
-        if float(marginal.max()) < OVERLAP_THRESHOLD**2:
+        marginal = np.add.reduce(probs, axis=tuple(ax for ax in range(n) if ax + 1 not in block))
+        if float(np.maximum.reduce(marginal, axis=None)) < OVERLAP_THRESHOLD**2:
             suspects.append(name)
     raise NoMatchError(
         f"state matches no code word (best overlap {overlap:.6f}; "

@@ -21,16 +21,16 @@ _EIG_CUTOFF = 1e-12  # eigenvalues at or below this contribute 0 to entropy
 
 
 def _check_traces(traces: np.ndarray) -> None:
-    """Every trace must be 1 within ``DEFAULT_TOLERANCE``."""
-    traces = np.ravel(traces)
-    bad = np.flatnonzero(np.abs(traces.real - 1.0) > DEFAULT_TOLERANCE)
+    """Every trace, an array or a numpy scalar, must be 1 within ``DEFAULT_TOLERANCE``."""
+    traces = traces.ravel()
+    bad = (np.abs(traces.real - 1.0) > DEFAULT_TOLERANCE).nonzero()[0]
     if bad.size:
         raise ValueError(f"trace is {traces[bad[0]]!r}, expected 1")
 
 
 def _psd(eigs: np.ndarray) -> np.ndarray:
     """``eigs``, once none is below ``-DEFAULT_TOLERANCE``."""
-    if eigs.min() < -DEFAULT_TOLERANCE:
+    if np.minimum.reduce(eigs, axis=None) < -DEFAULT_TOLERANCE:
         raise ValueError("density matrix has a negative eigenvalue")
     return eigs
 
@@ -42,12 +42,12 @@ def _density_spectra(m: np.ndarray) -> np.ndarray:
     Every matrix must be finite, Hermitian, of unit trace and PSD, each
     within ``DEFAULT_TOLERANCE``; the PSD check reads the returned spectra.
     """
-    if not np.isfinite(m).all():
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("density matrix has non-finite entries")
-    m_h = np.swapaxes(m, -1, -2).conj()  # a view when m is real
-    if np.max(np.abs(m - m_h)) > DEFAULT_TOLERANCE:
+    m_h = m.swapaxes(-1, -2).conj()  # a view when m is real
+    if np.maximum.reduce(np.abs(m - m_h), axis=None) > DEFAULT_TOLERANCE:
         raise ValueError("density matrix is not Hermitian")
-    _check_traces(np.trace(m, axis1=-2, axis2=-1))
+    _check_traces(m.trace(axis1=-2, axis2=-1))
     return _psd(np.linalg.eigvalsh((m + m_h) / 2))
 
 
@@ -144,7 +144,7 @@ def _entropies(spectra: np.ndarray) -> np.ndarray:
     """-sum(lam * log2(lam)) along the last axis, in bits; eigenvalues at or
     below the cutoff count as 1, which contributes 0."""
     eigs = np.where(spectra > _EIG_CUTOFF, spectra, 1.0)
-    return -np.sum(eigs * np.log2(eigs), axis=-1)
+    return -np.add.reduce(eigs * np.log2(eigs), axis=-1)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -184,8 +184,9 @@ _STACK_BYTES = 2**20
 def _mixedness_residual(rho: np.ndarray, dim: int | None = None) -> np.ndarray:
     """Largest entry of |rho - I/dim| for a matrix or each matrix of a stack;
     ``dim`` defaults to the matrix size."""
-    size = rho.shape[-1]
-    return np.abs(rho - np.eye(size) / (dim or size)).max(axis=(-2, -1))
+    places = np.arange(rho.shape[-1])
+    eye = places[:, None] == places  # True / dim is exactly np.eye's 1.0 / dim
+    return np.maximum.reduce(np.abs(rho - eye / (dim or places.size)), axis=(-2, -1))
 
 
 def _distinct_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,16 +198,16 @@ def _distinct_ranks(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     steps = np.zeros(keys.shape, np.int64)
     np.not_equal(ordered[:, 1:], ordered[:, :-1], out=steps[:, 1:])
     dense = steps.cumsum(axis=1)
-    ranks = np.empty_like(dense)
+    ranks = np.empty(keys.shape, np.int64)
     ranks[rows, order] = dense
     return ranks, dense[:, -1] + 1
 
 
 def _weights(values: np.ndarray) -> np.ndarray:
     """|v|^2 of the amplitudes ``values``, once all are finite; real when they are."""
-    if not np.isfinite(values).all():
+    if not np.logical_and.reduce(np.isfinite(values), axis=None):
         raise ValueError("density matrix has non-finite entries")
-    return values.real**2 + values.imag**2 if np.iscomplexobj(values) else values * values
+    return values.real**2 + values.imag**2 if values.dtype.kind == "c" else values * values
 
 
 def _marginals(
@@ -242,16 +243,16 @@ def _marginals(
         count = len(batch)
         ranks, counts = _distinct_ranks(np.concatenate([support & batch, support & ~batch]))
         dropped = (counts[:count] < dim) / dim  # a zero diagonal entry
-        diagonal = np.flatnonzero(counts[count:] == k)  # one entry per column key
+        diagonal = (counts[count:] == k).nonzero()[0]  # one entry per column key
         if diagonal.size:
             at = ranks[diagonal] + rows * np.arange(diagonal.size)[:, None]
-            diag = np.bincount(at.ravel(), np.tile(weights, diagonal.size),
+            diag = np.bincount(at.ravel(), weights[None].repeat(diagonal.size, 0).ravel(),
                                diagonal.size * rows).reshape(-1, rows)
-            _check_traces(diag.sum(axis=1))
+            _check_traces(np.add.reduce(diag, axis=1))
             spectra[start + diagonal] = diag
-            residuals[start + diagonal] = np.maximum(np.abs(diag - 1 / dim).max(axis=1),
-                                                     dropped[diagonal])
-        other = np.flatnonzero(counts[count:] < k)
+            residuals[start + diagonal] = np.maximum(
+                np.maximum.reduce(np.abs(diag - 1 / dim), axis=1), dropped[diagonal])
+        other = (counts[count:] < k).nonzero()[0]
         if other.size:
             a = np.zeros((other.size, rows, cols), values.dtype)
             a[np.arange(other.size)[:, None], ranks[other], ranks[count + other]] = values
@@ -268,9 +269,9 @@ def _support(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     values, real when no amplitude has an imaginary part."""
     amps = state.amplitudes
     # two float comparisons run about twice as fast as flatnonzero on complex
-    support = np.flatnonzero((amps.real != 0) | (amps.imag != 0))
+    support = ((amps.real != 0) | (amps.imag != 0)).nonzero()[0]
     values = amps[support]
-    return support, values if values.imag.any() else values.real
+    return support, values if np.logical_or.reduce(values.imag != 0) else values.real
 
 
 def entanglement_verdicts(
@@ -292,22 +293,22 @@ def entanglement_verdicts(
     residuals, entropies = [], []
     for m in range(1, n // 2 + 1):
         size_sides = list(itertools.combinations(range(1, n + 1), m))
-        masks = (1 << (n - np.array(size_sides, dtype=np.int64))).sum(axis=1)
+        masks = np.add.reduce(1 << (n - np.array(size_sides, dtype=np.int64)), axis=1)
         spectra, residual = _marginals(n, support, values, masks, m)
         entropies.append(_entropies(spectra))
         residuals.append(residual)
         sides += size_sides
     residual = np.concatenate(residuals)
     entropy = np.concatenate(entropies)
-    over = np.flatnonzero(residual > tol)
+    over = (residual > tol).nonzero()[0]
     failing = sides[over[0]] if over.size else None
     ame = AmeReport(
         failing is None,
-        max(0.0, float(residual.max())),
+        max(0.0, float(np.maximum.reduce(residual))),
         dict(zip(sides, entropy.tolist())),
         failing,
     )
-    return ame, bool(np.all(entropy > tol))
+    return ame, bool(np.logical_and.reduce(entropy > tol))
 
 
 def _block_sizes(block_sizes: Iterable[int]) -> list[int]:
@@ -389,7 +390,8 @@ def _receiver_marginal(
         mask = np.array([sum(1 << (n - q) for q in bob)])
         spectra, residuals = _marginals(n, *_support(state_or_rho), mask, len(bob))
         zeros = np.zeros(2 ** len(bob) - spectra.shape[1])
-        spectrum = np.sort(np.concatenate([spectra[0], zeros]))
+        spectrum = np.concatenate([spectra[0], zeros])
+        spectrum.sort()
         return len(bob), spectrum, float(residuals[0]), len(alice_set) + float(_entropies(spectrum))
     rho_b = partial_trace(state_or_rho, bob)
     spectrum = rho_b.eigenvalues()
@@ -455,9 +457,10 @@ def layout_optimality(
     values = np.asarray(values)
     if values.shape != (2 ** len(sizes),):
         raise ValueError(f"{len(sizes)} blocks need {2 ** len(sizes)} values, got {values.shape}")
-    weights = _weights(values)
-    _check_traces(weights.sum())
+    weights = _weights(values)  # a fresh array: sorted in place below
+    _check_traces(np.add.reduce(weights))
     n, n_bob = sum(sizes), len(sizes)
-    residual = float(np.abs(weights - 1 / 2**n_bob).max())
-    cap = n - n_bob + float(_entropies(np.sort(weights)))
+    residual = float(np.maximum.reduce(np.abs(weights - 1 / 2**n_bob)))
+    weights.sort()
+    cap = n - n_bob + float(_entropies(weights))
     return _optimality_verdicts(n, n_bob, residual, cap, tol)

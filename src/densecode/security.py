@@ -106,7 +106,7 @@ def unitarity_residual(matrix: np.ndarray) -> float:
         raise ValueError(f"unitarity is defined for a square matrix, got shape {m.shape}")
     gram = m.conj().T @ m
     gram.flat[:: m.shape[0] + 1] -= 1.0  # the identity's diagonal, without building it
-    return float(np.abs(gram).max())
+    return float(np.maximum.reduce(np.abs(gram), axis=None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +122,7 @@ class EveAttack:
         m = np.array(self.unitary, dtype=complex, order="C")
         if m.shape != (4, 4):
             raise ValueError(f"attack must be a 4x4 matrix, got shape {m.shape}")
-        if not np.isfinite(m).all():
+        if not np.logical_and.reduce(np.isfinite(m), axis=None):
             raise ValueError("attack matrix has non-finite entries")
         residual = unitarity_residual(m)
         if not residual <= UNITARY_TOLERANCE:

@@ -89,20 +89,22 @@ class StateVector:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
         size = 2**self.n_qubits
         many = size > CHUNK
-        src = (np.ravel(self.amplitudes) if many  # C order, as np.array reads it
+        src = (np.asarray(self.amplitudes).ravel() if many  # C order, as np.array reads it
                else np.array(self.amplitudes, dtype=complex, order="C").reshape(-1))
         if src.size != size:
             raise ValueError(
                 f"expected {size} amplitudes for {self.n_qubits} qubits, got {src.size}"
             )
         bits = _bits(src) if size >= _SPARSE else None
-        sparse = bits is not None and not bits[:CHUNK].max()  # the max is a SIMD pass
+        # the max is a SIMD pass, called as the ufunc's reduce: ``.max()`` forwards
+        # through numpy's Python layer, which costs a cold call more than the pass
+        sparse = bits is not None and not np.maximum.reduce(bits[:CHUNK], axis=None)
         amps = (np.zeros(size, dtype=complex) if sparse  # the private copy
                 else np.empty(size, dtype=complex) if many else src)
         flat = part = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
         weights, norm_sq, i = (), 0.0, 0
         while i < size:  # not a for over a range, which costs a small state 0.5 us cold
-            if sparse and not bits[i:i + CHUNK].max():
+            if sparse and not np.maximum.reduce(bits[i:i + CHUNK], axis=None):
                 weight = 0.0  # +0.0 in the input and in np.zeros: the copy is made
             else:
                 if many:
@@ -311,4 +313,4 @@ def equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = PHASE_
     if abs(overlap) < 1e-12:
         return False
     phase = overlap / abs(overlap)
-    return bool(np.max(np.abs(a.amplitudes - phase * b.amplitudes)) <= tol)
+    return bool(np.maximum.reduce(np.abs(a.amplitudes - phase * b.amplitudes)) <= tol)
