@@ -181,6 +181,19 @@ def _reject_constant(name: str) -> None:
     raise ValueError(f"non-finite number {name} is not allowed")
 
 
+def _refuse_constants(path: str, text: str) -> None:
+    """Raise the "cannot read" error of the strict parse of an attack file's
+    ``text``, which refuses NaN, Infinity and -Infinity, if it gives one.  A file
+    is parsed with json's default decoder, which takes them, and again strictly
+    only when its rows fail to parse, are refused, or hold a non-finite number:
+    the strict parse names the first constant or the first syntax error, in the
+    order the file reads, so each error is the one a strict parse alone gives."""
+    try:
+        json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:
+        raise ValueError(f"cannot read attack matrix file {path!r}: {exc}") from exc
+
+
 # One validated instance per preset, built once at import: an ``EveAttack`` is
 # frozen with a read-only unitary, so every op can share it.
 _ATTACKS = {name: make() for name, make in security.ATTACK_PRESETS.items()}
@@ -193,23 +206,29 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
         return _ATTACKS[spec_text]
     if spec_text.startswith("file:"):
         path = spec_text[len("file:"):]
+        text = None
         try:
             with open(path, "rb", buffering=0) as fh:  # one read of the whole file
                 data = fh.read()
             # decoded as text mode reads it: UTF-8, each \r\n and \r a \n
             text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-            rows = json.loads(text, parse_constant=_reject_constant)
+            rows = json.loads(text)
         except (OSError, ValueError) as exc:
+            if text is not None:
+                _refuse_constants(path, text)
             raise ValueError(f"cannot read attack matrix file {path!r}: {exc}") from exc
         try:
             matrix = np.array(
                 [[complex(re, im) for re, im in row] for row in rows], dtype=complex
             )
         except (OverflowError, TypeError, ValueError) as exc:  # an int too large for a float
+            _refuse_constants(path, text)
             raise ValueError(
                 f"malformed attack matrix in {path!r}: expected 4 rows of 4 "
                 f"[re, im] pairs ({exc})"
             ) from exc
+        if not np.logical_and.reduce(np.isfinite(matrix), axis=None):
+            _refuse_constants(path, text)  # else a number past float range, as 1e999
         try:
             return security.EveAttack(matrix)
         except ValueError as exc:
@@ -301,15 +320,16 @@ def _column(col: tuple) -> Any:
 
 
 def _rows(rows: list, pad: str) -> Any:
-    """The texts of ``rows``, each as ``_json(row, pad)`` writes it, with one
-    ``%`` per row, when there are at least ``_TABLE_ROWS`` rows, all lists of
-    one length >= 1 whose columns each hold only ints or only floats
-    (``_column``).  None for any other list, and for a table with a non-finite
-    float, so that the recursive path raises on the first in document order,
-    as ``json.dumps`` does."""
+    """The texts of ``rows``, as ``_json`` joins them for ``pad``, as one text
+    made by one ``%`` over a format of every row, when there are at least
+    ``_TABLE_ROWS`` rows, all lists of one length >= 1 whose columns each hold
+    only ints or only floats (``_column``).  None for any other list, and for a
+    table with a non-finite float, so that the recursive path raises on the
+    first in document order, as ``json.dumps`` does."""
     if len(rows) < _TABLE_ROWS or set(map(type, rows)) != {list}:
         return None
-    if len(set(map(len, rows))) != 1 or not rows[0]:
+    width = len(rows[0])
+    if len(set(map(len, rows))) != 1 or not width:
         return None
     try:
         cols = [_column(col) for col in zip(*rows)]
@@ -318,9 +338,12 @@ def _rows(rows: list, pad: str) -> Any:
     if None in cols:
         return None
     specs, values = zip(*cols)
+    flat = [None] * (len(rows) * width)  # row by row, as the format reads them
+    for j, column in enumerate(values):
+        flat[j::width] = column
     inner = pad + "  " if pad else ""
     row = "[" + inner + ("," + (inner or " ")).join(specs) + pad + "]"
-    return map(row.__mod__, zip(*values))
+    return [("," + (pad or " ")).join([row] * len(rows)) % tuple(flat)]
 
 
 def _json(value: Any, pad: str) -> str:

@@ -127,10 +127,12 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _unions(masks: Sequence[int], dtype: np.dtype) -> np.ndarray:
     """The 2**len(masks) unions of the disjoint ``masks``, each lying below the ones
     before it, ascending: bit j of a union's place, from the top, selects mask j, so
-    each mask from the last doubles the list."""
-    unions = np.zeros(1, dtype=dtype)
+    each mask from the last doubles the list, into the upper half of one array."""
+    unions = np.zeros(2 ** len(masks), dtype=dtype)
+    size = 1
     for mask in reversed(masks):
-        unions = np.concatenate((unions, unions | mask))
+        np.bitwise_or(unions[:size], mask, out=unions[size:2 * size])
+        size *= 2
     return _frozen(unions)
 
 
@@ -473,40 +475,50 @@ _SCAN = 2**13
 _ON_COSET = 2 * math.sqrt(1 - OVERLAP_THRESHOLD**2)
 
 
+def _heavy_argmax(amps: np.ndarray, enough: float,
+                  weights: Sequence[float]) -> Optional[int]:
+    """The index ``_argmax_abs(amps, enough)`` returns, read only from the chunks of
+    ``amps`` whose weight in ``weights``, a state's ``_chunk_weights`` (the |amps|^2
+    of each ``CHUNK``), is not below (enough/2)**2, in passes of ``_SCAN`` entries
+    through one reused buffer; None when no pass stops and a chunk was skipped.
+
+    A lighter chunk holds neither a NaN nor a magnitude >= ``enough``, whose square
+    alone would outweigh it 4 to 1, far past any rounding of the sum, so no pass in it
+    could stop, and it is never read: a state's dead chunks, of weight 0.0, may hold
+    anything.  A chunk starts on a pass, so the first pass that stops is the one the
+    full scan stops at.  A pass that stops returns its argmax at once; else a later
+    pass wins only with a strictly larger magnitude, or with a NaN over a number,
+    which keeps the first largest magnitude or the first NaN, as the full argmax does.
+    The buffer is writeable: numpy copies a read-only array, such as a state's own
+    amplitudes, before its argmax."""
+    light = (enough / 2) ** 2
+    buf = np.empty(min(len(amps), _SCAN), dtype=amps.real.dtype)  # |amps|' dtype
+    top, at, skipped = -1.0, 0, False  # below every magnitude: the first pass takes over
+    for start, weight in zip(range(0, len(amps), CHUNK), weights):
+        if weight < light:
+            skipped = True
+            continue
+        for i in range(start, min(start + CHUNK, len(amps)), _SCAN):
+            part = np.abs(amps[i:i + _SCAN], out=buf[:len(amps) - i])
+            j = int(part.argmax())
+            if math.isnan(part[j]) or part[j] >= enough:
+                return i + j
+            if part[j] > top:
+                top, at = part[j], i + j
+    return None if skipped else at
+
+
 def _argmax_abs(amps: np.ndarray, enough: float = math.inf,
                 weights: Optional[Sequence[float]] = None) -> int:
-    """``np.abs(amps).argmax()`` bitwise, in passes of ``_SCAN`` entries through one
-    reused buffer, so a decode allocates no 2**n array of its own, except that the
-    argmax of the first pass whose largest magnitude reaches ``enough`` is returned at
-    once.  A later pass wins only with a strictly larger magnitude, or with a NaN over a
-    number, which keeps the first largest magnitude or the first NaN, as the full argmax
-    does.  The buffer is writeable: numpy copies a read-only array, such as a state's
-    own amplitudes, before its argmax.
-
-    ``weights``, a state's ``_chunk_weights``, are the |amps|^2 of each ``CHUNK`` of
-    ``amps``.  With them the passes start at the first chunk whose weight is not below
-    (enough/2)**2: a lighter chunk holds neither a NaN nor a magnitude >= ``enough``,
-    whose square alone would outweigh it 4 to 1, far past any rounding of the sum, so no
-    pass in it could stop.  A chunk starts on a pass, so a pass that stops is the one
-    the full scan stops at.  Skipped chunks matter only when no pass stops, and then the
-    scan reruns from 0 without weights."""
-    start = 0
-    if weights is not None:
-        light = (enough / 2) ** 2
-        for weight in weights:
-            if not weight < light:
-                break
-            start += CHUNK
-    buf = np.empty(min(len(amps), _SCAN), dtype=amps.real.dtype)  # |amps|' dtype
-    top, at = -1.0, 0  # below every magnitude: the first pass always takes over
-    for i in range(start, len(amps), _SCAN):
-        part = np.abs(amps[i:i + _SCAN], out=buf[:len(amps) - i])
-        j = int(part.argmax())
-        if math.isnan(part[j]) or part[j] >= enough:
-            return i + j
-        if part[j] > top:
-            top, at = part[j], i + j
-    return _argmax_abs(amps, enough) if start else at
+    """``np.abs(amps).argmax()`` bitwise, so a decode allocates no 2**n array of its
+    own, except that the argmax of the first pass whose largest magnitude reaches
+    ``enough`` is returned at once (``_heavy_argmax``).  With ``weights``, the chunks
+    too light to stop a pass are skipped; when no pass stops, the scan reruns over
+    every chunk without them."""
+    at = None if weights is None else _heavy_argmax(amps, enough, weights)
+    if at is None:
+        at = _heavy_argmax(amps, enough, (math.inf,) * -(-len(amps) // CHUNK))
+    return at
 
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
@@ -516,14 +528,19 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
 
     The scan for s = argmax |psi| stops at the first pass holding a magnitude of at
     least ``_ON_COSET`` = 2 sqrt(1 - T**2) ~ 2.8e-3, T = OVERLAP_THRESHOLD, and takes
-    that pass's argmax; it starts at the first chunk of the state's copy heavy enough
-    to hold one, by the chunk weights the state took as it copied its amplitudes.  Were
+    that pass's argmax; it reads only the chunks of the state's copy heavy enough to
+    hold one, by the chunk weights the state took as it copied its amplitudes.  Were
     output a of coset C at least T, C would hold weight at least T**2 (the lead
     Hadamards are unitary), so every amplitude off C would be at most
     sqrt(1 + NORM_TOLERANCE - T**2) ~ 1.4e-3: a pass that stops has found an index on
     C, from which the outputs are bitwise those from argmax |psi|.  If no coset reaches
     T, ``_no_match`` reads the whole register, whatever s is.  So the message, or the
-    error, is the full scan's."""
+    error, is the full scan's.
+
+    The copy is read in place: a dead chunk, one the state left unwritten as it held
+    only zero bits, is never scanned (its weight is 0.0) and reads as +0.0 where the
+    coset holds an index in it.  Only ``_no_match`` and the rescan after a scan that
+    stopped nowhere read ``state.amplitudes``, which builds the full copy."""
     if state.n_qubits != spec.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, layout expects {spec.n_qubits}"
@@ -532,11 +549,21 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
         return _overlap_decode(dnk_code_basis(spec.n_bits, spec.n_senders), state)
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
-    amps = state.amplitudes
-    s = np.array([_argmax_abs(amps, _ON_COSET, state._chunk_weights)])
-    msgs, best = _coset_indices(s, amps[s[:, None] ^ spec.support], spec)
+    amps, dead = state._copy, state._dead
+    at = _heavy_argmax(amps, _ON_COSET, state._chunk_weights)
+    if at is None:
+        amps, dead = state.amplitudes, ()
+        at = _argmax_abs(amps, _ON_COSET)
+    s = np.array([at])
+    coset = s[:, None] ^ spec.support
+    t = amps[coset]
+    if dead:
+        is_dead = np.zeros(len(state._chunk_weights), dtype=bool)
+        is_dead[list(dead)] = True
+        t[is_dead[coset // CHUNK]] = 0.0
+    msgs, best = _coset_indices(s, t, spec)
     if not best[0] >= OVERLAP_THRESHOLD:
-        _no_match(amps, spec)
+        _no_match(state.amplitudes, spec)
     return Message.from_string(format(int(msgs[0]), f"0{spec.n_qubits}b"))
 
 

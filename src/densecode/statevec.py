@@ -44,15 +44,6 @@ def _finite(name: str, value: float, high: float = math.inf) -> None:
         raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
 
 
-# An input of this many amplitudes or more whose first chunk holds only zero bits
-# is copied into np.zeros, which leaves the pages of every chunk of zero bits
-# untouched.  A smaller array comes from warm heap memory, which np.zeros must
-# clear: with the floor at 2**15, a GHZ code word's receive and decode took 8, 24
-# and 11 us longer at 2**15, 2**16 and 2**17 amplitudes (medians of 7 pairs of
-# cold calls, two shared x86-64 cores).
-_SPARSE = 2**18
-
-
 def _bits(src: np.ndarray) -> np.ndarray | None:
     """The bits of a contiguous numeric ``src`` as unsigned ints, one row per
     amplitude, so that a slice of rows is all zero bits exactly when its max is 0;
@@ -71,14 +62,16 @@ class StateVector:
     and ``_chunk_weights``, the |psi|^2 of each ``CHUNK`` of that copy in order,
     which a decode's scan reads to skip the chunks too light to stop it.  A state
     of one chunk is copied whole by np.array.  A larger one is copied from the
-    C-order ravel of its input a chunk at a time, and each chunk is weighed right
-    after its copy, while it is still in L2: the norm takes no second pass through
-    memory.  A contiguous numeric input of at least ``_SPARSE`` amplitudes whose
-    first chunk holds only zero bits, as most code words of a large layout do, is
-    copied into np.zeros instead, and each chunk of zero bits is left unwritten
-    with weight 0.0, so its pages are never touched: the copy, the weights and the
-    norm are bitwise the same.  |psi|^2, the weights' sum from the left, must lie within
-    NORM_TOLERANCE of 1."""
+    C-order ravel of its input into np.empty a chunk at a time, and each chunk is
+    weighed right after its copy, while it is still in L2: the norm takes no second
+    pass through memory.  Only the chunks that hold a nonzero bit are copied: in a
+    contiguous numeric input, a chunk of zero bits, as most chunks of a large
+    layout's code word are, is left unwritten with weight 0.0, and its chunk
+    number goes into ``_dead``.  Such a copy is ``_copy``; ``amplitudes`` is built
+    from it on first read, with its dead chunks zeroed, then made read-only, so
+    the copy, the weights and the norm are bitwise those of a full copy.  A chunk
+    of -0.0 or of denormals holds nonzero bits and is copied.  |psi|^2, the
+    weights' sum from the left, must lie within NORM_TOLERANCE of 1."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -95,17 +88,16 @@ class StateVector:
             raise ValueError(
                 f"expected {size} amplitudes for {self.n_qubits} qubits, got {src.size}"
             )
-        bits = _bits(src) if size >= _SPARSE else None
-        # the max is a SIMD pass, called as the ufunc's reduce: ``.max()`` forwards
-        # through numpy's Python layer, which costs a cold call more than the pass
-        sparse = bits is not None and not np.maximum.reduce(bits[:CHUNK], axis=None)
-        amps = (np.zeros(size, dtype=complex) if sparse  # the private copy
-                else np.empty(size, dtype=complex) if many else src)
+        bits = _bits(src) if many else None
+        amps = np.empty(size, dtype=complex) if many else src  # the private copy
         flat = part = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
-        weights, norm_sq, i = (), 0.0, 0
+        weights, dead, norm_sq, i = (), (), 0.0, 0
         while i < size:  # not a for over a range, which costs a small state 0.5 us cold
-            if sparse and not np.maximum.reduce(bits[i:i + CHUNK], axis=None):
-                weight = 0.0  # +0.0 in the input and in np.zeros: the copy is made
+            # the max is a SIMD pass, called as the ufunc's reduce: ``.max()`` forwards
+            # through numpy's Python layer, which costs a cold call more than the pass
+            if bits is not None and not np.maximum.reduce(bits[i:i + CHUNK], axis=None):
+                weight = 0.0  # +0.0 in the input: zeroed on the first read of amplitudes
+                dead += (i // CHUNK,)
             else:
                 if many:
                     amps[i:i + CHUNK] = src[i:i + CHUNK]
@@ -118,9 +110,27 @@ class StateVector:
             i += CHUNK
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "_chunk_weights", weights)
+        state = vars(self)  # frozen: set past the dataclass's __setattr__
+        if dead:
+            del state["amplitudes"]  # built by __getattr__ on first read
+        else:
+            amps.flags.writeable = False
+            state["amplitudes"] = amps
+        state.update(_chunk_weights=weights, _copy=amps, _dead=dead)
+
+    def __getattr__(self, name: str) -> Any:
+        """``amplitudes``, on its first read from a copy with dead chunks: they are
+        zeroed and the copy made read-only.  A shallow copy of the state shares the
+        buffer, which the first of them to read it completes."""
+        if name != "amplitudes" or "_dead" not in vars(self):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        amps = self._copy
+        if amps.flags.writeable:
+            for c in self._dead:
+                amps[c * CHUNK:(c + 1) * CHUNK] = 0.0
+            amps.flags.writeable = False
+        vars(self).update(amplitudes=amps, _dead=())
+        return amps
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit (axis k = qubit k+1)."""
@@ -263,12 +273,15 @@ def apply_pauli_string(state: StateVector, ps: PauliString) -> StateVector:
 def _butterfly(t: np.ndarray, strides: Iterable[int]) -> np.ndarray:
     """A Hadamard on the index bit of each stride of ``t``'s last axis, in the
     order given: each pair (lo, hi) at that stride becomes (lo + hi, lo - hi)
-    times sqrt(1/2), in an array of ``t``'s shape."""
+    times sqrt(1/2), in a new array of ``t``'s shape.  ``t`` is float64 or
+    complex128, whose dtype the scale keeps, so each stride fills one array."""
     shape = t.shape
     for stride in strides:
         v = t.reshape(-1, 2, stride)
-        lo, hi = v[:, :1], v[:, 1:]
-        t = np.concatenate((lo + hi, lo - hi), axis=1) * _SQRT_HALF
+        t = np.empty(v.shape, dtype=v.dtype)
+        np.add(v[:, 0], v[:, 1], out=t[:, 0])
+        np.subtract(v[:, 0], v[:, 1], out=t[:, 1])
+        t *= _SQRT_HALF
     return t.reshape(shape)
 
 

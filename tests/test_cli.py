@@ -412,6 +412,43 @@ def test_security_rejects_non_finite_file(tmp_path, capsys, entry):
     assert str(path) in err
 
 
+# Attack files with a non-finite number, and their one error line.  A file holding
+# NaN, Infinity or -Infinity is refused as unreadable, at the first of them or at an
+# earlier syntax error; 1e999 parses, as inf, and the matrix check refuses it.
+_NAN_ROWS = json.dumps(_CNOT_ROWS).replace("[1, 0]", "[NaN, 0]", 1)
+_NON_FINITE_FILES = {
+    "NaN": (_NAN_ROWS, "cannot read attack matrix file {}: non-finite number NaN is not allowed"),
+    "Infinity": (json.dumps(_CNOT_ROWS).replace("[0, 0]", "[0, Infinity]", 1),
+                 "cannot read attack matrix file {}: non-finite number Infinity is not allowed"),
+    "-Infinity": (json.dumps(_CNOT_ROWS).replace("[1, 0]", "[-Infinity, 0]", 2),
+                  "cannot read attack matrix file {}: "
+                  "non-finite number -Infinity is not allowed"),
+    "1e999": (json.dumps(_CNOT_ROWS).replace("[1, 0]", "[1e999, 0]", 1),
+              "invalid attack matrix in {}: attack matrix has non-finite entries"),
+    "NaN, then a syntax error": (_NAN_ROWS[:-1] + "[0, 0]]",
+                                 "cannot read attack matrix file {}: "
+                                 "non-finite number NaN is not allowed"),
+    "a syntax error, then NaN": ("[[[1, 0] [0, 0]], [[NaN, 0]]]",
+                                 "cannot read attack matrix file {}: "
+                                 "Expecting ',' delimiter: line 1 column 10 (char 9)"),
+    "NaN in a row that is no pair": ("[[[NaN, 0], [0, 0]], [3]]",
+                                     "cannot read attack matrix file {}: "
+                                     "non-finite number NaN is not allowed"),
+    "NaN in three rows": (json.dumps(_CNOT_ROWS[:3]).replace("[0, 0]", "[0, NaN]", 1),
+                          "cannot read attack matrix file {}: "
+                          "non-finite number NaN is not allowed"),
+}
+
+
+@pytest.mark.parametrize("kind", _NON_FINITE_FILES)
+def test_a_non_finite_attack_file_gives_its_exact_line(tmp_path, capsys, kind):
+    text, line = _NON_FINITE_FILES[kind]
+    path = tmp_path / "attack.json"
+    path.write_text(text)
+    code, out, err = run(["security", "--n", "3", "--attack", f"file:{path}"], capsys)
+    assert (code, out, err) == (2, "", f"densecode: {line.format(repr(str(path)))}\n")
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

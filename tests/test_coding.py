@@ -979,6 +979,18 @@ def test_the_scan_starts_at_the_first_chunk_not_below_a_quarter_of_enough_square
     assert _argmax_abs(row, 0.95, (light, heavy, 1.0, 1.0)) == 3  # no stop: the rerun
 
 
+def test_the_scan_never_reads_a_light_chunk():
+    """A light chunk after a heavy one is skipped too, whatever it holds, as a state's
+    dead chunks may hold anything; with no stop, the rerun reads it."""
+    row = np.zeros(4 * CHUNK, dtype=complex)
+    row[[3, CHUNK + 5, 2 * CHUNK + 7]] = 0.3, 9.0, 0.7
+    row[3 * CHUNK + 1] = np.nan
+    light, heavy = 0.0624, 0.0625  # (0.5 / 2)**2 = 0.0625
+    assert _argmax_abs(row, 0.5, (heavy, light, heavy, light)) == 2 * CHUNK + 7
+    assert _argmax_abs(row, 0.8, (heavy, light, heavy, light)) == CHUNK + 5  # the rerun
+    assert _argmax_abs(row, 0.8, (heavy, heavy, heavy, light)) == CHUNK + 5
+
+
 def test_chunk_weights_change_no_scan_of_a_nan_or_inf_row():
     """Rows no state holds, with NaN and inf, scanned with weights=None and with their
     chunks' weights, NaN or inf where a chunk holds one: such a chunk is never skipped."""
@@ -1049,6 +1061,37 @@ def test_decode_that_stops_is_the_full_scan_decode_on_near_threshold_states(n, m
             patch.setattr(coding, "_ON_COSET", math.inf)
             assert [decode_outcome(state, spec) for state in states] == got, (n, k)
     assert {isinstance(outcome, str) for outcome in got} == {True, False}
+
+
+@pytest.mark.parametrize("n", [16, 17, 18])
+def test_decode_reads_a_fresh_copy_in_place_as_it_reads_amplitudes(n):
+    """Code words under a random phase, near-threshold states and a basis state, whose
+    coset reaches into dead chunks, of three layouts, decoded fresh, with 1.0 written
+    into the dead chunks the state left unwritten, and after a first read of
+    ``amplitudes``: the same message or ``NoMatchError``.  The decode of a code word
+    reads no dead chunk and builds no ``amplitudes``."""
+    rng = np.random.default_rng(3900 + n)
+    dead = 0
+    for k in (1, n // 2, n - 1):
+        spec = dnk_spec(n, k)
+        words = dnk_code_words(rng.choice(2**n, 3, replace=False), spec)
+        words = words * np.exp(2j * np.pi * rng.random(3))[:, None]
+        basis = np.zeros(2**n)
+        basis[rng.integers(2**n)] = 1.0
+        for i, amps in enumerate([*words, *near_threshold_states(spec, rng), basis]):
+            amps = np.where(amps == 0, 0.0, amps)  # +0.0, as a receiver writes only the rest
+            fresh = StateVector(n, amps)
+            chunks = fresh._dead
+            dead += len(chunks)
+            for c in chunks:
+                fresh._copy[c * CHUNK:(c + 1) * CHUNK] = 1.0
+            got = decode_outcome(fresh, spec)
+            if i < len(words):  # decoded with the dead chunks left as they were
+                assert isinstance(got, str) and fresh._dead == chunks, (k, i)
+            read_first = StateVector(n, amps)
+            read_first.amplitudes
+            assert decode_outcome(read_first, spec) == got, (k, i)
+    assert dead
 
 
 def test_decode_of_an_18_qubit_word_allocates_no_register_sized_array():

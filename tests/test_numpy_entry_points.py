@@ -54,10 +54,15 @@ WRAPPERS = {
     "_shape_base_impl.py": {"tile"},
     "<__array_function__ internals>": _DISPATCHED,  # numpy < 1.25
 }
+# ``np.concatenate``'s dispatcher, a Python frame under numpy 2.x, refused where no
+# densecode frame calls it: on the encode ops and the receive.  An audit's own
+# ``default_rng`` call enters it from compiled code, under ``cmd_audit``'s frame.
+NO_CONCATENATE = {**WRAPPERS, "multiarray.py": {"concatenate"},
+                  "<__array_function__ internals>": _DISPATCHED | {"concatenate"}}
 
 
-def wrappers_entered(run):
-    """``run()``, and each wrapper of ``WRAPPERS`` it entered from a ``densecode``
+def wrappers_entered(run, wrappers=WRAPPERS):
+    """``run()``, and each wrapper of ``wrappers`` it entered from a ``densecode``
     frame, as "file:wrapper from caller"."""
     entered = []
 
@@ -66,7 +71,7 @@ def wrappers_entered(run):
             return
         code, back = frame.f_code, frame.f_back
         base = os.path.basename(code.co_filename)
-        if (code.co_name in WRAPPERS.get(base, ()) and back is not None
+        if (code.co_name in wrappers.get(base, ()) and back is not None
                 and os.path.dirname(os.path.abspath(back.f_code.co_filename)) == PACKAGE):
             entered.append(f"{base}:{code.co_name} from {back.f_code.co_name}")
 
@@ -112,23 +117,25 @@ CLI_OPS = {
 @pytest.mark.parametrize("name", CLI_OPS)
 def test_a_cli_op_enters_no_numpy_wrapper(name, attack_file):
     argv = [word + attack_file if word == "file:" else word for word in CLI_OPS[name]]
+    wrappers = NO_CONCATENATE if argv[0] == "encode" else WRAPPERS
     clear_caches()
     with contextlib.redirect_stdout(io.StringIO()):
-        code, entered = wrappers_entered(lambda: cli.main([*argv, "--seed", "7"]))
+        code, entered = wrappers_entered(lambda: cli.main([*argv, "--seed", "7"]), wrappers)
     assert code in (0, 4), code  # 4 is the verdict of a detecting attack
     assert not entered, f"{name} entered numpy wrappers: {sorted(set(entered))}"
 
 
 def test_an_18_qubit_receive_enters_no_numpy_wrapper():
-    """The roundtrip receiver's part: the state's chunked copy, whose first chunk of
-    zero bits takes the per-chunk max, and the circuit decode."""
+    """The roundtrip receiver's part: the state's chunked copy, which takes the max of
+    each chunk's bits, and the circuit decode, which reads the copy in place."""
     message = "110101100111010110"
     spec = coding.dnk_spec(18, 17)
     amps = coding.dnk_encoded_state(message, spec).amplitudes.copy()
-    assert not amps[:CHUNK].any()  # the sparse copy, one max per chunk
+    assert not amps[:CHUNK].any()  # the first chunk is dead: the copy skips it
     clear_caches()
     decoded, entered = wrappers_entered(
-        lambda: coding.dnk_decode(StateVector(18, amps), coding.dnk_spec(18, 17)))
+        lambda: coding.dnk_decode(StateVector(18, amps), coding.dnk_spec(18, 17)),
+        NO_CONCATENATE)
     assert str(decoded) == message
     assert not entered, f"the receive entered numpy wrappers: {sorted(set(entered))}"
 

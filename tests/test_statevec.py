@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -247,9 +249,9 @@ def test_a_multi_chunk_state_copies_strided_fortran_and_real_inputs():
         StateVector(17, ref[::2])
 
 
-# From statevec._SPARSE = 2**18 amplitudes, an input whose first chunk holds only
-# zero bits is copied into np.zeros and its chunks of zero bits are left unwritten;
-# every other input is copied chunk by chunk.  Both paths must give the same bytes.
+# Above CHUNK amplitudes, a contiguous numeric input's chunks of zero bits are left
+# unwritten and zeroed on the first read of ``amplitudes``; an object array is copied
+# chunk by chunk.  With the first chunk dead or live, both must give the same bytes.
 
 
 def chunk_cases(n, head_zero):
@@ -310,6 +312,86 @@ def test_a_non_finite_amplitude_after_a_zero_first_chunk_is_refused(n, bad):
         x[5 * CHUNK + 3] = bad
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(n, x)
+
+
+def dead_and_live_inputs(n):
+    """(kind, input) of n-qubit inputs with dead chunks, of zero bits, and live ones:
+    weight 0.36 in chunk 1 and 0.64 in the last; then one more chunk live only
+    through a -0.0, or through a 1e-200 whose weight underflows to 0.0."""
+    x = np.zeros(2**n, dtype=complex)
+    x[CHUNK + 3], x[-5] = 0.6, 0.8j
+    minus_zero, underflow = x.copy(), x.copy()
+    minus_zero[2 * CHUNK + 1] = complex(-0.0, 0.0)
+    underflow[3 * CHUNK + 2] = 1e-200
+    return {"two live": x, "minus zero": minus_zero, "underflow": underflow}
+
+
+def poisoned(n, x):
+    """``StateVector(n, x)`` with its dead chunks, left unwritten in its private copy,
+    filled with NaN, as memory from np.empty may hold anything: no reader sees them."""
+    state = StateVector(n, x)
+    for c in state._dead:
+        state._copy[c * CHUNK:(c + 1) * CHUNK] = np.nan
+    return state
+
+
+# Each reader of a state, as bytes or text; a state with dead chunks must give a
+# full copy's answer whether the reader is the first to read ``amplitudes`` or not.
+STATE_READERS = {
+    "amplitudes": lambda s: s.amplitudes.tobytes(),
+    "read-only": lambda s: (s.amplitudes.flags.writeable, s.amplitudes.flags.c_contiguous),
+    "weights": lambda s: [w.hex() for w in s._chunk_weights],
+    "repr": repr,
+    "tensor": lambda s: (s.tensor().shape, s.tensor().tobytes()),
+    "replace": lambda s: dataclasses.replace(s).amplitudes.tobytes(),
+    "hadamard_all": lambda s: hadamard_all(s).amplitudes.tobytes(),
+    "phase": lambda s: (equal_up_to_global_phase(s, s), equal_up_to_global_phase(
+        s, StateVector(s.n_qubits, s.amplitudes[::-1].copy()))),
+    "copy": lambda s: (copy.copy(s).amplitudes.tobytes(), s.amplitudes.tobytes()),
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)).amplitudes.tobytes(),
+}
+
+
+@pytest.mark.parametrize("n", [17, 18])
+@pytest.mark.parametrize("reader", STATE_READERS)
+def test_dead_chunks_read_as_a_full_copy(n, reader):
+    """The reference is the state of the input as an object array, which is copied
+    chunk by chunk with no chunk left dead."""
+    read = STATE_READERS[reader]
+    for kind, x in dead_and_live_inputs(n).items():
+        full = StateVector(n, x.astype(object))
+        assert "amplitudes" in vars(full), kind
+        state = poisoned(n, x)
+        assert "amplitudes" not in vars(state), kind  # built on first read
+        assert read(state) == read(full), (kind, reader)
+        assert state.amplitudes.tobytes() == x.tobytes(), kind
+        again = poisoned(n, x)
+        again.amplitudes
+        assert read(again) == read(full), (kind, reader)
+
+
+def test_a_live_chunk_of_weight_zero_is_copied():
+    x = dead_and_live_inputs(17)
+    for kind, chunk in (("minus zero", 2), ("underflow", 3)):
+        state = StateVector(17, x[kind])
+        assert state._chunk_weights[chunk] == 0.0 and chunk not in state._dead, kind
+        assert state._dead == tuple(c for c in range(8) if c not in (1, chunk, 7)), kind
+        assert state.amplitudes[chunk * CHUNK:(chunk + 1) * CHUNK].tobytes() == (
+            x[kind][chunk * CHUNK:(chunk + 1) * CHUNK].tobytes()), kind
+
+
+@pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), 2.0])
+def test_a_state_with_dead_chunks_is_refused_with_a_full_copys_text(bad):
+    """A NaN, or a weight past the tolerance, among dead chunks: the norm error text is
+    the one a copy of every chunk gives."""
+    x = dead_and_live_inputs(18)["two live"]
+    x[5 * CHUNK + 7] = bad
+    texts = []
+    for amps in (x, x.astype(object)):
+        with pytest.raises(ValueError, match="not normalized") as caught:
+            StateVector(18, amps)
+        texts.append(str(caught.value))
+    assert texts[0] == texts[1]
 
 
 def test_pauli_string_rejects_duplicate_targets():

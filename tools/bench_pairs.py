@@ -26,7 +26,10 @@ and, under ``control``, for the A/A copy.
 
 Every ``--ops`` command and ``--calls`` statement is then timed in every tree,
 rotating, in CALL_PAIRS rounds of fresh interpreters with one BLAS thread; each
-gets every run and their median.  An op run is the median of OP_CALLS cold
+gets every run and their median, and on the change's side and the control's,
+each round's ratio to the parent's run of that round (``ratios``) and their
+median (``ratio_median``): a ratio pairs runs made close in time, so it resolves
+a shift that the spread between interpreters hides in the medians.  An op run is the median of OP_CALLS cold
 calls of the CLI in-process, in milliseconds, each timed as
 ``clibench/worker.py`` times an op: every ``lru_cache`` of the ``densecode.*``
 modules cleared, ``gc.collect()``, then the op's workload's calibration kernels
@@ -55,6 +58,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+from typing import Optional
 
 import numpy as np
 
@@ -192,13 +196,23 @@ def vs_parent(side: list[dict], parent: list[dict], better: dict) -> dict:
     return out
 
 
-def _medians(timed: dict) -> dict:
-    return {item: {"median": statistics.median(runs), "runs": runs}
-            for item, runs in timed.items()}
+def _medians(timed: dict, parent: Optional[dict] = None) -> dict:
+    """Each item's runs and their median; given the parent's runs, also each
+    rotation's ratio to the parent's run of the same rotation, and their median."""
+    out = {}
+    for item, runs in timed.items():
+        out[item] = {"median": statistics.median(runs), "runs": runs}
+        if parent is not None:
+            ratios = [mine / theirs for mine, theirs in zip(runs, parent[item])]
+            out[item].update(ratios=ratios, ratio_median=statistics.median(ratios))
+    return out
 
 
-def side_doc(runs: dict, ops: dict, calls: dict) -> dict:
-    return {"calls_us": _medians(calls), "single_ops_ms": _medians(ops),
+def side_doc(runs: dict, ops: dict, calls: dict, parent: Optional[dict] = None) -> dict:
+    """One side's file body; ``parent``, the parent's {"ops": ..., "calls": ...}, adds
+    each timed item's ratios to it."""
+    return {"calls_us": _medians(calls, parent and parent["calls"]),
+            "single_ops_ms": _medians(ops, parent and parent["ops"]),
             "workloads": {w: {"runs": r, "summary": summary(r)} for w, r in runs.items() if r}}
 
 
@@ -264,11 +278,14 @@ def main() -> int:
 
         def save_all() -> None:
             shifts = {"vs_parent": comparison(runs, better)}
-            docs = {side: {**side_doc(runs[side], ops[side], calls[side]), **shifts}
-                    for side in ("parent", "change")}
+            timed = {"ops": ops["parent"], "calls": calls["parent"]}
+            docs = {"parent": {**side_doc(runs["parent"], ops["parent"], calls["parent"]),
+                               **shifts},
+                    "change": {**side_doc(runs["change"], ops["change"], calls["change"],
+                                          timed), **shifts}}
             if args.control:
                 docs["parent"]["control"] = side_doc(runs["control"], ops["control"],
-                                                     calls["control"])
+                                                     calls["control"], timed)
             for side, doc in docs.items():
                 save(f"BENCH_{args.label}_{side}.json", side, f"{args.tree} {side}".strip(), doc)
 
@@ -291,7 +308,11 @@ def main() -> int:
                 for side in rotation(i):
                     into[side].setdefault(item, []).append(measure(sides[side], item))
                 save_all()
+            ratios = {side: statistics.median(a / b for a, b in zip(into[side][item],
+                                                                    into["parent"][item]))
+                      for side in sides if side != "parent"}
             print(item, {side: round(statistics.median(into[side][item]), 2) for side in sides},
+                  {f"{side}/parent": f"{ratio - 1:+.1%}" for side, ratio in ratios.items()},
                   flush=True)
     return 0
 
