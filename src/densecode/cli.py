@@ -24,7 +24,12 @@ from . import coding, entanglement, security, statevec
 ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # the largest register the audit benchmark runs (--dnk 12)
 MAX_ENCODE_BITS = 24  # the report's amplitude table: 2^B rows, B <= n/2 blocks, 4096 at 24
-_ROUNDTRIP_WORDS = 64  # the audit decodes every word up to 6 qubits, else 64 seeded picks
+# The audit decodes every word up to 6 qubits, else 64 seeded picks: the images
+# of 0..63 under an affine map x -> a x + b mod 2^n with an odd a, both drawn
+# from the seed by splitmix64 (``_roundtrip_picks``).  That is integer
+# arithmetic, so neither encode nor audit imports numpy.random.
+_ROUNDTRIP_WORDS = 64
+_MASK64 = 2**64 - 1
 
 def _operator_entry(ps: statevec.PauliString) -> dict[str, Any]:
     return {
@@ -122,22 +127,51 @@ def cmd_encode(args: argparse.Namespace) -> tuple[dict, int]:
 # audit
 
 
+def _splitmix64(state: int) -> tuple[int, int]:
+    """splitmix64's next state and its output, from ``state``, in Python ints."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def _roundtrip_picks(seed: int, n: int) -> np.ndarray:
+    """The audit's ``_ROUNDTRIP_WORDS`` messages of ``n`` bits (6 < n <= 62) for
+    ``seed``, sorted, as int64: the images of 0..63 under x -> a x + b mod 2^n,
+    with b and an odd a from the seed's first two splitmix64 outputs.  An odd a
+    makes the map a bijection of Z/2^n, so the picks are distinct and their low
+    6 bits take each value once.  uint64 arrays wrap mod 2^64, which 2^n divides,
+    so the arithmetic is exact; no numpy scalar takes part, as one warns on
+    overflow, and no int64, which numpy 1.24 would promote with uint64 to float."""
+    mask = 2**n - 1
+    state, b = _splitmix64(seed)
+    _, a = _splitmix64(state)
+    picks = np.arange(_ROUNDTRIP_WORDS, dtype=np.uint64)
+    picks *= (a | 1) & mask
+    picks += b & mask
+    picks &= mask
+    picks.sort()
+    return picks.astype(np.int64)
+
+
 def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
     tol = args.tolerance
     spec, params = _named_layout(args)
     params["tolerance"] = tol
 
     n = spec.n_qubits
-    if 2**n <= _ROUNDTRIP_WORDS:  # a draw of every message is range(2**n)
+    if 2**n <= _ROUNDTRIP_WORDS:
         picks = np.arange(2**n)
     else:
-        rng = np.random.default_rng(args.seed)
-        picks = rng.choice(2**n, size=_ROUNDTRIP_WORDS, replace=False)
-        picks.sort()
+        picks = _roundtrip_picks(args.seed, n)
     # One word table for all three checks: every word where the Gram check runs, else
     # the resource (message 0) and the picks.  Row m is bitwise a one-word call's row.
     every_word = n <= coding.MAX_BASIS_BITS
-    table = np.arange(2**n) if every_word else np.concatenate(([0], picks))
+    if every_word:
+        table = np.arange(2**n)
+    else:
+        table = np.zeros(len(picks) + 1, dtype=np.int64)
+        table[1:] = picks
     cols, vals = coding._word_support(table, spec)
     opt = entanglement.layout_optimality(map(len, spec.blocks), vals[0], tol)
     ame, gme, ame_residual = entanglement.layout_verdicts(map(len, spec.blocks), tol)
@@ -185,9 +219,10 @@ def _refuse_constants(path: str, text: str) -> None:
     """Raise the "cannot read" error of the strict parse of an attack file's
     ``text``, which refuses NaN, Infinity and -Infinity, if it gives one.  A file
     is parsed with json's default decoder, which takes them, and again strictly
-    only when its rows fail to parse, are refused, or hold a non-finite number:
-    the strict parse names the first constant or the first syntax error, in the
-    order the file reads, so each error is the one a strict parse alone gives."""
+    only when its rows fail to parse or to make a matrix, or ``EveAttack``
+    refuses the matrix: the strict parse names the first constant or the first
+    syntax error, in the order the file reads, so each error is the one a strict
+    parse alone gives."""
     try:
         json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:
@@ -227,11 +262,10 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
                 f"malformed attack matrix in {path!r}: expected 4 rows of 4 "
                 f"[re, im] pairs ({exc})"
             ) from exc
-        if not np.logical_and.reduce(np.isfinite(matrix), axis=None):
-            _refuse_constants(path, text)  # else a number past float range, as 1e999
         try:
             return security.EveAttack(matrix)
         except ValueError as exc:
+            _refuse_constants(path, text)  # else a number past float range, as 1e999
             raise ValueError(f"invalid attack matrix in {path!r}: {exc}") from exc
     raise ValueError(
         f"unknown attack {spec_text!r}: use none, "

@@ -9,9 +9,11 @@ import math
 import os
 import re
 import stat
+import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -218,23 +220,46 @@ def test_every_audit_builds_its_code_words_once(capsys, monkeypatch):
 
 
 def test_audit_of_at_most_64_words_checks_every_word_with_no_draw(capsys, monkeypatch):
-    """Up to 6 qubits the roundtrip decodes every word: no ``Generator`` is built, and
-    the seed changes nothing in the report but its own field."""
+    """Up to 6 qubits the roundtrip decodes every word, and the seed changes nothing
+    in the report but its own field.  No audit of any size builds a ``Generator``."""
     monkeypatch.setattr(cli.np.random, "default_rng", Forbidden("default_rng"))
-    targets = [t for t in _AUDIT_TARGETS if 2 ** audit_qubits(t) <= 64]
-    assert {audit_qubits(t) for t in targets} == {2, 3, 4, 6}
-    for target in targets:
+    for target in _AUDIT_TARGETS:
         _, first = run_json(["audit", *target, "--seed", "0"], capsys)
+        if 2 ** audit_qubits(target) > 64:
+            continue
         _, second = run_json(["audit", *target, "--seed", "99"], capsys)
         assert (first.pop("seed"), second.pop("seed")) == (0, 99)
         assert first == second, target
         assert first["results"]["roundtrip"]["messages_checked"] == 2 ** audit_qubits(target)
+    assert {audit_qubits(t) for t in _AUDIT_TARGETS if 2 ** audit_qubits(t) <= 64} == {2, 3, 4, 6}
+
+
+def reference_picks(seed, n):
+    """The audit's roundtrip messages in plain Python ints: b and then a, made odd,
+    are the first two splitmix64 outputs of ``seed``, and the picks are the sorted
+    images of 0..63 under x -> a x + b mod 2^n."""
+    mask = 2**64 - 1
+    state, outputs = seed, []
+    for _ in range(2):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        outputs.append(z ^ (z >> 31))
+    b, a = outputs
+    return sorted(((a | 1) * x + b) % 2**n for x in range(64))
+
+
+def test_reference_picks_follow_splitmix64():
+    """splitmix64's published first two outputs from state 0 fix the reference's a and b."""
+    b, a = 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4
+    assert reference_picks(0, 64) == sorted(((a | 1) * x + b) % 2**64 for x in range(64))
 
 
 @pytest.mark.parametrize("n, seed", [(n, 2500 + n) for n in range(7, 13)])
 def test_audit_above_64_words_decodes_the_seeds_draw(capsys, monkeypatch, n, seed):
-    """Above 6 qubits the roundtrip decodes the 64 messages the seed draws, sorted,
-    from the every-word table (up to 10 qubits) or from the 65-row one."""
+    """Above 6 qubits the roundtrip decodes the 64 messages the seed picks, sorted,
+    from the every-word table (up to 10 qubits) or from the 65-row one.  They are
+    distinct, differ from another seed's, and their low 6 bits take each value once."""
     decoded = []
     indices = coding._coset_indices
 
@@ -246,8 +271,57 @@ def test_audit_above_64_words_decodes_the_seeds_draw(capsys, monkeypatch, n, see
     monkeypatch.setattr(coding, "_coset_indices", spy)
     _, report = run_json(["audit", "--ghz", str(n), "--seed", str(seed)], capsys)
     assert report["results"]["roundtrip"] == {"messages_checked": 64, "failures": 0}
-    draw = np.sort(np.random.default_rng(seed).choice(2**n, 64, replace=False))
-    assert len(decoded) == 1 and np.array_equal(decoded[0], draw)
+    picks = reference_picks(seed, n)
+    assert len(decoded) == 1 and decoded[0].tolist() == picks
+    assert len(set(picks)) == 64 and picks == sorted(picks)
+    assert 0 <= picks[0] and picks[-1] < 2**n
+    assert set(picks) != set(reference_picks(seed + 1, n))
+    assert sorted(p % 64 for p in picks) == list(range(64))
+
+
+@pytest.mark.parametrize("n", [7, 31, 32, 33, 62])
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+def test_roundtrip_picks_are_exact_up_to_62_bits(n, seed):
+    """The picks at the sizes up to the audit's widest register: 64 distinct int64
+    messages in [0, 2^n), the reference's, with no overflow warning from numpy."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        picks = cli._roundtrip_picks(seed, n)
+    assert picks.dtype == np.int64 and picks.shape == (64,)
+    assert picks.tolist() == reference_picks(seed, n)
+    assert len(set(picks.tolist())) == 64 and 0 <= picks[0] and picks[-1] < 2**n
+
+
+NUMPY_RANDOM_LOADED = """
+import contextlib, io, json, sys
+import numpy
+before = {name for name in sys.modules if name.startswith("numpy.random")}
+from densecode import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+assert code in (0, 4), code
+print(json.dumps(sorted({name for name in sys.modules if name.startswith("numpy.random")} - before)))
+"""
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["encode", "--message", "1011011101"], False),
+    (["audit", "--ghz", "9"], False),
+    (["security", "--n", "4", "--rounds", "10"], True),
+])
+def test_only_security_imports_numpy_random(argv, loads):
+    """A fresh interpreter's ``encode`` and ``audit`` load no numpy.random module
+    beyond those ``import numpy`` loaded (all of them before numpy 2); ``security``
+    draws its rounds from a ``Generator``, which loads them on numpy 2."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", NUMPY_RANDOM_LOADED, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = json.loads(done.stdout)
+    if not loads:
+        assert loaded == [], loaded
+    elif int(np.__version__.split(".")[0]) >= 2:
+        assert "numpy.random" in loaded, loaded
 
 
 def test_audit_table_shows_an_encoder_that_repeats_a_word(capsys, monkeypatch):

@@ -4,6 +4,7 @@
     python3 tools/bench_pairs.py --parent 0eab35b --label NAME --control \\
         --seeds audit=1401-1410 roundtrip=1501-1510 security=1601-1610 \\
         --ops "audit --ghz 11" "audit --ghz 12" \\
+        --processes "audit --ghz 9" \\
         --calls "spec = dnk_spec(4, 3); state = dnk_state(spec) ;; dnk_decode(state, spec)"
 
 Run it from the root of the checkout under test; ``--parent`` is a git revision
@@ -29,7 +30,13 @@ rotating, in CALL_PAIRS rounds of fresh interpreters with one BLAS thread; each
 gets every run and their median, and on the change's side and the control's,
 each round's ratio to the parent's run of that round (``ratios``) and their
 median (``ratio_median``): a ratio pairs runs made close in time, so it resolves
-a shift that the spread between interpreters hides in the medians.  An op run is the median of OP_CALLS cold
+a shift that the spread between interpreters hides in the medians.  Every
+``--processes`` command is timed the same way, a run being the median wall time
+of PROCESSES fresh ``python -m densecode.cli`` processes of it, after one untimed
+process that writes the tree's bytecode cache (``PYTHONDONTWRITEBYTECODE`` is
+dropped for these): it shows what an op in a warm interpreter cannot, such as a
+module the command imports on first use that the op's calibration kernels have
+already loaded.  An op run is the median of OP_CALLS cold
 calls of the CLI in-process, in milliseconds, each timed as
 ``clibench/worker.py`` times an op: every ``lru_cache`` of the ``densecode.*``
 modules cleared, ``gc.collect()``, then the op's workload's calibration kernels
@@ -58,6 +65,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from typing import Optional
 
 import numpy as np
@@ -90,6 +98,7 @@ for _ in range(calls):
 print(statistics.median(times) * 1e3)
 """
 CALL_PAIRS = 7
+PROCESSES = 21
 CALLS = 201
 CALL = r"""
 import statistics, sys, time
@@ -163,6 +172,22 @@ def single_op_ms(tree: str, op: str) -> float:
     return float(done.stdout)
 
 
+def process_ms(tree: str, command: str) -> float:
+    """The median milliseconds of PROCESSES fresh processes of the CLI command
+    ``command``, after one untimed process that writes the bytecode cache."""
+    env = one_thread_env()
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPATH"] = os.path.join(tree, "src")
+    argv = [sys.executable, "-m", "densecode.cli", *command.split()]
+    times = []
+    for _ in range(PROCESSES + 1):
+        t = time.perf_counter()
+        done = subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL)
+        times.append(time.perf_counter() - t)
+        assert done.returncode in (0, 4), done.returncode  # 4: the security-abort verdict
+    return statistics.median(times[1:]) * 1e3
+
+
 def call_us(tree: str, stmt: str) -> float:
     """The median microseconds of one call of ``stmt``."""
     done = subprocess.run([sys.executable, "-c", CALL, stmt, str(CALLS)], cwd=tree, check=True,
@@ -208,10 +233,12 @@ def _medians(timed: dict, parent: Optional[dict] = None) -> dict:
     return out
 
 
-def side_doc(runs: dict, ops: dict, calls: dict, parent: Optional[dict] = None) -> dict:
-    """One side's file body; ``parent``, the parent's {"ops": ..., "calls": ...}, adds
-    each timed item's ratios to it."""
+def side_doc(runs: dict, ops: dict, calls: dict, processes: dict,
+             parent: Optional[dict] = None) -> dict:
+    """One side's file body; ``parent``, the parent's {"ops": ..., "calls": ...,
+    "processes": ...}, adds each timed item's ratios to it."""
     return {"calls_us": _medians(calls, parent and parent["calls"]),
+            "processes_ms": _medians(processes, parent and parent["processes"]),
             "single_ops_ms": _medians(ops, parent and parent["ops"]),
             "workloads": {w: {"runs": r, "summary": summary(r)} for w, r in runs.items() if r}}
 
@@ -233,6 +260,9 @@ def save(path: str, label: str, tree: str, doc: dict) -> None:
         "cores": os.cpu_count(),
         "label": label,
         "numpy": np.__version__,
+        "processes_method": f"{CALL_PAIRS} rotating rounds, each the median wall time of "
+                            f"{PROCESSES} fresh `python -m densecode.cli` processes after one "
+                            "untimed process that writes the bytecode cache, one BLAS thread",
         "pairing": "the sides run one after the other, the first side rotating each seed; "
                    "each side is a fresh tree under one temporary directory",
         "python": platform.python_version(),
@@ -260,6 +290,8 @@ def main() -> int:
     ap.add_argument("--ops", nargs="*", default=[], help="CLI commands timed as single ops")
     ap.add_argument("--calls", nargs="*", default=[], metavar="STMT",
                     help="Python statements timed in both trees, [SETUP ;; ]STMT")
+    ap.add_argument("--processes", nargs="*", default=[], metavar="ARGV",
+                    help="CLI commands timed as fresh processes")
     args = ap.parse_args()
     with open("BENCHMARK.json", encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
@@ -272,20 +304,22 @@ def main() -> int:
         runs = {side: {w: [] for w, _ in args.seeds} for side in sides}
         ops = {side: {} for side in sides}
         calls = {side: {} for side in sides}
+        processes = {side: {} for side in sides}
 
         def rotation(i: int) -> list[str]:
             return names[i % len(names):] + names[:i % len(names)]
 
         def save_all() -> None:
             shifts = {"vs_parent": comparison(runs, better)}
-            timed = {"ops": ops["parent"], "calls": calls["parent"]}
-            docs = {"parent": {**side_doc(runs["parent"], ops["parent"], calls["parent"]),
-                               **shifts},
-                    "change": {**side_doc(runs["change"], ops["change"], calls["change"],
-                                          timed), **shifts}}
+            timed = {"ops": ops["parent"], "calls": calls["parent"],
+                     "processes": processes["parent"]}
+            docs = {side: {**side_doc(runs[side], ops[side], calls[side], processes[side],
+                                      None if side == "parent" else timed), **shifts}
+                    for side in ("parent", "change")}
             if args.control:
                 docs["parent"]["control"] = side_doc(runs["control"], ops["control"],
-                                                     calls["control"], timed)
+                                                     calls["control"], processes["control"],
+                                                     timed)
             for side, doc in docs.items():
                 save(f"BENCH_{args.label}_{side}.json", side, f"{args.tree} {side}".strip(), doc)
 
@@ -303,6 +337,7 @@ def main() -> int:
                              for side, metrics in shifts.items()}, flush=True)
         timed = [(ops, op, single_op_ms) for op in args.ops]
         timed += [(calls, stmt, call_us) for stmt in args.calls]
+        timed += [(processes, command, process_ms) for command in args.processes]
         for into, item, measure in timed:
             for i in range(CALL_PAIRS):
                 for side in rotation(i):
