@@ -8,18 +8,25 @@ error, 4 security-abort verdict.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
-import re
 import stat
 import sys
-from typing import Any, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
 
 from . import coding, entanglement, security, statevec
+
+from _json import encode_basestring_ascii  # json.encoder's own C escaper
+
+# A plain-form argv imports neither argparse nor json: ``_read_plain`` reads it
+# into a SimpleNamespace, and only an attack file is parsed as JSON.
+if TYPE_CHECKING:
+    import argparse
+
+    Args = SimpleNamespace | argparse.Namespace
 
 ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # the largest register the audit benchmark runs (--dnk 12)
@@ -70,7 +77,7 @@ def _layout(flag: str, n: int, k: int) -> coding.DnkSpec:
     return coding.dnk_spec(n, k)
 
 
-def _named_layout(args: argparse.Namespace) -> tuple[coding.DnkSpec, dict[str, Any]]:
+def _named_layout(args: Args) -> tuple[coding.DnkSpec, dict[str, Any]]:
     """The layout named by the one layout flag the command was given, with that
     flag's params entry: --ghz N is D(N, N-1), --bell P is D(2P, 1), --dnk N K
     is D(N, K), and security's --n N is --ghz N."""
@@ -94,7 +101,7 @@ def _share_entry(share: coding.PartyShare) -> dict[str, Any]:
     return {"qubits": list(share.qubits), "bits": list(share.bits)}
 
 
-def cmd_encode(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_encode(args: Args) -> tuple[dict, int]:
     msg = coding.Message.from_string(args.message)
     n = len(msg)
     if n > MAX_ENCODE_BITS:
@@ -154,7 +161,7 @@ def _roundtrip_picks(seed: int, n: int) -> np.ndarray:
     return picks.astype(np.int64)
 
 
-def cmd_audit(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_audit(args: Args) -> tuple[dict, int]:
     tol = args.tolerance
     spec, params = _named_layout(args)
     params["tolerance"] = tol
@@ -223,6 +230,8 @@ def _refuse_constants(path: str, text: str) -> None:
     refuses the matrix: the strict parse names the first constant or the first
     syntax error, in the order the file reads, so each error is the one a strict
     parse alone gives."""
+    import json
+
     try:
         json.loads(text, parse_constant=_reject_constant)
     except ValueError as exc:
@@ -240,6 +249,8 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
     if spec_text in _ATTACKS:
         return _ATTACKS[spec_text]
     if spec_text.startswith("file:"):
+        import json
+
         path = spec_text[len("file:"):]
         text = None
         try:
@@ -273,7 +284,7 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
     )
 
 
-def cmd_security(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_security(args: Args) -> tuple[dict, int]:
     spec, params = _named_layout(args)
     attack = _load_attack(args.attack)
 
@@ -325,7 +336,7 @@ def _float_json(value: float) -> str:
 
 
 # Each JSON scalar's text by exact type, as ``json.dumps`` writes it.
-_SCALAR = {str: json.encoder.encode_basestring_ascii, int: int.__repr__, float: _float_json,
+_SCALAR = {str: encode_basestring_ascii, int: int.__repr__, float: _float_json,
            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
 
 
@@ -479,7 +490,7 @@ def _write_output(text: str, output: Optional[str]) -> None:
         raise ValueError(f"cannot write the report to {output!r}: {exc.strerror or exc}") from exc
 
 
-def _seed(args: argparse.Namespace) -> int:
+def _seed(args: Args) -> int:
     """``--seed``, else ``$DENSECODE_SEED``, else 0; an integer in [0, 2**63)."""
     if args.seed is not None:
         name, raw = "--seed", args.seed
@@ -492,16 +503,6 @@ def _seed(args: argparse.Namespace) -> int:
     except ValueError:
         pass
     raise ValueError(f"{name} must be an integer in [0, 2**63), got {raw!r}")
-
-
-class _Parser(argparse.ArgumentParser):
-    """Takes a word that starts as a negative number does, -1e-3 and -inf as
-    well as argparse's own -1 and -.5, for a value and never for an option,
-    so that ``_validate`` names the flag of a bad one in one line."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 _COMMON = (
@@ -556,7 +557,20 @@ _COMMAND_FLAGS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser of ``_COMMAND_FLAGS``, one subparser per command."""
+    """A fresh parser of ``_COMMAND_FLAGS``, one subparser per command.  argparse
+    is imported here, by the first argv that is not in plain form."""
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        """Takes a word that starts as a negative number does, -1e-3 and -inf as
+        well as argparse's own -1 and -.5, for a value and never for an option,
+        so that ``_validate`` names the flag of a bad one in one line."""
+
+        def __init__(self, *args: Any, **kwargs: Any) -> None:
+            super().__init__(*args, **kwargs)
+            self._negative_number_matcher = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
     parser = _Parser(
         prog="densecode",
         description="Simulate and audit dense-coding protocols.",
@@ -578,7 +592,7 @@ def _number(flag: str, text: Any, kind: type, want: str) -> Any:
         raise ValueError(f"{flag} must be {want}, got {text!r}") from None
 
 
-def _validate(args: argparse.Namespace) -> None:
+def _validate(args: Args) -> None:
     """Refuse any flag left without a value, then check, in place and in
     declaration order, every flag of the command's ``_CHECKS``: its text
     becomes an int, or a float for a row without a unit.  Then resolve the
@@ -644,12 +658,12 @@ _TABLES = {name: _table(flags) for name, (_, flags) in _COMMAND_FLAGS.items()}
 _CHECKS = {name: _checks(flags) for name, (_, flags) in _COMMAND_FLAGS.items()}
 
 
-def _read_plain(argv: list[str]) -> Optional[argparse.Namespace]:
-    """The namespace argparse builds for an argv in plain form, read from the
-    command's ``_TABLES`` entry, else None.  Plain form: ``argv[0]`` names a
-    command and each later word is one of its exact option strings (not
-    -h/--help), followed by its nargs values, none of which starts with "-";
-    each value is among its choices and every required flag is given."""
+def _read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The fields of the namespace argparse builds for an argv in plain form,
+    read from the command's ``_TABLES`` entry, else None.  Plain form:
+    ``argv[0]`` names a command and each later word is one of its exact option
+    strings (not -h/--help), followed by its nargs values, none of which starts
+    with "-"; each value is among its choices and every required flag is given."""
     table = _TABLES.get(argv[0]) if argv else None
     if table is None:
         return None
@@ -672,12 +686,13 @@ def _read_plain(argv: list[str]) -> Optional[argparse.Namespace]:
         at += 1 + count
     if not required <= values.keys():
         return None
-    return argparse.Namespace(command=argv[0], **{**defaults, **values})
+    return SimpleNamespace(command=argv[0], **{**defaults, **values})
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str]) -> Args:
     """``build_parser().parse_args(argv)``: an argv in plain form is read from
-    its command's option table (``_read_plain``), with no parser built."""
+    its command's option table (``_read_plain``), with no parser built and no
+    argparse imported."""
     return _read_plain(argv) or build_parser().parse_args(argv)
 
 

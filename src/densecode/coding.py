@@ -28,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +42,7 @@ from .statevec import (
     _butterfly,
     _integer,
     _parity,
+    _record,
     compose_labels,
 )
 
@@ -59,7 +59,7 @@ class NoMatchError(Exception):
         self.blocks = blocks
 
 
-@dataclass(frozen=True)
+@_record
 class Message:
     """Classical bit string of length >= 2."""
 
@@ -109,7 +109,7 @@ def all_messages(n: int) -> list[Message]:
 # The layout D(N, k)
 
 
-@dataclass(frozen=True)
+@_record
 class PartyShare:
     """One sender's qubits and the message-bit positions they carry."""
 
@@ -136,7 +136,7 @@ def _unions(masks: Sequence[int], dtype: np.dtype) -> np.ndarray:
     return _frozen(unions)
 
 
-@dataclass(frozen=True)
+@_record
 class DnkSpec:
     """The layout of the distributed scheme D(N, k), for N = ``n_bits`` message bits
     and k = ``n_senders`` senders, which are its only fields.
@@ -290,8 +290,11 @@ def dnk_encoded_state(msg: MessageLike, spec: DnkSpec) -> StateVector:
 # Code bases
 
 
-@dataclass(frozen=True)
+@_record
 class GramReport:
+    """The Gram check of a layout's 2**n_bits code words: the largest |<w_i|w_j>|
+    off the diagonal and the largest |<w_i|w_i> - 1| on it."""
+
     n_bits: int
     dimension: int
     max_off_diagonal: float
@@ -301,7 +304,7 @@ class GramReport:
         return max(self.max_off_diagonal, self.max_diagonal_deviation)
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class CodeBasis:
     """All 2**n code words of a layout, row-stacked for fast overlaps."""
 

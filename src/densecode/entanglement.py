@@ -9,12 +9,12 @@ n qubits).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable, Union
 
 import numpy as np
 
-from .statevec import StateVector, _finite, _integer
+from .statevec import StateVector, _finite, _integer, _record
 
 DEFAULT_TOLERANCE = 1e-9
 _EIG_CUTOFF = 1e-12  # eigenvalues at or below this contribute 0 to entropy
@@ -51,7 +51,7 @@ def _density_spectra(m: np.ndarray) -> np.ndarray:
     return _psd(np.linalg.eigvalsh((m + m_h) / 2))
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class DensityOperator:
     """Hermitian, unit-trace, PSD matrix on a subset of qubits."""
 
@@ -76,7 +76,7 @@ class DensityOperator:
         return self._spectrum
 
 
-@dataclass(frozen=True)
+@_record
 class Bipartition:
     """A split of qubits 1..n into sender side ``alice`` and the complement
     ``bob``, with the convention |bob| <= |alice|."""
@@ -162,7 +162,7 @@ def schmidt_spectrum(state: StateVector, bp: Bipartition) -> np.ndarray:
     return np.clip(eigs, 0.0, None)[::-1]
 
 
-@dataclass(frozen=True)
+@_record
 class AmeReport:
     """Verdict of the every-bipartition maximal-mixedness test."""
 
@@ -406,8 +406,11 @@ def capacity(
     return _receiver_marginal(state_or_rho, alice)[3]
 
 
-@dataclass(frozen=True)
+@_record
 class OptimalityReport:
+    """The dense-coding capacity against the Holevo bound, and the verdicts that
+    decide whether a resource is optimal."""
+
     capacity: float
     holevo_bound: int
     alice_size_sufficient: bool  # |A| >= n/2, so 4**|A| >= 2**n operations

@@ -38,7 +38,6 @@ the computational basis and, through ``hadamard_on``, in the Hadamard basis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -54,6 +53,7 @@ from .statevec import (
     _finite,
     _integer,
     _parity,
+    _record,
 )
 
 SUPPORT_CUTOFF = 1e-10
@@ -109,7 +109,7 @@ def unitarity_residual(matrix: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(gram), axis=None))
 
 
-@dataclass(frozen=True, eq=False)
+@_record(eq=False)
 class EveAttack:
     """A 4x4 unitary on (receiver qubit x ancilla), basis order
     {|00>, |01>, |10>, |11>} with the receiver bit first."""
@@ -166,8 +166,11 @@ def apply_eve(state: StateVector, atk: EveAttack) -> StateVector:
 # Exact detection probability
 
 
-@dataclass(frozen=True)
+@_record
 class DetectionReport:
+    """The inconsistency probability of each check, and of a round whose basis is
+    drawn uniformly."""
+
     computational_inconsistency: float
     hadamard_inconsistency: float
     probability: float  # with the basis drawn uniformly
@@ -251,7 +254,7 @@ def detection_closed_form(attack: Optional[EveAttack], blocks: int = 1) -> Detec
 # Undetectability certificate
 
 
-@dataclass(frozen=True)
+@_record
 class CertificateReport:
     """Residuals of the no-detection conditions on the attack's branches.
 
@@ -285,8 +288,11 @@ def undetectable_certificate(atk: EveAttack, tol: float = CERT_TOLERANCE) -> Cer
 # Round simulation
 
 
-@dataclass(frozen=True)
+@_record
 class SimulationReport:
+    """The counts and rates of a run of sampled check rounds, its verdict, and the
+    exact report the rounds were drawn from."""
+
     rounds: int
     threshold: float
     computational_rounds: int

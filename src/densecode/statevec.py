@@ -17,9 +17,10 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from enum import Enum
-from typing import Any, Iterable, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -44,17 +45,169 @@ def _finite(name: str, value: float, high: float = math.inf) -> None:
         raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
 
 
-def _bits(src: np.ndarray) -> np.ndarray | None:
-    """The bits of a contiguous numeric ``src`` as unsigned ints, one row per
-    amplitude, so that a slice of rows is all zero bits exactly when its max is 0;
-    None for any other input: an object array, whose items are references, or a
-    strided one, which no view of another item size can read."""
+def _byte_flags(src: np.ndarray) -> np.ndarray | None:
+    """The bytes of a contiguous numeric ``src`` as a bool array, itemsize flags per
+    amplitude, each set exactly when its byte is nonzero; None for any other input:
+    an object array, whose items are references, or a strided one, which no view of
+    another item size can read."""
     if src.dtype.kind not in "biufc" or not src.flags.c_contiguous:
         return None
-    return src.view(f"u{math.gcd(src.dtype.itemsize, 8)}").reshape(src.size, -1)
+    return src.view(bool)
 
 
-@dataclass(frozen=True, eq=False)
+def _zero_bytes(flags: np.ndarray) -> bool:
+    """Whether ``flags``, a slice of ``_byte_flags``, holds no nonzero byte.  The
+    bool argmax stops at the first one, so a live chunk is read only that far; it
+    copies a read-only array before it scans, so such a slice is read in place, by
+    the max of its bytes."""
+    if flags.flags.writeable:
+        return not flags[flags.argmax()]
+    return not np.maximum.reduce(flags.view(np.uint8))
+
+
+# ---------------------------------------------------------------------------
+# Records: frozen dataclasses without generated code
+
+
+def _values(names: tuple[str, ...]) -> Callable[[Any], tuple]:
+    """The tuple of a record's values of ``names``, as a function of the record."""
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda obj: (get(obj),)
+    return attrgetter(*names) if names else lambda obj: ()
+
+
+def _bind(where: str, init: tuple[str, ...], defaults: dict[str, Any],
+          args: tuple, kwargs: dict[str, Any]) -> dict[str, Any]:
+    """The values of the ``init`` fields in order, from one call's ``args`` and
+    ``kwargs`` and the ``defaults``; a bad call raises the TypeError that a
+    generated ``__init__`` raises, naming ``where``."""
+    if len(args) > len(init):
+        least = len(init) - len(defaults) + 1
+        takes = f"from {least} to " if defaults else ""
+        raise TypeError(f"{where} takes {takes}{len(init) + 1} positional arguments "
+                        f"but {len(args) + 1} were given")
+    given = dict(zip(init, args))
+    for name, value in kwargs.items():
+        if name not in init:
+            raise TypeError(f"{where} got an unexpected keyword argument {name!r}")
+        if name in given:
+            raise TypeError(f"{where} got multiple values for argument {name!r}")
+        given[name] = value
+    missing = [repr(name) for name in init if name not in given and name not in defaults]
+    if missing:
+        if len(missing) > 2:  # as CPython lists them: 'a', 'b', and 'c'
+            missing[-1] = "and " + missing[-1]
+        names = (", " if len(missing) > 2 else " and ").join(missing)
+        raise TypeError(f"{where} missing {len(missing)} required positional argument"
+                        f"{'s' if len(missing) > 1 else ''}: {names}")
+    return {name: given[name] if name in given else defaults[name] for name in init}
+
+
+class _InitSignature:
+    """A record class's ``inspect.signature``, the one dataclass's generated
+    ``__init__`` gives: built from the init fields on each read."""
+
+    def __get__(self, obj: Any, cls: type) -> Any:
+        import inspect  # loaded with dataclasses
+
+        empty, kind = inspect.Parameter.empty, inspect.Parameter.POSITIONAL_OR_KEYWORD
+        return inspect.Signature(
+            [inspect.Parameter(f.name, kind, annotation=f.type,
+                               default=empty if f.default is MISSING else f.default)
+             for f in fields(cls) if f.init], return_annotation=None)
+
+
+_INIT_SIGNATURE = _InitSignature()
+
+
+def _record(cls: Optional[type] = None, /, *, eq: bool = True) -> Any:
+    """``@dataclass(frozen=True)``, or ``frozen=True, eq=False`` given ``eq=False``,
+    without the code dataclass generates and compiles for each class.
+
+    ``dataclass(init=False, repr=False, eq=False)`` collects the fields, which keeps
+    ``fields``, ``replace``, ``astuple``, ``is_dataclass`` and ``__match_args__``;
+    then one ``__init__``, ``__repr__``, ``__setattr__`` and ``__delattr__`` and,
+    with ``eq``, ``__eq__`` and ``__hash__`` are installed, each unless the class
+    defines its own.  They keep dataclass's rules: ``__init__`` takes the init
+    fields by position or keyword, with their defaults, sets them, and then calls
+    ``__post_init__``, looked up on each call, so that a patch of the class's
+    method counts (an init=False field's default is read from the class, where
+    dataclass leaves it); ``__repr__`` shows the repr=True fields; ``__eq__``
+    compares the compare fields as a tuple, with an instance of the same class
+    only, and ``__hash__`` hashes the hashed ones; assigning or deleting an
+    attribute raises ``FrozenInstanceError``.  ``inspect.signature`` reads the
+    init fields, and ``__dataclass_params__`` reports ``frozen`` and ``eq`` as
+    dataclass does, so a subclass must be a frozen dataclass.  No
+    ``default_factory`` or ``InitVar``."""
+    if cls is None:
+        return lambda cls: _record(cls, eq=eq)
+    cls = dataclass(cls, init=False, repr=False, eq=False)
+    every = fields(cls)
+    if any(f.default_factory is not MISSING for f in every):
+        raise TypeError(f"{cls.__name__}: a record field takes no default_factory")
+    names = frozenset(f.name for f in every)
+    init = tuple(f.name for f in every if f.init)
+    defaults = {f.name: f.default for f in every if f.init and f.default is not MISSING}
+    where = f"{cls.__qualname__}.__init__()"
+    shown = tuple(f.name for f in every if f.repr)
+
+    def __init__(self: Any, *args: Any, **kwargs: Any) -> None:
+        if not kwargs and len(args) == len(init):
+            values: Any = zip(init, args)
+        elif not args and tuple(kwargs) == init:
+            values = kwargs
+        else:
+            values = _bind(where, init, defaults, args, kwargs)
+        vars(self).update(values)
+        post = getattr(self, "__post_init__", None)
+        if post is not None:
+            post()
+
+    def __repr__(self: Any) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in shown)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self: Any, name: str, value: Any) -> None:
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        super(cls, self).__setattr__(name, value)
+
+    def __delattr__(self: Any, name: str) -> None:
+        if type(self) is cls or name in names:
+            raise FrozenInstanceError(f"cannot delete field {name!r}")
+        super(cls, self).__delattr__(name)
+
+    methods: dict[str, Any] = dict(__init__=__init__, __repr__=__repr__,
+                                   __setattr__=__setattr__, __delattr__=__delattr__,
+                                   __signature__=_INIT_SIGNATURE)
+    if eq:
+        key = _values(tuple(f.name for f in every if f.compare))
+        hashed = _values(tuple(f.name for f in every
+                               if (f.compare if f.hash is None else f.hash)))
+
+        def __eq__(self: Any, other: Any) -> Any:
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self: Any) -> int:
+            return hash(hashed(self))
+
+        methods.update(__eq__=__eq__, __hash__=__hash__)
+    own = vars(cls)
+    for name, method in methods.items():
+        if name not in own:
+            setattr(cls, name, method)
+    # report the parameters of @dataclass(frozen=True[, eq=False]), which a
+    # dataclass subclass reads: it must be frozen too
+    params = cls.__dataclass_params__
+    params.init = params.repr = params.frozen = True
+    params.eq = eq
+    return cls
+
+
+@_record(eq=False)
 class StateVector:
     """Pure state of ``n_qubits`` qubits as 2**n complex amplitudes.
 
@@ -67,11 +220,13 @@ class StateVector:
     pass through memory.  Only the chunks that hold a nonzero bit are copied: in a
     contiguous numeric input, a chunk of zero bits, as most chunks of a large
     layout's code word are, is left unwritten with weight 0.0, and its chunk
-    number goes into ``_dead``.  Such a copy is ``_copy``; ``amplitudes`` is built
-    from it on first read, with its dead chunks zeroed, then made read-only, so
-    the copy, the weights and the norm are bitwise those of a full copy.  A chunk
-    of -0.0 or of denormals holds nonzero bits and is copied.  |psi|^2, the
-    weights' sum from the left, must lie within NORM_TOLERANCE of 1."""
+    number goes into ``_dead``.  The test reads a chunk up to its first nonzero
+    byte (``_zero_bytes``), so a dense chunk is read once, by its copy.  Such a
+    copy is ``_copy``; ``amplitudes`` is built from it on first read, with its dead
+    chunks zeroed, then made read-only, so the copy, the weights and the norm are
+    bitwise those of a full copy.  A chunk of -0.0 or of denormals holds nonzero
+    bits and is copied.  |psi|^2, the weights' sum from the left, must lie within
+    NORM_TOLERANCE of 1."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -88,14 +243,13 @@ class StateVector:
             raise ValueError(
                 f"expected {size} amplitudes for {self.n_qubits} qubits, got {src.size}"
             )
-        bits = _bits(src) if many else None
+        flags = _byte_flags(src) if many else None
+        width = src.itemsize
         amps = np.empty(size, dtype=complex) if many else src  # the private copy
         flat = part = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
         weights, dead, norm_sq, i = (), (), 0.0, 0
         while i < size:  # not a for over a range, which costs a small state 0.5 us cold
-            # the max is a SIMD pass, called as the ufunc's reduce: ``.max()`` forwards
-            # through numpy's Python layer, which costs a cold call more than the pass
-            if bits is not None and not np.maximum.reduce(bits[i:i + CHUNK], axis=None):
+            if flags is not None and _zero_bytes(flags[i * width:(i + CHUNK) * width]):
                 weight = 0.0  # +0.0 in the input: zeroed on the first read of amplitudes
                 dead += (i // CHUNK,)
             else:
@@ -177,7 +331,7 @@ def compose_labels(a: PauliLabel, b: PauliLabel) -> PauliLabel:
     return _BITS_LABEL[(ax ^ bx, az ^ bz)]
 
 
-@dataclass(frozen=True)
+@_record
 class PauliString:
     """An ordered list of labels, one per targeted qubit (1-based indices)."""
 

@@ -380,6 +380,19 @@ def test_a_live_chunk_of_weight_zero_is_copied():
             x[kind][chunk * CHUNK:(chunk + 1) * CHUNK].tobytes()), kind
 
 
+def test_a_read_only_input_leaves_the_same_chunks_dead():
+    """A writeable input's chunks are tested by the bool argmax of their bytes, which
+    stops at the first nonzero one; a read-only input's, which argmax would copy
+    first, by the max of their bytes.  Both find the same dead chunks."""
+    for kind, x in dead_and_live_inputs(17).items():
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        states = [StateVector(17, amps) for amps in (x, frozen)]
+        assert states[0]._dead == states[1]._dead and states[0]._dead, kind
+        assert states[0]._chunk_weights == states[1]._chunk_weights, kind
+        assert states[0].amplitudes.tobytes() == states[1].amplitudes.tobytes(), kind
+
+
 @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), 2.0])
 def test_a_state_with_dead_chunks_is_refused_with_a_full_copys_text(bad):
     """A NaN, or a weight past the tolerance, among dead chunks: the norm error text is

@@ -31,16 +31,20 @@ gets every run and their median, and on the change's side and the control's,
 each round's ratio to the parent's run of that round (``ratios``) and their
 median (``ratio_median``): a ratio pairs runs made close in time, so it resolves
 a shift that the spread between interpreters hides in the medians.  Every
-``--processes`` command is timed the same way, a run being the median wall time
-of PROCESSES fresh ``python -m densecode.cli`` processes of it, after one untimed
-process that writes the tree's bytecode cache (``PYTHONDONTWRITEBYTECODE`` is
-dropped for these): it shows what an op in a warm interpreter cannot, such as a
-module the command imports on first use that the op's calibration kernels have
-already loaded.  An op run is the median of OP_CALLS cold
-calls of the CLI in-process, in milliseconds, each timed as
-``clibench/worker.py`` times an op: every ``lru_cache`` of the ``densecode.*``
-modules cleared, ``gc.collect()``, then the op's workload's calibration kernels
-(``clibench/calibration.py``, imported from the tree), then one call.  A call
+``--processes`` command is timed the same way in PROCESS_PAIRS rounds, twice per
+round: a run being the median wall time of PROCESSES fresh ``python -m
+densecode.cli`` processes of it, once after one untimed process that writes the
+tree's bytecode cache (``PYTHONDONTWRITEBYTECODE`` dropped; ``processes_ms``),
+and once with ``PYTHONDONTWRITEBYTECODE=1`` and the tree's ``src`` cache deleted,
+so that every process compiles ``densecode`` from source, as ``setup_s`` does on
+a host with that setting (``processes_uncached_ms``).  A process shows what an
+op in a warm interpreter cannot, such as start-up, or a module the command
+imports on first use that the op's calibration kernels have already loaded.  An
+op run is the median of OP_CALLS cold calls of the CLI in-process, in
+milliseconds, each timed as ``clibench/worker.py`` times an op: every
+``lru_cache`` of the ``densecode.*`` modules cleared, ``gc.collect()``, then the
+op's workload's calibration kernels (``clibench/calibration.py``, imported from
+the tree), then one call.  A call
 run is the median of CALLS wall times of the statement in microseconds, each
 timed cold, after a fixed pass over a 4 MiB array (``clibench/calibration.py``'s
 ``_memory`` kernel), so a fixed cost that a warm loop would hide, such as a
@@ -98,6 +102,7 @@ for _ in range(calls):
 print(statistics.median(times) * 1e3)
 """
 CALL_PAIRS = 7
+PROCESS_PAIRS = 14  # 7 rounds could not resolve a few ms of a 150 ms process
 PROCESSES = 21
 CALLS = 201
 CALL = r"""
@@ -172,12 +177,17 @@ def single_op_ms(tree: str, op: str) -> float:
     return float(done.stdout)
 
 
-def process_ms(tree: str, command: str) -> float:
+def process_ms(tree: str, command: str, cached: bool) -> float:
     """The median milliseconds of PROCESSES fresh processes of the CLI command
-    ``command``, after one untimed process that writes the bytecode cache."""
+    ``command``: ``cached``, after one untimed process that writes the bytecode
+    cache, else with none, each process compiling the package's source."""
     env = one_thread_env()
-    env.pop("PYTHONDONTWRITEBYTECODE", None)
     env["PYTHONPATH"] = os.path.join(tree, "src")
+    if cached:
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+    else:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        shutil.rmtree(os.path.join(tree, "src", "densecode", "__pycache__"), ignore_errors=True)
     argv = [sys.executable, "-m", "densecode.cli", *command.split()]
     times = []
     for _ in range(PROCESSES + 1):
@@ -233,12 +243,13 @@ def _medians(timed: dict, parent: Optional[dict] = None) -> dict:
     return out
 
 
-def side_doc(runs: dict, ops: dict, calls: dict, processes: dict,
+def side_doc(runs: dict, ops: dict, calls: dict, processes: dict, uncached: dict,
              parent: Optional[dict] = None) -> dict:
     """One side's file body; ``parent``, the parent's {"ops": ..., "calls": ...,
-    "processes": ...}, adds each timed item's ratios to it."""
+    "processes": ..., "uncached": ...}, adds each timed item's ratios to it."""
     return {"calls_us": _medians(calls, parent and parent["calls"]),
             "processes_ms": _medians(processes, parent and parent["processes"]),
+            "processes_uncached_ms": _medians(uncached, parent and parent["uncached"]),
             "single_ops_ms": _medians(ops, parent and parent["ops"]),
             "workloads": {w: {"runs": r, "summary": summary(r)} for w, r in runs.items() if r}}
 
@@ -260,9 +271,11 @@ def save(path: str, label: str, tree: str, doc: dict) -> None:
         "cores": os.cpu_count(),
         "label": label,
         "numpy": np.__version__,
-        "processes_method": f"{CALL_PAIRS} rotating rounds, each the median wall time of "
-                            f"{PROCESSES} fresh `python -m densecode.cli` processes after one "
-                            "untimed process that writes the bytecode cache, one BLAS thread",
+        "processes_method": f"{PROCESS_PAIRS} rotating rounds, each the median wall time of "
+                            f"{PROCESSES} fresh `python -m densecode.cli` processes, one BLAS "
+                            "thread: processes_ms after one untimed process that writes the "
+                            "bytecode cache, processes_uncached_ms with PYTHONDONTWRITEBYTECODE=1 "
+                            "and no cache of the package",
         "pairing": "the sides run one after the other, the first side rotating each seed; "
                    "each side is a fresh tree under one temporary directory",
         "python": platform.python_version(),
@@ -305,6 +318,7 @@ def main() -> int:
         ops = {side: {} for side in sides}
         calls = {side: {} for side in sides}
         processes = {side: {} for side in sides}
+        uncached = {side: {} for side in sides}
 
         def rotation(i: int) -> list[str]:
             return names[i % len(names):] + names[:i % len(names)]
@@ -312,14 +326,15 @@ def main() -> int:
         def save_all() -> None:
             shifts = {"vs_parent": comparison(runs, better)}
             timed = {"ops": ops["parent"], "calls": calls["parent"],
-                     "processes": processes["parent"]}
+                     "processes": processes["parent"], "uncached": uncached["parent"]}
             docs = {side: {**side_doc(runs[side], ops[side], calls[side], processes[side],
-                                      None if side == "parent" else timed), **shifts}
+                                      uncached[side], None if side == "parent" else timed),
+                           **shifts}
                     for side in ("parent", "change")}
             if args.control:
                 docs["parent"]["control"] = side_doc(runs["control"], ops["control"],
                                                      calls["control"], processes["control"],
-                                                     timed)
+                                                     uncached["control"], timed)
             for side, doc in docs.items():
                 save(f"BENCH_{args.label}_{side}.json", side, f"{args.tree} {side}".strip(), doc)
 
@@ -335,18 +350,24 @@ def main() -> int:
             print(workload, {side: {m: f"{v['shift']:+.1%} ({v['wins']})"
                                     for m, v in metrics.items()}
                              for side, metrics in shifts.items()}, flush=True)
-        timed = [(ops, op, single_op_ms) for op in args.ops]
-        timed += [(calls, stmt, call_us) for stmt in args.calls]
-        timed += [(processes, command, process_ms) for command in args.processes]
-        for into, item, measure in timed:
-            for i in range(CALL_PAIRS):
+        # each: its label in the files, where its runs go, the item, how one run of
+        # it in a tree is timed (with these further arguments), and its rounds
+        timed = [("single_ops_ms", ops, op, single_op_ms, (), CALL_PAIRS) for op in args.ops]
+        timed += [("calls_us", calls, stmt, call_us, (), CALL_PAIRS) for stmt in args.calls]
+        for command in args.processes:
+            timed += [("processes_ms", processes, command, process_ms, (True,), PROCESS_PAIRS),
+                      ("processes_uncached_ms", uncached, command, process_ms, (False,),
+                       PROCESS_PAIRS)]
+        for label, into, item, measure, more, rounds in timed:
+            for i in range(rounds):
                 for side in rotation(i):
-                    into[side].setdefault(item, []).append(measure(sides[side], item))
+                    into[side].setdefault(item, []).append(measure(sides[side], item, *more))
                 save_all()
             ratios = {side: statistics.median(a / b for a, b in zip(into[side][item],
                                                                     into["parent"][item]))
                       for side in sides if side != "parent"}
-            print(item, {side: round(statistics.median(into[side][item]), 2) for side in sides},
+            print(label, item,
+                  {side: round(statistics.median(into[side][item]), 2) for side in sides},
                   {f"{side}/parent": f"{ratio - 1:+.1%}" for side, ratio in ratios.items()},
                   flush=True)
     return 0
