@@ -41,6 +41,7 @@ from .entanglement import (
     von_neumann_entropy,
 )
 from .coding import (
+    AuditReport,
     CodeBasis,
     DnkSpec,
     GramReport,
@@ -65,6 +66,7 @@ from .coding import (
     encoded_bell_state,
     encoded_state,
     ghz_code_basis,
+    layout_audit,
     pauli_equivalent,
     verify_code_orthonormality,
 )

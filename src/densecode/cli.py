@@ -31,12 +31,7 @@ if TYPE_CHECKING:
 ENV_SEED = "DENSECODE_SEED"
 MAX_AUDIT_QUBITS = 12  # the largest register the audit benchmark runs (--dnk 12)
 MAX_ENCODE_BITS = 24  # the report's amplitude table: 2^B rows, B <= n/2 blocks, 4096 at 24
-# The audit decodes every word up to 6 qubits, else 64 seeded picks: the images
-# of 0..63 under an affine map x -> a x + b mod 2^n with an odd a, both drawn
-# from the seed by splitmix64 (``_roundtrip_picks``).  That is integer
-# arithmetic, so neither encode nor audit imports numpy.random.
-_ROUNDTRIP_WORDS = 64
-_MASK64 = 2**64 - 1
+
 
 def _operator_entry(ps: statevec.PauliString) -> dict[str, Any]:
     return {
@@ -107,7 +102,7 @@ def cmd_encode(args: Args) -> tuple[dict, int]:
     if n > MAX_ENCODE_BITS:
         raise ValueError(f"--message supports at most {MAX_ENCODE_BITS} bits, got {n}")
     spec = _layout("--senders", n, n - 1 if args.senders is None else args.senders)
-    (cols,), (vals,) = coding._word_support([int(str(msg), 2)], spec)
+    (cols,), (vals,) = coding.dnk_word_support([int(str(msg), 2)], spec)
     full = coding.dnk_combined_string(msg, spec)
     results: dict[str, Any] = {
         "message": str(msg),
@@ -134,82 +129,30 @@ def cmd_encode(args: Args) -> tuple[dict, int]:
 # audit
 
 
-def _splitmix64(state: int) -> tuple[int, int]:
-    """splitmix64's next state and its output, from ``state``, in Python ints."""
-    state = (state + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return state, z ^ (z >> 31)
-
-
-def _roundtrip_picks(seed: int, n: int) -> np.ndarray:
-    """The audit's ``_ROUNDTRIP_WORDS`` messages of ``n`` bits (6 < n <= 62) for
-    ``seed``, sorted, as int64: the images of 0..63 under x -> a x + b mod 2^n,
-    with b and an odd a from the seed's first two splitmix64 outputs.  An odd a
-    makes the map a bijection of Z/2^n, so the picks are distinct and their low
-    6 bits take each value once.  uint64 arrays wrap mod 2^64, which 2^n divides,
-    so the arithmetic is exact; no numpy scalar takes part, as one warns on
-    overflow, and no int64, which numpy 1.24 would promote with uint64 to float."""
-    mask = 2**n - 1
-    state, b = _splitmix64(seed)
-    _, a = _splitmix64(state)
-    picks = np.arange(_ROUNDTRIP_WORDS, dtype=np.uint64)
-    picks *= (a | 1) & mask
-    picks += b & mask
-    picks &= mask
-    picks.sort()
-    return picks.astype(np.int64)
-
-
 def cmd_audit(args: Args) -> tuple[dict, int]:
-    tol = args.tolerance
     spec, params = _named_layout(args)
-    params["tolerance"] = tol
-
-    n = spec.n_qubits
-    if 2**n <= _ROUNDTRIP_WORDS:
-        picks = np.arange(2**n)
-    else:
-        picks = _roundtrip_picks(args.seed, n)
-    # One word table for all three checks: every word where the Gram check runs, else
-    # the resource (message 0) and the picks.  Row m is bitwise a one-word call's row.
-    every_word = n <= coding.MAX_BASIS_BITS
-    if every_word:
-        table = np.arange(2**n)
-    else:
-        table = np.zeros(len(picks) + 1, dtype=np.int64)
-        table[1:] = picks
-    cols, vals = coding._word_support(table, spec)
-    opt = entanglement.layout_optimality(map(len, spec.blocks), vals[0], tol)
-    ame, gme, ame_residual = entanglement.layout_verdicts(map(len, spec.blocks), tol)
-
-    rows = picks if every_word else slice(1, None)
-    decoded, best = coding._coset_indices(cols[rows, 0], vals[rows], spec)
-    failures = int(np.add.reduce((decoded != picks) | ~(best >= coding.OVERLAP_THRESHOLD)))
+    params["tolerance"] = args.tolerance
+    audit = coding.layout_audit(spec, args.seed, args.tolerance)
+    opt, gram = audit.optimality, audit.gram
     results: dict[str, Any] = {
         "capacity": opt.capacity,
         "holevo_bound": opt.holevo_bound,
         "alice_size_sufficient": opt.alice_size_sufficient,
         "bob_marginal_maximally_mixed": opt.bob_marginal_maximally_mixed,
         "optimal": opt.optimal,
-        "ame": ame,
-        "gme": gme,
-        "orthonormality": None,
+        "ame": audit.ame,
+        "gme": audit.gme,
+        "orthonormality": None if gram is None else dict(vars(gram)),
         "layout": {**_layout_entry(spec),
                    "parties": {str(share.party): _share_entry(share) for share in spec.shares}},
-        "roundtrip": {"messages_checked": len(picks), "failures": failures},
+        "roundtrip": {"messages_checked": audit.messages_checked, "failures": audit.failures},
     }
     residuals = {
         "capacity_gap": abs(opt.capacity - opt.holevo_bound),
         "bob_marginal_residual": opt.bob_marginal_residual,
-        "ame_max_residual": ame_residual,
-        "gram_residual": None,
+        "ame_max_residual": audit.ame_residual,
+        "gram_residual": None if gram is None else gram.residual(),
     }
-    if every_word:
-        gram = coding._gram_report(spec.n_bits, cols, vals)
-        results["orthonormality"] = dict(vars(gram))
-        residuals["gram_residual"] = gram.residual()
-
     verdict = "optimal" if opt.optimal else "suboptimal"
     return _report("audit", params, results, residuals, verdict, args.seed), 0
 
@@ -234,7 +177,7 @@ def _refuse_constants(path: str, text: str) -> None:
 
     try:
         json.loads(text, parse_constant=_reject_constant)
-    except ValueError as exc:
+    except (RecursionError, ValueError) as exc:  # RecursionError: arrays nested too deep
         raise ValueError(f"cannot read attack matrix file {path!r}: {exc}") from exc
 
 
@@ -259,7 +202,7 @@ def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
             # decoded as text mode reads it: UTF-8, each \r\n and \r a \n
             text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
             rows = json.loads(text)
-        except (OSError, ValueError) as exc:
+        except (OSError, RecursionError, ValueError) as exc:
             if text is not None:
                 _refuse_constants(path, text)
             raise ValueError(f"cannot read attack matrix file {path!r}: {exc}") from exc
@@ -510,11 +453,9 @@ _COMMON = (
     ("--format", dict(choices=("json", "csv", "text"), default="json")),
     ("--output", dict(default=None, help="write the report to a file")),
 )
-# The audit reads one table of code words on their 2^B support indices, B
-# blocks: every word for n <= 10 (2^n x 2^B entries, which the Gram check
-# needs), else the resource and 64 picks; a cap is raised only with a paired
-# benchmark run at the new size.  security builds no state at any size, so
-# these caps, and --n's, bound only the audit's cost.
+# The caps bound the table of code words ``coding.layout_audit`` reads; one is
+# raised only with a paired benchmark run at the new size.  security builds no
+# state at any size, so these caps, and --n's, bound only the audit's cost.
 _LAYOUTS = (  # exactly one: _named_layout
     ("--ghz", dict(default=None, metavar="N"), 2, MAX_AUDIT_QUBITS, "qubits"),
     ("--bell", dict(default=None, metavar="PAIRS"),

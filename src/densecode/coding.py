@@ -32,6 +32,7 @@ from typing import NoReturn, Optional, Sequence, Union
 
 import numpy as np
 
+from .entanglement import DEFAULT_TOLERANCE, OptimalityReport, layout_optimality, layout_verdicts
 from .statevec import (
     _BITS_LABEL,
     CHUNK,
@@ -339,7 +340,7 @@ def _word_masks(spec: DnkSpec, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return (msgs << 1) & spec.sender_mask, msgs & spec.lead_mask
 
 
-def _word_support(msgs: Sequence[int], spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
+def dnk_word_support(msgs: Sequence[int], spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
     """Ascending columns c = support ^ x of the words of messages ``msgs``, and their
     values (-1)**popcount(c & z) * psi[c ^ x] for Z**z X**x (iY = ZX) on resource psi.
     The first column is x with each block whose lead x sets flipped whole: every lead
@@ -354,7 +355,7 @@ def _word_support(msgs: Sequence[int], spec: DnkSpec) -> tuple[np.ndarray, np.nd
 
 def dnk_code_words(msgs: Sequence[int], spec: DnkSpec) -> np.ndarray:
     """The code words of message indices ``msgs``, one dense real row each."""
-    cols, vals = _word_support(msgs, spec)
+    cols, vals = dnk_word_support(msgs, spec)
     words = np.zeros((len(cols), 2**spec.n_qubits))
     words[np.arange(len(cols))[:, None], cols] = vals
     return words
@@ -371,13 +372,13 @@ def dnk_code_basis(n_bits: int, n_senders: int) -> CodeBasis:
 
 def dnk_gram_report(n_bits: int, n_senders: int) -> GramReport:
     """Every code word's Gram matrix against the identity, by ``_gram_report``, the one
-    Gram check, which the audit calls on the word table it has already built."""
+    Gram check, which ``layout_audit`` calls on the word table it has already built."""
     spec = _basis_spec(n_bits, n_senders)
-    return _gram_report(n_bits, *_word_support(np.arange(2**n_bits), spec))
+    return _gram_report(n_bits, *dnk_word_support(np.arange(2**n_bits), spec))
 
 
 def _gram_report(n_bits: int, cols: np.ndarray, vals: np.ndarray) -> GramReport:
-    """The Gram matrix of the 2**n_bits words ``_word_support`` gave as ``cols``, ``vals``
+    """The Gram matrix of the 2**n_bits words ``dnk_word_support`` gave as ``cols``, ``vals``
     against the identity, one block per coset of the support (named by its smallest
     column; words on two cosets have a product of exactly 0), padded to the fullest coset
     so that an encoder repeating a word still shows."""
@@ -442,15 +443,10 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     and the blocks not sharp ("ghz" for a block of 3 or more qubits, "pair1", "pair2",
     ... for pairs in order).
 
-    Called when the coset of s has no output >= T = OVERLAP_THRESHOLD; then no coset
-    has one, so the result does not depend on s.  A scan that stopped at s has it on
-    any coset with an output >= T, by the weight bound in ``dnk_decode``; s = argmax
-    |psi| has, for B <= 17 (every register under 36 qubits, as a block has 2 or more).
-    Were output a of coset C at least T on a unit state, psi on C would be o h_a + r,
-    with |o| >= T, every entry of h_a +-2**(-B/2), r orthogonal to h_a and |r|**2 + w
-    <= 1 - T**2 for the weight w off C.  Each amplitude on C would be at least
-    T 2**(-B/2) - |r| and each off it at most sqrt(w), and |r| + sqrt(w) <=
-    sqrt(2 (1 - T**2)) ~ 2.0e-3 < T 2**(-B/2), so s would lie on C."""
+    Called when the decode's scan found no coset with an output >= T =
+    OVERLAP_THRESHOLD; then no coset has one, by the bounds at ``_ON_COSET``, for B <=
+    17 (every register under 36 qubits, as a block has 2 or more).  So the result does
+    not depend on where the scan stopped, or whether it stopped."""
     n, reps = spec.n_qubits, spec.coset_reps
     out = _circuit_outputs(amps[reps[:, None] ^ spec.support], spec)
     overlap = float(np.maximum.reduce(out, axis=None))
@@ -471,57 +467,41 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     )
 
 
-#: magnitudes per pass of ``_argmax_abs``: one 64 KiB float buffer.  It divides
+#: magnitudes per pass of ``_heavy_argmax``: one 64 KiB float buffer.  It divides
 #: ``CHUNK``, so each chunk a state weighs starts on a pass
 _SCAN = 2**13
-#: an amplitude this large lies on the coset of any output >= OVERLAP_THRESHOLD
-_ON_COSET = 2 * math.sqrt(1 - OVERLAP_THRESHOLD**2)
+#: a pass of the decode's scan stops at a magnitude this large, T 2**-8.5 ~ 2.762e-3
+#: for T = OVERLAP_THRESHOLD.  Were output a of coset C at least T on a state of
+#: |psi|**2 <= 1 + NORM_TOLERANCE, then, as every entry of h_a is +-2**(-B/2), C would
+#: hold an amplitude of at least T 2**(-B/2), and, as the lead Hadamards are unitary,
+#: weight at least T**2, so every amplitude off C would be at most
+#: sqrt(1 + NORM_TOLERANCE - T**2) ~ 1.415e-3.  For B <= 17 the first bound is at
+#: least this one and the second below it: a coset that decodes makes a pass stop,
+#: on an index of that coset, and a scan with no stop leaves no coset to decode
+_ON_COSET = OVERLAP_THRESHOLD * 2**-8.5
 
 
 def _heavy_argmax(amps: np.ndarray, enough: float,
                   weights: Sequence[float]) -> Optional[int]:
-    """The index ``_argmax_abs(amps, enough)`` returns, read only from the chunks of
-    ``amps`` whose weight in ``weights``, a state's ``_chunk_weights`` (the |amps|^2
-    of each ``CHUNK``), is not below (enough/2)**2, in passes of ``_SCAN`` entries
-    through one reused buffer; None when no pass stops and a chunk was skipped.
-
-    A lighter chunk holds neither a NaN nor a magnitude >= ``enough``, whose square
-    alone would outweigh it 4 to 1, far past any rounding of the sum, so no pass in it
-    could stop, and it is never read: a state's dead chunks, of weight 0.0, may hold
-    anything.  A chunk starts on a pass, so the first pass that stops is the one the
-    full scan stops at.  A pass that stops returns its argmax at once; else a later
-    pass wins only with a strictly larger magnitude, or with a NaN over a number,
-    which keeps the first largest magnitude or the first NaN, as the full argmax does.
-    The buffer is writeable: numpy copies a read-only array, such as a state's own
-    amplitudes, before its argmax."""
+    """The argmax of |amps| over the first pass of ``_SCAN`` entries whose largest
+    magnitude reaches ``enough``, read through one reused buffer, and None when no pass
+    reaches it.  Only the chunks whose weight in ``weights``, a state's
+    ``_chunk_weights`` (the |amps|^2 of each ``CHUNK``), is not below (enough/2)**2
+    are read: a lighter chunk holds no magnitude >= ``enough``, whose square alone
+    would outweigh it 4 to 1, far past any rounding of the sum, so a state's dead
+    chunks, of weight 0.0, may hold anything.  The buffer is writeable: numpy copies a
+    read-only array, such as a state's own amplitudes, before its argmax."""
     light = (enough / 2) ** 2
     buf = np.empty(min(len(amps), _SCAN), dtype=amps.real.dtype)  # |amps|' dtype
-    top, at, skipped = -1.0, 0, False  # below every magnitude: the first pass takes over
     for start, weight in zip(range(0, len(amps), CHUNK), weights):
         if weight < light:
-            skipped = True
             continue
         for i in range(start, min(start + CHUNK, len(amps)), _SCAN):
             part = np.abs(amps[i:i + _SCAN], out=buf[:len(amps) - i])
             j = int(part.argmax())
-            if math.isnan(part[j]) or part[j] >= enough:
+            if part[j] >= enough:
                 return i + j
-            if part[j] > top:
-                top, at = part[j], i + j
-    return None if skipped else at
-
-
-def _argmax_abs(amps: np.ndarray, enough: float = math.inf,
-                weights: Optional[Sequence[float]] = None) -> int:
-    """``np.abs(amps).argmax()`` bitwise, so a decode allocates no 2**n array of its
-    own, except that the argmax of the first pass whose largest magnitude reaches
-    ``enough`` is returned at once (``_heavy_argmax``).  With ``weights``, the chunks
-    too light to stop a pass are skipped; when no pass stops, the scan reruns over
-    every chunk without them."""
-    at = None if weights is None else _heavy_argmax(amps, enough, weights)
-    if at is None:
-        at = _heavy_argmax(amps, enough, (math.inf,) * -(-len(amps) // CHUNK))
-    return at
+    return None
 
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
@@ -529,21 +509,18 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
     decode reads the coset of an index s of large |psi|; a state whose best output there
     is under OVERLAP_THRESHOLD matches no code word (see ``_no_match``).
 
-    The scan for s = argmax |psi| stops at the first pass holding a magnitude of at
-    least ``_ON_COSET`` = 2 sqrt(1 - T**2) ~ 2.8e-3, T = OVERLAP_THRESHOLD, and takes
-    that pass's argmax; it reads only the chunks of the state's copy heavy enough to
-    hold one, by the chunk weights the state took as it copied its amplitudes.  Were
-    output a of coset C at least T, C would hold weight at least T**2 (the lead
-    Hadamards are unitary), so every amplitude off C would be at most
-    sqrt(1 + NORM_TOLERANCE - T**2) ~ 1.4e-3: a pass that stops has found an index on
-    C, from which the outputs are bitwise those from argmax |psi|.  If no coset reaches
-    T, ``_no_match`` reads the whole register, whatever s is.  So the message, or the
-    error, is the full scan's.
+    The scan for s stops at the first pass holding a magnitude of at least
+    ``_ON_COSET`` ~ 2.76e-3 and takes that pass's argmax; it reads only the chunks of
+    the state's copy heavy enough to hold one, by the chunk weights the state took as
+    it copied its amplitudes.  By the bounds at ``_ON_COSET``, a coset that decodes
+    holds the index a pass stops at, from which the outputs are bitwise those from
+    argmax |psi|, and a scan with no stop leaves no coset to decode.  So the message,
+    or the error, is that of the decode from argmax |psi|.
 
     The copy is read in place: a dead chunk, one the state left unwritten as it held
     only zero bits, is never scanned (its weight is 0.0) and reads as +0.0 where the
-    coset holds an index in it.  Only ``_no_match`` and the rescan after a scan that
-    stopped nowhere read ``state.amplitudes``, which builds the full copy."""
+    coset holds an index in it.  Only ``_no_match`` reads ``state.amplitudes``, which
+    builds the full copy."""
     if state.n_qubits != spec.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, layout expects {spec.n_qubits}"
@@ -552,22 +529,96 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
         return _overlap_decode(dnk_code_basis(spec.n_bits, spec.n_senders), state)
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
-    amps, dead = state._copy, state._dead
-    at = _heavy_argmax(amps, _ON_COSET, state._chunk_weights)
+    at = _heavy_argmax(state._copy, _ON_COSET, state._chunk_weights)
     if at is None:
-        amps, dead = state.amplitudes, ()
-        at = _argmax_abs(amps, _ON_COSET)
+        _no_match(state.amplitudes, spec)
     s = np.array([at])
     coset = s[:, None] ^ spec.support
-    t = amps[coset]
-    if dead:
+    t = state._copy[coset]
+    if state._dead:
         is_dead = np.zeros(len(state._chunk_weights), dtype=bool)
-        is_dead[list(dead)] = True
+        is_dead[list(state._dead)] = True
         t[is_dead[coset // CHUNK]] = 0.0
     msgs, best = _coset_indices(s, t, spec)
     if not best[0] >= OVERLAP_THRESHOLD:
         _no_match(state.amplitudes, spec)
     return Message.from_string(format(int(msgs[0]), f"0{spec.n_qubits}b"))
+
+
+# ---------------------------------------------------------------------------
+# The audit
+
+
+_ROUNDTRIP_WORDS = 64  # the audit decodes every word up to 6 qubits, else 64 picks
+_MASK64 = 2**64 - 1
+
+
+def _splitmix64(state: int) -> tuple[int, int]:
+    """splitmix64's next state and its output, from ``state``, in Python ints."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
+
+
+def _roundtrip_picks(seed: int, n: int) -> np.ndarray:
+    """The audit's ``_ROUNDTRIP_WORDS`` messages of ``n`` bits (6 < n <= 62) for
+    ``seed``, sorted, as int64: the images of 0..63 under x -> a x + b mod 2^n,
+    with b and an odd a from the seed's first two splitmix64 outputs, in integer
+    arithmetic, so that no audit imports numpy.random.  An odd a makes the map a
+    bijection of Z/2^n, so the picks are distinct and their low 6 bits take each
+    value once.  uint64 arrays wrap mod 2^64, which 2^n divides, so the arithmetic
+    is exact; no numpy scalar takes part, as one warns on overflow, and no int64,
+    which numpy 1.24 would promote with uint64 to float."""
+    mask = 2**n - 1
+    state, b = _splitmix64(seed)
+    _, a = _splitmix64(state)
+    picks = np.arange(_ROUNDTRIP_WORDS, dtype=np.uint64)
+    picks *= (a | 1) & mask
+    picks += b & mask
+    picks &= mask
+    picks.sort()
+    return picks.astype(np.int64)
+
+
+@_record
+class AuditReport:
+    """A layout's audit: its resource's optimality, AME and GME verdicts, the Gram
+    check (None above ``MAX_BASIS_BITS``) and the roundtrip's count of failures."""
+
+    optimality: OptimalityReport
+    ame: bool
+    gme: bool
+    ame_residual: float
+    gram: Optional[GramReport]
+    messages_checked: int
+    failures: int
+
+
+def layout_audit(spec: DnkSpec, seed: int = 0, tol: float = DEFAULT_TOLERANCE) -> AuditReport:
+    """The audit of layout ``spec`` in closed form, from one table of code words on
+    their support: every word up to ``MAX_BASIS_BITS``, else the resource (message 0)
+    and the roundtrip's picks for ``seed``, in [0, 2**63).  A roundtrip word fails on
+    a wrong message or a best circuit output under ``OVERLAP_THRESHOLD``."""
+    seed = _integer("seed", seed)
+    if not 0 <= seed < 2**63:
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
+    n = spec.n_qubits
+    picks = np.arange(2**n) if 2**n <= _ROUNDTRIP_WORDS else _roundtrip_picks(seed, n)
+    every_word = n <= MAX_BASIS_BITS
+    if every_word:
+        table = np.arange(2**n)
+    else:
+        table = np.zeros(len(picks) + 1, dtype=np.int64)
+        table[1:] = picks
+    cols, vals = dnk_word_support(table, spec)
+    optimality = layout_optimality(map(len, spec.blocks), vals[0], tol)
+    ame, gme, ame_residual = layout_verdicts(map(len, spec.blocks), tol)
+    rows = picks if every_word else slice(1, None)
+    decoded, best = _coset_indices(cols[rows, 0], vals[rows], spec)
+    failures = int(np.add.reduce((decoded != picks) | ~(best >= OVERLAP_THRESHOLD)))
+    gram = _gram_report(spec.n_bits, cols, vals) if every_word else None
+    return AuditReport(optimality, ame, gme, ame_residual, gram, len(picks), failures)
 
 
 # ---------------------------------------------------------------------------

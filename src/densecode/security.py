@@ -124,6 +124,12 @@ class EveAttack:
             raise ValueError(f"attack must be a 4x4 matrix, got shape {m.shape}")
         if not np.logical_and.reduce(np.isfinite(m), axis=None):
             raise ValueError("attack matrix has non-finite entries")
+        # no part of a unitary's entry exceeds 1; a larger one, up to float max, is
+        # refused before U^t U, whose product it could overflow
+        part = float(np.maximum.reduce(np.abs(m.view(float)), axis=None))
+        if part > 1 + UNITARY_TOLERANCE:
+            raise ValueError(
+                f"attack matrix is not unitary (an entry has a part of {part:.3e} > 1)")
         residual = unitarity_residual(m)
         if not residual <= UNITARY_TOLERANCE:
             raise ValueError(f"attack matrix is not unitary (U^t U residual {residual:.3e})")

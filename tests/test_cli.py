@@ -1,7 +1,10 @@
 import argparse
+import ast
 import contextlib
 import csv
+import dataclasses
 import hashlib
+import inspect
 import io
 import itertools
 import json
@@ -165,7 +168,6 @@ def test_every_audit_flag_reports_the_same_keys(capsys, monkeypatch):
     monkeypatch.setattr(coding, "dnk_state", Forbidden("dnk_state"))
     monkeypatch.setattr(cli.entanglement, "_marginals", Forbidden("_marginals"))
     monkeypatch.setattr(coding, "dnk_code_words", Forbidden("dnk_code_words"))
-    monkeypatch.setattr(coding, "_argmax_abs", Forbidden("_argmax_abs"))
     monkeypatch.setattr(cli.entanglement, "entanglement_verdicts",
                         Forbidden("entanglement_verdicts"))
     keys = set()
@@ -201,11 +203,11 @@ def audit_qubits(target):
 
 
 def test_every_audit_builds_its_code_words_once(capsys, monkeypatch):
-    """One ``_word_support`` table per audit: every word where the Gram check runs,
+    """One ``dnk_word_support`` table per audit: every word where the Gram check runs,
     else the resource (message 0) and the 64 picks."""
     calls = []
-    support = coding._word_support
-    monkeypatch.setattr(coding, "_word_support",
+    support = coding.dnk_word_support
+    monkeypatch.setattr(coding, "dnk_word_support",
                         lambda msgs, spec: calls.append(np.asarray(msgs)) or support(msgs, spec))
     for target in _AUDIT_TARGETS:
         calls.clear()
@@ -286,11 +288,68 @@ def test_roundtrip_picks_are_exact_up_to_62_bits(n, seed):
     messages in [0, 2^n), the reference's, with no overflow warning from numpy."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        picks = cli._roundtrip_picks(seed, n)
+        picks = coding._roundtrip_picks(seed, n)
     assert picks.dtype == np.int64 and picks.shape == (64,)
     assert picks.tolist() == reference_picks(seed, n)
     assert len(set(picks.tolist())) == 64 and 0 <= picks[0] and picks[-1] < 2**n
 
+
+
+def rendered_audit(target, seed, tol):
+    """The JSON report of ``audit TARGET``, rendered from ``coding.layout_audit``."""
+    flag, *values = target
+    n, *k = map(int, values)
+    spec = coding.dnk_spec(*{"--ghz": (n, n - 1), "--bell": (2 * n, 1)}.get(flag, (n, *k)))
+    audit = coding.layout_audit(spec, seed, tol)
+    opt, gram = audit.optimality, audit.gram
+    results = {**{name: getattr(opt, name) for name in (
+        "capacity", "holevo_bound", "alice_size_sufficient", "bob_marginal_maximally_mixed",
+        "optimal")},
+        "ame": audit.ame, "gme": audit.gme,
+        "orthonormality": None if gram is None else dataclasses.asdict(gram),
+        "layout": {"ghz_size": spec.ghz_size, "bell_pairs": spec.bell_pairs,
+                   "bob_qubits": list(spec.bob_qubits),
+                   "parties": {str(share.party): {"qubits": list(share.qubits),
+                                                  "bits": list(share.bits)}
+                               for share in spec.shares}},
+        "roundtrip": {"messages_checked": audit.messages_checked, "failures": audit.failures}}
+    residuals = {"capacity_gap": abs(opt.capacity - opt.holevo_bound),
+                 "bob_marginal_residual": opt.bob_marginal_residual,
+                 "ame_max_residual": audit.ame_residual,
+                 "gram_residual": None if gram is None else gram.residual()}
+    params = {flag[2:]: [n, *k] if flag == "--dnk" else n, "tolerance": tol}
+    verdict = "optimal" if opt.optimal else "suboptimal"
+    return json.dumps({"command": "audit", "params": params, "results": results,
+                       "residuals": residuals, "verdict": verdict, "seed": seed},
+                      indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("target", _AUDIT_TARGETS, ids=" ".join)
+def test_the_cli_audit_is_the_library_audit_rendered(capsys, target):
+    """Each audit report, byte for byte, is the one rendered from ``layout_audit``
+    with the same seed and tolerance: a library call reproduces a CLI report."""
+    for seed, tol in ((0, 1e-9), (2**63 - 1, 0.25)):
+        code, out, err = run(["audit", *target, "--seed", str(seed), "--tolerance", str(tol)],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert out == rendered_audit(target, seed, tol), (target, seed)
+
+
+def test_cli_names_nothing_private_in_coding_and_audits_with_one_call():
+    """No ``coding._*`` attribute in ``cli.py``, and ``cmd_audit`` calls
+    ``coding.layout_audit`` once and no other ``coding`` or ``entanglement`` function."""
+    tree = ast.parse(inspect.getsource(cli))
+    private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "coding"
+               and node.attr.startswith("_")]
+    assert not private, private
+    audit = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "cmd_audit")
+    calls = [f"{node.func.value.id}.{node.func.attr}" for node in ast.walk(audit)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in ("coding", "entanglement")]
+    assert calls == ["coding.layout_audit"]
 
 NUMPY_RANDOM_LOADED = """
 import contextlib, io, json, sys
@@ -441,6 +500,18 @@ def test_security_rejects_non_unitary_file(tmp_path, capsys):
     assert "residual" in err
 
 
+
+def test_security_refuses_an_attack_file_nested_too_deep(tmp_path, capsys):
+    """Arrays nested past the recursion limit give one "cannot read" line, not a
+    ``RecursionError`` traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(["security", "--n", "3", "--attack", f"file:{path}"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"densecode: cannot read attack matrix file {str(path)!r}: ")
+    assert "recursion" in err and err.count("\n") == 1
+
+
 # One file of each kind that the reader must refuse as text mode does: the line
 # numbers and columns of a syntax error count lines as text mode translates them
 _CNOT_ROWS = [[[1, 0], [0, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0], [0, 0]],
@@ -488,7 +559,8 @@ def test_security_rejects_non_finite_file(tmp_path, capsys, entry):
 
 # Attack files with a non-finite number, and their one error line.  A file holding
 # NaN, Infinity or -Infinity is refused as unreadable, at the first of them or at an
-# earlier syntax error; 1e999 parses, as inf, and the matrix check refuses it.
+# earlier syntax error; 1e999 parses, as inf, and the matrix check refuses it, as it
+# refuses 1e308 before the U^t U product that would overflow, with no numpy warning.
 _NAN_ROWS = json.dumps(_CNOT_ROWS).replace("[1, 0]", "[NaN, 0]", 1)
 _NON_FINITE_FILES = {
     "NaN": (_NAN_ROWS, "cannot read attack matrix file {}: non-finite number NaN is not allowed"),
@@ -499,6 +571,9 @@ _NON_FINITE_FILES = {
                   "non-finite number -Infinity is not allowed"),
     "1e999": (json.dumps(_CNOT_ROWS).replace("[1, 0]", "[1e999, 0]", 1),
               "invalid attack matrix in {}: attack matrix has non-finite entries"),
+    "1e308": (json.dumps(_CNOT_ROWS).replace("[0, 0]", "[1e308, 1e308]", 1),
+              "invalid attack matrix in {}: attack matrix is not unitary "
+              "(an entry has a part of 1.000e+308 > 1)"),
     "NaN, then a syntax error": (_NAN_ROWS[:-1] + "[0, 0]]",
                                  "cannot read attack matrix file {}: "
                                  "non-finite number NaN is not allowed"),

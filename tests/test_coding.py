@@ -36,6 +36,7 @@ from densecode import (
     ghz_code_basis,
     ghz_state,
     hadamard_on,
+    layout_audit,
     pauli_equivalent,
     tensor_product,
     verify_code_orthonormality,
@@ -43,15 +44,21 @@ from densecode import (
 from densecode.coding import (
     _ON_COSET,
     _SCAN,
-    _argmax_abs,
+    OVERLAP_THRESHOLD,
     _circuit_outputs,
     _coset_indices,
+    _heavy_argmax,
     _message_indices,
     _word_masks,
-    _word_support,
     dnk_code_words,
+    dnk_word_support,
 )
-from densecode.entanglement import reduced_density, capacity
+from densecode.entanglement import (
+    capacity,
+    entanglement_verdicts,
+    optimality_report,
+    reduced_density,
+)
 from densecode.statevec import CHUNK, _parity
 
 SQ2 = 1.0 / np.sqrt(2.0)
@@ -710,7 +717,7 @@ def test_index_path_holds_62_bit_layouts(k):
     xmask, zmask = _word_masks(spec, msgs)
     for i, msg in enumerate(msgs.tolist()):
         assert (xmask[i], zmask[i]) == string_masks(format(msg, "062b"), spec), (k, msg)
-    cols, _ = _word_support(msgs, spec)
+    cols, _ = dnk_word_support(msgs, spec)
     assert np.array_equal(cols, np.sort(spec.support ^ xmask[:, None], axis=1))
 
 
@@ -723,7 +730,7 @@ def test_index_path_refuses_layouts_over_62_bits(n):
     with pytest.raises(ValueError, match=message):
         _word_masks(spec, np.array([1]))
     with pytest.raises(ValueError, match=message):
-        _word_support([1], spec)
+        dnk_word_support([1], spec)
     assert len(encode_ghz("1" * 100).labels) == 99
     assert len(dnk_encode("1" * 100, dnk_spec(100, 7))) == 7
 
@@ -854,8 +861,8 @@ def test_decode_of_every_message_matches_the_reference(n):
 
 
 def scan_batches(rng):
-    """Batches for the argmax scan: seeded real and complex rows of every width 2 to
-    2**18, 1 to 5 rows each, and a 1024 x 1024 batch."""
+    """Batches for the scan: seeded real and complex rows of every width 2 to 2**18,
+    1 to 5 rows each, and a 1024 x 1024 batch."""
     for e in range(1, 19):
         for rows in range(1, 6):
             real = rng.standard_normal((rows, 2**e))
@@ -866,42 +873,59 @@ def scan_batches(rng):
 
 def scan_edge_rows():
     """Rows of 2**18 entries whose answer sits on the scan's pass boundaries."""
-    rows = np.zeros((5, 2**18))
+    rows = np.zeros((3, 2**18))
     rows[0, [5, _SCAN + 3]], rows[0, _SCAN] = 1.0, -1.0  # a tie: the first wins
-    rows[1, 10], rows[1, 2 * _SCAN + 1] = 50.0, np.nan  # a later NaN beats a larger value
-    rows[2, [7, _SCAN + 7]], rows[2, 3] = np.nan, np.inf  # the first NaN stays
-    rows[3] = -0.0  # all zeros
-    rows[4] = -0.0
-    rows[4, 3 * _SCAN + 9], rows[4, -1] = -2.0, 2.0
+    rows[1] = -0.0  # all zeros
+    rows[2] = -0.0
+    rows[2, 3 * _SCAN + 9], rows[2, -1] = -2.0, 2.0
     return rows
 
 
-def test_argmax_scan_is_bitwise_the_argmax_of_the_magnitudes():
+def first_pass_argmax(amps, enough):
+    """The argmax of |amps| over the first ``_SCAN`` entries whose largest magnitude
+    reaches ``enough``, from the whole array of magnitudes; None if none does."""
+    mags = np.abs(amps)
+    for i in range(0, len(mags), _SCAN):
+        j = int(mags[i:i + _SCAN].argmax())
+        if mags[i + j] >= enough:
+            return i + j
+    return None
+
+
+SCAN_ENOUGH = (1e-3, _ON_COSET, 0.5, 1.5)
+
+
+def every_chunk(amps):
+    """Weights that call no chunk of ``amps`` light."""
+    return (math.inf,) * -(-len(amps) // CHUNK)
+
+
+def test_the_scan_is_the_first_pass_argmax_of_the_magnitudes():
     """Every row of the batches and of the edge rows, real and complex, read-only like
-    a state's amplitudes."""
+    a state's amplitudes, at thresholds that stop at the first pass, a later one or
+    none."""
     edges = scan_edge_rows()
     for words in [*scan_batches(np.random.default_rng(2000)), edges, edges * (1 - 1j)]:
         words.flags.writeable = False
         for row in words:
-            assert _argmax_abs(row) == np.abs(row).argmax(), words.shape
-    assert [_argmax_abs(row) for row in edges] == [5, 2 * _SCAN + 1, 7, 0, 3 * _SCAN + 9]
+            for enough in SCAN_ENOUGH:
+                want = first_pass_argmax(row, enough)
+                assert _heavy_argmax(row, enough, every_chunk(row)) == want, words.shape
+    assert [_heavy_argmax(row, 0.5, every_chunk(row)) for row in edges] == [
+        5, None, 3 * _SCAN + 9]
 
 
-def test_argmax_scan_stops_at_the_first_pass_that_reaches_enough():
+def test_the_scan_stops_at_the_first_pass_that_reaches_enough():
     """The argmax of the first pass whose largest magnitude reaches ``enough``, unread
-    past it: neither a larger value nor a NaN in a later pass wins.  With no pass
-    reaching ``enough``, the full argmax."""
+    past it: a larger value in a later pass does not win.  None when no pass reaches
+    ``enough``."""
     row = np.zeros(4 * _SCAN, dtype=complex)
     row[[3, _SCAN + 5, _SCAN + 9]] = 0.5, -0.75j, 0.75  # pass 1's first largest wins
-    row[2 * _SCAN + 1], row[3 * _SCAN] = 4.0, np.nan
+    row[2 * _SCAN + 1], row[3 * _SCAN] = 4.0, 2.0
     row.flags.writeable = False
-    assert [_argmax_abs(row, enough) for enough in (0.1, 0.5, 0.6, 0.75, 1.0, 4.0, 5.0)] == [
-        3, 3, _SCAN + 5, _SCAN + 5, 2 * _SCAN + 1, 2 * _SCAN + 1, 3 * _SCAN]
-    finite = np.where(np.isnan(row), 1.0, row)
-    assert _argmax_abs(finite, 5.0) == np.abs(finite).argmax() == 2 * _SCAN + 1
-
-
-SCAN_ENOUGH = (1e-3, _ON_COSET, 0.5, math.inf)
+    assert [_heavy_argmax(row, enough, every_chunk(row))
+            for enough in (0.1, 0.5, 0.6, 0.75, 1.0, 4.0, 4.5)] == [
+        3, 3, _SCAN + 5, _SCAN + 5, 2 * _SCAN + 1, 2 * _SCAN + 1, None]
 
 
 def chunk_weights(row):
@@ -913,14 +937,11 @@ def chunk_weights(row):
 
 def assert_weights_change_no_scan(amps, weights):
     for enough in SCAN_ENOUGH:
-        want = _argmax_abs(amps, enough)
-        assert _argmax_abs(amps, enough, weights) == want, enough
-        if enough == math.inf:
-            assert want == np.abs(amps).argmax()
+        assert _heavy_argmax(amps, enough, weights) == first_pass_argmax(amps, enough), enough
 
 
 def test_chunk_weights_change_no_code_word_scan():
-    """The scan from a state's chunk weights returns the weightless scan's index on code
+    """The scan from a state's chunk weights returns the first pass's argmax on code
     words of D(N, k) under a random phase, N = 15..20: 2 to 64 chunks."""
     rng = np.random.default_rng(2901)
     for n in range(15, 21):
@@ -952,17 +973,18 @@ def test_chunk_weights_change_no_scan_of_a_lone_amplitude():
         assert_weights_change_no_scan(state.amplitudes, state._chunk_weights)
 
 
-def test_a_scan_with_no_stop_reruns_over_the_skipped_chunks():
+def test_a_scan_with_no_stop_returns_none():
     """A first chunk too light to be read, holding the largest magnitude 0.2, and the
-    rest of the weight spread thin over chunk 5: no magnitude reaches 0.5, so the scan
-    that started at chunk 5 reruns from 0 and finds 0.2, as the weightless one does."""
+    rest of the weight spread thin over chunk 5: no magnitude reaches 0.5, so no pass
+    stops, as none would over every chunk."""
     amps = np.zeros(2**17, dtype=complex)
     amps[7] = 0.2j
     amps[5 * CHUNK:6 * CHUNK] = math.sqrt((1 - 0.04) / CHUNK)
     state = StateVector(17, amps)
     assert state._chunk_weights[0] < (0.5 / 2) ** 2 <= state._chunk_weights[5]
     assert_weights_change_no_scan(state.amplitudes, state._chunk_weights)
-    assert _argmax_abs(state.amplitudes, 0.5, state._chunk_weights) == 7
+    assert _heavy_argmax(state.amplitudes, 0.5, state._chunk_weights) is None
+    assert _heavy_argmax(state.amplitudes, 0.2, state._chunk_weights) == 7  # chunk 0 read
 
 
 def test_the_scan_starts_at_the_first_chunk_not_below_a_quarter_of_enough_squared():
@@ -972,34 +994,31 @@ def test_the_scan_starts_at_the_first_chunk_not_below_a_quarter_of_enough_square
     row = np.zeros(4 * CHUNK, dtype=complex)
     row[[3, CHUNK + 5, 2 * CHUNK + 7]] = 0.9, 0.6, 0.7
     light, heavy = 0.0624, 0.0625  # (0.5 / 2)**2 = 0.0625
-    assert _argmax_abs(row, 0.5, (light, heavy, 1.0, 1.0)) == CHUNK + 5
-    assert _argmax_abs(row, 0.5, (light, np.nan, 1.0, 1.0)) == CHUNK + 5
-    assert _argmax_abs(row, 0.5, (light, light, heavy, 1.0)) == 2 * CHUNK + 7
-    assert _argmax_abs(row, 0.5, (heavy, 1.0, 1.0, 1.0)) == 3
-    assert _argmax_abs(row, 0.95, (light, heavy, 1.0, 1.0)) == 3  # no stop: the rerun
+    assert _heavy_argmax(row, 0.5, (light, heavy, 1.0, 1.0)) == CHUNK + 5
+    assert _heavy_argmax(row, 0.5, (light, np.nan, 1.0, 1.0)) == CHUNK + 5
+    assert _heavy_argmax(row, 0.5, (light, light, heavy, 1.0)) == 2 * CHUNK + 7
+    assert _heavy_argmax(row, 0.5, (heavy, 1.0, 1.0, 1.0)) == 3
+    assert _heavy_argmax(row, 0.95, (light, heavy, 1.0, 1.0)) is None  # 0.9 is unread
 
 
 def test_the_scan_never_reads_a_light_chunk():
     """A light chunk after a heavy one is skipped too, whatever it holds, as a state's
-    dead chunks may hold anything; with no stop, the rerun reads it."""
+    dead chunks may hold anything."""
     row = np.zeros(4 * CHUNK, dtype=complex)
     row[[3, CHUNK + 5, 2 * CHUNK + 7]] = 0.3, 9.0, 0.7
     row[3 * CHUNK + 1] = np.nan
     light, heavy = 0.0624, 0.0625  # (0.5 / 2)**2 = 0.0625
-    assert _argmax_abs(row, 0.5, (heavy, light, heavy, light)) == 2 * CHUNK + 7
-    assert _argmax_abs(row, 0.8, (heavy, light, heavy, light)) == CHUNK + 5  # the rerun
-    assert _argmax_abs(row, 0.8, (heavy, heavy, heavy, light)) == CHUNK + 5
+    assert _heavy_argmax(row, 0.5, (heavy, light, heavy, light)) == 2 * CHUNK + 7
+    assert _heavy_argmax(row, 0.8, (1.0, light, 1.0, light)) is None  # 9.0 is unread
+    assert _heavy_argmax(row, 0.8, (1.0, 1.0, 1.0, light)) == CHUNK + 5
 
 
-def test_chunk_weights_change_no_scan_of_a_nan_or_inf_row():
-    """Rows no state holds, with NaN and inf, scanned with weights=None and with their
-    chunks' weights, NaN or inf where a chunk holds one: such a chunk is never skipped."""
-    for row in [*scan_edge_rows(), *(scan_edge_rows() * (1 - 1j))]:
-        row.flags.writeable = False
-        for enough in SCAN_ENOUGH:
-            want = _argmax_abs(row, enough, None)
-            assert want == _argmax_abs(row, enough)
-            assert _argmax_abs(row, enough, chunk_weights(row)) == want, enough
+def test_the_stop_lies_between_the_off_coset_and_on_coset_bounds():
+    """``_ON_COSET`` is T 2**-8.5: at most the least largest amplitude of a coset that
+    decodes, T 2**(-B/2) for B <= 17, and above the most an amplitude off it can hold."""
+    T = OVERLAP_THRESHOLD
+    assert _ON_COSET == T * 2**-8.5 and 2.76e-3 < _ON_COSET < 2.77e-3
+    assert math.sqrt(1 + 1e-9 - T**2) < 1.42e-3 < _ON_COSET <= T * 2 ** (-17 / 2)
 
 
 def unit(amps):
@@ -1010,8 +1029,9 @@ def near_threshold_states(spec, rng):
     """Seeded states of a layout around the decode threshold: a code word under a
     random phase plus noise of norm 1e-4 to 1e-2; two words mixed at t = 0.999 and
     0.9999995; the word with its first amplitude off the coset, which sits in the
-    scan's first pass, bumped to 1e-3, 1.4e-3, 1.5e-3 or 3e-3, and one to 3e-3 at a
-    random place off the coset; and a Haar state."""
+    scan's first pass, bumped to 1e-3, 1.4e-3, 1.5e-3, 2.7e-3, 2.8e-3, 2.9e-3 (around
+    ``_ON_COSET`` and 2 sqrt(1 - T**2), the stop before it) or 3e-3, and one to 3e-3 at
+    a random place off the coset; and a Haar state."""
     n = spec.n_qubits
     words = dnk_code_words(rng.choice(2**n, 3, replace=False), spec)
     w0, w1, w2 = words * np.exp(2j * np.pi * rng.random(3))[:, None]
@@ -1021,7 +1041,8 @@ def near_threshold_states(spec, rng):
     for t in (0.999, 0.9999995):
         yield unit(t * w1 + math.sqrt(1 - t**2) * w2)
     off = np.flatnonzero(words[0] == 0)
-    bumps = [(off[0], eps) for eps in (1e-3, 1.4e-3, 1.5e-3, 3e-3)] + [(rng.choice(off), 3e-3)]
+    bumps = [(off[0], eps) for eps in (1e-3, 1.4e-3, 1.5e-3, 2.7e-3, 2.8e-3, 2.9e-3, 3e-3)]
+    bumps.append((rng.choice(off), 3e-3))
     for at, eps in bumps:
         bumped = w0.copy()
         bumped[at] = eps * np.exp(2j * np.pi * rng.random())
@@ -1029,25 +1050,39 @@ def near_threshold_states(spec, rng):
     yield unit(complex_normal())
 
 
+def reference_decode(state, spec):
+    """The circuit decode from s = argmax |psi| over the whole register: the coset of
+    s, and ``_no_match`` when its best output is under the threshold."""
+    amps = state.amplitudes
+    s = np.array([np.abs(amps).argmax()])
+    msgs, best = _coset_indices(s, amps[s[:, None] ^ spec.support], spec)
+    if not best[0] >= OVERLAP_THRESHOLD:
+        coding._no_match(amps, spec)
+    return Message.from_string(format(int(msgs[0]), f"0{state.n_qubits}b"))
+
+
 def decode_outcome(state, spec, method="circuit"):
     """The message, or the ``NoMatchError``'s text, best overlap and blocks."""
     try:
+        if method == "reference":
+            return str(reference_decode(state, spec))
         return str(dnk_decode(state, spec, method))
     except NoMatchError as err:
         return str(err), err.best_overlap, err.blocks
 
 
 @pytest.mark.parametrize("n", range(2, 19))
-def test_decode_that_stops_is_the_full_scan_decode_on_near_threshold_states(n, monkeypatch):
-    """Up to 10 qubits against the overlap decode, an independent path; from 11 qubits
-    against the decode whose scan never stops (``_ON_COSET`` = inf), byte for byte.
-    Every layout up to 14 qubits; above, Bell pairs only, a mixed layout and one GHZ
-    block, as ``tools/digest.py`` decodes every layout."""
+def test_decode_that_stops_is_the_full_argmax_decode_on_near_threshold_states(n):
+    """Against the decode from argmax |psi| byte for byte, and up to 10 qubits against
+    the overlap decode, an independent path.  Every layout up to 14 qubits; above,
+    Bell pairs only, a mixed layout and one GHZ block, as ``tools/digest.py`` decodes
+    every layout."""
     rng = np.random.default_rng(2300 + n)
     for k in range(1, n) if n <= 14 else (1, 3 * n // 4, n - 1):
         spec = dnk_spec(n, k)
         states = [StateVector(n, amps) for amps in near_threshold_states(spec, rng)]
         got = [decode_outcome(state, spec) for state in states]
+        assert [decode_outcome(state, spec, "reference") for state in states] == got, (n, k)
         if n <= 10:
             for state, outcome in zip(states, got):
                 want = decode_outcome(state, spec, "overlap")
@@ -1056,10 +1091,6 @@ def test_decode_that_stops_is_the_full_scan_decode_on_near_threshold_states(n, m
                 else:
                     assert not isinstance(outcome, str), (n, k)
                     assert abs(outcome[1] - want[1]) <= 1e-12, (n, k)
-            continue
-        with monkeypatch.context() as patch:
-            patch.setattr(coding, "_ON_COSET", math.inf)
-            assert [decode_outcome(state, spec) for state in states] == got, (n, k)
     assert {isinstance(outcome, str) for outcome in got} == {True, False}
 
 
@@ -1121,7 +1152,7 @@ def test_word_support_is_the_sorted_coset_bitwise(n):
         want = np.sort(spec.support ^ x[:, None], axis=1)
         amp = math.prod([SQ2] * len(spec.blocks))
         want_vals = np.array([amp, -amp])[_parity(want & z[:, None])]
-        cols, vals = _word_support(msgs, spec)
+        cols, vals = dnk_word_support(msgs, spec)
         assert cols.dtype == want.dtype and np.array_equal(cols, want), (n, k)
         assert vals.dtype == want_vals.dtype and np.array_equal(vals, want_vals), (n, k)
 
@@ -1134,7 +1165,7 @@ def test_support_roundtrip_is_bitwise_the_dense_decode(n):
     for k in range(1, n):
         spec = dnk_spec(n, k)
         msgs = np.arange(2**n) if n <= 10 else np.sort(rng.choice(2**n, 64, replace=False))
-        cols, vals = _word_support(msgs, spec)
+        cols, vals = dnk_word_support(msgs, spec)
         got, got_best = _coset_indices(cols[:, 0], vals, spec)
         words = dnk_code_words(msgs, spec)
         s = np.abs(words).argmax(axis=1)
@@ -1256,3 +1287,30 @@ def test_kernel_states_are_bitwise_the_validated_construction(n):
             assert state.amplitudes.dtype == want.amplitudes.dtype
             assert np.array_equal(state.amplitudes, want.amplitudes)
             assert not state.amplitudes.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# The library audit
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("seed", [0, 2**63 - 1])
+def test_layout_audit_is_the_dense_oracles(n, seed):
+    """On every D(n, k): the optimality report of the dense resource, field for field
+    with ``==``; the every-side verdicts; the dense Gram check; and the overlap decode
+    of every checked message, each its own."""
+    for k in range(1, n):
+        spec = dnk_spec(n, k)
+        audit = layout_audit(spec, seed)
+        state = dnk_state(spec)
+        assert audit.optimality == optimality_report(state, spec.alice_qubits), (n, k)
+        ame, gme = entanglement_verdicts(state)
+        assert (audit.ame, audit.gme) == (ame.is_ame, gme), (n, k)
+        assert abs(audit.ame_residual - ame.max_residual) <= 1e-15, (n, k)
+        assert audit.gram == dnk_gram_report(n, k), (n, k)
+        picks = range(2**n) if n <= 6 else coding._roundtrip_picks(seed, n).tolist()
+        basis = dnk_code_basis(n, k)
+        decoded = [int(str(dnk_decode(StateVector(n, basis.states[m]), spec, "overlap")), 2)
+                   for m in picks]
+        assert decoded == list(picks), (n, k)
+        assert (audit.messages_checked, audit.failures) == (len(picks), 0), (n, k)

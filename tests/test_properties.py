@@ -34,8 +34,8 @@ from densecode.cli import _json, _parse, build_parser, main, render_report
 from densecode.coding import (
     OVERLAP_THRESHOLD,
     _no_match,
-    _word_support,
     dnk_code_words,
+    dnk_word_support,
 )
 from test_cli import reference_render
 
@@ -124,7 +124,7 @@ def test_near_threshold_states_decode_on_the_fast_path(n, k, data):
     past the bound, "off" overlaps the word by less than T and fails."""
     spec = dnk_spec(n, k)
     msg = data.draw(st.integers(0, 2**n - 1))
-    (cols,), _ = _word_support([msg], spec)
+    (cols,), _ = dnk_word_support([msg], spec)
     word = dnk_code_words([msg], spec)[0]
     kind = data.draw(st.sampled_from(["off", "swap", "random"]))
     if kind == "random":

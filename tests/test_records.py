@@ -1,4 +1,4 @@
-"""The contract of the 15 public records, which ``statevec._record`` builds as
+"""The contract of the 16 public records, which ``statevec._record`` builds as
 frozen dataclasses without generated code: fields, ``replace``, ``astuple``,
 ``__match_args__``, repr, equality and hashing, frozenness, the TypeError of a
 bad call, ``__post_init__``, ``inspect.signature`` and ``__dataclass_params__``, each as
@@ -12,6 +12,7 @@ import pytest
 
 from densecode import (
     AmeReport,
+    AuditReport,
     Bipartition,
     CertificateReport,
     CodeBasis,
@@ -30,6 +31,7 @@ from densecode import (
 )
 
 DETECTION = DetectionReport(0.0, 0.25, 0.125)
+OPTIMALITY = OptimalityReport(2.0, 2, True, True, 0.0, True)
 PROJECTOR = np.array([[1, 0], [0, 0]])
 
 # Each record: its init arguments, its field names in order, and the repr of the
@@ -51,6 +53,13 @@ RECORDS = {
                        "OptimalityReport(capacity=2.0, holevo_bound=2, "
                        "alice_size_sufficient=True, bob_marginal_maximally_mixed=True, "
                        "bob_marginal_residual=0.0, optimal=True)"),
+    AuditReport: ((OPTIMALITY, True, True, 0.0, None, 4, 0),
+                  ["optimality", "ame", "gme", "ame_residual", "gram", "messages_checked",
+                   "failures"],
+                  "AuditReport(optimality=OptimalityReport(capacity=2.0, holevo_bound=2, "
+                  "alice_size_sufficient=True, bob_marginal_maximally_mixed=True, "
+                  "bob_marginal_residual=0.0, optimal=True), ame=True, gme=True, "
+                  "ame_residual=0.0, gram=None, messages_checked=4, failures=0)"),
     Message: (((1, 0, 1),), ["bits"], "Message(bits=(1, 0, 1))"),
     PartyShare: ((1, (1,), (1, 2)), ["party", "qubits", "bits"],
                  "PartyShare(party=1, qubits=(1,), bits=(1, 2))"),
