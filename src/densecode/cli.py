@@ -102,7 +102,7 @@ def cmd_encode(args: Args) -> tuple[dict, int]:
     if n > MAX_ENCODE_BITS:
         raise ValueError(f"--message supports at most {MAX_ENCODE_BITS} bits, got {n}")
     spec = _layout("--senders", n, n - 1 if args.senders is None else args.senders)
-    (cols,), (vals,) = coding.dnk_word_support([int(str(msg), 2)], spec)
+    cols, vals = coding.dnk_word(msg, spec)
     full = coding.dnk_combined_string(msg, spec)
     results: dict[str, Any] = {
         "message": str(msg),
@@ -119,8 +119,8 @@ def cmd_encode(args: Args) -> tuple[dict, int]:
             }
             for share in spec.shares
         }
-    results["amplitudes"] = [[c, v, 0.0] for c, v in zip(cols.tolist(), vals.tolist())]
-    norm_dev = abs(float(np.add.reduce(vals**2)) - 1.0)
+    results["amplitudes"] = [[c, v, 0.0] for c, v in zip(cols, vals)]
+    norm_dev = abs(float(np.add.reduce(np.array(vals) ** 2)) - 1.0)
     params = {"message": args.message, "senders": args.senders}
     return _report("encode", params, results, {"norm_deviation": norm_dev}, "ok", args.seed), 0
 

@@ -15,6 +15,9 @@ multiplication by an even number of Z factors (see ``pauli_equivalent``).
 
 A code word is Z^z X^x on the resource, nonzero on one coset support ^ x of
 2^B indices for B blocks: ``encode`` reports it, the Gram check works per coset.
+Two builders give those entries, bit for bit alike: ``dnk_word``, the single-word
+builder ``encode`` reads, in Python integers, and ``dnk_word_support``, the batch
+builder of the audit's table and the Gram check, in int64 arrays.
 Decoding is done two ways that must agree: overlap against the code basis,
 and a circuit (CNOT fan-out from each block's first qubit, Hadamard on it,
 bit-map inversion) on the coset of the largest amplitude, a 2^B-point
@@ -219,10 +222,6 @@ class DnkSpec:
                                  for block in self.blocks]))
 
     @functools.cached_property
-    def last_bits(self) -> np.ndarray:
-        return _frozen(np.array([self.n_bits - block[-1] for block in self.blocks]))
-
-    @functools.cached_property
     def support(self) -> np.ndarray:
         """The 2**B unions of whole blocks, ascending: the resource's nonzero indices."""
         return _unions(self.block_masks.tolist(), self.block_masks.dtype)
@@ -335,9 +334,14 @@ def _word_masks(spec: DnkSpec, msgs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     qubit, so message i has X-mask (i << 1) & sender_mask and Z-mask i & lead_mask.
     Indices are int64, so i << 1 fits only for layouts of up to 62 bits.
     """
+    _refuse_long(spec)
+    return (msgs << 1) & spec.sender_mask, msgs & spec.lead_mask
+
+
+def _refuse_long(spec: DnkSpec) -> None:
+    """Refuse a layout of over 62 bits, whose i << 1 an int64 index would not hold."""
     if spec.n_bits > 62:
         raise ValueError(f"int64 index arrays hold layouts of up to 62 bits, got {spec.n_bits}")
-    return (msgs << 1) & spec.sender_mask, msgs & spec.lead_mask
 
 
 def dnk_word_support(msgs: Sequence[int], spec: DnkSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -351,6 +355,32 @@ def dnk_word_support(msgs: Sequence[int], spec: DnkSpec) -> tuple[np.ndarray, np
     cols = rep[:, None] ^ spec.support
     amp = math.prod([_SQRT_HALF] * len(spec.blocks))
     return cols, np.array([amp, -amp])[_parity(cols & z[:, None])]
+
+
+def dnk_word(msg: MessageLike, spec: DnkSpec) -> tuple[list[int], list[float]]:
+    """The columns and values of one message's code word, as Python ints and floats,
+    bit for bit the row ``dnk_word_support`` gives its index, built in integers: the
+    first column rep is x with each block whose lead x sets flipped whole, its value
+    +-amp by the parity of rep & z, and then each block, from the last, doubles the
+    lists, the new half flipped on that block and negated where z sets an odd number
+    of its bits.  ``encode``'s builder, which builds no array of the spec; the audit's
+    table of many words takes ``dnk_word_support``.  It refuses what that kernel and
+    ``dnk_encoded_state`` refuse: a message of the wrong length, a layout over 62 bits."""
+    i = int(str(_layout_message(msg, spec)), 2)
+    _refuse_long(spec)
+    n = spec.n_bits
+    x, z = (i << 1) & spec.sender_mask, i & spec.lead_mask
+    masks = [((1 << len(block)) - 1) << (n - block[-1]) for block in spec.blocks]
+    rep = x
+    for block, mask in zip(spec.blocks, masks):
+        if x >> (n - block[0]) & 1:
+            rep ^= mask
+    amp = float(math.prod([_SQRT_HALF] * len(masks)))
+    cols, vals = [rep], [-amp if (rep & z).bit_count() & 1 else amp]
+    for mask in reversed(masks):
+        cols += [c ^ mask for c in cols]
+        vals += [-v for v in vals] if (mask & z).bit_count() & 1 else vals
+    return cols, vals
 
 
 def dnk_code_words(msgs: Sequence[int], spec: DnkSpec) -> np.ndarray:
@@ -413,13 +443,19 @@ def _overlap_decode(basis: CodeBasis, state: StateVector) -> Message:
     return Message.from_string(format(best, f"0{basis.n_qubits}b"))
 
 
-def _message_indices(s: np.ndarray, a: np.ndarray, spec: DnkSpec) -> np.ndarray:
-    """Message index at circuit output ``a`` of the coset of ``s``, elementwise.  Block
+def _message_indices(s: Union[np.ndarray, int], a: Union[np.ndarray, int],
+                     spec: DnkSpec) -> Union[np.ndarray, int]:
+    """Message index at circuit output ``a`` of the coset of ``s``, elementwise, on int64
+    arrays (the audit's batch) or on Python ints (one decode).  Block
     j's Hadamard puts a's bit j (from the top) on its lead; its fan-out leaves y, s with
     the lead's bit added to the whole block.  The block's second message bit is y_last,
     each later bit q is y_(q-1) ^ y_last (for GHZ, b_(j+1) = z_j xor z_g).  The lead's
-    bit cancels in both, so each bit q after a lead is s_(q-1) ^ s_last of its block."""
-    last = ((s[:, None] >> spec.last_bits) & 1) @ spec.block_masks  # s_last on its block
+    bit cancels in both, so each bit q after a lead is s_(q-1) ^ s_last of its block.
+    s_last goes on its block by two products: the GHZ block's g bits by their mask, and
+    each pair's receiver bit, at an even bit below the GHZ block, by 3 onto its pair."""
+    n, g = spec.n_bits, spec.ghz_size
+    pairs = n - g  # the pairs' bit count: (2**pairs - 1) // 3 is 0101...01, their receivers
+    last = ((s >> pairs) & 1) * (((1 << g) - 1) << pairs) | (s & ((1 << pairs) - 1) // 3) * 3
     return spec.lead_support[a] | (((s >> 1) ^ last) & ~spec.lead_mask)
 
 
@@ -477,7 +513,8 @@ _SCAN = 2**13
 #: weight at least T**2, so every amplitude off C would be at most
 #: sqrt(1 + NORM_TOLERANCE - T**2) ~ 1.415e-3.  For B <= 17 the first bound is at
 #: least this one and the second below it: a coset that decodes makes a pass stop,
-#: on an index of that coset, and a scan with no stop leaves no coset to decode
+#: on an index of that coset, and holds every index of this magnitude, such as a
+#: decode's start; and a scan with no stop leaves no coset to decode
 _ON_COSET = OVERLAP_THRESHOLD * 2**-8.5
 
 
@@ -509,13 +546,17 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
     decode reads the coset of an index s of large |psi|; a state whose best output there
     is under OVERLAP_THRESHOLD matches no code word (see ``_no_match``).
 
-    The scan for s stops at the first pass holding a magnitude of at least
-    ``_ON_COSET`` ~ 2.76e-3 and takes that pass's argmax; it reads only the chunks of
-    the state's copy heavy enough to hold one, by the chunk weights the state took as
-    it copied its amplitudes.  By the bounds at ``_ON_COSET``, a coset that decodes
-    holds the index a pass stops at, from which the outputs are bitwise those from
-    argmax |psi|, and a scan with no stop leaves no coset to decode.  So the message,
-    or the error, is that of the decode from argmax |psi|.
+    s is first the state's ``_start``, the first nonzero its chunk test found in its
+    first live chunk, where a code word's first live chunk begins with one of its
+    entries; if there is none, or its magnitude is under ``_ON_COSET`` ~ 2.76e-3, the
+    scan for s stops at the first pass holding a magnitude of at least ``_ON_COSET``
+    and takes that pass's argmax; it reads only the chunks of the state's copy heavy
+    enough to hold one, by the chunk weights the state took as it copied its
+    amplitudes.  By the bounds at ``_ON_COSET``, a coset that decodes holds every
+    index of such a magnitude, the start or the one a pass stops at, from which the
+    outputs are bitwise those from argmax |psi|, and a scan with no stop leaves no
+    coset to decode.  So the message, or the error, is that of the decode from
+    argmax |psi|.
 
     The copy is read in place: a dead chunk, one the state left unwritten as it held
     only zero bits, is never scanned (its weight is 0.0) and reads as +0.0 where the
@@ -529,20 +570,23 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
         return _overlap_decode(dnk_code_basis(spec.n_bits, spec.n_senders), state)
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
-    at = _heavy_argmax(state._copy, _ON_COSET, state._chunk_weights)
-    if at is None:
-        _no_match(state.amplitudes, spec)
-    s = np.array([at])
-    coset = s[:, None] ^ spec.support
-    t = state._copy[coset]
+    copy, at = state._copy, state._start
+    if at is None or not abs(copy[at]) >= _ON_COSET:
+        at = _heavy_argmax(copy, _ON_COSET, state._chunk_weights)
+        if at is None:
+            _no_match(state.amplitudes, spec)
+    coset = at ^ spec.support
+    t = copy[coset]
     if state._dead:
         is_dead = np.zeros(len(state._chunk_weights), dtype=bool)
         is_dead[list(state._dead)] = True
         t[is_dead[coset // CHUNK]] = 0.0
-    msgs, best = _coset_indices(s, t, spec)
-    if not best[0] >= OVERLAP_THRESHOLD:
+    out = _circuit_outputs(t, spec)
+    a = int(out.argmax())
+    if not out[a] >= OVERLAP_THRESHOLD:
         _no_match(state.amplitudes, spec)
-    return Message.from_string(format(int(msgs[0]), f"0{spec.n_qubits}b"))
+    index = int(_message_indices(at, a, spec))
+    return Message(tuple(map(int, format(index, f"0{spec.n_qubits}b"))))
 
 
 # ---------------------------------------------------------------------------

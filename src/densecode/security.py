@@ -100,13 +100,19 @@ def parity_class(state: StateVector, tol: float = 1e-9) -> ParityClass:
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
-    """max |(U^t U - 1)_ij| of a square ``matrix``: 0.0 for an exact unitary."""
+    """max |(U^t U - 1)_ij| of a square, finite ``matrix``: 0.0 for an exact unitary,
+    and math.inf, with no warning, where U^t U overflows.  A non-finite entry is
+    refused: its residual would be nan or inf whatever the other entries are."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"unitarity is defined for a square matrix, got shape {m.shape}")
-    gram = m.conj().T @ m
-    gram.flat[:: m.shape[0] + 1] -= 1.0  # the identity's diagonal, without building it
-    return float(np.maximum.reduce(np.abs(gram), axis=None))
+    if not np.logical_and.reduce(np.isfinite(m), axis=None):
+        raise ValueError("unitarity is defined for a finite matrix, got a non-finite entry")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
+        gram = m.conj().T @ m
+        gram.flat[:: m.shape[0] + 1] -= 1.0  # the identity's diagonal, without building it
+        residual = float(np.maximum.reduce(np.abs(gram), axis=None))
+    return math.inf if math.isnan(residual) else residual
 
 
 @_record(eq=False)

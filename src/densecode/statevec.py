@@ -55,14 +55,16 @@ def _byte_flags(src: np.ndarray) -> np.ndarray | None:
     return src.view(bool)
 
 
-def _zero_bytes(flags: np.ndarray) -> bool:
-    """Whether ``flags``, a slice of ``_byte_flags``, holds no nonzero byte.  The
-    bool argmax stops at the first one, so a live chunk is read only that far; it
-    copies a read-only array before it scans, so such a slice is read in place, by
-    the max of its bytes."""
+def _first_byte(flags: np.ndarray) -> Optional[int]:
+    """The place of the first nonzero byte of ``flags``, a slice of ``_byte_flags``,
+    -1 when it holds none, and None when a read-only slice holds one.  The bool argmax
+    stops at the first one, so a live chunk is read only that far; it copies a
+    read-only array before it scans, so such a slice is read in place, by the max of
+    its bytes, which finds no place."""
     if flags.flags.writeable:
-        return not flags[flags.argmax()]
-    return not np.maximum.reduce(flags.view(np.uint8))
+        at = int(flags.argmax())
+        return at if flags[at] else -1
+    return None if np.maximum.reduce(flags.view(np.uint8)) else -1
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +223,10 @@ class StateVector:
     contiguous numeric input, a chunk of zero bits, as most chunks of a large
     layout's code word are, is left unwritten with weight 0.0, and its chunk
     number goes into ``_dead``.  The test reads a chunk up to its first nonzero
-    byte (``_zero_bytes``), so a dense chunk is read once, by its copy.  Such a
+    byte (``_first_byte``), so a dense chunk is read once, by its copy, and the
+    index of the first live chunk's first nonzero amplitude is kept as ``_start``,
+    where a decode tries its first coset; it is None where no test placed one: in a
+    state of one chunk, or a read-only, object or strided input.  Such a
     copy is ``_copy``; ``amplitudes`` is built from it on first read, with its dead
     chunks zeroed, then made read-only, so the copy, the weights and the norm are
     bitwise those of a full copy.  A chunk of -0.0 or of denormals holds nonzero
@@ -247,12 +252,15 @@ class StateVector:
         width = src.itemsize
         amps = np.empty(size, dtype=complex) if many else src  # the private copy
         flat = part = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
-        weights, dead, norm_sq, i = (), (), 0.0, 0
+        weights, dead, norm_sq, i, start = (), (), 0.0, 0, None
         while i < size:  # not a for over a range, which costs a small state 0.5 us cold
-            if flags is not None and _zero_bytes(flags[i * width:(i + CHUNK) * width]):
+            at = None if flags is None else _first_byte(flags[i * width:(i + CHUNK) * width])
+            if at == -1:
                 weight = 0.0  # +0.0 in the input: zeroed on the first read of amplitudes
                 dead += (i // CHUNK,)
             else:
+                if start is None and at is not None:  # the first live chunk's first nonzero
+                    start = i + at // width
                 if many:
                     amps[i:i + CHUNK] = src[i:i + CHUNK]
                     part = flat[2 * i:2 * (i + CHUNK)]
@@ -270,7 +278,7 @@ class StateVector:
         else:
             amps.flags.writeable = False
             state["amplitudes"] = amps
-        state.update(_chunk_weights=weights, _copy=amps, _dead=dead)
+        state.update(_chunk_weights=weights, _copy=amps, _dead=dead, _start=start)
 
     def __getattr__(self, name: str) -> Any:
         """``amplitudes``, on its first read from a copy with dead chunks: they are
@@ -355,8 +363,10 @@ class PauliString:
         return PauliLabel.I
 
     def restricted_to(self, qubits: Sequence[int]) -> "PauliString":
-        """The sub-string acting on ``qubits`` (identity labels kept)."""
-        return PauliString(tuple(self.label_on(q) for q in qubits), tuple(qubits))
+        """The sub-string acting on ``qubits`` (identity labels kept), read from one
+        {target: label} dict."""
+        on = dict(zip(self.targets, self.labels))
+        return PauliString(tuple(on.get(q, PauliLabel.I) for q in qubits), tuple(qubits))
 
     def __str__(self) -> str:
         return "⊗".join(lab.value for lab in self.labels)

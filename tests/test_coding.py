@@ -448,7 +448,7 @@ def test_dnk_spec_stores_its_blocks_and_derives_the_rest():
     assert repr(spec) == "DnkSpec(n_bits=7, n_senders=3)"
     assert spec.blocks == ((1, 2, 3), (4, 5), (6, 7))
     for name in ("ghz_size", "bell_pairs", "bob_qubits", "alice_qubits", "n_qubits", "support",
-                 "sender_mask", "lead_mask", "block_masks", "last_bits", "blocks", "shares"):
+                 "sender_mask", "lead_mask", "block_masks", "blocks", "shares"):
         with pytest.raises(AttributeError):
             setattr(spec, name, 0)
     with pytest.raises(TypeError):
@@ -511,7 +511,6 @@ def qubit_by_qubit_index_constants(spec):
         "sender_mask": sum(1 << (n - q) for q in spec.alice_qubits),
         "lead_mask": lead_mask,
         "block_masks": block_masks,
-        "last_bits": np.array([n - block[-1] for block in spec.blocks]),
         "support": support,
         "lead_support": support & lead_mask,
     }
@@ -538,7 +537,6 @@ def test_dnk_spec_index_constants_read_off_the_blocks(n):
         assert spec.sender_mask == mask(spec.alice_qubits)
         assert spec.lead_mask == mask(leads)
         assert spec.block_masks.tolist() == block_masks
-        assert spec.last_bits.tolist() == [n - block[-1] for block in spec.blocks]
         assert spec.support.tolist() == unions
         assert spec.lead_support.tolist() == [u & mask(leads) for u in unions]
         if n <= 12:  # 2**n indices
@@ -557,8 +555,7 @@ def test_dnk_spec_index_constants_read_off_the_blocks(n):
                     assert type(got[name]) is type(value) and got[name] == value, (k, name)
 
 
-@pytest.mark.parametrize("name", ["support", "lead_support", "block_masks", "last_bits",
-                                  "coset_reps"])
+@pytest.mark.parametrize("name", ["support", "lead_support", "block_masks", "coset_reps"])
 def test_dnk_spec_index_arrays_are_read_only(name):
     """The cached spec is shared: no caller can change its arrays for the rest."""
     array = getattr(dnk_spec(4, 3), name)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -853,6 +854,31 @@ def test_attack_numbers_are_bitwise_the_norm_and_eye_formulas(family):
         assert sum(u.flags.f_contiguous and not u.flags.c_contiguous for u in cases) == 500
     # the scaled family is refused and accepted, the others only accepted
     assert outcomes == ({False, True} if family == "scaled" else {False})
+
+
+@pytest.mark.parametrize("entry", [1e308, complex(1e308, 1e308), complex(-1e200, 3e200)])
+def test_an_overflowing_unitarity_residual_is_inf_without_a_warning(entry):
+    """A finite matrix whose U^t U overflows reads inf, whether the overflow gives inf or,
+    from inf - inf, nan; the floating-point state is left as it was."""
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unitarity_residual(np.full((4, 4), entry)) == math.inf
+        assert unitarity_residual(np.eye(4) * 2) == 3.0
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+def test_a_non_finite_entry_is_refused_by_unitarity_residual(entry):
+    matrix = np.eye(4, dtype=complex)
+    matrix[2, 1] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^unitarity is defined for a finite matrix, "
+                                             "got a non-finite entry$"):
+            unitarity_residual(matrix)
+        with pytest.raises(ValueError, match="^attack matrix has non-finite entries$"):
+            EveAttack(matrix)
 
 
 def test_security_op_needs_no_norm_or_eye(tmp_path, capsys, monkeypatch):

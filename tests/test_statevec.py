@@ -425,6 +425,18 @@ def test_pauli_string_label_on_an_untargeted_qubit_is_identity():
         PauliLabel.I, PauliLabel.X, PauliLabel.I, PauliLabel.IY, PauliLabel.I]
 
 
+def test_restricted_to_is_the_label_on_scan_of_each_qubit():
+    rng = np.random.default_rng(4302)
+    labels = list(PauliLabel)
+    for size in range(0, 9):
+        targets = tuple(rng.permutation(np.arange(1, 12))[:size].tolist())
+        ps = PauliString(tuple(labels[i] for i in rng.integers(0, 4, size)), targets)
+        for qubits in ((), (5,), tuple(range(1, 12)), tuple(reversed(targets)), targets[:2]):
+            sub = ps.restricted_to(qubits)
+            assert sub == PauliString(tuple(ps.label_on(q) for q in qubits), qubits)
+            assert sub.targets == qubits
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 
