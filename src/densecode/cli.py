@@ -539,7 +539,7 @@ def _validate(args: Args) -> None:
     becomes an int, or a float for a row without a unit.  Then resolve the
     seed.  The first bad value raises a ValueError naming its flag."""
     for field, value in vars(args).items():
-        if value == []:  # argparse before Python 3.13 reads --FLAG=-- as an empty list
+        if value == [] or value == "--":  # argparse reads --FLAG=-- as [], or from 3.13 as "--"
             raise ValueError(f"--{field.replace('_', '-')} needs a value, got '--'")
     for flag, field, kind, want, low, high, unit in _CHECKS[args.command]:
         value = getattr(args, field)

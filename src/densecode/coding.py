@@ -38,7 +38,6 @@ import numpy as np
 from .entanglement import DEFAULT_TOLERANCE, OptimalityReport, layout_optimality, layout_verdicts
 from .statevec import (
     _BITS_LABEL,
-    CHUNK,
     _SQRT_HALF,
     PauliLabel,
     PauliString,
@@ -106,6 +105,8 @@ def as_message(msg: MessageLike) -> Message:
 
 def all_messages(n: int) -> list[Message]:
     """All 2**n messages in integer (lexicographic) order."""
+    if _integer("n", n) < 2:
+        raise ValueError(f"messages need at least 2 bits, got {n}")
     return [Message(bits) for bits in itertools.product((0, 1), repeat=n)]
 
 
@@ -479,10 +480,10 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     and the blocks not sharp ("ghz" for a block of 3 or more qubits, "pair1", "pair2",
     ... for pairs in order).
 
-    Called when the decode's scan found no coset with an output >= T =
-    OVERLAP_THRESHOLD; then no coset has one, by the bounds at ``_ON_COSET``, for B <=
-    17 (every register under 36 qubits, as a block has 2 or more).  So the result does
-    not depend on where the scan stopped, or whether it stopped."""
+    Called when the coset the decode read has no output >= T = OVERLAP_THRESHOLD; then
+    no coset has one, by the bounds at ``_ON_COSET``, for B <= 17 (every register under
+    36 qubits, as a block has 2 or more).  So the result does not depend on where the
+    decode started."""
     n, reps = spec.n_qubits, spec.coset_reps
     out = _circuit_outputs(amps[reps[:, None] ^ spec.support], spec)
     overlap = float(np.maximum.reduce(out, axis=None))
@@ -503,42 +504,15 @@ def _no_match(amps: np.ndarray, spec: DnkSpec) -> NoReturn:
     )
 
 
-#: magnitudes per pass of ``_heavy_argmax``: one 64 KiB float buffer.  It divides
-#: ``CHUNK``, so each chunk a state weighs starts on a pass
-_SCAN = 2**13
-#: a pass of the decode's scan stops at a magnitude this large, T 2**-8.5 ~ 2.762e-3
-#: for T = OVERLAP_THRESHOLD.  Were output a of coset C at least T on a state of
+#: a decode tries its start only at a magnitude this large, T 2**-8.5 ~ 2.762e-3 for
+#: T = OVERLAP_THRESHOLD.  Were output a of coset C at least T on a state of
 #: |psi|**2 <= 1 + NORM_TOLERANCE, then, as every entry of h_a is +-2**(-B/2), C would
 #: hold an amplitude of at least T 2**(-B/2), and, as the lead Hadamards are unitary,
 #: weight at least T**2, so every amplitude off C would be at most
 #: sqrt(1 + NORM_TOLERANCE - T**2) ~ 1.415e-3.  For B <= 17 the first bound is at
-#: least this one and the second below it: a coset that decodes makes a pass stop,
-#: on an index of that coset, and holds every index of this magnitude, such as a
-#: decode's start; and a scan with no stop leaves no coset to decode
+#: least this one and the second below it: a coset that decodes holds argmax |psi|
+#: and every index of this magnitude, such as a start that is tried
 _ON_COSET = OVERLAP_THRESHOLD * 2**-8.5
-
-
-def _heavy_argmax(amps: np.ndarray, enough: float,
-                  weights: Sequence[float]) -> Optional[int]:
-    """The argmax of |amps| over the first pass of ``_SCAN`` entries whose largest
-    magnitude reaches ``enough``, read through one reused buffer, and None when no pass
-    reaches it.  Only the chunks whose weight in ``weights``, a state's
-    ``_chunk_weights`` (the |amps|^2 of each ``CHUNK``), is not below (enough/2)**2
-    are read: a lighter chunk holds no magnitude >= ``enough``, whose square alone
-    would outweigh it 4 to 1, far past any rounding of the sum, so a state's dead
-    chunks, of weight 0.0, may hold anything.  The buffer is writeable: numpy copies a
-    read-only array, such as a state's own amplitudes, before its argmax."""
-    light = (enough / 2) ** 2
-    buf = np.empty(min(len(amps), _SCAN), dtype=amps.real.dtype)  # |amps|' dtype
-    for start, weight in zip(range(0, len(amps), CHUNK), weights):
-        if weight < light:
-            continue
-        for i in range(start, min(start + CHUNK, len(amps)), _SCAN):
-            part = np.abs(amps[i:i + _SCAN], out=buf[:len(amps) - i])
-            j = int(part.argmax())
-            if part[j] >= enough:
-                return i + j
-    return None
 
 
 def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Message:
@@ -546,22 +520,15 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
     decode reads the coset of an index s of large |psi|; a state whose best output there
     is under OVERLAP_THRESHOLD matches no code word (see ``_no_match``).
 
-    s is first the state's ``_start``, the first nonzero its chunk test found in its
-    first live chunk, where a code word's first live chunk begins with one of its
-    entries; if there is none, or its magnitude is under ``_ON_COSET`` ~ 2.76e-3, the
-    scan for s stops at the first pass holding a magnitude of at least ``_ON_COSET``
-    and takes that pass's argmax; it reads only the chunks of the state's copy heavy
-    enough to hold one, by the chunk weights the state took as it copied its
-    amplitudes.  By the bounds at ``_ON_COSET``, a coset that decodes holds every
-    index of such a magnitude, the start or the one a pass stops at, from which the
-    outputs are bitwise those from argmax |psi|, and a scan with no stop leaves no
-    coset to decode.  So the message, or the error, is that of the decode from
-    argmax |psi|.
-
-    The copy is read in place: a dead chunk, one the state left unwritten as it held
-    only zero bits, is never scanned (its weight is 0.0) and reads as +0.0 where the
-    coset holds an index in it.  Only ``_no_match`` reads ``state.amplitudes``, which
-    builds the full copy."""
+    s is the state's ``_start``, the first nonzero its chunk test found, where a code
+    word's first live chunk begins with one of its entries; if its magnitude is under
+    ``_ON_COSET`` ~ 2.76e-3, the state is no clean code word and s is argmax |psi|.  By
+    the bounds at ``_ON_COSET``, a coset that decodes holds both, from which the
+    outputs are bitwise equal, and a start of that magnitude off such a coset leaves no
+    coset to decode.  So the message, or the error, is that of the decode from argmax
+    |psi|.  The coset is read from the state's copy in place, by
+    ``StateVector._amplitudes_at``; only a state that is no clean code word reads
+    ``state.amplitudes``, which builds the full copy."""
     if state.n_qubits != spec.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, layout expects {spec.n_qubits}"
@@ -570,17 +537,11 @@ def dnk_decode(state: StateVector, spec: DnkSpec, method: str = "circuit") -> Me
         return _overlap_decode(dnk_code_basis(spec.n_bits, spec.n_senders), state)
     if method != "circuit":
         raise ValueError(f"unknown decode method {method!r}")
-    copy, at = state._copy, state._start
-    if at is None or not abs(copy[at]) >= _ON_COSET:
-        at = _heavy_argmax(copy, _ON_COSET, state._chunk_weights)
-        if at is None:
-            _no_match(state.amplitudes, spec)
-    coset = at ^ spec.support
-    t = copy[coset]
-    if state._dead:
-        is_dead = np.zeros(len(state._chunk_weights), dtype=bool)
-        is_dead[list(state._dead)] = True
-        t[is_dead[coset // CHUNK]] = 0.0
+    at = state._start
+    t = state._amplitudes_at(at ^ spec.support)
+    if not abs(t[0]) >= _ON_COSET:  # t[0] is the start's: support[0] is 0
+        at = int(np.abs(state.amplitudes).argmax())
+        t = state._amplitudes_at(at ^ spec.support)
     out = _circuit_outputs(t, spec)
     a = int(out.argmax())
     if not out[a] >= OVERLAP_THRESHOLD:
@@ -703,6 +664,8 @@ def pauli_equivalent(a: PauliString, b: PauliString, n: int) -> bool:
     strings on the sender qubits stabilize the GHZ state, while any X or iY
     component moves its support and a lone Z flips the relative sign.
     """
+    if _integer("n", n) < 2:
+        raise ValueError(f"GHZ state needs at least 2 qubits, got {n}")
     if any(q >= n for ps in (a, b) for q in ps.targets):
         raise ValueError(f"encoding strings act on qubits 1..{n - 1}")
     prods = [compose_labels(a.label_on(q), b.label_on(q)) for q in range(1, n)]

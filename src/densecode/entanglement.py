@@ -60,6 +60,8 @@ class DensityOperator:
     _spectrum: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if _integer("n_qubits", self.n_qubits) < 1:
+            raise ValueError(f"need at least one qubit, got {self.n_qubits}")
         m = np.asarray(self.matrix, dtype=complex)
         dim = 2**self.n_qubits
         if m.shape != (dim, dim):
@@ -113,7 +115,7 @@ class Bipartition:
 def _split(qubits: Iterable[int], n: int, name: str) -> tuple[list[int], list[int]]:
     """``qubits`` and the rest of the register 1..n, each ascending.  The
     ``name``d set must be a non-empty proper subset of the register."""
-    chosen = set(qubits)
+    chosen = {_integer("qubit", q) for q in qubits}
     kept = sorted(chosen)
     if not kept or kept[0] < 1 or kept[-1] > n or len(kept) == n:
         raise ValueError(f"{name} {kept} must be a non-empty proper subset of 1..{n}")

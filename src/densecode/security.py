@@ -100,12 +100,12 @@ def parity_class(state: StateVector, tol: float = 1e-9) -> ParityClass:
 
 
 def unitarity_residual(matrix: np.ndarray) -> float:
-    """max |(U^t U - 1)_ij| of a square, finite ``matrix``: 0.0 for an exact unitary,
-    and math.inf, with no warning, where U^t U overflows.  A non-finite entry is
-    refused: its residual would be nan or inf whatever the other entries are."""
+    """max |(U^t U - 1)_ij| of a non-empty square, finite ``matrix``: 0.0 for an exact
+    unitary, and math.inf, with no warning, where U^t U overflows.  A non-finite entry
+    is refused: its residual would be nan or inf whatever the other entries are."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"unitarity is defined for a square matrix, got shape {m.shape}")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise ValueError(f"unitarity is defined for a non-empty square matrix, got shape {m.shape}")
     if not np.logical_and.reduce(np.isfinite(m), axis=None):
         raise ValueError("unitarity is defined for a finite matrix, got a non-finite entry")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan

@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional, Sequence
@@ -26,7 +26,7 @@ import numpy as np
 
 NORM_TOLERANCE = 1e-9
 PHASE_TOLERANCE = 1e-9
-CHUNK = 2**14  # amplitudes per weighed chunk of a state's copy: 256 KiB, within L2
+CHUNK = 2**14  # amplitudes per chunk of a state's copy: 256 KiB, within L2
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 
@@ -45,26 +45,12 @@ def _finite(name: str, value: float, high: float = math.inf) -> None:
         raise ValueError(f"{name} must be a finite number {span}, got {value!r}")
 
 
-def _byte_flags(src: np.ndarray) -> np.ndarray | None:
-    """The bytes of a contiguous numeric ``src`` as a bool array, itemsize flags per
-    amplitude, each set exactly when its byte is nonzero; None for any other input:
-    an object array, whose items are references, or a strided one, which no view of
-    another item size can read."""
-    if src.dtype.kind not in "biufc" or not src.flags.c_contiguous:
-        return None
-    return src.view(bool)
-
-
-def _first_byte(flags: np.ndarray) -> Optional[int]:
-    """The place of the first nonzero byte of ``flags``, a slice of ``_byte_flags``,
-    -1 when it holds none, and None when a read-only slice holds one.  The bool argmax
-    stops at the first one, so a live chunk is read only that far; it copies a
-    read-only array before it scans, so such a slice is read in place, by the max of
-    its bytes, which finds no place."""
-    if flags.flags.writeable:
-        at = int(flags.argmax())
-        return at if flags[at] else -1
-    return None if np.maximum.reduce(flags.view(np.uint8)) else -1
+def _first_byte(flags: np.ndarray) -> int:
+    """The place of the first nonzero byte of ``flags``, a chunk of a state's input as
+    bools, one per byte, and -1 when it holds none.  The bool argmax stops at the first
+    one, so a live chunk is read only that far; it copies a read-only chunk first."""
+    at = int(flags.argmax())
+    return at if flags[at] else -1
 
 
 # ---------------------------------------------------------------------------
@@ -213,62 +199,53 @@ def _record(cls: Optional[type] = None, /, *, eq: bool = True) -> Any:
 class StateVector:
     """Pure state of ``n_qubits`` qubits as 2**n complex amplitudes.
 
-    The state keeps a private, read-only, C-ordered complex copy of the amplitudes
-    and ``_chunk_weights``, the |psi|^2 of each ``CHUNK`` of that copy in order,
-    which a decode's scan reads to skip the chunks too light to stop it.  A state
-    of one chunk is copied whole by np.array.  A larger one is copied from the
-    C-order ravel of its input into np.empty a chunk at a time, and each chunk is
-    weighed right after its copy, while it is still in L2: the norm takes no second
-    pass through memory.  Only the chunks that hold a nonzero bit are copied: in a
-    contiguous numeric input, a chunk of zero bits, as most chunks of a large
-    layout's code word are, is left unwritten with weight 0.0, and its chunk
-    number goes into ``_dead``.  The test reads a chunk up to its first nonzero
-    byte (``_first_byte``), so a dense chunk is read once, by its copy, and the
-    index of the first live chunk's first nonzero amplitude is kept as ``_start``,
-    where a decode tries its first coset; it is None where no test placed one: in a
-    state of one chunk, or a read-only, object or strided input.  Such a
-    copy is ``_copy``; ``amplitudes`` is built from it on first read, with its dead
-    chunks zeroed, then made read-only, so the copy, the weights and the norm are
-    bitwise those of a full copy.  A chunk of -0.0 or of denormals holds nonzero
-    bits and is copied.  |psi|^2, the weights' sum from the left, must lie within
-    NORM_TOLERANCE of 1."""
+    The state keeps a private, read-only, C-ordered complex copy of the amplitudes,
+    made from the C-order ravel of its input (an object or other non-numeric input
+    is first converted to complex) into np.empty, one ``CHUNK`` at a time.  Only the
+    chunks that hold a nonzero bit are copied: a chunk of zero bits, as most chunks
+    of a large layout's code word are, is left unwritten, and its chunk number goes
+    into ``_dead``.  The test reads a chunk up to its first nonzero byte
+    (``_first_byte``), and each live chunk is weighed right after its copy, while it
+    is still in L2: a dense chunk is read once, and the norm takes no second pass
+    through memory.  The index of the first live chunk's first nonzero amplitude is
+    kept as ``_start``, where a decode tries its first coset.  Such a copy is
+    ``_copy``; ``amplitudes`` is built from it on first read, with its dead chunks
+    zeroed, then made read-only, so the copy and the norm are bitwise those of a
+    full copy, and ``_amplitudes_at`` reads it in place.  A chunk of -0.0 or of
+    denormals holds nonzero bits and is copied.  |psi|^2, the sum from the left of
+    the live chunks' |psi|^2, must lie within NORM_TOLERANCE of 1."""
 
     n_qubits: int
     amplitudes: np.ndarray
-    _chunk_weights: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if _integer("n_qubits", self.n_qubits) < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
         size = 2**self.n_qubits
-        many = size > CHUNK
-        src = (np.asarray(self.amplitudes).ravel() if many  # C order, as np.array reads it
-               else np.array(self.amplitudes, dtype=complex, order="C").reshape(-1))
+        src = np.asarray(self.amplitudes)
+        if src.dtype.kind not in "biufc":  # an object array's items are references
+            src = src.astype(complex)
+        src = src.ravel()  # C order, as np.array reads it, and contiguous
         if src.size != size:
             raise ValueError(
                 f"expected {size} amplitudes for {self.n_qubits} qubits, got {src.size}"
             )
-        flags = _byte_flags(src) if many else None
-        width = src.itemsize
-        amps = np.empty(size, dtype=complex) if many else src  # the private copy
-        flat = part = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
-        weights, dead, norm_sq, i, start = (), (), 0.0, 0, None
+        flags, width = src.view(bool), src.itemsize
+        amps = np.empty(size, dtype=complex)  # the private copy
+        flat = amps.view(float)  # real and imaginary parts: |psi|^2 in one pass
+        dead, norm_sq, i, start = (), 0.0, 0, None
         while i < size:  # not a for over a range, which costs a small state 0.5 us cold
-            at = None if flags is None else _first_byte(flags[i * width:(i + CHUNK) * width])
-            if at == -1:
-                weight = 0.0  # +0.0 in the input: zeroed on the first read of amplitudes
+            at = _first_byte(flags[i * width:(i + CHUNK) * width])
+            if at == -1:  # +0.0 in the input: zeroed on the first read of amplitudes
                 dead += (i // CHUNK,)
             else:
-                if start is None and at is not None:  # the first live chunk's first nonzero
+                if start is None:  # the first live chunk's first nonzero
                     start = i + at // width
-                if many:
-                    amps[i:i + CHUNK] = src[i:i + CHUNK]
-                    part = flat[2 * i:2 * (i + CHUNK)]
+                amps[i:i + CHUNK] = src[i:i + CHUNK]
+                part = flat[2 * i:2 * (i + CHUNK)]
                 # vdot runs the same dot product as part @ part, but raises no overflow
                 # warning: a norm that overflows to inf is refused just below
-                weight = float(np.vdot(part, part))
-            weights += (weight,)
-            norm_sq += weight
+                norm_sq += float(np.vdot(part, part))
             i += CHUNK
         if not abs(norm_sq - 1.0) <= NORM_TOLERANCE:
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq!r}")
@@ -278,7 +255,7 @@ class StateVector:
         else:
             amps.flags.writeable = False
             state["amplitudes"] = amps
-        state.update(_chunk_weights=weights, _copy=amps, _dead=dead, _start=start)
+        state.update(_copy=amps, _dead=dead, _start=start)
 
     def __getattr__(self, name: str) -> Any:
         """``amplitudes``, on its first read from a copy with dead chunks: they are
@@ -293,6 +270,17 @@ class StateVector:
             amps.flags.writeable = False
         vars(self).update(amplitudes=amps, _dead=())
         return amps
+
+    def _amplitudes_at(self, indices: np.ndarray) -> np.ndarray:
+        """The amplitudes at ``indices``, a new array read from the copy in place, an
+        index in a dead chunk read as +0.0: bitwise ``amplitudes[indices]``, without
+        building ``amplitudes``."""
+        t = self._copy[indices]
+        if self._dead:  # only a state of several chunks has one
+            dead = np.zeros(self._copy.size // CHUNK, dtype=bool)
+            dead[list(self._dead)] = True
+            t[dead[indices // CHUNK]] = 0.0
+        return t
 
     def tensor(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit (axis k = qubit k+1)."""
@@ -405,10 +393,13 @@ def tensor_product(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
-def _check_targets(n: int, qubits: Iterable[int]) -> None:
-    bad = [q for q in qubits if not 1 <= q <= n]
+def _check_targets(n: int, qubits: Iterable[int]) -> list[int]:
+    """``qubits`` as ints, each an integer in 1..n, else a ValueError."""
+    qs = [_integer("target", q) for q in qubits]
+    bad = [q for q in qs if not 1 <= q <= n]
     if bad:
         raise ValueError(f"target qubits {bad} outside register 1..{n}")
+    return qs
 
 
 def apply_pauli_string(state: StateVector, ps: PauliString) -> StateVector:
@@ -452,8 +443,7 @@ def _butterfly(t: np.ndarray, strides: Iterable[int]) -> np.ndarray:
 def hadamard_on(state: StateVector, qubits: Iterable[int]) -> StateVector:
     """Hadamard applied to the given qubits."""
     n = state.n_qubits
-    qs = sorted(set(qubits))
-    _check_targets(n, qs)
+    qs = sorted(set(_check_targets(n, qubits)))
     return StateVector(n, _butterfly(state.amplitudes, [2 ** (n - q) for q in qs]))
 
 

@@ -43,11 +43,9 @@ from densecode import (
 )
 from densecode.coding import (
     _ON_COSET,
-    _SCAN,
     OVERLAP_THRESHOLD,
     _circuit_outputs,
     _coset_indices,
-    _heavy_argmax,
     _message_indices,
     _word_masks,
     dnk_code_words,
@@ -857,104 +855,35 @@ def test_decode_of_every_message_matches_the_reference(n):
         assert [dnk_decode(StateVector(n, w), spec) for w in words] == want
 
 
-def scan_batches(rng):
-    """Batches for the scan: seeded real and complex rows of every width 2 to 2**18,
-    1 to 5 rows each, and a 1024 x 1024 batch."""
-    for e in range(1, 19):
-        for rows in range(1, 6):
-            real = rng.standard_normal((rows, 2**e))
-            yield real
-            yield real + 1j * rng.standard_normal((rows, 2**e))
-    yield rng.standard_normal((1024, 1024))
+def assert_decodes_as_from_the_argmax(states, spec):
+    """Each state decodes, to a message or a ``NoMatchError``, as from argmax |psi|."""
+    for state in states:
+        want = decode_outcome(state, spec, "reference")
+        assert decode_outcome(state, spec) == want, (spec, want)
 
 
-def scan_edge_rows():
-    """Rows of 2**18 entries whose answer sits on the scan's pass boundaries."""
-    rows = np.zeros((3, 2**18))
-    rows[0, [5, _SCAN + 3]], rows[0, _SCAN] = 1.0, -1.0  # a tie: the first wins
-    rows[1] = -0.0  # all zeros
-    rows[2] = -0.0
-    rows[2, 3 * _SCAN + 9], rows[2, -1] = -2.0, 2.0
-    return rows
-
-
-def first_pass_argmax(amps, enough):
-    """The argmax of |amps| over the first ``_SCAN`` entries whose largest magnitude
-    reaches ``enough``, from the whole array of magnitudes; None if none does."""
-    mags = np.abs(amps)
-    for i in range(0, len(mags), _SCAN):
-        j = int(mags[i:i + _SCAN].argmax())
-        if mags[i + j] >= enough:
-            return i + j
-    return None
-
-
-SCAN_ENOUGH = (1e-3, _ON_COSET, 0.5, 1.5)
-
-
-def every_chunk(amps):
-    """Weights that call no chunk of ``amps`` light."""
-    return (math.inf,) * -(-len(amps) // CHUNK)
-
-
-def test_the_scan_is_the_first_pass_argmax_of_the_magnitudes():
-    """Every row of the batches and of the edge rows, real and complex, read-only like
-    a state's amplitudes, at thresholds that stop at the first pass, a later one or
-    none."""
-    edges = scan_edge_rows()
-    for words in [*scan_batches(np.random.default_rng(2000)), edges, edges * (1 - 1j)]:
-        words.flags.writeable = False
-        for row in words:
-            for enough in SCAN_ENOUGH:
-                want = first_pass_argmax(row, enough)
-                assert _heavy_argmax(row, enough, every_chunk(row)) == want, words.shape
-    assert [_heavy_argmax(row, 0.5, every_chunk(row)) for row in edges] == [
-        5, None, 3 * _SCAN + 9]
-
-
-def test_the_scan_stops_at_the_first_pass_that_reaches_enough():
-    """The argmax of the first pass whose largest magnitude reaches ``enough``, unread
-    past it: a larger value in a later pass does not win.  None when no pass reaches
-    ``enough``."""
-    row = np.zeros(4 * _SCAN, dtype=complex)
-    row[[3, _SCAN + 5, _SCAN + 9]] = 0.5, -0.75j, 0.75  # pass 1's first largest wins
-    row[2 * _SCAN + 1], row[3 * _SCAN] = 4.0, 2.0
-    row.flags.writeable = False
-    assert [_heavy_argmax(row, enough, every_chunk(row))
-            for enough in (0.1, 0.5, 0.6, 0.75, 1.0, 4.0, 4.5)] == [
-        3, 3, _SCAN + 5, _SCAN + 5, 2 * _SCAN + 1, 2 * _SCAN + 1, None]
-
-
-def chunk_weights(row):
-    """The |row|^2 of each CHUNK of ``row``, as a state weighs its copy."""
-    flat = np.asarray(row, dtype=complex).view(float)
-    return tuple(float(np.vdot(p, p)) for p in np.split(flat, range(2 * CHUNK, flat.size,
-                                                                     2 * CHUNK)))
-
-
-def assert_weights_change_no_scan(amps, weights):
-    for enough in SCAN_ENOUGH:
-        assert _heavy_argmax(amps, enough, weights) == first_pass_argmax(amps, enough), enough
-
-
-def test_chunk_weights_change_no_code_word_scan():
-    """The scan from a state's chunk weights returns the first pass's argmax on code
-    words of D(N, k) under a random phase, N = 15..20: 2 to 64 chunks."""
-    rng = np.random.default_rng(2901)
-    for n in range(15, 21):
-        for k in sorted({1, n // 2, n - 1}):
-            spec = dnk_spec(n, k)
-            msgs = rng.choice(2**n, 2, replace=False)
-            for word in dnk_code_words(msgs, spec):
-                state = StateVector(n, word * np.exp(2j * np.pi * rng.random()))
-                assert len(state._chunk_weights) == max(1, 2**n // CHUNK)
-                assert_weights_change_no_scan(state.amplitudes, state._chunk_weights)
+@pytest.mark.parametrize("n", range(15, 21))
+def test_code_words_of_many_chunks_decode_as_from_the_argmax(n):
+    """Code words of D(N, k) under a random phase, N = 15..20: 2 to 64 chunks, from a
+    writeable and from a read-only input."""
+    rng = np.random.default_rng(2901 + n)
+    for k in sorted({1, n // 2, n - 1}):
+        spec = dnk_spec(n, k)
+        msgs = rng.choice(2**n, 2, replace=False)
+        for msg, word in zip(msgs.tolist(), dnk_code_words(msgs, spec)):
+            amps = word * np.exp(2j * np.pi * rng.random())
+            states = [StateVector(n, amps)]
+            amps.flags.writeable = False
+            states.append(StateVector(n, amps))
+            assert_decodes_as_from_the_argmax(states, spec)
+            assert {decode_outcome(state, spec) for state in states} == {
+                format(msg, f"0{n}b")}
 
 
 def lone_amplitude_states(n, rng):
     """States of n qubits with one large amplitude at CHUNK - 1, CHUNK or the last
-    index, over a background of 0, 1e-6 (its chunks light at every ``enough``) or
-    2e-3 (around the decode threshold) per entry, under random phases."""
+    index, over a background of 0, 1e-6 or 2e-3 (around ``_ON_COSET``) per entry,
+    under random phases: the start is the background's first entry or the lone one."""
     size = 2**n
     for at in (CHUNK - 1, CHUNK, size - 1):
         for background in (0.0, 1e-6, 2e-3):
@@ -964,53 +893,44 @@ def lone_amplitude_states(n, rng):
             yield StateVector(n, amps)
 
 
-def test_chunk_weights_change_no_scan_of_a_lone_amplitude():
+def test_a_lone_amplitude_decodes_as_from_the_argmax():
     rng = np.random.default_rng(2902)
-    for state in lone_amplitude_states(17, rng):
-        assert_weights_change_no_scan(state.amplitudes, state._chunk_weights)
+    states = list(lone_amplitude_states(17, rng))
+    for k in (1, 8, 16):
+        assert_decodes_as_from_the_argmax(states, dnk_spec(17, k))
 
 
-def test_a_scan_with_no_stop_returns_none():
-    """A first chunk too light to be read, holding the largest magnitude 0.2, and the
-    rest of the weight spread thin over chunk 5: no magnitude reaches 0.5, so no pass
-    stops, as none would over every chunk."""
+def test_a_start_under_on_coset_decodes_from_the_argmax():
+    """A code word of D(17, k) with a small amplitude at index 0, off its coset: the
+    start, which is tried only from ``_ON_COSET`` on.  Under it, at 1e-7 and 2.7e-3,
+    the decode starts from the argmax; above it, at 2.8e-3, from the start, whose
+    coset fails.  Also the largest magnitude 0.2 in the first chunk, with the rest of
+    the weight spread thin over chunk 5, which no coset decodes."""
+    rng = np.random.default_rng(2903)
+    for k in (1, 8, 16):
+        spec = dnk_spec(17, k)
+        msgs = rng.choice(np.arange(1, 2**17), 3, replace=False)
+        states = []
+        for word in dnk_code_words(msgs, spec) * np.exp(2j * np.pi * rng.random(3))[:, None]:
+            assert word[0] == 0
+            for eps in (1e-7, 2.7e-3, 2.8e-3):
+                amps = word.copy()
+                amps[0] = eps
+                states.append(StateVector(17, unit(amps)))
+                assert states[-1]._start == 0
+        assert_decodes_as_from_the_argmax(states, spec)
+        assert [isinstance(decode_outcome(s, spec), str) for s in states] == [
+            True, False, False] * 3
     amps = np.zeros(2**17, dtype=complex)
     amps[7] = 0.2j
     amps[5 * CHUNK:6 * CHUNK] = math.sqrt((1 - 0.04) / CHUNK)
     state = StateVector(17, amps)
-    assert state._chunk_weights[0] < (0.5 / 2) ** 2 <= state._chunk_weights[5]
-    assert_weights_change_no_scan(state.amplitudes, state._chunk_weights)
-    assert _heavy_argmax(state.amplitudes, 0.5, state._chunk_weights) is None
-    assert _heavy_argmax(state.amplitudes, 0.2, state._chunk_weights) == 7  # chunk 0 read
+    for k in (1, 8, 16):
+        assert_decodes_as_from_the_argmax([state], dnk_spec(17, k))
+        assert not isinstance(decode_outcome(state, dnk_spec(17, k)), str)
 
 
-def test_the_scan_starts_at_the_first_chunk_not_below_a_quarter_of_enough_squared():
-    """Weights that call a chunk light skip it, whatever it holds: the scan starts at
-    the first chunk whose weight is not below (enough/2)**2, a NaN weight included."""
-    assert CHUNK % _SCAN == 0  # a chunk starts on a pass
-    row = np.zeros(4 * CHUNK, dtype=complex)
-    row[[3, CHUNK + 5, 2 * CHUNK + 7]] = 0.9, 0.6, 0.7
-    light, heavy = 0.0624, 0.0625  # (0.5 / 2)**2 = 0.0625
-    assert _heavy_argmax(row, 0.5, (light, heavy, 1.0, 1.0)) == CHUNK + 5
-    assert _heavy_argmax(row, 0.5, (light, np.nan, 1.0, 1.0)) == CHUNK + 5
-    assert _heavy_argmax(row, 0.5, (light, light, heavy, 1.0)) == 2 * CHUNK + 7
-    assert _heavy_argmax(row, 0.5, (heavy, 1.0, 1.0, 1.0)) == 3
-    assert _heavy_argmax(row, 0.95, (light, heavy, 1.0, 1.0)) is None  # 0.9 is unread
-
-
-def test_the_scan_never_reads_a_light_chunk():
-    """A light chunk after a heavy one is skipped too, whatever it holds, as a state's
-    dead chunks may hold anything."""
-    row = np.zeros(4 * CHUNK, dtype=complex)
-    row[[3, CHUNK + 5, 2 * CHUNK + 7]] = 0.3, 9.0, 0.7
-    row[3 * CHUNK + 1] = np.nan
-    light, heavy = 0.0624, 0.0625  # (0.5 / 2)**2 = 0.0625
-    assert _heavy_argmax(row, 0.5, (heavy, light, heavy, light)) == 2 * CHUNK + 7
-    assert _heavy_argmax(row, 0.8, (1.0, light, 1.0, light)) is None  # 9.0 is unread
-    assert _heavy_argmax(row, 0.8, (1.0, 1.0, 1.0, light)) == CHUNK + 5
-
-
-def test_the_stop_lies_between_the_off_coset_and_on_coset_bounds():
+def test_on_coset_lies_between_the_off_coset_and_on_coset_bounds():
     """``_ON_COSET`` is T 2**-8.5: at most the least largest amplitude of a coset that
     decodes, T 2**(-B/2) for B <= 17, and above the most an amplitude off it can hold."""
     T = OVERLAP_THRESHOLD
@@ -1025,9 +945,9 @@ def unit(amps):
 def near_threshold_states(spec, rng):
     """Seeded states of a layout around the decode threshold: a code word under a
     random phase plus noise of norm 1e-4 to 1e-2; two words mixed at t = 0.999 and
-    0.9999995; the word with its first amplitude off the coset, which sits in the
-    scan's first pass, bumped to 1e-3, 1.4e-3, 1.5e-3, 2.7e-3, 2.8e-3, 2.9e-3 (around
-    ``_ON_COSET`` and 2 sqrt(1 - T**2), the stop before it) or 3e-3, and one to 3e-3 at
+    0.9999995; the word with its first amplitude off the coset, the state's start when
+    it lies before the word's first entry, bumped to 1e-3, 1.4e-3, 1.5e-3, 2.7e-3, 2.8e-3, 2.9e-3 (around
+    ``_ON_COSET`` and 2 sqrt(1 - T**2), the bound below it) or 3e-3, and one to 3e-3 at
     a random place off the coset; and a Haar state."""
     n = spec.n_qubits
     words = dnk_code_words(rng.choice(2**n, 3, replace=False), spec)
@@ -1069,7 +989,7 @@ def decode_outcome(state, spec, method="circuit"):
 
 
 @pytest.mark.parametrize("n", range(2, 19))
-def test_decode_that_stops_is_the_full_argmax_decode_on_near_threshold_states(n):
+def test_decode_from_the_start_is_the_full_argmax_decode_on_near_threshold_states(n):
     """Against the decode from argmax |psi| byte for byte, and up to 10 qubits against
     the overlap decode, an independent path.  Every layout up to 14 qubits; above,
     Bell pairs only, a mixed layout and one GHZ block, as ``tools/digest.py`` decodes
@@ -1123,7 +1043,7 @@ def test_decode_reads_a_fresh_copy_in_place_as_it_reads_amplitudes(n):
 
 
 def test_decode_of_an_18_qubit_word_allocates_no_register_sized_array():
-    """|psi| of 2**18 amplitudes would take 2 MiB; the scan's buffer takes 64 KiB."""
+    """|psi| of 2**18 amplitudes would take 2 MiB; the decode reads one coset."""
     spec = dnk_spec(18, 17)
     state = dnk_encoded_state("10" * 9, spec)
     dnk_decode(state, spec)  # fills the layout's cached index arrays first

@@ -37,7 +37,7 @@ PROJECTOR = np.array([[1, 0], [0, 0]])
 # Each record: its init arguments, its field names in order, and the repr of the
 # record built from them (a callable of the record where the repr holds an array).
 RECORDS = {
-    StateVector: ((1, [1, 0]), ["n_qubits", "amplitudes", "_chunk_weights"],
+    StateVector: ((1, [1, 0]), ["n_qubits", "amplitudes"],
                   "StateVector(1+0j|0>)"),
     PauliString: (((PauliLabel.X, PauliLabel.IY), (1, 3)), ["labels", "targets"],
                   "PauliString(labels=(<PauliLabel.X: 'X'>, <PauliLabel.IY: 'iY'>), "

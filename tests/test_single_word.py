@@ -9,10 +9,12 @@ commands, and fails on any call into the batch kernel, its ``_parity``, or a
 ``DnkSpec`` array property.
 
 The decode of one state first tries ``StateVector._start``, the first nonzero that
-the state's chunk test found, and scans only when that amplitude is too small to
-lie on a decoding coset.  Each case here decodes as the scan alone decodes.
+the state's chunk test found, and starts from argmax |psi| only when that amplitude
+is too small to lie on a decoding coset.  Each case here decodes as the decode from
+argmax |psi| (``test_coding.reference_decode``) decodes.
 """
 
+import ast
 import contextlib
 import copy
 import io
@@ -34,6 +36,7 @@ from densecode.coding import (
     dnk_word_support,
 )
 from densecode.statevec import CHUNK, StateVector
+from test_coding import reference_decode
 from test_numpy_entry_points import clear_caches
 
 PACKAGE = os.path.dirname(os.path.abspath(densecode.__file__))
@@ -179,11 +182,12 @@ def test_the_guard_sees_the_batch_kernel(monkeypatch):
 # The decode start
 
 
-def scan_alone(state, spec):
-    """``dnk_decode`` of ``state`` with no start: the message, or the NoMatchError text."""
-    scan = copy.copy(state)
-    vars(scan)["_start"] = None
-    return decoded(scan, spec)
+def from_argmax(state, spec):
+    """The decode of ``state`` from argmax |psi|: the message, or the NoMatchError text."""
+    try:
+        return str(reference_decode(state, spec))
+    except NoMatchError as exc:
+        return f"NoMatchError: {exc}"
 
 
 def decoded(state, spec):
@@ -201,21 +205,21 @@ def dense_word(msg, spec):
 
 
 @pytest.fixture
-def scans(monkeypatch):
-    """The number of ``_heavy_argmax`` scans the decodes run."""
+def coset_reads(monkeypatch):
+    """The number of cosets the decodes read: one from the start, two from the argmax."""
     count = [0]
-    scan = coding._heavy_argmax
+    read = StateVector._amplitudes_at
 
-    def counted(*args):
+    def counted(self, indices):
         count[0] += 1
-        return scan(*args)
+        return read(self, indices)
 
-    monkeypatch.setattr(coding, "_heavy_argmax", counted)
+    monkeypatch.setattr(StateVector, "_amplitudes_at", counted)
     return count
 
 
-@pytest.mark.parametrize("n", [15, 16, 18])
-def test_a_code_word_decodes_from_its_start_without_a_scan(n, scans):
+@pytest.mark.parametrize("n", [12, 14, 15, 16, 18])
+def test_a_code_word_decodes_from_its_start(n, coset_reads):
     rng = np.random.default_rng(4301 + n)
     for k in (1, n // 2, n - 1):
         spec = dnk_spec(n, k)
@@ -224,15 +228,16 @@ def test_a_code_word_decodes_from_its_start_without_a_scan(n, scans):
             amps, cols = dense_word(msg, spec)
             state = StateVector(n, amps)
             assert state._start == cols[0], (k, msg)  # the smallest column, every lead bit 0
-            before = scans[0]
+            before = coset_reads[0]
             assert decoded(state, spec) == msg
-            assert scans[0] == before, (k, msg)
-            assert scan_alone(state, spec) == msg
+            assert coset_reads[0] == before + 1, (k, msg)
+            assert from_argmax(state, spec) == msg
 
 
-def test_a_small_amplitude_before_the_first_entry_falls_back_to_the_scan(scans):
+def test_a_small_amplitude_before_the_first_entry_starts_from_the_argmax(coset_reads):
     """A D(16, 15) word with a 1e-7 amplitude just before its first entry, in the same
-    chunk: the start is that amplitude, under ``_ON_COSET``, so the decode scans."""
+    chunk: the start is that amplitude, under ``_ON_COSET``, so the decode starts from
+    the argmax."""
     spec = dnk_spec(16, 15)
     msg = "0110001110001011"
     amps, cols = dense_word(msg, spec)
@@ -241,32 +246,48 @@ def test_a_small_amplitude_before_the_first_entry_falls_back_to_the_scan(scans):
     amps[first - 1] = 1e-7
     amps /= np.sqrt(np.vdot(amps, amps).real)
     state = StateVector(16, amps)
-    assert state._start == first - 1 and abs(state._copy[first - 1]) < _ON_COSET
+    assert state._start == first - 1 and abs(state.amplitudes[first - 1]) < _ON_COSET
     assert decoded(state, spec) == msg
-    assert scans[0] == 1
-    assert scan_alone(state, spec) == msg
+    assert coset_reads[0] == 2
+    assert from_argmax(state, spec) == msg
 
 
-def test_a_read_only_input_records_no_start():
-    spec = dnk_spec(16, 5)
-    msg = "1011001110001011"
-    amps, _ = dense_word(msg, spec)
-    amps.flags.writeable = False
-    state = StateVector(16, amps)
-    assert state._start is None
-    assert decoded(state, spec) == scan_alone(state, spec) == msg
+def start_inputs(n):
+    """Inputs of every kind a state takes, each the amplitudes of a basis state of n
+    qubits at index 5 (at index 1 for n = 1), with the first nonzero there."""
+    at = min(5, 2**n - 1)
+    x = np.zeros(2**n, dtype=complex)
+    x[at] = 1.0
+    read_only = x.copy()
+    read_only.flags.writeable = False
+    strided = np.zeros(2 ** (n + 1), dtype=complex)[::2]
+    strided[at] = 1.0
+    fortran = np.asfortranarray(x.reshape((2,) * n)) if n > 1 else x
+    yield "writeable", x
+    yield "read-only", read_only
+    yield "list", x.tolist()
+    yield "object", x.astype(object)
+    yield "strided", strided
+    yield "fortran", fortran
+    yield "int", x.real.astype(int)
+    yield "bool", x.real.astype(bool)
 
 
-def test_a_state_of_one_chunk_records_no_start():
-    spec = dnk_spec(14, 13)
-    amps, _ = dense_word("10110011100010", spec)
-    assert 2**14 <= CHUNK and StateVector(14, amps)._start is None
+@pytest.mark.parametrize("n", [1, 14, 15, 16])
+def test_every_state_places_its_start(n):
+    """Every kind of input, of one chunk or of several: the start is the first nonzero
+    amplitude, in C order."""
+    want = min(5, 2**n - 1)
+    for kind, x in start_inputs(n):
+        state = StateVector(n, x)
+        assert state._start == want, kind
+        assert state.amplitudes[want] == 1.0, kind
 
 
 @pytest.mark.parametrize("corrupt", ["mixed", "sign", "moved", "spread"])
-def test_a_corrupted_word_gives_the_scans_error(corrupt, scans):
-    """A word that decodes to nothing gives the error of the scan alone, whether or not
-    its start is large enough to be tried."""
+def test_a_corrupted_word_gives_the_argmax_decodes_error(corrupt, coset_reads):
+    """A word that decodes to nothing gives the error of the decode from argmax |psi|,
+    whether or not its start is large enough to be tried."""
     spec = dnk_spec(16, 5)  # 8 blocks: 256 entries of 1/16 on a coset
     amps, cols = dense_word("1011001110001011", spec)
     if corrupt == "mixed":  # two words on two cosets: the start is tried, and fails
@@ -276,14 +297,14 @@ def test_a_corrupted_word_gives_the_scans_error(corrupt, scans):
         amps[cols[1]] *= -1
     elif corrupt == "moved":  # one entry moved off the coset: 255/256
         amps[cols[2] ^ 1], amps[cols[2]] = amps[cols[2]], 0.0
-    else:  # 2**18 amplitudes of 2**-9, under _ON_COSET: the start fails, no pass stops
+    else:  # 2**18 amplitudes of 2**-9, under _ON_COSET: the start is not tried
         spec = dnk_spec(18, 9)
         amps = np.full(2**18, 2**-9, dtype=complex)
     state = StateVector(spec.n_bits, amps)
     got = decoded(state, spec)
-    assert scans[0] == (corrupt == "spread")
+    assert coset_reads[0] == 1 + (corrupt == "spread")
     assert got.startswith("NoMatchError: state matches no code word"), got
-    assert got == scan_alone(state, spec)
+    assert got == from_argmax(state, spec)
 
 
 def test_a_word_with_dead_chunks_decodes_from_its_start_as_from_its_amplitudes():
@@ -295,16 +316,71 @@ def test_a_word_with_dead_chunks_decodes_from_its_start_as_from_its_amplitudes()
         state = StateVector(18, amps)
         assert state._dead and state._start is not None
         full = StateVector(18, np.array(state.amplitudes))
-        assert decoded(state, spec) == decoded(full, spec) == scan_alone(state, spec) == msg
+        assert decoded(state, spec) == decoded(full, spec) == from_argmax(state, spec) == msg
 
 
-def test_a_start_that_reads_zero_falls_back_to_the_scan(scans):
+def test_a_start_that_reads_zero_starts_from_the_argmax(coset_reads):
     spec = dnk_spec(16, 15)
     amps, cols = dense_word("1011001110001011", spec)
     state = StateVector(16, amps)
     broken = copy.copy(state)
     vars(broken)["_start"] = cols[0] ^ 1  # an index the chunk test never placed: 0.0
-    assert decoded(broken, spec) == "1011001110001011" and scans[0] == 1
+    assert decoded(broken, spec) == "1011001110001011" and coset_reads[0] == 2
+
+
+def test_amplitudes_at_reads_dead_chunks_as_zero():
+    """A state's amplitudes at indices in live and dead chunks, before and after the
+    first read of ``amplitudes``, with 1.0 written into the dead chunks the state
+    left unwritten: bitwise ``amplitudes[indices]``."""
+    spec = dnk_spec(18, 9)
+    amps, cols = dense_word("101100111000101101", spec)
+    state = StateVector(18, amps)
+    assert len(state._dead) > 1
+    for c in state._dead:
+        state._copy[c * CHUNK:(c + 1) * CHUNK] = 1.0
+    indices = np.array([*cols, 0, CHUNK - 1, 2**18 - 1, *(c * CHUNK + 3 for c in state._dead)])
+    got = state._amplitudes_at(indices)
+    assert got.tobytes() == amps[indices].tobytes()
+    got[:] = 7.0  # a new array: the state is unchanged
+    assert state._amplitudes_at(indices).tobytes() == amps[indices].tobytes()
+    assert state.amplitudes.tobytes() == amps.tobytes()
+    assert state._amplitudes_at(indices).tobytes() == amps[indices].tobytes()
+
+
+# ``coding`` reads a state only through ``_start``, ``_amplitudes_at`` and
+# ``amplitudes``: how ``statevec`` lays out its copy is named in ``statevec`` alone.
+STATE_LAYOUT = {"CHUNK", "_copy", "_dead", "_chunk_weights"}
+
+
+def layout_names(source):
+    """Each name of ``STATE_LAYOUT`` that ``source`` imports, reads or spells as a
+    string, such as getattr's, as "line:name"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            names = [getattr(node, "id", None), getattr(node, "attr", None)]
+        found += [f"{getattr(node, 'lineno', 0)}:{name}"
+                  for name in names if name in STATE_LAYOUT]
+    return found
+
+
+def test_coding_names_nothing_of_the_states_chunk_layout():
+    with open(os.path.join(PACKAGE, "coding.py"), encoding="utf-8") as f:
+        assert layout_names(f.read()) == []
+
+
+def test_the_layout_guard_sees_each_form():
+    source = """from .statevec import CHUNK as C, _copy
+t = state._dead
+w = getattr(state, "_chunk_weights")
+c = vars(state)["_copy"]
+"""
+    assert layout_names(source) == ["1:CHUNK", "1:_copy", "2:_dead", "3:_chunk_weights",
+                                    "4:_copy"]
 
 
 def test_restricted_to_reads_one_dict(monkeypatch):

@@ -170,32 +170,34 @@ def test_statevector_keeps_a_private_copy():
     assert not np.shares_memory(state.amplitudes, amps)
 
 
-# A state of n = 17 qubits is copied and weighed in 2**17 / CHUNK = 8 chunks.
-
-
-def test_each_chunk_weight_is_its_chunks_vdot_and_read_only():
-    state = random_state(17, np.random.default_rng(29))
-    flat = state.amplitudes.view(float)
-    parts = [flat[i:i + 2 * CHUNK] for i in range(0, flat.size, 2 * CHUNK)]
-    assert len(parts) == len(state._chunk_weights) == 8
-    for weight, part in zip(state._chunk_weights, parts):
-        assert type(weight) is float and weight == np.vdot(part, part)
-    assert isinstance(state._chunk_weights, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        state._chunk_weights = (1.0,)
-    assert len(ghz_state(5)._chunk_weights) == 1
+def chunk_norm(amps):
+    """|amps|^2 as a state takes it: each CHUNK's vdot of its real and imaginary parts,
+    summed from the left."""
+    flat = np.asarray(amps, dtype=complex).view(float)
+    total = 0.0
+    for i in range(0, flat.size, 2 * CHUNK):
+        part = flat[i:i + 2 * CHUNK]
+        total += float(np.vdot(part, part))
+    return total
 
 
 @pytest.mark.parametrize("n", [1, 14, 15, 17])
-def test_chunk_weights_sum_to_the_norm(n):
-    """One chunk up to CHUNK amplitudes: the weight is the one dot of the whole copy."""
-    state = random_state(n, np.random.default_rng(n))
+def test_the_norm_is_each_chunks_vdot_summed_from_the_left(n):
+    """One chunk up to CHUNK amplitudes, whose norm is the one dot of the whole copy;
+    a state of n = 17 qubits is copied and weighed in 2**17 / CHUNK = 8 chunks.  The
+    norm a refused state reports is that sum, bit for bit, and a state keeps no
+    weights."""
+    amps = random_state(n, np.random.default_rng(n)).amplitudes
+    state = StateVector(n, amps)
+    assert sorted(vars(state)) == ["_copy", "_dead", "_start", "amplitudes", "n_qubits"]
     flat = state.amplitudes.view(float)
+    assert math.isclose(chunk_norm(amps), float(np.vdot(flat, flat)), rel_tol=1e-14)
     if 2**n <= CHUNK:
-        assert state._chunk_weights == (float(np.vdot(flat, flat)),)
-    total = sum(state._chunk_weights)
-    assert abs(total - 1.0) <= NORM_TOLERANCE
-    assert math.isclose(total, float(np.vdot(flat, flat)), rel_tol=1e-14)
+        assert chunk_norm(amps) == float(np.vdot(flat, flat))
+    doubled = 2 * amps
+    with pytest.raises(ValueError) as caught:
+        StateVector(n, doubled)
+    assert str(caught.value) == f"state is not normalized: |psi|^2 = {chunk_norm(doubled)!r}"
 
 
 def scaled_state(n, scale):
@@ -227,7 +229,7 @@ def test_a_non_finite_amplitude_in_the_last_chunk_is_refused(bad, at):
 
 
 def test_a_multi_chunk_state_copies_strided_fortran_and_real_inputs():
-    """Read in C order from any layout and dtype, as a one-chunk state's np.array reads."""
+    """Read in C order from any layout and dtype, as np.array reads them."""
     rng = np.random.default_rng(30)
     ref = random_state(17, rng).amplitudes
     wide = np.zeros(2**18, dtype=complex)
@@ -249,9 +251,10 @@ def test_a_multi_chunk_state_copies_strided_fortran_and_real_inputs():
         StateVector(17, ref[::2])
 
 
-# Above CHUNK amplitudes, a contiguous numeric input's chunks of zero bits are left
-# unwritten and zeroed on the first read of ``amplitudes``; an object array is copied
-# chunk by chunk.  With the first chunk dead or live, both must give the same bytes.
+# A state's chunks of zero bits are left unwritten and zeroed on the first read of
+# ``amplitudes``, whatever the input's kind: an object array is first converted, and
+# any other input is read as its C-order ravel.  With the first chunk dead or live,
+# each must give the bytes of np.array.
 
 
 def chunk_cases(n, head_zero):
@@ -285,19 +288,17 @@ def chunk_cases(n, head_zero):
 
 @pytest.mark.parametrize("head_zero", [True, False])
 @pytest.mark.parametrize("n", [17, 18, 20])
-def test_both_copy_paths_keep_every_bit_and_weight(n, head_zero):
+def test_every_input_kind_keeps_every_bit_and_dead_chunk(n, head_zero):
+    """The bytes of np.array, and dead exactly the chunks whose bytes there are all 0."""
     for kind, x in chunk_cases(n, head_zero):
         state = StateVector(n, x)
         want = np.array(x, dtype=complex).reshape(-1)
+        zero = [c for c in range(2**n // CHUNK)
+                if not want[c * CHUNK:(c + 1) * CHUNK].view(bool).any()]
+        assert state._dead == tuple(zero) and zero, kind
         assert state.amplitudes.tobytes() == want.tobytes(), kind
         assert state.amplitudes.flags.c_contiguous and not state.amplitudes.flags.writeable
         assert isinstance(x, list) or not np.shares_memory(state.amplitudes, x), kind
-        flat = state.amplitudes.view(float)
-        parts = [flat[i:i + 2 * CHUNK] for i in range(0, flat.size, 2 * CHUNK)]
-        assert len(state._chunk_weights) == len(parts), kind
-        for weight, part in zip(state._chunk_weights, parts):
-            assert type(weight) is float, kind
-            assert weight.hex() == float(np.vdot(part, part)).hex(), kind
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
@@ -340,7 +341,7 @@ def poisoned(n, x):
 STATE_READERS = {
     "amplitudes": lambda s: s.amplitudes.tobytes(),
     "read-only": lambda s: (s.amplitudes.flags.writeable, s.amplitudes.flags.c_contiguous),
-    "weights": lambda s: [w.hex() for w in s._chunk_weights],
+    "start": lambda s: s._start,
     "repr": repr,
     "tensor": lambda s: (s.tensor().shape, s.tensor().tobytes()),
     "replace": lambda s: dataclasses.replace(s).amplitudes.tobytes(),
@@ -355,56 +356,62 @@ STATE_READERS = {
 @pytest.mark.parametrize("n", [17, 18])
 @pytest.mark.parametrize("reader", STATE_READERS)
 def test_dead_chunks_read_as_a_full_copy(n, reader):
-    """The reference is the state of the input as an object array, which is copied
-    chunk by chunk with no chunk left dead."""
+    """The reference is a full copy, np.array(x, dtype=complex), and the norm of its
+    chunks computed here: the state gives its bytes, and each reader gives the same
+    answer whether it is the first to read ``amplitudes``, reads after that first
+    read, or reads a state whose ``amplitudes`` was read before it."""
     read = STATE_READERS[reader]
     for kind, x in dead_and_live_inputs(n).items():
-        full = StateVector(n, x.astype(object))
-        assert "amplitudes" in vars(full), kind
+        want = np.array(x, dtype=complex)
         state = poisoned(n, x)
-        assert "amplitudes" not in vars(state), kind  # built on first read
-        assert read(state) == read(full), (kind, reader)
-        assert state.amplitudes.tobytes() == x.tobytes(), kind
+        assert state._dead and "amplitudes" not in vars(state), kind  # built on first read
+        first = read(state)
+        assert state.amplitudes.tobytes() == want.tobytes(), kind
+        assert read(state) == first, (kind, reader)
         again = poisoned(n, x)
         again.amplitudes
-        assert read(again) == read(full), (kind, reader)
+        assert read(again) == first, (kind, reader)
+        assert abs(chunk_norm(want) - 1.0) <= NORM_TOLERANCE, kind
+        with pytest.raises(ValueError) as caught:
+            StateVector(n, 2 * x)
+        assert str(caught.value) == (
+            f"state is not normalized: |psi|^2 = {chunk_norm(2 * want)!r}"), kind
 
 
 def test_a_live_chunk_of_weight_zero_is_copied():
     x = dead_and_live_inputs(17)
     for kind, chunk in (("minus zero", 2), ("underflow", 3)):
         state = StateVector(17, x[kind])
-        assert state._chunk_weights[chunk] == 0.0 and chunk not in state._dead, kind
         assert state._dead == tuple(c for c in range(8) if c not in (1, chunk, 7)), kind
+        assert chunk_norm(state.amplitudes[chunk * CHUNK:(chunk + 1) * CHUNK]) == 0.0, kind
         assert state.amplitudes[chunk * CHUNK:(chunk + 1) * CHUNK].tobytes() == (
             x[kind][chunk * CHUNK:(chunk + 1) * CHUNK].tobytes()), kind
 
 
 def test_a_read_only_input_leaves_the_same_chunks_dead():
-    """A writeable input's chunks are tested by the bool argmax of their bytes, which
-    stops at the first nonzero one; a read-only input's, which argmax would copy
-    first, by the max of their bytes.  Both find the same dead chunks."""
+    """A chunk is tested by the bool argmax of its bytes, which stops at the first
+    nonzero one, and which copies a read-only chunk first: a writeable and a read-only
+    input find the same dead chunks and the same start."""
     for kind, x in dead_and_live_inputs(17).items():
         frozen = x.copy()
         frozen.flags.writeable = False
         states = [StateVector(17, amps) for amps in (x, frozen)]
         assert states[0]._dead == states[1]._dead and states[0]._dead, kind
-        assert states[0]._chunk_weights == states[1]._chunk_weights, kind
+        assert states[0]._start == states[1]._start == CHUNK + 3, kind
         assert states[0].amplitudes.tobytes() == states[1].amplitudes.tobytes(), kind
 
 
 @pytest.mark.parametrize("bad", [np.nan, complex(0, np.nan), 2.0])
 def test_a_state_with_dead_chunks_is_refused_with_a_full_copys_text(bad):
     """A NaN, or a weight past the tolerance, among dead chunks: the norm error text is
-    the one a copy of every chunk gives."""
+    the one a copy of every chunk gives, from a writeable or an object input."""
     x = dead_and_live_inputs(18)["two live"]
     x[5 * CHUNK + 7] = bad
-    texts = []
+    want = f"state is not normalized: |psi|^2 = {chunk_norm(x)!r}"
     for amps in (x, x.astype(object)):
-        with pytest.raises(ValueError, match="not normalized") as caught:
+        with pytest.raises(ValueError) as caught:
             StateVector(18, amps)
-        texts.append(str(caught.value))
-    assert texts[0] == texts[1]
+        assert str(caught.value) == want
 
 
 def test_pauli_string_rejects_duplicate_targets():

@@ -45,14 +45,15 @@ best overlap and its blocks; its kind is ``messages`` or ``NoMatchError``.  The 
 - N > 10: eight seeded code words under a random global phase;
 - every N: a code word plus noise of norm 1e-4, 1e-3, 1.4e-3 and 1e-2; two words
   mixed at t = 0.999 and 0.9999995; the word with its first amplitude off the coset,
-  which the scan reads first, bumped to 1e-3, 1.4e-3, 1.5e-3 and 3e-3, and one bumped
-  to 3e-3 at a random place off the coset; and a Haar state.
+  the state's start when it lies before the word's first entry, bumped to 1e-3,
+  1.4e-3, 1.5e-3 and 3e-3, and one bumped to 3e-3 at a random place off the coset;
+  and a Haar state.
 
 The sizes sit around sqrt(1 - T**2) ~ 1.4e-3, T = OVERLAP_THRESHOLD, the most an
 amplitude off the coset can hold while the word still decodes.  At N = 18 the sweep
-covers both ways ``StateVector`` copies a large state: 85 of its 340 states have a
-first chunk of zero bits and are copied into np.zeros, and the rest, among them code
-words whose zeros a phase turned to -0.0, are copied chunk by chunk.  The states are
+covers states that ``StateVector`` copies with dead chunks and without: 85 of its 340
+states have a first chunk of zero bits, left unwritten, and the rest, among them code
+words whose zeros a phase turned to -0.0, have every chunk copied.  The states are
 normalized with no BLAS call, so the sha256 does not depend on the BLAS thread
 count.  The sweeps take about one and seven seconds on one core.
 """
