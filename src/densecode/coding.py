@@ -33,8 +33,6 @@ import itertools
 import math
 from typing import NoReturn, Optional, Sequence, Union
 
-import numpy as np
-
 from .entanglement import DEFAULT_TOLERANCE, OptimalityReport, layout_optimality, layout_verdicts
 from .statevec import (
     _BITS_LABEL,
@@ -47,6 +45,7 @@ from .statevec import (
     _parity,
     _record,
     compose_labels,
+    np,
 )
 
 #: decode rejects states whose best code-basis overlap magnitude is below this

@@ -12,9 +12,7 @@ import itertools
 from dataclasses import field
 from typing import Iterable, Union
 
-import numpy as np
-
-from .statevec import StateVector, _finite, _integer, _record
+from .statevec import StateVector, _finite, _integer, _record, np
 
 DEFAULT_TOLERANCE = 1e-9
 _EIG_CUTOFF = 1e-12  # eigenvalues at or below this contribute 0 to entropy
@@ -87,8 +85,8 @@ class Bipartition:
     bob: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        alice = tuple(sorted(self.alice))
-        bob = tuple(sorted(self.bob))
+        alice = tuple(sorted([_integer("qubit", q) for q in self.alice]))
+        bob = tuple(sorted([_integer("qubit", q) for q in self.bob]))
         object.__setattr__(self, "alice", alice)
         object.__setattr__(self, "bob", bob)
         if not alice or not bob:
@@ -104,7 +102,8 @@ class Bipartition:
     @classmethod
     def of(cls, n_qubits: int, alice: Iterable[int]) -> "Bipartition":
         alice_set = set(alice)
-        bob = tuple(q for q in range(1, n_qubits + 1) if q not in alice_set)
+        bob = tuple(q for q in range(1, _integer("n_qubits", n_qubits) + 1)
+                    if q not in alice_set)
         return cls(tuple(alice_set), bob)
 
     @property

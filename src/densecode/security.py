@@ -41,8 +41,6 @@ import math
 from enum import Enum
 from typing import Optional
 
-import numpy as np
-
 from .statevec import (
     StateVector,
     apply_two_qubit,
@@ -54,6 +52,7 @@ from .statevec import (
     _integer,
     _parity,
     _record,
+    np,
 )
 
 SUPPORT_CUTOFF = 1e-10
@@ -200,7 +199,7 @@ def detection_report(state: StateVector, n_protocol: int) -> DetectionReport:
     """Exact inconsistency probability of each check on protocol qubits
     1..``n_protocol``, by enumerating every joint outcome; no sampling.  Qubits
     past ``n_protocol`` (an eavesdropper ancilla) are traced out."""
-    if not 2 <= n_protocol <= state.n_qubits:
+    if not 2 <= _integer("n_protocol", n_protocol) <= state.n_qubits:
         raise ValueError(f"protocol size {n_protocol} invalid for {state.n_qubits} qubits")
     had = hadamard_on(state, range(1, n_protocol + 1))
     # qubits 1..n are the leading index bits: one row per outcome, the rest traced out

@@ -16,23 +16,73 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+import threading
+import types
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
 
-import numpy as np
+_NUMPY_LOAD = threading.RLock()
+
+
+class _LazyModule(types.ModuleType):
+    """numpy's module, built from its spec, before numpy's ``__init__`` has run.  The
+    first attribute read, from any thread, runs it under ``_NUMPY_LOAD`` and makes the
+    module a plain module, numpy itself, whose reads pay nothing more.  A read from
+    another thread meanwhile waits on the lock; one from inside the load, as numpy's
+    own submodule imports make, reads the module as it stands.  The stdlib
+    ``importlib.util.LazyLoader`` of Python 3.10, 3.11 and 3.12.1 takes no lock:
+    there a second thread's first read could find numpy half built."""
+
+    def __getattribute__(self, name: str) -> Any:
+        read = types.ModuleType.__getattribute__
+        with _NUMPY_LOAD:
+            spec = read(self, "__dict__").pop("__lazy_spec__", None)
+            if spec is not None:  # the first read: this thread loads numpy
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType
+        return read(self, name)
+
+
+def _numpy() -> Any:
+    """numpy itself when it is loaded, else the module numpy will be, a
+    ``_LazyModule`` in ``sys.modules``.  So a command that reads no numpy attribute,
+    as ``encode`` reads none, never loads numpy; ``import numpy`` anywhere reads the
+    module's ``__spec__``, which loads it.  Every layer takes this one ``np``."""
+    loaded = sys.modules.get("numpy")
+    if loaded is not None:
+        return loaded
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    module = importlib.util.module_from_spec(spec)
+    module.__lazy_spec__ = spec
+    module.__class__ = _LazyModule
+    sys.modules["numpy"] = module
+    return module
+
+
+if TYPE_CHECKING:
+    import numpy as np
+else:
+    np = _numpy()
 
 NORM_TOLERANCE = 1e-9
 PHASE_TOLERANCE = 1e-9
 CHUNK = 2**14  # amplitudes per chunk of a state's copy: 256 KiB, within L2
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_SQRT_HALF = 1.0 / math.sqrt(2.0)  # bitwise 1.0 / np.sqrt(2.0)
 
 
 def _integer(name: str, value: Any) -> int:
-    """An integer count or index ``value`` as an int, else a ValueError naming ``name``."""
+    """An integer count or index ``value`` as an int, else a ValueError naming ``name``.
+    A plain int is returned before ``np.integer`` is read, which would load numpy."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -335,7 +385,11 @@ class PauliString:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(self.labels))
+        labels = tuple(self.labels)
+        for label in labels:
+            if not isinstance(label, PauliLabel):
+                raise ValueError(f"labels must be PauliLabel members, got {label!r}")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "targets", tuple(_integer("target", q) for q in self.targets))
         if len(self.labels) != len(self.targets):
             raise ValueError("labels and targets must have equal length")
